@@ -40,14 +40,18 @@ OK, CHECK_FAILED, INPUT_ERROR, BUDGET_EXCEEDED = 0, 1, 2, 3
 
 def _resolve_budget(args) -> int:
     if args.budget is not None:
-        return args.budget
-    env = os.environ.get(ENV_BUDGET)
-    if env is not None:
+        budget, source = args.budget, "--budget"
+    else:
+        env = os.environ.get(ENV_BUDGET)
+        if env is None:
+            return DEFAULT_BUDGET
         try:
-            return int(env)
+            budget, source = int(env), ENV_BUDGET
         except ValueError:
             raise DocumentError(f"{ENV_BUDGET} is not an integer: {env!r}")
-    return DEFAULT_BUDGET
+    if budget < 1:
+        raise DocumentError(f"{source} must be at least 1, got {budget}")
+    return budget
 
 
 def _required(args, name: str) -> str:

@@ -16,6 +16,7 @@ from .errors import MismatchError
 from .fuzzyset import (
     FuzzySet,
     Universe,
+    _values_index,
     constant,
     ensure_budget,
     pointwise,
@@ -70,14 +71,6 @@ class ClosureOperator:
         return FuzzySet(self.lattice, self.universe, self.table[set_index(f)])
 
 
-def _tuple_index(lat: Lattice, values) -> int:
-    idx = 0
-    n = len(lat)
-    for v in values:
-        idx = idx * n + v
-    return idx
-
-
 # ---------------------------------------------------------------------------
 # constructions
 
@@ -128,22 +121,42 @@ def system_from_explicit(lat: Lattice, universe: Universe, table,
 def operator_from_system(system: ClosureSystem,
                          budget: int = DEFAULT_BUDGET) -> ClosureOperator:
     """Close each f against every member g, weighted by membership and by
-    how far f sits below g."""
+    how far f sits below g: closed(x) is the meet over g of
+    premise(f, g) -> g(x), where premise(f, g) is membership(g) tensor the
+    inclusion degree of f in g.
+
+    A g whose premise is bottom contributes bottom -> g(x), which is top on
+    every residuated lattice and so leaves the meet unchanged; such g are
+    skipped.  A bottom membership always gives a bottom premise, and so does
+    a bottom inclusion degree, so the inclusion meet stops there.
+    """
     lat = system.lattice
     uni = system.universe
     size = ensure_budget(lat, uni, budget, "closure operator construction")
-    res, tensor = lat.residuum, lat.tensor
-    npoints = len(uni)
+    res, tensor, meet = lat.residuum, lat.tensor, lat.meet
+    bottom, top = lat.bottom, lat.top
+    points = range(len(uni))
     all_sets = [set_at(lat, uni, i).values for i in range(size)]
+    members = [(tensor[m], g) for m, g in zip(system.table, all_sets)
+               if m != bottom]
     table = []
     for f in all_sets:
+        res_f = [res[v] for v in f]
+        weighted = []
+        for scale, g in members:
+            inclusion = top
+            for row, v in zip(res_f, g):
+                inclusion = meet[inclusion][row[v]]
+                if inclusion == bottom:
+                    break
+            premise = scale[inclusion]
+            if premise != bottom:
+                weighted.append((res[premise], g))
         closed = []
-        for x in range(npoints):
-            acc = lat.top
-            for gi, g in enumerate(all_sets):
-                inclusion = lat.meet_all(res[f[z]][g[z]] for z in range(npoints))
-                premise = tensor[system.table[gi]][inclusion]
-                acc = lat.meet[acc][res[premise][g[x]]]
+        for x in points:
+            acc = top
+            for row, g in weighted:
+                acc = meet[acc][row[g[x]]]
             closed.append(acc)
         table.append(tuple(closed))
     return ClosureOperator(lat, uni, tuple(table), "from_system")
@@ -214,13 +227,14 @@ def check_system(system: ClosureSystem,
     (pairwise suffices for finite families; the empty meet is the top-set
     axiom), and stability under residuation/tensor with constants.
 
-    Results are cached on the system after the first run.
+    Results are cached on the system after the first run; the budget is
+    enforced on every call, cached or not.
     """
-    if system._check is not None:
-        return system._check
     lat = system.lattice
     uni = system.universe
     size = ensure_budget(lat, uni, budget, "closure system check")
+    if system._check is not None:
+        return system._check
     meet = lat.meet
     counter: dict = {}
 
@@ -242,7 +256,7 @@ def check_system(system: ClosureSystem,
         for j in range(i, size):
             mv = tuple(meet[a][b] for a, b in zip(fi, all_vals[j]))
             if not lat.leq[meet[ui][system.table[j]]][
-                system.table[_tuple_index(lat, mv)]
+                system.table[_values_index(lat, mv)]
             ]:
                 axiom_ii = False
                 counter["axiom_ii"] = (
@@ -257,13 +271,13 @@ def check_system(system: ClosureSystem,
         for i in range(size):
             fi = all_vals[i]
             ui = system.table[i]
-            ri = _tuple_index(lat, tuple(res[a][v] for v in fi))
+            ri = _values_index(lat, tuple(res[a][v] for v in fi))
             if enriched and not lat.leq[ui][system.table[ri]]:
                 enriched = False
                 counter["enriched"] = (
                     f"constant {lat.displays[a]} with {_show(lat, fi)}"
                 )
-            ti = _tuple_index(lat, tuple(tensor[a][v] for v in fi))
+            ti = _values_index(lat, tuple(tensor[a][v] for v in fi))
             if strong and not lat.leq[ui][system.table[ti]]:
                 strong = False
                 counter["strong"] = (
@@ -310,16 +324,19 @@ class OperatorCheck:
 def check_operator(op: ClosureOperator,
                    budget: int = DEFAULT_BUDGET) -> OperatorCheck:
     """Fix the top set, inflate, preserve binary joins, idempotence (by
-    composing the table with itself), plus tensor-stability with constants."""
-    if op._check is not None:
-        return op._check
+    composing the table with itself), plus tensor-stability with constants.
+
+    Results are cached on the operator after the first run; the budget is
+    enforced on every call, cached or not."""
     lat = op.lattice
     uni = op.universe
     size = ensure_budget(lat, uni, budget, "closure operator check")
+    if op._check is not None:
+        return op._check
     counter: dict = {}
     all_vals = [set_at(lat, uni, i).values for i in range(size)]
 
-    top_index = _tuple_index(lat, (lat.top,) * len(uni))
+    top_index = _values_index(lat, (lat.top,) * len(uni))
     axiom_i = op.table[top_index] == (lat.top,) * len(uni)
     if not axiom_i:
         counter["axiom_i"] = f"image of top is {_show(lat, op.table[top_index])}"
@@ -339,7 +356,7 @@ def check_operator(op: ClosureOperator,
             break
         for j in range(i, size):
             jv = tuple(join[a][b] for a, b in zip(all_vals[i], all_vals[j]))
-            lhs = op.table[_tuple_index(lat, jv)]
+            lhs = op.table[_values_index(lat, jv)]
             rhs = tuple(join[a][b] for a, b in zip(op.table[i], op.table[j]))
             if lhs != rhs:
                 axiom_iii = False
@@ -351,7 +368,7 @@ def check_operator(op: ClosureOperator,
     axiom_iv = True
     for i in range(size):
         ci = op.table[i]
-        if op.table[_tuple_index(lat, ci)] != ci:
+        if op.table[_values_index(lat, ci)] != ci:
             axiom_iv = False
             counter["axiom_iv"] = f"closure of {_show(lat, all_vals[i])} not fixed"
             break
@@ -363,7 +380,7 @@ def check_operator(op: ClosureOperator,
             break
         for i in range(size):
             scaled = tuple(tensor[a][v] for v in all_vals[i])
-            lhs = op.table[_tuple_index(lat, scaled)]
+            lhs = op.table[_values_index(lat, scaled)]
             rhs = tuple(tensor[a][v] for v in op.table[i])
             if not all(lat.leq[x][y] for x, y in zip(rhs, lhs)):
                 strong = False

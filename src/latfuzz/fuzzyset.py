@@ -233,13 +233,19 @@ def ensure_budget(lat: Lattice, universe: Universe, budget: int,
     return size
 
 
-def set_index(f: FuzzySet) -> int:
-    """Position of f in the lexicographic enumeration (mixed radix)."""
-    n = len(f.lattice)
+def _values_index(lat: Lattice, values) -> int:
+    """Position of a value tuple in the lexicographic enumeration (mixed
+    radix), for sweeps that hold bare tuples rather than fuzzy sets."""
+    n = len(lat)
     idx = 0
-    for v in f.values:
+    for v in values:
         idx = idx * n + v
     return idx
+
+
+def set_index(f: FuzzySet) -> int:
+    """Position of f in the lexicographic enumeration (mixed radix)."""
+    return _values_index(f.lattice, f.values)
 
 
 def set_at(lat: Lattice, universe: Universe, index: int) -> FuzzySet:

@@ -183,6 +183,24 @@ def test_budget_flag_and_env(capsys, monkeypatch):
     assert code == 0
 
 
+@pytest.mark.parametrize("value", ["0", "-5"])
+def test_budget_flag_below_one_is_input_error(capsys, value):
+    code, report, err = run(capsys, "validate", "--doc", W3,
+                            "--budget", value)
+    assert code == 2
+    assert report is None
+    assert f"--budget must be at least 1, got {value}" in err
+
+
+@pytest.mark.parametrize("value", ["0", "-5"])
+def test_budget_env_below_one_is_input_error(capsys, monkeypatch, value):
+    monkeypatch.setenv(cli.ENV_BUDGET, value)
+    code, report, err = run(capsys, "validate", "--doc", W3)
+    assert code == 2
+    assert report is None
+    assert f"{cli.ENV_BUDGET} must be at least 1, got {value}" in err
+
+
 def test_timing_field_present_without_flag(capsys):
     code = cli.run(["validate", "--doc", W3])
     out = capsys.readouterr().out

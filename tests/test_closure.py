@@ -117,6 +117,21 @@ def test_check_system_is_cached(w3):
     assert lf.check_system(system) is first
 
 
+def test_cached_system_check_still_enforces_budget(w3):
+    system = lf.system_from_partition(w3)
+    lf.check_system(system)
+    with pytest.raises(lf.BudgetExceeded):
+        lf.check_system(system, budget=5)
+
+
+def test_cached_operator_check_still_enforces_budget(w3):
+    op = lf.operator_from_system(lf.system_from_partition(w3))
+    first = lf.check_operator(op)
+    assert lf.check_operator(op) is first
+    with pytest.raises(lf.BudgetExceeded):
+        lf.check_operator(op, budget=5)
+
+
 def test_check_operator_on_derived(w3, x2p):
     for p in (w3, x2p):
         op = lf.operator_from_system(lf.system_from_partition(p))
