@@ -20,7 +20,6 @@ from .errors import (
 from .lattice import (
     DEFAULT_BUDGET,
     Lattice,
-    LatticeElement,
     LatticeReport,
     LawSuiteReport,
     boolean_algebra,

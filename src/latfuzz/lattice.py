@@ -1,9 +1,15 @@
 """Finite complete residuated lattices as validated lookup tables.
 
 Carrier elements are ordinals into an ordered list of display strings; every
-operation is an exact table lookup.  Rational arithmetic (for the chain
-builders) happens at build time only, so no floating point ever enters a law
-check.
+operation is an exact table lookup.  The chain builders compute their tables
+on integer numerators over the common denominator n-1, so no floating point
+ever enters a law check.
+
+Construction validates every table exhaustively at O(n^2) Python-level steps:
+down-sets and up-sets are bitmasks, so bounds and transitivity are mask
+operations and dict lookups, and associativity and adjointness compare one
+whole row over c per pair (a, b).  Only an explicit table that omits its
+residuum pays the n^3 derivation of it.
 
 Builders cover the three stock families (minimum-tensor chains, truncated-sum
 chains, powerset algebras) plus fully explicit tables.  A product-style
@@ -18,20 +24,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
+from operator import itemgetter
 
 from .errors import BudgetExceeded, ElementError, LatticeBuildError
 
 DEFAULT_BUDGET = 4096
 
 OP_KINDS = ("meet", "join", "tensor", "residuum")
-
-
-@dataclass(frozen=True)
-class LatticeElement:
-    """An element presented as (carrier ordinal, display string)."""
-
-    id: int
-    display: str
 
 
 @dataclass(frozen=True)
@@ -61,10 +60,6 @@ class Lattice:
 
     def elements(self) -> range:
         return range(len(self.displays))
-
-    def element(self, a: int) -> LatticeElement:
-        self.check_element(a)
-        return LatticeElement(a, self.displays[a])
 
     def check_element(self, a: int) -> None:
         if not isinstance(a, int) or not 0 <= a < len(self.displays):
@@ -108,64 +103,85 @@ class Lattice:
 
 # ---------------------------------------------------------------------------
 # validation
+#
+# Bit c of down[a] (of up[a]) is set iff c <= a (a <= c).  Every error names
+# the same first offending pair or triple as a row-major scan would.
 
-def _check_order(name, displays, leq):
+def _square_table(name, what, table, n):
+    """Return `table` as a tuple of n rows of n entries, or raise."""
+    try:
+        rows = tuple(tuple(row) for row in table)
+    except TypeError:
+        raise LatticeBuildError(f"{name}: {what} must be a table of rows") from None
+    if len(rows) != n or any(len(row) != n for row in rows):
+        raise LatticeBuildError(f"{name}: {what} table must be {n}x{n}")
+    return rows
+
+
+def _check_ordinals(name, what, table, n):
+    for a, row in enumerate(table):
+        for b, v in enumerate(row):
+            if type(v) is not int or not 0 <= v < n:
+                raise LatticeBuildError(
+                    f"{name}: {what}[{a}][{b}] = {v!r} is not an ordinal in 0..{n - 1}"
+                )
+
+
+def _masks(leq):
+    """Down-set and up-set of every element as bitmasks."""
+    n = len(leq)
+    up = [sum(1 << b for b in range(n) if row[b]) for row in leq]
+    down = [sum(1 << a for a in range(n) if leq[a][b]) for b in range(n)]
+    return down, up
+
+
+def _check_order(name, displays, leq, down, up):
     n = len(displays)
     for a in range(n):
         if not leq[a][a]:
             raise LatticeBuildError(f"{name}: order not reflexive at {displays[a]}")
     for a in range(n):
-        for b in range(n):
-            if a != b and leq[a][b] and leq[b][a]:
-                raise LatticeBuildError(
-                    f"{name}: order not antisymmetric at ({displays[a]}, {displays[b]})"
-                )
+        both = down[a] & up[a] & ~(1 << a)
+        if both:
+            b = (both & -both).bit_length() - 1
+            raise LatticeBuildError(
+                f"{name}: order not antisymmetric at ({displays[a]}, {displays[b]})"
+            )
     for a in range(n):
         for b in range(n):
             if not leq[a][b]:
                 continue
-            for c in range(n):
-                if leq[b][c] and not leq[a][c]:
-                    raise LatticeBuildError(
-                        f"{name}: order not transitive at "
-                        f"({displays[a]}, {displays[b]}, {displays[c]})"
-                    )
-
-
-def _bound_tables(name, displays, leq):
-    """Derive meet/join tables; error if some pair lacks a bound.  All meets
-    are checked before any join so a non-lattice order is reported as
-    lacking meets first."""
-    n = len(displays)
-    meet = [[0] * n for _ in range(n)]
-    join = [[0] * n for _ in range(n)]
-    for a in range(n):
-        for b in range(n):
-            lowers = [c for c in range(n) if leq[c][a] and leq[c][b]]
-            greatest = [c for c in lowers if all(leq[d][c] for d in lowers)]
-            if not greatest:
+            missing = up[b] & ~up[a]
+            if missing:
+                c = (missing & -missing).bit_length() - 1
                 raise LatticeBuildError(
-                    f"{name}: order lacks meets: no greatest lower bound "
-                    f"for ({displays[a]}, {displays[b]})"
+                    f"{name}: order not transitive at "
+                    f"({displays[a]}, {displays[b]}, {displays[c]})"
                 )
-            meet[a][b] = greatest[0]
-    for a in range(n):
-        for b in range(n):
-            uppers = [c for c in range(n) if leq[a][c] and leq[b][c]]
-            least = [c for c in uppers if all(leq[c][d] for d in uppers)]
-            if not least:
-                raise LatticeBuildError(
-                    f"{name}: order lacks joins: no least upper bound "
-                    f"for ({displays[a]}, {displays[b]})"
-                )
-            join[a][b] = least[0]
-    return meet, join
 
 
-def _find_bounds(name, displays, leq):
-    n = len(displays)
-    bottoms = [a for a in range(n) if all(leq[a][b] for b in range(n))]
-    tops = [a for a in range(n) if all(leq[b][a] for b in range(n))]
+def _bound_table(name, displays, masks, what, bound):
+    """The table of greatest lower (least upper) bounds: on a partial order
+    the bound of a and b is the unique c whose down-set (up-set) equals the
+    intersection of theirs."""
+    by_mask = {m: c for c, m in enumerate(masks)}
+    table = []
+    for a, ma in enumerate(masks):
+        row = [by_mask.get(ma & mb) for mb in masks]
+        if None in row:
+            b = row.index(None)
+            raise LatticeBuildError(
+                f"{name}: order lacks {what}s: no {bound} "
+                f"for ({displays[a]}, {displays[b]})"
+            )
+        table.append(row)
+    return table
+
+
+def _find_bounds(name, displays, down, up):
+    full = (1 << len(displays)) - 1
+    bottoms = [a for a, m in enumerate(up) if m == full]
+    tops = [a for a, m in enumerate(down) if m == full]
     if not bottoms:
         raise LatticeBuildError(f"{name}: order has no least element")
     if not tops:
@@ -173,29 +189,43 @@ def _find_bounds(name, displays, leq):
     return bottoms[0], tops[0]
 
 
+def _row_pickers(table):
+    """picks[b](row) is the tuple (row[table[b][c]] for c), built in C."""
+    return [itemgetter(*row) for row in table]
+
+
+def _first_difference(left, right):
+    return next(c for c, (x, y) in enumerate(zip(left, right)) if x != y)
+
+
 def _check_monoid(name, displays, tensor, top):
     n = len(displays)
     for a in range(n):
-        for b in range(n):
-            if tensor[a][b] != tensor[b][a]:
-                raise LatticeBuildError(
-                    f"{name}: tensor not commutative at ({displays[a]}, {displays[b]}): "
-                    f"{displays[tensor[a][b]]} vs {displays[tensor[b][a]]}"
-                )
+        column = tuple(row[a] for row in tensor)
+        if tensor[a] != column:
+            b = _first_difference(tensor[a], column)
+            raise LatticeBuildError(
+                f"{name}: tensor not commutative at ({displays[a]}, {displays[b]}): "
+                f"{displays[tensor[a][b]]} vs {displays[tensor[b][a]]}"
+            )
     for a in range(n):
         if tensor[a][top] != a:
             raise LatticeBuildError(
                 f"{name}: top is not a tensor unit at {displays[a]}: "
                 f"got {displays[tensor[a][top]]}"
             )
+    # (a*b)*c against a*(b*c), one row over c per pair (a, b)
+    picks = _row_pickers(tensor)
     for a in range(n):
         for b in range(n):
-            for c in range(n):
-                if tensor[tensor[a][b]][c] != tensor[a][tensor[b][c]]:
-                    raise LatticeBuildError(
-                        f"{name}: tensor not associative at "
-                        f"({displays[a]}, {displays[b]}, {displays[c]})"
-                    )
+            left = tensor[tensor[a][b]]
+            right = picks[b](tensor[a])
+            if left != right:
+                c = _first_difference(left, right)
+                raise LatticeBuildError(
+                    f"{name}: tensor not associative at "
+                    f"({displays[a]}, {displays[b]}, {displays[c]})"
+                )
 
 
 def _derive_residuum(displays, leq, join, tensor):
@@ -213,17 +243,19 @@ def _derive_residuum(displays, leq, join, tensor):
 
 def _check_adjointness(name, displays, leq, tensor, residuum):
     n = len(displays)
+    # tensor(a,b) <= c against a <= residuum(b,c), one row over c per (a, b)
+    picks = _row_pickers(residuum)
     for a in range(n):
         for b in range(n):
-            for c in range(n):
-                left = leq[tensor[a][b]][c]
-                right = leq[a][residuum[b][c]]
-                if left != right:
-                    raise LatticeBuildError(
-                        f"{name}: adjointness fails at "
-                        f"(a={displays[a]}, b={displays[b]}, c={displays[c]}): "
-                        f"tensor(a,b)<=c is {left} but a<=residuum(b,c) is {right}"
-                    )
+            left = leq[tensor[a][b]]
+            right = picks[b](leq[a])
+            if left != right:
+                c = _first_difference(left, right)
+                raise LatticeBuildError(
+                    f"{name}: adjointness fails at "
+                    f"(a={displays[a]}, b={displays[b]}, c={displays[c]}): "
+                    f"tensor(a,b)<=c is {left[c]} but a<=residuum(b,c) is {right[c]}"
+                )
 
 
 def from_tables(
@@ -237,22 +269,40 @@ def from_tables(
 
     Meet and join are always derived from the order; the residuum is derived
     from the tensor when not supplied.  Either way adjointness is verified
-    exhaustively, so a non-residuable tensor cannot slip through.
+    exhaustively, so a non-residuable tensor cannot slip through.  Every
+    table must be n x n, and tensor and residuum entries must be carrier
+    ordinals 0..n-1.
     """
     displays = tuple(displays)
-    if len(displays) < 2:
+    n = len(displays)
+    if n < 2:
         raise LatticeBuildError(f"{name}: carrier needs at least two elements")
-    if len(set(displays)) != len(displays):
+    try:
+        distinct = len(set(displays))
+    except TypeError:
+        raise LatticeBuildError(f"{name}: display strings must be hashable") from None
+    if distinct != n:
         raise LatticeBuildError(f"{name}: duplicate display strings")
-    leq = tuple(tuple(bool(v) for v in row) for row in leq)
-    tensor = tuple(tuple(row) for row in tensor)
-    _check_order(name, displays, leq)
-    meet, join = _bound_tables(name, displays, leq)
-    bottom, top = _find_bounds(name, displays, leq)
+    leq = tuple(
+        tuple(bool(v) for v in row) for row in _square_table(name, "leq", leq, n)
+    )
+    tensor = _square_table(name, "tensor", tensor, n)
+    _check_ordinals(name, "tensor", tensor, n)
+    if residuum is not None:
+        residuum = _square_table(name, "residuum", residuum, n)
+        _check_ordinals(name, "residuum", residuum, n)
+    down, up = _masks(leq)
+    _check_order(name, displays, leq, down, up)
+    # every meet before any join, so a non-lattice order is reported as
+    # lacking meets first
+    meet = _bound_table(name, displays, down, "meet", "greatest lower bound")
+    join = _bound_table(name, displays, up, "join", "least upper bound")
+    bottom, top = _find_bounds(name, displays, down, up)
     _check_monoid(name, displays, tensor, top)
     if residuum is None:
-        residuum = _derive_residuum(displays, leq, join, tensor)
-    residuum = tuple(tuple(row) for row in residuum)
+        residuum = tuple(
+            tuple(row) for row in _derive_residuum(displays, leq, join, tensor)
+        )
     _check_adjointness(name, displays, leq, tensor, residuum)
     return Lattice(
         name=name,
@@ -291,18 +341,22 @@ def godel_chain(n: int, labels=None, name: str | None = None) -> Lattice:
         labels = _fraction_labels(n)
     if len(labels) != n:
         raise LatticeBuildError(f"godel_chain: expected {n} labels, got {len(labels)}")
+    top = n - 1
     tensor = [[min(a, b) for b in range(n)] for a in range(n)]
-    return from_tables(labels, _chain_leq(n), tensor, name=name or f"godel_chain({n})")
+    residuum = [[top if a <= b else b for b in range(n)] for a in range(n)]
+    return from_tables(
+        labels, _chain_leq(n), tensor, residuum, name=name or f"godel_chain({n})"
+    )
 
 
 def lukasiewicz_chain(n: int, name: str | None = None) -> Lattice:
-    """Chain k/(n-1) with the truncated-sum tensor, built with exact rationals."""
+    """Chain k/(n-1) with the truncated-sum tensor, computed exactly on the
+    integer numerators k over the common denominator n-1."""
     if n < 2:
         raise LatticeBuildError("lukasiewicz_chain needs n >= 2")
-    vals = [Fraction(k, n - 1) for k in range(n)]
-    idx = {v: i for i, v in enumerate(vals)}
-    tensor = [[idx[max(Fraction(0), a + b - 1)] for b in vals] for a in vals]
-    residuum = [[idx[min(Fraction(1), 1 - a + b)] for b in vals] for a in vals]
+    top = n - 1
+    tensor = [[max(0, a + b - top) for b in range(n)] for a in range(n)]
+    residuum = [[min(top, top - a + b) for b in range(n)] for a in range(n)]
     return from_tables(
         _fraction_labels(n),
         _chain_leq(n),
@@ -334,32 +388,81 @@ def boolean_algebra(k: int, name: str | None = None) -> Lattice:
     return from_tables(displays, leq, tensor, residuum, name=name or f"boolean({k})")
 
 
+def _spec_value(spec, key):
+    if key not in spec:
+        raise LatticeBuildError(
+            f"{spec['kind']} lattice description lacks key {key!r}"
+        )
+    return spec[key]
+
+
+def _spec_int(spec, key) -> int:
+    value = _spec_value(spec, key)
+    try:
+        return int(value)
+    except (TypeError, ValueError, OverflowError):
+        raise LatticeBuildError(
+            f"{spec['kind']} lattice description: {key!r} must be an integer, "
+            f"got {value!r}"
+        ) from None
+
+
+def _spec_list(spec, key, rows: bool = False) -> list:
+    value = _spec_value(spec, key)
+    if not isinstance(value, list) or (
+        rows and not all(isinstance(row, list) for row in value)
+    ):
+        shape = "a list of lists" if rows else "a list"
+        raise LatticeBuildError(
+            f"{spec['kind']} lattice description: {key!r} must be {shape}"
+        )
+    return value
+
+
 def build(spec: dict) -> Lattice:
     """Build from a description dict (the lattice sub-document of an
-    instance file)."""
+    instance file).  A missing or malformed key raises LatticeBuildError
+    naming the key."""
     if not isinstance(spec, dict) or "kind" not in spec:
         raise LatticeBuildError("lattice description must be an object with a 'kind'")
     kind = spec["kind"]
     if kind == "godel_chain":
-        return godel_chain(int(spec["n"]), labels=spec.get("labels"))
+        labels = spec.get("labels")
+        if labels is not None:
+            labels = _spec_list(spec, "labels")
+        return godel_chain(_spec_int(spec, "n"), labels=labels)
     if kind == "lukasiewicz_chain":
-        return lukasiewicz_chain(int(spec["n"]))
+        return lukasiewicz_chain(_spec_int(spec, "n"))
     if kind == "boolean":
-        return boolean_algebra(int(spec["atoms"]))
+        return boolean_algebra(_spec_int(spec, "atoms"))
     if kind == "table":
-        displays = spec["elements"]
-        index = {d: i for i, d in enumerate(displays)}
+        name = spec.get("name", "table")
+        displays = _spec_list(spec, "elements")
+        try:
+            index = {d: i for i, d in enumerate(displays)}
+        except TypeError:
+            raise LatticeBuildError(
+                f"{name}: 'elements' must be strings or numbers"
+            ) from None
 
-        def op_table(rows):
-            return [[index[v] for v in row] for row in rows]
+        def ordinal(key, v):
+            try:
+                return index[v]
+            except (KeyError, TypeError):
+                raise LatticeBuildError(
+                    f"{name}: {key} names unknown element {v!r}"
+                ) from None
 
-        residuum = spec.get("residuum")
+        def op_table(key):
+            return [[ordinal(key, v) for v in row]
+                    for row in _spec_list(spec, key, rows=True)]
+
         return from_tables(
             displays,
-            spec["leq"],
-            op_table(spec["tensor"]),
-            op_table(residuum) if residuum is not None else None,
-            name=spec.get("name", "table"),
+            _spec_list(spec, "leq", rows=True),
+            op_table("tensor"),
+            op_table("residuum") if spec.get("residuum") is not None else None,
+            name=name,
         )
     raise LatticeBuildError(f"unknown lattice kind {kind!r}")
 

@@ -221,3 +221,56 @@ def test_parity_fixture_product(capsys):
     assert code == 0
     assert report["projection_left"]["witness"] == "1"
     assert report["projection_right"]["witness"] == "1"
+
+
+def _chain2(**changes):
+    """A 2-element table lattice, with keys replaced or (value None) dropped."""
+    spec = {"kind": "table", "elements": ["0", "1"],
+            "leq": [[True, True], [False, True]],
+            "tensor": [["0", "0"], ["0", "1"]],
+            "residuum": [["1", "1"], ["0", "1"]]}
+    spec.update(changes)
+    return {k: v for k, v in spec.items() if v is not None}
+
+
+MALFORMED_LATTICES = {
+    "godel missing n": ({"kind": "godel_chain"}, "lacks key 'n'"),
+    "godel n not int": ({"kind": "godel_chain", "n": "three"},
+                        "'n' must be an integer, got 'three'"),
+    "godel n null": ({"kind": "godel_chain", "n": None},
+                     "'n' must be an integer, got None"),
+    "godel labels not list": ({"kind": "godel_chain", "n": 2, "labels": 5},
+                              "'labels' must be a list"),
+    "lukasiewicz n not int": ({"kind": "lukasiewicz_chain", "n": [3]},
+                              "'n' must be an integer"),
+    "boolean missing atoms": ({"kind": "boolean"}, "lacks key 'atoms'"),
+    "table missing elements": (_chain2(elements=None), "lacks key 'elements'"),
+    "table missing leq": (_chain2(leq=None), "lacks key 'leq'"),
+    "table missing tensor": (_chain2(tensor=None), "lacks key 'tensor'"),
+    "table leq not rows": (_chain2(leq=[True, False]),
+                           "'leq' must be a list of lists"),
+    "table short leq row": (_chain2(leq=[[True], [False, True]]),
+                            "leq table must be 2x2"),
+    "table wide leq": (_chain2(leq=[[True, True, True], [False, True, False]]),
+                       "leq table must be 2x2"),
+    "table short tensor row": (_chain2(tensor=[["0"], ["0", "1"]]),
+                               "tensor table must be 2x2"),
+    "table short residuum": (_chain2(residuum=[["1", "1"]]),
+                             "residuum table must be 2x2"),
+    "table unknown tensor element": (_chain2(tensor=[["0", "0"], ["0", "2"]]),
+                                     "tensor names unknown element '2'"),
+    "table unknown residuum element": (_chain2(residuum=[["1", "1"],
+                                                         ["0", "x"]]),
+                                       "residuum names unknown element 'x'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_LATTICES))
+def test_malformed_lattice_exits_2(capsys, case):
+    spec, message = MALFORMED_LATTICES[case]
+    code, report, err = run(capsys, "validate", "--doc",
+                            json.dumps({"lattice": spec}))
+    assert code == 2
+    assert report is None
+    assert err.startswith("latfuzz: ") and message in err
+    assert "Traceback" not in err

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 from fractions import Fraction
 
 import pytest
@@ -204,3 +205,33 @@ def test_custom_chain_labels():
     lat = lf.godel_chain(4, labels=["0", "0.2", "0.4", "1"])
     assert lat.displays == ("0", "0.2", "0.4", "1")
     assert lf.law_suite(lat).all_pass
+
+
+def _chain2_tables():
+    lat = lf.godel_chain(2)
+    return [list(r) for r in lat.leq], [list(r) for r in lat.tensor], \
+        [list(r) for r in lat.residuum]
+
+
+@pytest.mark.parametrize("table, row, value, message", [
+    ("leq", 0, [True], "leq table must be 2x2"),
+    ("leq", 1, [False, True, False], "leq table must be 2x2"),
+    ("tensor", 1, [0], "tensor table must be 2x2"),
+    ("residuum", 0, [1, 1, 1], "residuum table must be 2x2"),
+    ("tensor", 0, [0, -1], "tensor[0][1] = -1 is not an ordinal in 0..1"),
+    ("tensor", 1, [0, 2], "tensor[1][1] = 2 is not an ordinal in 0..1"),
+    ("residuum", 1, [-2, 1], "residuum[1][0] = -2 is not an ordinal in 0..1"),
+    ("residuum", 0, [1, "1"], "residuum[0][1] = '1' is not an ordinal"),
+])
+def test_malformed_tables_rejected(table, row, value, message):
+    tables = dict(zip(("leq", "tensor", "residuum"), _chain2_tables()))
+    tables[table][row] = value
+    with pytest.raises(lf.LatticeBuildError, match=re.escape(message)):
+        lf.from_tables(("0", "1"), tables["leq"], tables["tensor"],
+                       tables["residuum"])
+
+
+def test_extra_rows_rejected():
+    leq, tensor, residuum = _chain2_tables()
+    with pytest.raises(lf.LatticeBuildError, match="tensor table must be 2x2"):
+        lf.from_tables(("0", "1"), leq, tensor + [[0, 1]], residuum)
