@@ -37,7 +37,6 @@ from .fuzzyset import (
     Universe,
     UniverseMap,
     backward_image,
-    characteristic,
     constant,
     enumerate_sets,
     forward_image,
@@ -108,9 +107,8 @@ from .morphism import (
 )
 from .algebra import (
     AdjunctionVerdict,
-    Coalgebra,
-    Dialgebra,
     HomVerdict,
+    StructureTable,
     TransferVerdict,
     adjunction_check,
     check_coa_hom,

@@ -2,15 +2,16 @@
 partitions: structure tables, homomorphism checks, the shape-shuffling
 conversions between the two views, and the adjunction verifier.
 
-Both structures store the same (point, enumerated set) -> value table; a
+Both views store the same (point, enumerated set) -> value table; a
 coalgebra reads it as point -> (set -> value), a dialgebra as
-(point, set) -> value.  The conversions are therefore index-identical, which
-is what makes the isomorphism and adjunction checks exact.
+(point, set) -> value.  So there is one table type, tagged with its view,
+and the conversions only flip the tag, which is what makes the isomorphism
+and adjunction checks exact.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .errors import MismatchError, PreconditionError
 from .fuzzyset import (
@@ -28,25 +29,12 @@ from .partition import FuzzyPartition, is_identity_indexed
 
 
 @dataclass(frozen=True)
-class Coalgebra:
+class StructureTable:
     lattice: Lattice
     universe: Universe
     table: tuple[tuple[int, ...], ...]  # per point, per enumeration index
     provenance: str
-
-    def alpha(self, x: int, set_index_: int) -> int:
-        return self.table[x][set_index_]
-
-
-@dataclass(frozen=True)
-class Dialgebra:
-    lattice: Lattice
-    universe: Universe
-    table: tuple[tuple[int, ...], ...]
-    provenance: str
-
-    def beta(self, x: int, set_index_: int) -> int:
-        return self.table[x][set_index_]
+    view: str  # "coalgebra" | "dialgebra"
 
 
 def _transform_table(p: FuzzyPartition, budget: int):
@@ -66,23 +54,25 @@ def _transform_table(p: FuzzyPartition, budget: int):
 
 
 def coalgebra_from_partition(p: FuzzyPartition,
-                             budget: int = DEFAULT_BUDGET) -> Coalgebra:
-    return Coalgebra(p.lattice, p.universe, _transform_table(p, budget),
-                     "from_partition")
+                             budget: int = DEFAULT_BUDGET) -> StructureTable:
+    return StructureTable(p.lattice, p.universe, _transform_table(p, budget),
+                          "from_partition", "coalgebra")
 
 
 def dialgebra_from_partition(p: FuzzyPartition,
-                             budget: int = DEFAULT_BUDGET) -> Dialgebra:
-    return Dialgebra(p.lattice, p.universe, _transform_table(p, budget),
-                     "from_partition")
+                             budget: int = DEFAULT_BUDGET) -> StructureTable:
+    return StructureTable(p.lattice, p.universe, _transform_table(p, budget),
+                          "from_partition", "dialgebra")
 
 
-def coa_to_dia(c: Coalgebra) -> Dialgebra:
-    return Dialgebra(c.lattice, c.universe, c.table, f"coa_to_dia({c.provenance})")
+def coa_to_dia(c: StructureTable) -> StructureTable:
+    return replace(c, view="dialgebra",
+                   provenance=f"coa_to_dia({c.provenance})")
 
 
-def dia_to_coa(d: Dialgebra) -> Coalgebra:
-    return Coalgebra(d.lattice, d.universe, d.table, f"dia_to_coa({d.provenance})")
+def dia_to_coa(d: StructureTable) -> StructureTable:
+    return replace(d, view="coalgebra",
+                   provenance=f"dia_to_coa({d.provenance})")
 
 
 # ---------------------------------------------------------------------------
@@ -121,7 +111,7 @@ class HomVerdict:
         return out
 
 
-def check_coa_hom(phi: UniverseMap, cx: Coalgebra, cy: Coalgebra,
+def check_coa_hom(phi: UniverseMap, cx: StructureTable, cy: StructureTable,
                   budget: int = DEFAULT_BUDGET) -> HomVerdict:
     """alpha_X(x)(pullback g) <= alpha_Y(phi x)(g) for all x and all g on
     the target universe."""
@@ -142,7 +132,7 @@ def check_coa_hom(phi: UniverseMap, cx: Coalgebra, cy: Coalgebra,
     return HomVerdict(True)
 
 
-def check_dia_hom(phi: UniverseMap, dx: Dialgebra, dy: Dialgebra,
+def check_dia_hom(phi: UniverseMap, dx: StructureTable, dy: StructureTable,
                   budget: int = DEFAULT_BUDGET) -> HomVerdict:
     """beta_X(x, f) <= beta_Y(phi x, pushforward f) for all x and all f on
     the source universe."""
@@ -234,7 +224,8 @@ class AdjunctionVerdict:
         }
 
 
-def adjunction_check(c: Coalgebra, d: Dialgebra, phi: UniverseMap,
+def adjunction_check(c: StructureTable, d: StructureTable,
+                     phi: UniverseMap,
                      budget: int = DEFAULT_BUDGET) -> AdjunctionVerdict:
     """Given a coalgebra morphism phi from c into the coalgebra view of d,
     take rho = phi as the mate, verify it is a dialgebra morphism from the

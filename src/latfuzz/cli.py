@@ -8,10 +8,17 @@ Reports are deterministic: stable key order, values as display strings, no
 timestamps.  Timing lives in a trailing `timing_ms` field that `--no-timing`
 drops, so byte-comparison of reports is possible.
 
-Where a command needs a closure system or relation, the reference may be a
-document name or a derivation: `partition:P` / `relation:R` for systems,
-`partition:P` / `system:S` for relations.  Closure operators are never
-serialized; they are always derived from a system reference.
+One table, `_KINDS`, says for each kind of object the CLI derives
+(relation, system, operator, coalgebra, dialgebra) how to build it from a
+partition or another source, which reference prefixes it accepts, how to
+find it by document name and how to print it.  The `closure`, `operator`,
+`relation`, `coalg` and `dialg` commands are rows of `_CONSTRUCTIONS`;
+`functor f1…f4inv` are names for six of them (`_FUNCTORS`); `check
+fas|fcss|fcs` resolve their references through the same table.  A system
+reference is a document name, `partition:P` or `relation:R`; a relation
+reference is a name, `partition:P` or `system:S` (S a system reference).
+Closure operators are never serialized; an operator reference is a system
+reference.
 """
 
 from __future__ import annotations
@@ -21,9 +28,11 @@ import json
 import os
 import sys
 import time
+from collections.abc import Callable
+from dataclasses import dataclass, field
 
 from . import algebra, closure, ftransform, lattice, morphism, partition, relation
-from .document import InstanceDocument, load_document
+from .document import SECTIONS, InstanceDocument, load_document
 from .errors import (
     BudgetExceeded,
     DocumentError,
@@ -61,38 +70,6 @@ def _required(args, name: str) -> str:
     return value
 
 
-def _system_ref(doc: InstanceDocument, ref: str, budget: int):
-    if ref.startswith("partition:"):
-        return closure.system_from_partition(
-            doc.partition(ref.split(":", 1)[1]), budget
-        )
-    if ref.startswith("relation:"):
-        return closure.system_from_relation(
-            doc.relation(ref.split(":", 1)[1]), budget
-        )
-    return doc.system(ref)
-
-
-def _relation_ref(doc: InstanceDocument, ref: str, budget: int):
-    if ref.startswith("partition:"):
-        return partition.relation_from_partition(
-            doc.partition(ref.split(":", 1)[1])
-        )
-    if ref.startswith("system:"):
-        return relation.relation_from_system(
-            _system_ref(doc, ref.split(":", 1)[1], budget), budget
-        )
-    return doc.relation(ref)
-
-
-def _operator_ref(doc: InstanceDocument, ref: str, budget: int):
-    return closure.operator_from_system(_system_ref(doc, ref, budget), budget)
-
-
-def _fuzzy_set_json(f) -> list:
-    return list(f.displays())
-
-
 def _system_json(sys_) -> dict:
     return {
         "universe": sys_.universe.name,
@@ -127,6 +104,139 @@ def _relation_json(rel) -> dict:
     }
 
 
+def _structure_json(struct) -> dict:
+    lat = struct.lattice
+    return {
+        "universe": struct.universe.name,
+        "provenance": struct.provenance,
+        "space": space_size(lat, struct.universe),
+        "table": [
+            {"element": e, "values": [lat.displays[v] for v in row]}
+            for e, row in zip(struct.universe.elements, struct.table)
+        ],
+    }
+
+
+# ---------------------------------------------------------------------------
+# the construction table: one entry per kind of object the CLI derives
+
+@dataclass(frozen=True)
+class _Kind:
+    """How the CLI builds, finds and prints one kind of object.
+
+    `derive` maps a source kind to the construction from it ("partition":
+    from a partition object).  `prefixes` maps each reference prefix the
+    kind accepts to how the named source is found: by document name
+    (`_lookup`) or as a reference in turn (`_resolve`).  `lookup` finds the
+    object by document name.
+    """
+
+    derive: dict = field(default_factory=dict)
+    prefixes: dict = field(default_factory=dict)
+    lookup: Callable | None = None
+    to_json: Callable | None = None
+
+
+def _lookup(doc: InstanceDocument, kind: str, name: str, budget: int):
+    return _KINDS[kind].lookup(doc, name, budget)
+
+
+def _resolve(doc: InstanceDocument, kind: str, ref: str, budget: int):
+    """The object of `kind` that `ref` names: a document name, or
+    `prefix:name` for the construction from the named source."""
+    entry = _KINDS[kind]
+    prefix, sep, name = ref.partition(":")
+    if sep and prefix in entry.prefixes:
+        source = entry.prefixes[prefix](doc, prefix, name, budget)
+        return entry.derive[prefix](source, budget)
+    return entry.lookup(doc, ref, budget)
+
+
+def _derive(doc: InstanceDocument, kind: str, source: str, ref: str,
+            budget: int):
+    """Build an object of `kind` from the `source` object `ref` names."""
+    built_from = _resolve(doc, source, ref, budget)
+    return _KINDS[kind].derive[source](built_from, budget)
+
+
+def _from_partition(kind: str, p, budget: int):
+    return _KINDS[kind].derive["partition"](p, budget)
+
+
+# The lambdas look functions up on their modules at call time, so wrappers
+# installed on a module (the benchmark's tracer) see every call.
+_KINDS = {
+    "partition": _Kind(lookup=lambda doc, name, b: doc.partition(name)),
+    "relation": _Kind(
+        derive={"partition": lambda p, b: partition.relation_from_partition(p),
+                "system": lambda s, b: relation.relation_from_system(s, b)},
+        prefixes={"partition": _lookup, "system": _resolve},
+        lookup=lambda doc, name, b: doc.relation(name),
+        to_json=_relation_json,
+    ),
+    "system": _Kind(
+        derive={"partition": lambda p, b: closure.system_from_partition(p, b),
+                "relation": lambda r, b: closure.system_from_relation(r, b),
+                "operator": lambda o, b: closure.system_from_operator(o, b)},
+        prefixes={"partition": _lookup, "relation": _lookup},
+        lookup=lambda doc, name, b: doc.system(name),
+        to_json=_system_json,
+    ),
+    # never serialized: an operator reference is a system reference
+    "operator": _Kind(
+        derive={"partition": lambda p, b: closure.operator_from_system(
+                    closure.system_from_partition(p, b), b),
+                "system": lambda s, b: closure.operator_from_system(s, b)},
+        lookup=lambda doc, ref, b: _derive(doc, "operator", "system", ref, b),
+        to_json=_operator_json,
+    ),
+    "coalgebra": _Kind(
+        derive={"partition": lambda p, b:
+                algebra.coalgebra_from_partition(p, b)},
+        to_json=_structure_json,
+    ),
+    "dialgebra": _Kind(
+        derive={"partition": lambda p, b:
+                algebra.dialgebra_from_partition(p, b)},
+        to_json=_structure_json,
+    ),
+}
+
+# (command, construction) -> (kind built, option naming the source, source
+# kind); each report's payload key is the kind built
+_CONSTRUCTIONS = {
+    ("relation", "from-partition"): ("relation", "partition", "partition"),
+    ("relation", "from-system"): ("relation", "system", "system"),
+    ("closure", "from-partition"): ("system", "partition", "partition"),
+    ("closure", "from-relation"): ("system", "relation", "relation"),
+    ("closure", "from-operator"): ("system", "system", "operator"),
+    ("operator", "from-system"): ("operator", "system", "system"),
+    ("coalg", None): ("coalgebra", "partition", "partition"),
+    ("dialg", None): ("dialgebra", "partition", "partition"),
+}
+
+# the six functors' object maps are names for constructions
+_FUNCTORS = {
+    "f1": ("relation", "from-partition"),
+    "f2": ("closure", "from-relation"),
+    "f2inv": ("relation", "from-system"),
+    "f3": ("closure", "from-partition"),
+    "f4": ("operator", "from-system"),
+    "f4inv": ("closure", "from-operator"),
+}
+
+# greatest-witness check -> (kind compared, option suffix naming its
+# references, witness)
+_WITNESS_CHECKS = {
+    "fas": ("relation", "relation",
+            lambda phi, x, y, b: morphism.fas_witness(phi, x, y)),
+    "fcss": ("system", "system",
+             lambda phi, x, y, b: morphism.fcss_witness(phi, x, y, b)),
+    "fcs": ("operator", "system",
+            lambda phi, x, y, b: morphism.fcs_witness(phi, x, y, b)),
+}
+
+
 def _witness_json(w: morphism.Witness) -> dict:
     out = {"witness": w.display, "admissible": w.admissible}
     if w.attained is not None:
@@ -150,15 +260,7 @@ def _cmd_validate(doc, args, budget):
             "zero_divisors": [list(p) for p in scan.zero_divisors],
         },
         "objects": {
-            "universes": sorted(doc.universes),
-            "fuzzy_sets": sorted(doc.fuzzy_sets),
-            "partitions": sorted(doc.partitions),
-            "relations": sorted(doc.relations),
-            "maps": sorted(doc.maps),
-            "index_maps": sorted(doc.index_maps),
-            "candidates": sorted(doc.candidates),
-            "pairings": sorted(doc.pairings),
-            "systems": sorted(doc.systems),
+            section: sorted(getattr(doc, section)) for section in SECTIONS
         },
         "warnings": list(doc.warnings),
     }
@@ -169,48 +271,16 @@ def _cmd_ft(doc, args, budget):
     p = doc.partition(args.partition)
     f = doc.fuzzy_set(args.set)
     result = ftransform.ft_transform(p, f)
-    field = ftransform.ft_field(p, f)
+    fld = ftransform.ft_field(p, f)
     return {
         "partition": args.partition,
         "set": args.set,
         "components": result.display_map(),
         "field": {
             "universe": p.universe.name,
-            "values": _fuzzy_set_json(field),
+            "values": list(fld.displays()),
         },
     }, OK
-
-
-def _cmd_closure(doc, args, budget):
-    if args.construction == "from-partition":
-        sys_ = closure.system_from_partition(
-            doc.partition(_required(args, "partition")), budget
-        )
-    elif args.construction == "from-relation":
-        sys_ = closure.system_from_relation(
-            _relation_ref(doc, _required(args, "relation"), budget), budget
-        )
-    else:  # from-operator
-        op = _operator_ref(doc, _required(args, "system"), budget)
-        sys_ = closure.system_from_operator(op, budget)
-    return {"system": _system_json(sys_)}, OK
-
-
-def _cmd_operator(doc, args, budget):
-    op = _operator_ref(doc, args.system, budget)
-    return {"operator": _operator_json(op)}, OK
-
-
-def _cmd_relation(doc, args, budget):
-    if args.construction == "from-partition":
-        rel = partition.relation_from_partition(
-            doc.partition(_required(args, "partition"))
-        )
-    else:  # from-system
-        rel = relation.relation_from_system(
-            _system_ref(doc, _required(args, "system"), budget), budget
-        )
-    return {"relation": _relation_json(rel)}, OK
 
 
 def _check_payload(w: morphism.Witness):
@@ -221,120 +291,64 @@ def _check_payload(w: morphism.Witness):
     return payload, code
 
 
+def _cmd_construct(doc, args, budget):
+    if args.command == "functor":
+        key = _FUNCTORS[args.name]
+    else:
+        key = (args.command, getattr(args, "construction", None))
+    kind, option, source = _CONSTRUCTIONS[key]
+    built = _derive(doc, kind, source, _required(args, option), budget)
+    return {kind: _KINDS[kind].to_json(built)}, OK
+
+
 def _cmd_check(doc, args, budget):
     kind = args.kind
     if kind == "fp":
         return _check_payload(
             morphism.fp_witness(doc.candidate(_required(args, "cand")))
         )
-    if kind == "fas":
+    if kind in _WITNESS_CHECKS:
+        compared, option, witness = _WITNESS_CHECKS[kind]
         if args.cand:
             cand = doc.candidate(args.cand)
             phi = cand.phi
-            rx = partition.relation_from_partition(cand.source)
-            ry = partition.relation_from_partition(cand.target)
+            x = _from_partition(compared, cand.source, budget)
+            y = _from_partition(compared, cand.target, budget)
         else:
             phi = doc.map(_required(args, "map"))
-            rx = _relation_ref(doc, _required(args, "source-relation"), budget)
-            ry = _relation_ref(doc, _required(args, "target-relation"), budget)
-        return _check_payload(morphism.fas_witness(phi, rx, ry))
-    if kind == "fcss":
-        if args.cand:
-            cand = doc.candidate(args.cand)
-            phi = cand.phi
-            sx = closure.system_from_partition(cand.source, budget)
-            sy = closure.system_from_partition(cand.target, budget)
-        else:
-            phi = doc.map(_required(args, "map"))
-            sx = _system_ref(doc, _required(args, "source-system"), budget)
-            sy = _system_ref(doc, _required(args, "target-system"), budget)
-        return _check_payload(morphism.fcss_witness(phi, sx, sy, budget))
-    if kind == "fcs":
-        if args.cand:
-            cand = doc.candidate(args.cand)
-            phi = cand.phi
-            cx = closure.operator_from_system(
-                closure.system_from_partition(cand.source, budget), budget
+            x, y = (
+                _resolve(doc, compared, _required(args, f"{end}-{option}"),
+                         budget)
+                for end in ("source", "target")
             )
-            cy = closure.operator_from_system(
-                closure.system_from_partition(cand.target, budget), budget
-            )
-        else:
-            phi = doc.map(_required(args, "map"))
-            cx = _operator_ref(doc, _required(args, "source-system"), budget)
-            cy = _operator_ref(doc, _required(args, "target-system"), budget)
-        return _check_payload(morphism.fcs_witness(phi, cx, cy, budget))
+        return _check_payload(witness(phi, x, y, budget))
     if kind in ("coa-hom", "dia-hom"):
         phi = doc.map(_required(args, "map"))
         px = doc.partition(_required(args, "source-partition"))
         py = doc.partition(_required(args, "target-partition"))
         if kind == "coa-hom":
-            verdict = algebra.check_coa_hom(
-                phi,
-                algebra.coalgebra_from_partition(px, budget),
-                algebra.coalgebra_from_partition(py, budget),
-                budget,
-            )
+            view, check = "coalgebra", algebra.check_coa_hom
         else:
-            verdict = algebra.check_dia_hom(
-                phi,
-                algebra.dialgebra_from_partition(px, budget),
-                algebra.dialgebra_from_partition(py, budget),
-                budget,
-            )
+            view, check = "dialgebra", algebra.check_dia_hom
+        verdict = check(phi, _from_partition(view, px, budget),
+                        _from_partition(view, py, budget), budget)
         return verdict.to_dict(), OK if verdict.holds else CHECK_FAILED
     raise DocumentError(f"unknown check kind {kind!r}")
 
 
-def _cmd_functor(doc, args, budget):
-    name = args.name
-    if name == "f1":
-        rel = partition.relation_from_partition(
-            doc.partition(_required(args, "partition"))
-        )
-        return {"relation": _relation_json(rel)}, OK
-    if name == "f2":
-        sys_ = closure.system_from_relation(
-            _relation_ref(doc, _required(args, "relation"), budget), budget
-        )
-        return {"system": _system_json(sys_)}, OK
-    if name == "f2inv":
-        rel = relation.relation_from_system(
-            _system_ref(doc, _required(args, "system"), budget), budget
-        )
-        return {"relation": _relation_json(rel)}, OK
-    if name == "f3":
-        sys_ = closure.system_from_partition(
-            doc.partition(_required(args, "partition")), budget
-        )
-        return {"system": _system_json(sys_)}, OK
-    if name == "f4":
-        op = _operator_ref(doc, _required(args, "system"), budget)
-        return {"operator": _operator_json(op)}, OK
-    if name == "f4inv":
-        sys_ = closure.system_from_operator(
-            _operator_ref(doc, _required(args, "system"), budget), budget
-        )
-        return {"system": _system_json(sys_)}, OK
-    raise DocumentError(f"unknown functor {name!r}")
-
-
 def _cmd_roundtrip(doc, args, budget):
     name = args.name
-    if name == "f2":
-        report = closure.roundtrip_relation(
-            _relation_ref(doc, _required(args, "relation"), budget), budget
-        )
-        return {"roundtrip": report.to_dict()}, OK
-    if name == "f4":
-        report = closure.roundtrip_system(
-            _system_ref(doc, _required(args, "system"), budget), budget
-        )
+    if name in ("f2", "f4"):
+        kind = "relation" if name == "f2" else "system"
+        roundtrip = (closure.roundtrip_relation if name == "f2"
+                     else closure.roundtrip_system)
+        report = roundtrip(_resolve(doc, kind, _required(args, kind), budget),
+                           budget)
         return {"roundtrip": report.to_dict()}, OK
     if name == "coa-dia":
         p = doc.partition(_required(args, "partition"))
-        c = algebra.coalgebra_from_partition(p, budget)
-        d = algebra.dialgebra_from_partition(p, budget)
+        c = _from_partition("coalgebra", p, budget)
+        d = _from_partition("dialgebra", p, budget)
         back_c = algebra.dia_to_coa(algebra.coa_to_dia(c))
         back_d = algebra.coa_to_dia(algebra.dia_to_coa(d))
         payload = {
@@ -354,7 +368,7 @@ def _cmd_product(doc, args, budget):
     payload = {
         "product_universe": prod.product.universe.name,
         "blocks": {
-            name: _fuzzy_set_json(block)
+            name: list(block.displays())
             for name, block in zip(prod.product.names, prod.product.blocks)
         },
         "projection_left": _witness_json(prod.proj_left_witness),
@@ -397,44 +411,17 @@ def _cmd_laws(doc, args, budget):
         )
         return {"laws": report.to_dict()}, OK if report.all_pass else CHECK_FAILED
     if kind == "closure":
-        sys_ = _system_ref(doc, _required(args, "system"), budget)
+        sys_ = _resolve(doc, "system", _required(args, "system"), budget)
         report = closure.check_system(sys_, budget)
         ok = report.axiom_i and report.axiom_ii
         return {"check": report.to_dict()}, OK if ok else CHECK_FAILED
     raise DocumentError(f"unknown law suite {kind!r}")
 
 
-def _structure_json(struct) -> dict:
-    lat = struct.lattice
-    return {
-        "universe": struct.universe.name,
-        "provenance": struct.provenance,
-        "space": space_size(lat, struct.universe),
-        "table": [
-            {"element": e, "values": [lat.displays[v] for v in row]}
-            for e, row in zip(struct.universe.elements, struct.table)
-        ],
-    }
-
-
-def _cmd_coalg(doc, args, budget):
-    c = algebra.coalgebra_from_partition(doc.partition(args.partition), budget)
-    return {"coalgebra": _structure_json(c)}, OK
-
-
-def _cmd_dialg(doc, args, budget):
-    d = algebra.dialgebra_from_partition(doc.partition(args.partition), budget)
-    return {"dialgebra": _structure_json(d)}, OK
-
-
 def _cmd_adjunction(doc, args, budget):
     phi = doc.map(args.map)
-    c = algebra.coalgebra_from_partition(
-        doc.partition(args.source_partition), budget
-    )
-    d = algebra.dialgebra_from_partition(
-        doc.partition(args.target_partition), budget
-    )
+    c = _derive(doc, "coalgebra", "partition", args.source_partition, budget)
+    d = _derive(doc, "dialgebra", "partition", args.target_partition, budget)
     verdict = algebra.adjunction_check(c, d, phi, budget)
     return {"adjunction": verdict.to_dict()}, OK if verdict.holds else CHECK_FAILED
 
@@ -443,14 +430,10 @@ def _cmd_transfer(doc, args, budget):
     phi = doc.map(args.map)
     px = doc.partition(args.source_partition)
     py = doc.partition(args.target_partition)
-    if args.direction == "coa-dia":
-        source = algebra.coalgebra_from_partition(px, budget)
-        target = algebra.coalgebra_from_partition(py, budget)
-    else:
-        source = algebra.dialgebra_from_partition(px, budget)
-        target = algebra.dialgebra_from_partition(py, budget)
+    view = "coalgebra" if args.direction == "coa-dia" else "dialgebra"
     verdict = algebra.morphism_transfer_check(
-        phi, source, target, args.direction, budget
+        phi, _from_partition(view, px, budget),
+        _from_partition(view, py, budget), args.direction, budget
     )
     payload = {"transfer": verdict.to_dict()}
     if verdict.status == "proviso unmet":
@@ -485,18 +468,18 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--partition", required=True)
     p.add_argument("--set", required=True)
 
-    p = cmd("closure", _cmd_closure, help="build a closure system")
+    p = cmd("closure", _cmd_construct, help="build a closure system")
     p.add_argument("construction",
                    choices=["from-partition", "from-relation", "from-operator"])
     p.add_argument("--partition")
     p.add_argument("--relation", help="relation reference")
     p.add_argument("--system", help="system reference (operator is derived)")
 
-    p = cmd("operator", _cmd_operator, help="build a closure operator")
+    p = cmd("operator", _cmd_construct, help="build a closure operator")
     p.add_argument("construction", choices=["from-system"])
     p.add_argument("--system", required=True, help="system reference")
 
-    p = cmd("relation", _cmd_relation, help="build a relation")
+    p = cmd("relation", _cmd_construct, help="build a relation")
     p.add_argument("construction", choices=["from-partition", "from-system"])
     p.add_argument("--partition")
     p.add_argument("--system", help="system reference")
@@ -513,8 +496,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--source-partition")
     p.add_argument("--target-partition")
 
-    p = cmd("functor", _cmd_functor, help="object maps of the six functors")
-    p.add_argument("name", choices=["f1", "f2", "f2inv", "f3", "f4", "f4inv"])
+    p = cmd("functor", _cmd_construct, help="object maps of the six functors")
+    p.add_argument("name", choices=list(_FUNCTORS))
     p.add_argument("--partition")
     p.add_argument("--relation", help="relation reference")
     p.add_argument("--system", help="system reference")
@@ -540,10 +523,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--partition")
     p.add_argument("--system", help="system reference")
 
-    p = cmd("coalg", _cmd_coalg, help="coalgebra table of a partition")
+    p = cmd("coalg", _cmd_construct, help="coalgebra table of a partition")
     p.add_argument("--partition", required=True)
 
-    p = cmd("dialg", _cmd_dialg, help="dialgebra table of a partition")
+    p = cmd("dialg", _cmd_construct, help="dialgebra table of a partition")
     p.add_argument("--partition", required=True)
 
     p = cmd("adjunction", _cmd_adjunction, help="adjunction triangle verdict")

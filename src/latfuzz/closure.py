@@ -62,9 +62,6 @@ class ClosureOperator:
     provenance: str
     _check: "OperatorCheck | None" = field(default=None, repr=False, compare=False)
 
-    def image_at(self, index: int) -> tuple[int, ...]:
-        return self.table[index]
-
     def apply(self, f: FuzzySet) -> FuzzySet:
         if f.universe != self.universe or f.lattice is not self.lattice:
             raise MismatchError("closure operator applied to a foreign fuzzy set")

@@ -104,50 +104,90 @@ def load_document(source, budget: int = DEFAULT_BUDGET) -> InstanceDocument:
         raise DocumentError(str(exc)) from exc
 
 
+# the object sections of a document, in load order, with the keys each
+# entry must have and the JSON type of each
+SECTIONS = {
+    "universes": {},
+    "fuzzy_sets": {"universe": str, "values": dict},
+    "partitions": {"universe": str, "blocks": dict},
+    "relations": {"universe": str, "rows": list},
+    "maps": {"source": str, "target": str, "values": dict},
+    "index_maps": {"source": str, "target": str, "values": dict},
+    "candidates": {"source": str, "target": str, "phi": str, "psi": str},
+    "pairings": {"left": str, "right": str},
+    "systems": {"universe": str, "entries": list},
+}
+_JSON_TYPES = {str: "a string", dict: "an object", list: "a list"}
+
+
+def _section(data: dict, section: str):
+    """The (name, entry) pairs of a section, each checked against
+    `SECTIONS`."""
+    entries = data.get(section, {})
+    _require(isinstance(entries, dict), f"section {section!r} must be an object")
+    keys = SECTIONS[section]
+    for name, spec in entries.items():
+        where = f"{section} entry {name!r}"
+        _require(not keys or isinstance(spec, dict), f"{where} must be an object")
+        for key, kind in keys.items():
+            _require(key in spec, f"{where} lacks key {key!r}")
+            _require(isinstance(spec[key], kind),
+                     f"{where}: {key!r} must be {_JSON_TYPES[kind]}")
+        yield name, spec
+
+
 def _build(data: dict, budget: int) -> InstanceDocument:
     _require("lattice" in data, "document lacks a lattice description")
     lat = lattice_mod.build(data["lattice"])
     doc = InstanceDocument(lattice=lat)
 
-    for name, elements in data.get("universes", {}).items():
+    for name, elements in _section(data, "universes"):
         _require(isinstance(elements, list),
                  f"universe {name}: elements must be a list")
+        _require(all(isinstance(e, (str, int, float)) for e in elements),
+                 f"universe {name}: elements must be strings or numbers")
         doc.universes[name] = Universe(name, tuple(elements))
 
-    for name, spec in data.get("fuzzy_sets", {}).items():
+    for name, spec in _section(data, "fuzzy_sets"):
         uni = doc.universe(spec["universe"])
         doc.fuzzy_sets[name] = from_labels(lat, uni, spec["values"])
 
-    for name, spec in data.get("partitions", {}).items():
+    for name, spec in _section(data, "partitions"):
         uni = doc.universe(spec["universe"])
+        _require(all(isinstance(v, dict) for v in spec["blocks"].values()),
+                 f"partitions entry {name!r}: each block must be an object")
         blocks = [
             (bname, from_labels(lat, uni, values))
             for bname, values in spec["blocks"].items()
         ]
-        doc.partitions[name] = validate_partition(uni, blocks, spec.get("xi"))
+        xi = spec.get("xi")
+        _require(xi is None or isinstance(xi, dict),
+                 f"partitions entry {name!r}: 'xi' must be an object")
+        doc.partitions[name] = validate_partition(uni, blocks, xi)
 
-    for name, spec in data.get("relations", {}).items():
+    for name, spec in _section(data, "relations"):
         uni = doc.universe(spec["universe"])
         rows = spec["rows"]
         _require(
-            len(rows) == len(uni) and all(len(r) == len(uni) for r in rows),
+            len(rows) == len(uni)
+            and all(isinstance(r, list) and len(r) == len(uni) for r in rows),
             f"relation {name}: table is not {len(uni)}x{len(uni)}",
         )
         doc.relations[name] = FuzzyRelation(
             lat, uni, tuple(tuple(lat.parse(v) for v in row) for row in rows)
         )
 
-    for name, spec in data.get("maps", {}).items():
+    for name, spec in _section(data, "maps"):
         src = doc.universe(spec["source"])
         tgt = doc.universe(spec["target"])
         doc.maps[name] = UniverseMap.from_labels(src, tgt, spec["values"])
 
-    for name, spec in data.get("index_maps", {}).items():
+    for name, spec in _section(data, "index_maps"):
         doc.partition(spec["source"])
         doc.partition(spec["target"])
         doc.index_maps[name] = dict(spec)
 
-    for name, spec in data.get("candidates", {}).items():
+    for name, spec in _section(data, "candidates"):
         source = doc.partition(spec["source"])
         target = doc.partition(spec["target"])
         phi = doc.map(spec["phi"])
@@ -163,6 +203,12 @@ def _build(data: dict, budget: int) -> InstanceDocument:
         )
         pairs = spec.get("pairs")
         if pairs is not None:
+            _require(
+                isinstance(pairs, list)
+                and all(isinstance(p, list) and len(p) == 2 for p in pairs),
+                f"candidates entry {name!r}: 'pairs' must be a list of "
+                f"[source block, target block] pairs",
+            )
             pairs = [tuple(p) for p in pairs]
         cand, warns = make_candidate(
             source, target, phi, psi_spec["values"], pairs
@@ -170,7 +216,7 @@ def _build(data: dict, budget: int) -> InstanceDocument:
         doc.candidates[name] = cand
         doc.warnings.extend(f"candidate {name}: {w}" for w in warns)
 
-    for name, spec in data.get("pairings", {}).items():
+    for name, spec in _section(data, "pairings"):
         left = doc.candidate(spec["left"])
         right = doc.candidate(spec["right"])
         _require(
@@ -179,12 +225,13 @@ def _build(data: dict, budget: int) -> InstanceDocument:
         )
         doc.pairings[name] = (spec["left"], spec["right"])
 
-    for name, spec in data.get("systems", {}).items():
+    for name, spec in _section(data, "systems"):
         uni = doc.universe(spec["universe"])
         entries = spec["entries"]
         by_tuple = {}
         for entry in entries:
-            _require(len(entry) == 2,
+            _require(isinstance(entry, list) and len(entry) == 2
+                     and isinstance(entry[0], list),
                      f"system {name}: entries are [value-tuple, value] pairs")
             key = tuple(lat.parse(v) for v in entry[0])
             _require(len(key) == len(uni),

@@ -43,12 +43,6 @@ class CrispSubset:
     def labels(self) -> tuple[str, ...]:
         return tuple(e for e, f in zip(self.universe.elements, self.flags) if f)
 
-    def __contains__(self, label: str) -> bool:
-        return self.flags[self.universe.index(label)]
-
-    def __len__(self) -> int:
-        return sum(self.flags)
-
 
 @dataclass(frozen=True)
 class FuzzySet:
@@ -96,14 +90,6 @@ def _require_same(f: FuzzySet, g: FuzzySet) -> None:
 def constant(lat: Lattice, universe: Universe, a: int) -> FuzzySet:
     lat.check_element(a)
     return FuzzySet(lat, universe, (a,) * len(universe))
-
-
-def characteristic(lat: Lattice, universe: Universe, labels) -> FuzzySet:
-    members = set(labels)
-    vals = tuple(
-        lat.top if e in members else lat.bottom for e in universe.elements
-    )
-    return FuzzySet(lat, universe, vals)
 
 
 def from_labels(lat: Lattice, universe: Universe, mapping: dict) -> FuzzySet:
@@ -170,12 +156,6 @@ class UniverseMap:
     @classmethod
     def identity(cls, universe: Universe):
         return cls(universe, universe, tuple(range(len(universe))))
-
-    def __call__(self, i: int) -> int:
-        return self.mapping[i]
-
-    def apply_label(self, label: str) -> str:
-        return self.target.elements[self.mapping[self.source.index(label)]]
 
     def compose(self, then: "UniverseMap") -> "UniverseMap":
         """self followed by `then`."""

@@ -68,7 +68,7 @@ class Lattice:
     def parse(self, text: str) -> int:
         try:
             return self._parse[text]
-        except KeyError:
+        except (KeyError, TypeError):  # TypeError: an unhashable value
             raise ElementError(
                 f"{text!r} is not an element of lattice {self.name}"
             ) from None

@@ -66,9 +66,6 @@ class FPMapCandidate:
     psi: tuple[int, ...]            # target block ordinal per source block
     pairs: tuple[tuple[str, str], ...]
 
-    def psi_name(self, block_name: str) -> str:
-        return self.target.names[self.psi[self.source.block_index(block_name)]]
-
     def constrained_blocks(self) -> tuple[int, ...]:
         """Source block ordinals whose (block, psi(block)) pair is declared."""
         declared = set(self.pairs)

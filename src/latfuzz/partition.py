@@ -31,9 +31,6 @@ class FuzzyPartition:
         except ValueError:
             raise PartitionError(f"unknown block {name!r}") from None
 
-    def xi_name(self, label: str) -> str:
-        return self.names[self.xi[self.universe.index(label)]]
-
     def xi_map(self) -> dict:
         return {
             e: self.names[self.xi[i]] for i, e in enumerate(self.universe.elements)

@@ -1,3 +1,6 @@
+import functools
+import hashlib
+import json
 from pathlib import Path
 
 import pytest
@@ -5,6 +8,30 @@ import pytest
 import latfuzz as lf
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+CLI_DIGESTS = Path(__file__).resolve().parent / "cli_digests.json"
+
+
+def cli_digest_key(argv) -> str:
+    """A CLI argv with fixture paths relative to the repo root, as keyed in
+    `cli_digests.json`."""
+    root = f"{FIXTURES.parent}/"
+    return " ".join(arg.replace(root, "") for arg in argv)
+
+
+def cli_digest(out: bytes, code: int) -> dict:
+    return {"exit": code, "sha256": hashlib.sha256(out).hexdigest()}
+
+
+@functools.cache
+def _recorded_digests() -> dict:
+    return json.loads(CLI_DIGESTS.read_text(encoding="utf-8"))
+
+
+def assert_cli_digest(argv, out: bytes, code: int) -> None:
+    """The `--no-timing` stdout and exit code of `argv` are byte-identical
+    to the recorded ones (re-record with tests/record_cli_digests.py)."""
+    key = cli_digest_key(argv)
+    assert cli_digest(out, code) == _recorded_digests().get(key), key
 
 
 def fs(lat, uni, *displays):

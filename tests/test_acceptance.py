@@ -13,7 +13,7 @@ import pytest
 
 import latfuzz as lf
 import oracles
-from conftest import FIXTURES, fs
+from conftest import FIXTURES, assert_cli_digest, fs
 from latfuzz import cli
 from latfuzz.document import load_document
 
@@ -320,6 +320,7 @@ def test_criterion_10_cli(capsys):
         assert code1 == code2 == 0, (argv, out1)
         assert out1 == out2, argv
         json.loads(out1)  # well-formed
+        assert_cli_digest(full, out1, code1)
     for argv, doc, expected in ERROR_PATHS:
         code = cli.run([*argv, "--doc", str(FIXTURES / doc), "--no-timing"])
         capsys.readouterr()

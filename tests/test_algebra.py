@@ -176,6 +176,14 @@ def test_failing_coa_hom_has_violation(l3, uni_x2, x2p):
 def test_conversion_roundtrips(coalg_x2, dialg_x2):
     assert lf.dia_to_coa(lf.coa_to_dia(coalg_x2)).table == coalg_x2.table
     assert lf.coa_to_dia(lf.dia_to_coa(dialg_x2)).table == dialg_x2.table
+    assert (coalg_x2.view, dialg_x2.view) == ("coalgebra", "dialgebra")
+    to_dia, to_coa = lf.coa_to_dia(coalg_x2), lf.dia_to_coa(dialg_x2)
+    assert (to_dia.view, to_coa.view) == ("dialgebra", "coalgebra")
+    assert to_dia.provenance == "coa_to_dia(from_partition)"
+    assert to_coa.provenance == "dia_to_coa(from_partition)"
+    back = lf.dia_to_coa(to_dia)
+    assert back.view == "coalgebra"
+    assert back.provenance == "dia_to_coa(coa_to_dia(from_partition))"
 
 
 def test_triangle_coa_to_dia_equals_direct(x2p, sp, coalg_x2, dialg_x2):

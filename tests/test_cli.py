@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from conftest import FIXTURES
+from conftest import FIXTURES, assert_cli_digest
 from latfuzz import cli
 
 W3 = str(FIXTURES / "w3.json")
@@ -69,13 +69,16 @@ CORPUS = [
 
 @pytest.mark.parametrize("argv", CORPUS, ids=lambda a: " ".join(a[:2]))
 def test_subcommands_succeed_and_are_deterministic(capsys, argv):
-    code1, report1, err1 = run(capsys, *argv)
-    assert code1 == 0, (report1, err1)
-    assert report1["verdict"] in ("ok", "proviso-unmet")
-    first = json.dumps(report1, sort_keys=True)
-    code2, report2, _ = run(capsys, *argv)
-    assert code2 == code1
-    assert json.dumps(report2, sort_keys=True) == first
+    full = [*argv, "--no-timing"]
+    outs = []
+    for _ in range(2):
+        code = cli.run(full)
+        captured = capsys.readouterr()
+        assert code == 0, (captured.out, captured.err)
+        outs.append(captured.out.encode())
+    assert outs[0] == outs[1]
+    assert json.loads(outs[0])["verdict"] in ("ok", "proviso-unmet")
+    assert_cli_digest(full, outs[0], code)
 
 
 def test_check_fp_reports_witness(capsys):
@@ -134,6 +137,28 @@ def test_laws_closure_fault_fails(capsys):
     assert code == 1
     assert report["check"]["axiom_ii"] is False
     assert "pair" in report["check"]["counterexamples"]["axiom_ii"]
+
+
+FUNCTOR_ALIASES = [
+    ("f1", ("relation", "from-partition", "--partition", "W3")),
+    ("f2", ("closure", "from-relation", "--relation", "partition:W3")),
+    ("f2inv", ("relation", "from-system", "--system", "partition:W3")),
+    ("f3", ("closure", "from-partition", "--partition", "W3")),
+    ("f4", ("operator", "from-system", "--system", "partition:W3")),
+    ("f4inv", ("closure", "from-operator", "--system", "partition:W3")),
+]
+
+
+@pytest.mark.parametrize("name, construction", FUNCTOR_ALIASES,
+                         ids=[name for name, _ in FUNCTOR_ALIASES])
+def test_functor_is_its_construction(capsys, name, construction):
+    options = construction[2:]
+    code, via_functor, _ = run(capsys, "functor", name, "--doc", W3, *options)
+    code2, direct, _ = run(capsys, *construction[:2], "--doc", W3, *options)
+    assert code == code2 == 0
+    assert via_functor.pop("command") == f"functor {name}"
+    assert direct.pop("command") == " ".join(construction[:2])
+    assert via_functor == direct
 
 
 def test_object_commutation_via_cli(capsys):
@@ -270,6 +295,80 @@ def test_malformed_lattice_exits_2(capsys, case):
     spec, message = MALFORMED_LATTICES[case]
     code, report, err = run(capsys, "validate", "--doc",
                             json.dumps({"lattice": spec}))
+    assert code == 2
+    assert report is None
+    assert err.startswith("latfuzz: ") and message in err
+    assert "Traceback" not in err
+
+
+def _doc(**sections):
+    """A one-point Gödel document with the given sections added."""
+    return {"lattice": {"kind": "godel_chain", "n": 3},
+            "universes": {"X": ["a"]}, **sections}
+
+
+_P = {"universe": "X", "blocks": {"A": {"a": "1"}}}
+_CAND = {"source": "P", "target": "P", "phi": "id", "psi": "psi"}
+_LINKED = {"partitions": {"P": _P},
+           "maps": {"id": {"source": "X", "target": "X", "values": {"a": "a"}}},
+           "index_maps": {"psi": {"source": "P", "target": "P",
+                                  "values": {"A": "A"}}}}
+
+MALFORMED_DOCUMENTS = {
+    "fuzzy set missing values": (
+        _doc(fuzzy_sets={"f": {"universe": "X"}}),
+        "fuzzy_sets entry 'f' lacks key 'values'"),
+    "fuzzy_sets not an object": (
+        _doc(fuzzy_sets=[]), "section 'fuzzy_sets' must be an object"),
+    "fuzzy set not an object": (
+        _doc(fuzzy_sets={"f": 5}), "fuzzy_sets entry 'f' must be an object"),
+    "fuzzy set value unhashable": (
+        _doc(fuzzy_sets={"f": {"universe": "X", "values": {"a": [1]}}}),
+        "[1] is not an element of lattice"),
+    "universe element a list": (
+        _doc(universes={"X": [["a"]]}),
+        "universe X: elements must be strings or numbers"),
+    "relation rows not a list": (
+        _doc(relations={"R": {"universe": "X", "rows": 5}}),
+        "relations entry 'R': 'rows' must be a list"),
+    "relation row not a list": (
+        _doc(relations={"R": {"universe": "X", "rows": [5]}}),
+        "relation R: table is not 1x1"),
+    "partition universe not a string": (
+        _doc(partitions={"P": {**_P, "universe": ["X"]}}),
+        "partitions entry 'P': 'universe' must be a string"),
+    "partition block not an object": (
+        _doc(partitions={"P": {"universe": "X", "blocks": {"A": 5}}}),
+        "partitions entry 'P': each block must be an object"),
+    "partition xi not an object": (
+        _doc(partitions={"P": {**_P, "xi": 5}}),
+        "partitions entry 'P': 'xi' must be an object"),
+    "map missing target": (
+        _doc(maps={"m": {"source": "X", "values": {"a": "a"}}}),
+        "maps entry 'm' lacks key 'target'"),
+    "index map missing values": (
+        _doc(**{**_LINKED, "index_maps": {"psi": {"source": "P",
+                                                  "target": "P"}}}),
+        "index_maps entry 'psi' lacks key 'values'"),
+    "candidate pairs not pairs": (
+        _doc(**_LINKED, candidates={"c": {**_CAND, "pairs": [5]}}),
+        "candidates entry 'c': 'pairs' must be a list of"),
+    "pairing left not a string": (
+        _doc(pairings={"pp": {"left": 5, "right": "c"}}),
+        "pairings entry 'pp': 'left' must be a string"),
+    "system entry not a pair": (
+        _doc(systems={"S": {"universe": "X", "entries": [5]}}),
+        "system S: entries are [value-tuple, value] pairs"),
+    "system entries not a list": (
+        _doc(systems={"S": {"universe": "X", "entries": {}}}),
+        "systems entry 'S': 'entries' must be a list"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_DOCUMENTS))
+def test_malformed_document_exits_2(capsys, case):
+    doc, message = MALFORMED_DOCUMENTS[case]
+    code, report, err = run(capsys, "validate", "--doc", json.dumps(doc))
     assert code == 2
     assert report is None
     assert err.startswith("latfuzz: ") and message in err
