@@ -14,16 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from .errors import MismatchError, PreconditionError
-from .fuzzyset import (
-    UniverseMap,
-    Universe,
-    backward_image,
-    ensure_budget,
-    forward_image,
-    set_at,
-    set_index,
-)
-from .ftransform import ft_field
+from .fuzzyset import Space, UniverseMap, Universe, ensure_budget, set_at
 from .lattice import DEFAULT_BUDGET, Lattice
 from .partition import FuzzyPartition, is_identity_indexed
 
@@ -43,14 +34,10 @@ def _transform_table(p: FuzzyPartition, budget: int):
             f"partition on {p.universe.name} is not identity-indexed"
         )
     lat = p.lattice
-    size = ensure_budget(lat, p.universe, budget, "structure table")
-    rows = [[lat.bottom] * size for _ in p.universe.elements]
-    for i in range(size):
-        f = set_at(lat, p.universe, i)
-        fld = ft_field(p, f)
-        for x, v in enumerate(fld.values):
-            rows[x][i] = v
-    return tuple(tuple(r) for r in rows)
+    ensure_budget(lat, p.universe, budget, "structure table")
+    space = Space(lat, p.universe)
+    # the field at x is the component of x's own block
+    return tuple(tuple(space.upper(p.blocks[j].values)) for j in p.xi)
 
 
 def coalgebra_from_partition(p: FuzzyPartition,
@@ -65,12 +52,19 @@ def dialgebra_from_partition(p: FuzzyPartition,
                           "from_partition", "dialgebra")
 
 
+def _require_view(table: StructureTable, view: str, what: str) -> None:
+    if table.view != view:
+        raise MismatchError(f"{what} needs a {view} table, got a {table.view}")
+
+
 def coa_to_dia(c: StructureTable) -> StructureTable:
+    _require_view(c, "coalgebra", "coa_to_dia")
     return replace(c, view="dialgebra",
                    provenance=f"coa_to_dia({c.provenance})")
 
 
 def dia_to_coa(d: StructureTable) -> StructureTable:
+    _require_view(d, "dialgebra", "dia_to_coa")
     return replace(d, view="coalgebra",
                    provenance=f"dia_to_coa({d.provenance})")
 
@@ -83,14 +77,11 @@ def t1_on_morphism(phi: UniverseMap, lam: tuple[int, ...], lat: Lattice,
     """Push a table over the source function space to one over the target
     space by precomposition with the pullback."""
     ensure_budget(lat, phi.source, budget, "functor table")
-    size_y = ensure_budget(lat, phi.target, budget, "functor table")
+    ensure_budget(lat, phi.target, budget, "functor table")
     if len(lam) != len(lat) ** len(phi.source):
         raise MismatchError("table length does not match the source space")
-    out = []
-    for i in range(size_y):
-        g = set_at(lat, phi.target, i)
-        out.append(lam[set_index(backward_image(phi, g))])
-    return tuple(out)
+    return tuple(map(lam.__getitem__,
+                     Space(lat, phi.target).pulled_index(phi)))
 
 
 # ---------------------------------------------------------------------------
@@ -111,25 +102,43 @@ class HomVerdict:
         return out
 
 
+def _first_violation(space: Space, phi: UniverseMap,
+                     lower: StructureTable, upper: StructureTable,
+                     lower_at, upper_at) -> HomVerdict:
+    """The first (set, point), sets before points, at which
+    lower[x][lower_at[i]] <= upper[phi x][upper_at[i]] fails; `None` for
+    either index list reads the set's own index."""
+    leq = space.lattice.leq
+    first = None
+    for x, y in enumerate(phi.mapping):
+        lhs, rhs = lower.table[x], upper.table[y]
+        if lower_at is not None:
+            lhs = map(lhs.__getitem__, lower_at)
+        if upper_at is not None:
+            rhs = map(rhs.__getitem__, upper_at)
+        bad = next((i for i, (a, b) in enumerate(zip(lhs, rhs))
+                    if not leq[a][b]), None)
+        if bad is not None and (first is None or bad < first[0]):
+            first = (bad, x)
+    if first is None:
+        return HomVerdict(True)
+    i, x = first
+    return HomVerdict(False, (lower.universe.elements[x],
+                              set_at(space.lattice, space.universe, i)
+                              .displays()))
+
+
 def check_coa_hom(phi: UniverseMap, cx: StructureTable, cy: StructureTable,
                   budget: int = DEFAULT_BUDGET) -> HomVerdict:
     """alpha_X(x)(pullback g) <= alpha_Y(phi x)(g) for all x and all g on
     the target universe."""
     if cx.universe != phi.source or cy.universe != phi.target:
         raise MismatchError("coalgebra homomorphism: universe mismatch")
-    lat = cx.lattice
-    size_y = ensure_budget(lat, cy.universe, budget, "homomorphism check")
-    for i in range(size_y):
-        g = set_at(lat, cy.universe, i)
-        pulled_index = set_index(backward_image(phi, g))
-        for x in range(len(cx.universe)):
-            if not lat.leq[cx.table[x][pulled_index]][
-                cy.table[phi.mapping[x]][i]
-            ]:
-                return HomVerdict(
-                    False, (cx.universe.elements[x], g.displays())
-                )
-    return HomVerdict(True)
+    _require_view(cx, "coalgebra", "check_coa_hom")
+    _require_view(cy, "coalgebra", "check_coa_hom")
+    ensure_budget(cx.lattice, cy.universe, budget, "homomorphism check")
+    space = Space(cx.lattice, cy.universe)
+    return _first_violation(space, phi, cx, cy, space.pulled_index(phi), None)
 
 
 def check_dia_hom(phi: UniverseMap, dx: StructureTable, dy: StructureTable,
@@ -138,20 +147,13 @@ def check_dia_hom(phi: UniverseMap, dx: StructureTable, dy: StructureTable,
     the source universe."""
     if dx.universe != phi.source or dy.universe != phi.target:
         raise MismatchError("dialgebra homomorphism: universe mismatch")
+    _require_view(dx, "dialgebra", "check_dia_hom")
+    _require_view(dy, "dialgebra", "check_dia_hom")
     lat = dx.lattice
-    size_x = ensure_budget(lat, dx.universe, budget, "homomorphism check")
+    ensure_budget(lat, dx.universe, budget, "homomorphism check")
     ensure_budget(lat, dy.universe, budget, "homomorphism check")
-    for i in range(size_x):
-        f = set_at(lat, dx.universe, i)
-        pushed_index = set_index(forward_image(phi, f))
-        for x in range(len(dx.universe)):
-            if not lat.leq[dx.table[x][i]][
-                dy.table[phi.mapping[x]][pushed_index]
-            ]:
-                return HomVerdict(
-                    False, (dx.universe.elements[x], f.displays())
-                )
-    return HomVerdict(True)
+    space = Space(lat, dx.universe)
+    return _first_violation(space, phi, dx, dy, None, space.pushed_index(phi))
 
 
 # ---------------------------------------------------------------------------

@@ -39,7 +39,7 @@ from .errors import (
     PreconditionError,
     WorkbenchError,
 )
-from .fuzzyset import set_at, space_size
+from .fuzzyset import Space, space_size
 from .lattice import DEFAULT_BUDGET
 
 ENV_BUDGET = "LATFUZZ_BUDGET"
@@ -82,16 +82,14 @@ def _system_json(sys_) -> dict:
 
 
 def _operator_json(op) -> dict:
-    lat = op.lattice
+    d = op.lattice.displays
     return {
         "universe": op.universe.name,
         "provenance": op.provenance,
         "entries": [
-            [
-                list(set_at(lat, op.universe, i).displays()),
-                [lat.displays[v] for v in image],
-            ]
-            for i, image in enumerate(op.table)
+            [[d[v] for v in values], [d[v] for v in image]]
+            for values, image in zip(Space(op.lattice, op.universe).values(),
+                                     op.table)
         ],
     }
 

@@ -15,18 +15,16 @@ from dataclasses import dataclass, field
 from .errors import MismatchError
 from .fuzzyset import (
     FuzzySet,
+    Space,
     Universe,
-    _values_index,
     constant,
     ensure_budget,
-    pointwise,
     set_at,
     set_index,
 )
-from .ftransform import ft_field
 from .lattice import DEFAULT_BUDGET, Lattice
 from .partition import FuzzyPartition
-from .relation import FuzzyRelation, relation_from_system, upper_approx
+from .relation import FuzzyRelation, relation_from_system
 
 
 @dataclass
@@ -71,35 +69,45 @@ class ClosureOperator:
 # ---------------------------------------------------------------------------
 # constructions
 
+def _meet_residua(space: Space, columns) -> tuple[int, ...]:
+    """Membership degree of every f: the meet over x of column_x(f) -> f(x),
+    where `columns` yields the (x, column) pairs, each column over the whole
+    space in enumeration order."""
+    lat = space.lattice
+    res, meet = lat.residuum, lat.meet
+    table = [lat.top] * space.size
+    for x, column in columns:
+        table = [meet[t][r[b]] for t, r, b in
+                 zip(table, map(res.__getitem__, column), space.digits(x))]
+    return tuple(table)
+
+
 def system_from_partition(p: FuzzyPartition,
                           budget: int = DEFAULT_BUDGET) -> ClosureSystem:
     """Membership degree of f: meet over x of (field(f)(x) -> f(x))."""
     lat = p.lattice
-    size = ensure_budget(lat, p.universe, budget, "closure system construction")
-    res = lat.residuum
-    table = []
-    for i in range(size):
-        f = set_at(lat, p.universe, i)
-        fld = ft_field(p, f)
-        table.append(lat.meet_all(
-            res[a][b] for a, b in zip(fld.values, f.values)
-        ))
-    return ClosureSystem(lat, p.universe, tuple(table), "from_partition")
+    ensure_budget(lat, p.universe, budget, "closure system construction")
+    space = Space(lat, p.universe)
+
+    def field_columns():
+        for j, block in enumerate(p.blocks):
+            component = space.upper(block.values)
+            for x, own in enumerate(p.xi):
+                if own == j:
+                    yield x, component
+
+    return ClosureSystem(lat, p.universe, _meet_residua(space, field_columns()),
+                         "from_partition")
 
 
 def system_from_relation(rel: FuzzyRelation,
                          budget: int = DEFAULT_BUDGET) -> ClosureSystem:
     lat = rel.lattice
-    size = ensure_budget(lat, rel.universe, budget, "closure system construction")
-    res = lat.residuum
-    table = []
-    for i in range(size):
-        f = set_at(lat, rel.universe, i)
-        approx = upper_approx(rel, f)
-        table.append(lat.meet_all(
-            res[a][b] for a, b in zip(approx.values, f.values)
-        ))
-    return ClosureSystem(lat, rel.universe, tuple(table), "from_relation")
+    ensure_budget(lat, rel.universe, budget, "closure system construction")
+    space = Space(lat, rel.universe)
+    approx = ((x, space.upper(row)) for x, row in enumerate(rel.rows))
+    return ClosureSystem(lat, rel.universe, _meet_residua(space, approx),
+                         "from_relation")
 
 
 def system_from_explicit(lat: Lattice, universe: Universe, table,
@@ -133,7 +141,7 @@ def operator_from_system(system: ClosureSystem,
     res, tensor, meet = lat.residuum, lat.tensor, lat.meet
     bottom, top = lat.bottom, lat.top
     points = range(len(uni))
-    all_sets = [set_at(lat, uni, i).values for i in range(size)]
+    all_sets = list(Space(lat, uni).values())
     members = [(tensor[m], g) for m, g in zip(system.table, all_sets)
                if m != bottom]
     table = []
@@ -162,16 +170,11 @@ def operator_from_system(system: ClosureSystem,
 def system_from_operator(op: ClosureOperator,
                          budget: int = DEFAULT_BUDGET) -> ClosureSystem:
     lat = op.lattice
-    size = ensure_budget(lat, op.universe, budget, "closure system construction")
-    res = lat.residuum
-    table = []
-    for i in range(size):
-        f = set_at(lat, op.universe, i)
-        cf = op.table[i]
-        table.append(lat.meet_all(
-            res[a][b] for a, b in zip(cf, f.values)
-        ))
-    return ClosureSystem(lat, op.universe, tuple(table), "from_operator")
+    ensure_budget(lat, op.universe, budget, "closure system construction")
+    space = Space(lat, op.universe)
+    closed = ((x, [c[x] for c in op.table]) for x in range(len(op.universe)))
+    return ClosureSystem(lat, op.universe, _meet_residua(space, closed),
+                         "from_operator")
 
 
 def operator_from_function(lat: Lattice, universe: Universe, fn,
@@ -179,11 +182,9 @@ def operator_from_function(lat: Lattice, universe: Universe, fn,
                            provenance: str = "explicit") -> ClosureOperator:
     """Tabulate an arbitrary L^X -> L^X function (mostly for tests and
     hand-made fixtures)."""
-    size = ensure_budget(lat, universe, budget, "operator tabulation")
-    table = []
-    for i in range(size):
-        out = fn(set_at(lat, universe, i))
-        table.append(tuple(out.values))
+    ensure_budget(lat, universe, budget, "operator tabulation")
+    table = [tuple(fn(FuzzySet(lat, universe, values)).values)
+             for values in Space(lat, universe).values()]
     return ClosureOperator(lat, universe, tuple(table), provenance)
 
 
@@ -243,7 +244,9 @@ def check_system(system: ClosureSystem,
             f"{lat.displays[system.table[top_index]]}"
         )
 
-    all_vals = [set_at(lat, uni, i).values for i in range(size)]
+    space = Space(lat, uni)
+    index = space.index
+    all_vals = list(space.values())
     axiom_ii = True
     for i in range(size):
         if not axiom_ii:
@@ -253,7 +256,7 @@ def check_system(system: ClosureSystem,
         for j in range(i, size):
             mv = tuple(meet[a][b] for a, b in zip(fi, all_vals[j]))
             if not lat.leq[meet[ui][system.table[j]]][
-                system.table[_values_index(lat, mv)]
+                system.table[index(mv)]
             ]:
                 axiom_ii = False
                 counter["axiom_ii"] = (
@@ -268,13 +271,13 @@ def check_system(system: ClosureSystem,
         for i in range(size):
             fi = all_vals[i]
             ui = system.table[i]
-            ri = _values_index(lat, tuple(res[a][v] for v in fi))
+            ri = index(tuple(res[a][v] for v in fi))
             if enriched and not lat.leq[ui][system.table[ri]]:
                 enriched = False
                 counter["enriched"] = (
                     f"constant {lat.displays[a]} with {_show(lat, fi)}"
                 )
-            ti = _values_index(lat, tuple(tensor[a][v] for v in fi))
+            ti = index(tuple(tensor[a][v] for v in fi))
             if strong and not lat.leq[ui][system.table[ti]]:
                 strong = False
                 counter["strong"] = (
@@ -331,9 +334,11 @@ def check_operator(op: ClosureOperator,
     if op._check is not None:
         return op._check
     counter: dict = {}
-    all_vals = [set_at(lat, uni, i).values for i in range(size)]
+    space = Space(lat, uni)
+    index = space.index
+    all_vals = list(space.values())
 
-    top_index = _values_index(lat, (lat.top,) * len(uni))
+    top_index = index((lat.top,) * len(uni))
     axiom_i = op.table[top_index] == (lat.top,) * len(uni)
     if not axiom_i:
         counter["axiom_i"] = f"image of top is {_show(lat, op.table[top_index])}"
@@ -353,7 +358,7 @@ def check_operator(op: ClosureOperator,
             break
         for j in range(i, size):
             jv = tuple(join[a][b] for a, b in zip(all_vals[i], all_vals[j]))
-            lhs = op.table[_values_index(lat, jv)]
+            lhs = op.table[index(jv)]
             rhs = tuple(join[a][b] for a, b in zip(op.table[i], op.table[j]))
             if lhs != rhs:
                 axiom_iii = False
@@ -365,7 +370,7 @@ def check_operator(op: ClosureOperator,
     axiom_iv = True
     for i in range(size):
         ci = op.table[i]
-        if op.table[_values_index(lat, ci)] != ci:
+        if op.table[index(ci)] != ci:
             axiom_iv = False
             counter["axiom_iv"] = f"closure of {_show(lat, all_vals[i])} not fixed"
             break
@@ -377,7 +382,7 @@ def check_operator(op: ClosureOperator,
             break
         for i in range(size):
             scaled = tuple(tensor[a][v] for v in all_vals[i])
-            lhs = op.table[_values_index(lat, scaled)]
+            lhs = op.table[index(scaled)]
             rhs = tuple(tensor[a][v] for v in op.table[i])
             if not all(lat.leq[x][y] for x, y in zip(rhs, lhs)):
                 strong = False
@@ -435,14 +440,14 @@ def roundtrip_system(system: ClosureSystem,
                      budget: int = DEFAULT_BUDGET) -> RoundTripReport:
     """system -> operator -> system, reporting every differing entry."""
     back = system_from_operator(operator_from_system(system, budget), budget)
-    lat = system.lattice
+    d = system.lattice.displays
     mismatches = []
-    for i, (orig, mapped) in enumerate(zip(system.table, back.table)):
+    for values, orig, mapped in zip(Space(system.lattice, system.universe)
+                                    .values(), system.table, back.table):
         if orig != mapped:
-            f = set_at(lat, system.universe, i)
             mismatches.append({
-                "at": list(f.displays()),
-                "original": lat.displays[orig],
-                "mapped_back": lat.displays[mapped],
+                "at": [d[v] for v in values],
+                "original": d[orig],
+                "mapped_back": d[mapped],
             })
     return RoundTripReport("system-operator", len(system.table), tuple(mismatches))

@@ -18,11 +18,11 @@ from .closure import ClosureSystem, system_from_explicit
 from .errors import BudgetExceeded, DocumentError, WorkbenchError
 from .fuzzyset import (
     FuzzySet,
+    Space,
     Universe,
     UniverseMap,
     ensure_budget,
     from_labels,
-    set_at,
 )
 from .lattice import DEFAULT_BUDGET, Lattice
 from .morphism import FPMapCandidate, make_candidate
@@ -227,26 +227,26 @@ def _build(data: dict, budget: int) -> InstanceDocument:
 
     for name, spec in _section(data, "systems"):
         uni = doc.universe(spec["universe"])
-        entries = spec["entries"]
-        by_tuple = {}
-        for entry in entries:
+        space = Space(lat, uni)
+        by_index = {}
+        for entry in spec["entries"]:
             _require(isinstance(entry, list) and len(entry) == 2
                      and isinstance(entry[0], list),
                      f"system {name}: entries are [value-tuple, value] pairs")
-            key = tuple(lat.parse(v) for v in entry[0])
+            key = [lat.parse(v) for v in entry[0]]
             _require(len(key) == len(uni),
                      f"system {name}: tuple arity does not match {uni.name}")
-            _require(key not in by_tuple,
+            index = space.index(key)
+            _require(index not in by_index,
                      f"system {name}: duplicate entry for {entry[0]}")
-            by_tuple[key] = lat.parse(entry[1])
+            by_index[index] = lat.parse(entry[1])
         size = ensure_budget(lat, uni, budget, f"system {name} table")
-        table = []
-        for i in range(size):
-            key = set_at(lat, uni, i).values
-            _require(key in by_tuple,
-                     f"system {name}: missing entry for "
-                     f"{[lat.displays[v] for v in key]}")
-            table.append(by_tuple[key])
+        if len(by_index) < size:
+            missing = next(i for i in range(size) if i not in by_index)
+            raise DocumentError(
+                f"system {name}: missing entry for "
+                f"{[lat.displays[v] for v in space.values_at(missing)]}")
+        table = [by_index[i] for i in range(size)]
         doc.systems[name] = system_from_explicit(lat, uni, table, budget)
 
     return doc

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from itertools import product
 
 from .errors import MismatchError
-from .fuzzyset import FuzzySet, constant, ensure_budget, set_at
+from .fuzzyset import FuzzySet, Space, constant, ensure_budget
 from .lattice import DEFAULT_BUDGET, LawClause
 from .partition import FuzzyPartition, relation_from_partition
 
@@ -98,10 +98,15 @@ def transform_law_suite(p: FuzzyPartition,
     """
     lat = p.lattice
     size = ensure_budget(lat, p.universe, budget, "transform law suite")
-    sets = [set_at(lat, p.universe, i) for i in range(size)]
-    comps = [ft_transform(p, f).components for f in sets]
-    index_of = {f.values: i for i, f in enumerate(sets)}
+    space = Space(lat, p.universe)
+    sets = list(space.values())
+    comps = list(zip(*(space.upper(block.values) for block in p.blocks)))
+    index_of = {f: i for i, f in enumerate(sets)}
     d = lat.displays
+
+    def show(values):
+        return tuple(d[v] for v in values)
+
     laws: dict[str, LawClause] = {}
 
     def run(key, gen):
@@ -122,50 +127,50 @@ def transform_law_suite(p: FuzzyPartition,
         above = [tuple(b for b in lat.elements() if lat.leq[a][b])
                  for a in lat.elements()]
         for i, f in enumerate(sets):
-            for gv in product(*(above[v] for v in f.values)):
+            for gv in product(*(above[v] for v in f)):
                 j = index_of[gv]
                 if any(not lat.leq[x][y] for x, y in zip(comps[i], comps[j])):
-                    yield (f"{f.displays()} <= {sets[j].displays()} "
+                    yield (f"{show(f)} <= {show(sets[j])} "
                            f"but components drop")
                     return
 
     def tensor_scaling():
         for a in lat.elements():
             for i, f in enumerate(sets):
-                scaled = tuple(lat.tensor[a][v] for v in f.values)
+                scaled = tuple(lat.tensor[a][v] for v in f)
                 got = comps[index_of[scaled]]
                 want = tuple(lat.tensor[a][v] for v in comps[i])
                 if got != want:
-                    yield f"constant {d[a]} with {f.displays()}"
+                    yield f"constant {d[a]} with {show(f)}"
                     return
 
     def join_preserving():
         for i, f in enumerate(sets):
             for j in range(i, size):
                 joined = tuple(lat.join[a][b]
-                               for a, b in zip(f.values, sets[j].values))
+                               for a, b in zip(f, sets[j]))
                 got = comps[index_of[joined]]
                 want = tuple(lat.join[a][b] for a, b in zip(comps[i], comps[j]))
                 if got != want:
-                    yield f"pair ({f.displays()}, {sets[j].displays()})"
+                    yield f"pair ({show(f)}, {show(sets[j])})"
                     return
 
     def meet_bound():
         for i, f in enumerate(sets):
             for j in range(i, size):
                 met = tuple(lat.meet[a][b]
-                            for a, b in zip(f.values, sets[j].values))
+                            for a, b in zip(f, sets[j]))
                 got = comps[index_of[met]]
                 want = tuple(lat.meet[a][b] for a, b in zip(comps[i], comps[j]))
                 if any(not lat.leq[x][y] for x, y in zip(got, want)):
-                    yield f"pair ({f.displays()}, {sets[j].displays()})"
+                    yield f"pair ({show(f)}, {show(sets[j])})"
                     return
 
     def inflationary():
         for i, f in enumerate(sets):
             fld = tuple(comps[i][p.xi[k]] for k in range(len(p.universe)))
-            if any(not lat.leq[a][b] for a, b in zip(f.values, fld)):
-                yield f"{f.displays()} not below its field"
+            if any(not lat.leq[a][b] for a, b in zip(f, fld)):
+                yield f"{show(f)} not below its field"
                 return
 
     def field_matches_relation():
@@ -174,8 +179,8 @@ def transform_law_suite(p: FuzzyPartition,
         rel = relation_from_partition(p)
         for i, f in enumerate(sets):
             fld = tuple(comps[i][p.xi[k]] for k in range(len(p.universe)))
-            if upper_approx(rel, f).values != fld:
-                yield f"field of {f.displays()} differs from the approximation"
+            if upper_approx(rel, FuzzySet(lat, p.universe, f)).values != fld:
+                yield f"field of {show(f)} differs from the approximation"
                 return
 
     run("constant", constants())

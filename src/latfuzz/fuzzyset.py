@@ -1,14 +1,25 @@
-"""Lattice-valued sets over named finite universes.
+"""Lattice-valued sets over named finite universes, and the one enumeration
+of their function spaces.
 
 A fuzzy set is a total tuple of carrier ordinals aligned with its universe's
 element order.  Sets carry both their universe and their lattice, and every
 binary operation checks identity of both, so a mismatch is a hard error
 rather than a silent re-indexing.
+
+`Space(lattice, universe)` is the enumeration kernel: it fixes the
+lexicographic order of `L^X` and its index arithmetic, and every sweep over
+the space in the package goes through it.  A sweep reads whole columns over
+the space (the value at a point, a transform component, the index of an
+image set), each computed by a prefix-shared fold in about `|space|` list
+steps, instead of building and validating one `FuzzySet` per index.
+`set_at`, `set_index` and `enumerate_sets` are thin wrappers over it for
+code that needs the sets themselves.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
 from .errors import BudgetExceeded, ElementError, MismatchError
 from .lattice import DEFAULT_BUDGET, Lattice
@@ -213,32 +224,120 @@ def ensure_budget(lat: Lattice, universe: Universe, budget: int,
     return size
 
 
-def _values_index(lat: Lattice, values) -> int:
-    """Position of a value tuple in the lexicographic enumeration (mixed
-    radix), for sweeps that hold bare tuples rather than fuzzy sets."""
-    n = len(lat)
-    idx = 0
-    for v in values:
-        idx = idx * n + v
-    return idx
+class Space:
+    """The function space L^X in lexicographic (mixed-radix) order: the set
+    at index i has digit x of i in base |L| as its value at point x, the
+    first point being the most significant digit.
+
+    Sweeps read whole columns over the space instead of building one fuzzy
+    set per index.  `_fold` evaluates `op` over the points of
+    `rows[x][f(x)]` for every f at once, sharing each prefix of points
+    between the sets that agree on it, so a fold costs about
+    `|space| * n / (n - 1)` list steps rather than `|space| * |X|`.
+    """
+
+    def __init__(self, lat: Lattice, universe: Universe):
+        self.lattice = lat
+        self.universe = universe
+        self.radix = n = len(lat)
+        dim = len(universe)
+        self.size = n ** dim
+        self.weights = tuple(n ** (dim - 1 - x) for x in range(dim))
+
+    def values(self):
+        """Every value tuple, in enumeration order."""
+        return product(range(self.radix), repeat=len(self.weights))
+
+    def index(self, values) -> int:
+        n = self.radix
+        index = 0
+        for v in values:
+            index = index * n + v
+        return index
+
+    def values_at(self, index: int) -> tuple[int, ...]:
+        return tuple(index // w % self.radix for w in self.weights)
+
+    def digits(self, x: int) -> list[int]:
+        """f(x) for every f, in enumeration order."""
+        w = self.weights[x]
+        block = []
+        for v in range(self.radix):
+            block += [v] * w
+        return block * (self.size // (w * self.radix))
+
+    def _fold(self, rows, op=None, start: int = 0) -> list[int]:
+        """`start op rows[0][f(0)] op rows[1][f(1)] ...` for every f, where
+        `op` is a lattice operation table, or addition when None."""
+        acc = [start]
+        for row in rows:
+            if op is None:
+                acc = [a + r for a in acc for r in row]
+            else:
+                acc = [ops[r] for ops in map(op.__getitem__, acc) for r in row]
+        return acc
+
+    def upper(self, row) -> list[int]:
+        """The join over the points of row[x] tensor f(x), for every f: the
+        transform component of a block, or the upper approximation at one
+        point along a relation row."""
+        lat = self.lattice
+        return self._fold([lat.tensor[a] for a in row], lat.join, lat.bottom)
+
+    def pulled_upper(self, phi: "UniverseMap", row) -> list[int]:
+        """`upper` of the backward image: the join over phi's source of
+        row[x] tensor g(phi x), for every g on phi's target (this space's
+        universe).  The points of each fiber share one row."""
+        lat = self.lattice
+        join = lat.join
+        rows = [[lat.bottom] * self.radix for _ in phi.target.elements]
+        for a, y in zip(row, phi.mapping):
+            rows[y] = [join[r][t] for r, t in zip(rows[y], lat.tensor[a])]
+        return self._fold(rows, join, lat.bottom)
+
+    def pulled_index(self, phi: "UniverseMap") -> list[int]:
+        """For every g on this space's universe (phi's target), the index of
+        its backward image in the space over phi's source."""
+        n = self.radix
+        dim = len(phi.source)
+        weight = [0] * len(phi.target)
+        for x, y in enumerate(phi.mapping):
+            weight[y] += n ** (dim - 1 - x)
+        return self._fold([range(0, n * w, w) if w else [0] * n
+                          for w in weight])
+
+    def fiber_join(self, phi: "UniverseMap", y: int) -> list[int]:
+        """For every f on phi's source (this space's universe), the value at
+        y of its forward image: the join of f over the fiber of y."""
+        lat = self.lattice
+        rows = [lat.elements() if t == y else [lat.bottom] * self.radix
+                for t in phi.mapping]
+        return self._fold(rows, lat.join, lat.bottom)
+
+    def pushed_index(self, phi: "UniverseMap") -> list[int]:
+        """For every f on phi's source, the index of its forward image in
+        the space over phi's target."""
+        n = self.radix
+        dim = len(phi.target)
+        out = [0] * self.size
+        for y in range(dim):
+            w = n ** (dim - 1 - y)
+            out = [i + w * v for i, v in zip(out, self.fiber_join(phi, y))]
+        return out
 
 
 def set_index(f: FuzzySet) -> int:
     """Position of f in the lexicographic enumeration (mixed radix)."""
-    return _values_index(f.lattice, f.values)
+    return Space(f.lattice, f.universe).index(f.values)
 
 
 def set_at(lat: Lattice, universe: Universe, index: int) -> FuzzySet:
-    n = len(lat)
-    vals = [0] * len(universe)
-    for pos in range(len(universe) - 1, -1, -1):
-        index, vals[pos] = divmod(index, n)
-    return FuzzySet(lat, universe, tuple(vals))
+    return FuzzySet(lat, universe, Space(lat, universe).values_at(index))
 
 
 def enumerate_sets(lat: Lattice, universe: Universe,
                    budget: int = DEFAULT_BUDGET):
     """Deterministic lexicographic sweep of every fuzzy set on the universe."""
-    size = ensure_budget(lat, universe, budget)
-    for i in range(size):
-        yield set_at(lat, universe, i)
+    ensure_budget(lat, universe, budget)
+    for values in Space(lat, universe).values():
+        yield FuzzySet(lat, universe, values)

@@ -14,18 +14,10 @@ from dataclasses import dataclass
 
 from .closure import ClosureOperator, ClosureSystem
 from .errors import CandidateError, MismatchError
-from .ftransform import ft_component
-from .fuzzyset import (
-    UniverseMap,
-    backward_image,
-    ensure_budget,
-    forward_image,
-    set_at,
-    set_index,
-)
+from .fuzzyset import Space, UniverseMap, ensure_budget, set_at
 from .lattice import DEFAULT_BUDGET, Lattice, has_zero_divisors
 from .partition import FuzzyPartition, product_partition
-from .relation import FuzzyRelation, upper_approx
+from .relation import FuzzyRelation
 
 
 @dataclass(frozen=True)
@@ -53,6 +45,21 @@ def _meet_with_site(lat: Lattice, terms):
     value = lat.meet_all(t for t, _ in items)
     attained = next((site for t, site in items if t == value), None)
     return value, attained
+
+
+def _meet_of_sweep(space: Space, columns, site) -> Witness:
+    """Witness of a sweep whose terms at each set of `space` are
+    `columns[0][i], columns[1][i], ...`: the meet of every term, attained at
+    the first term, sets before columns, equal to it; `site(k, f)` names
+    the term of column k at the fuzzy set f."""
+    lat = space.lattice
+    value = lat.meet_all(set().union(*map(set, columns)))
+    first = min(((column.index(value), k) for k, column in enumerate(columns)
+                 if value in column), default=None)
+    if first is None:
+        return Witness(value, lat)
+    i, k = first
+    return Witness(value, lat, site(k, set_at(lat, space.universe, i)))
 
 
 # ---------------------------------------------------------------------------
@@ -196,21 +203,17 @@ def ft_inequality_witness(cand: FPMapCandidate,
     """Greatest l with component(psi(j))[f] >= component(j)[pullback f] . l
     for every f on the target universe and every declared block."""
     lat = cand.source.lattice
-    size = ensure_budget(lat, cand.target.universe, budget, "transform witness")
+    ensure_budget(lat, cand.target.universe, budget, "transform witness")
+    space = Space(lat, cand.target.universe)
     res = lat.residuum
     blocks = cand.constrained_blocks()
-    terms = []
-    for i in range(size):
-        f = set_at(lat, cand.target.universe, i)
-        pulled = backward_image(cand.phi, f)
-        for j in blocks:
-            lhs = ft_component(cand.source, pulled, cand.source.names[j])
-            rhs = ft_component(
-                cand.target, f, cand.target.names[cand.psi[j]]
-            )
-            terms.append((res[lhs][rhs], (cand.source.names[j], f.displays())))
-    value, attained = _meet_with_site(lat, terms)
-    return Witness(value, lat, attained)
+    columns = []
+    for j in blocks:
+        lhs = space.pulled_upper(cand.phi, cand.source.blocks[j].values)
+        rhs = space.upper(cand.target.blocks[cand.psi[j]].values)
+        columns.append([res[a][b] for a, b in zip(lhs, rhs)])
+    return _meet_of_sweep(space, columns, lambda k, f: (
+        cand.source.names[blocks[k]], f.displays()))
 
 
 def ft_forward_bound(cand: FPMapCandidate,
@@ -218,21 +221,24 @@ def ft_forward_bound(cand: FPMapCandidate,
     """Greatest l with component(psi(j))[pushforward f] >= component(j)[f] . l
     over all f on the source universe; a one-directional bound."""
     lat = cand.source.lattice
-    size = ensure_budget(lat, cand.source.universe, budget, "transform bound")
-    res = lat.residuum
+    ensure_budget(lat, cand.source.universe, budget, "transform bound")
+    space = Space(lat, cand.source.universe)
+    res, join, tensor = lat.residuum, lat.join, lat.tensor
     blocks = cand.constrained_blocks()
-    terms = []
-    for i in range(size):
-        f = set_at(lat, cand.source.universe, i)
-        pushed = forward_image(cand.phi, f)
-        for j in blocks:
-            lhs = ft_component(cand.source, f, cand.source.names[j])
-            rhs = ft_component(
-                cand.target, pushed, cand.target.names[cand.psi[j]]
-            )
-            terms.append((res[lhs][rhs], (cand.source.names[j], f.displays())))
-    value, attained = _meet_with_site(lat, terms)
-    return Witness(value, lat, attained)
+    pushed = [space.fiber_join(cand.phi, y)
+              for y in range(len(cand.target.universe))]
+    columns = []
+    for j in blocks:
+        # the component of the forward image: a join over the target's
+        # points of image(y) tensor (the join of f over the fiber of y)
+        rhs = [lat.bottom] * space.size
+        for a, fiber in zip(cand.target.blocks[cand.psi[j]].values, pushed):
+            scale = tensor[a]
+            rhs = [join[r][scale[v]] for r, v in zip(rhs, fiber)]
+        lhs = space.upper(cand.source.blocks[j].values)
+        columns.append([res[a][b] for a, b in zip(lhs, rhs)])
+    return _meet_of_sweep(space, columns, lambda k, f: (
+        cand.source.names[blocks[k]], f.displays()))
 
 
 # ---------------------------------------------------------------------------
@@ -259,22 +265,29 @@ def fas_operator_witness(phi: UniverseMap, rel_x: FuzzyRelation,
     """Greatest l for the approximation-operator inequality, swept over every
     fuzzy set on the target universe."""
     lat = rel_x.lattice
-    size = ensure_budget(lat, rel_y.universe, budget, "operator witness")
+    ensure_budget(lat, rel_y.universe, budget, "operator witness")
+    if rel_y.universe != phi.target:
+        raise MismatchError(
+            f"backward image: set on {rel_y.universe.name}, "
+            f"map into {phi.target.name}"
+        )
+    if rel_x.universe != phi.source:
+        raise MismatchError(
+            f"upper approximation: set on {phi.source.name}, "
+            f"relation on {rel_x.universe.name}"
+        )
+    if rel_y.lattice is not lat:
+        raise MismatchError("upper approximation: lattice mismatch")
+    space = Space(lat, rel_y.universe)
     res = lat.residuum
     ex = rel_x.universe.elements
-    terms = []
-    for i in range(size):
-        f = set_at(lat, rel_y.universe, i)
-        pulled = backward_image(phi, f)
-        lhs = upper_approx(rel_x, pulled)
-        rhs = upper_approx(rel_y, f)
-        for x in range(len(ex)):
-            terms.append((
-                res[lhs.values[x]][rhs.values[phi.mapping[x]]],
-                (ex[x], f.displays()),
-            ))
-    value, attained = _meet_with_site(lat, terms)
-    return Witness(value, lat, attained)
+    rhs = [space.upper(row) for row in rel_y.rows]
+    columns = [
+        [res[a][b] for a, b in zip(space.pulled_upper(phi, rel_x.rows[x]),
+                                   rhs[phi.mapping[x]])]
+        for x in range(len(ex))
+    ]
+    return _meet_of_sweep(space, columns, lambda x, f: (ex[x], f.displays()))
 
 
 def fcss_witness(phi: UniverseMap, sys_x: ClosureSystem, sys_y: ClosureSystem,
@@ -282,18 +295,12 @@ def fcss_witness(phi: UniverseMap, sys_x: ClosureSystem, sys_y: ClosureSystem,
     if sys_x.universe != phi.source or sys_y.universe != phi.target:
         raise MismatchError("continuity witness: universe mismatch")
     lat = sys_x.lattice
-    size = ensure_budget(lat, sys_y.universe, budget, "continuity witness")
+    ensure_budget(lat, sys_y.universe, budget, "continuity witness")
+    space = Space(lat, sys_y.universe)
     res = lat.residuum
-    terms = []
-    for i in range(size):
-        f = set_at(lat, sys_y.universe, i)
-        pulled = backward_image(phi, f)
-        terms.append((
-            res[sys_y.table[i]][sys_x.table[set_index(pulled)]],
-            (f.displays(),),
-        ))
-    value, attained = _meet_with_site(lat, terms)
-    return Witness(value, lat, attained)
+    column = [res[a][sys_x.table[k]]
+              for a, k in zip(sys_y.table, space.pulled_index(phi))]
+    return _meet_of_sweep(space, [column], lambda k, f: (f.displays(),))
 
 
 def fcs_witness(phi: UniverseMap, op_x: ClosureOperator, op_y: ClosureOperator,
@@ -301,22 +308,16 @@ def fcs_witness(phi: UniverseMap, op_x: ClosureOperator, op_y: ClosureOperator,
     if op_x.universe != phi.source or op_y.universe != phi.target:
         raise MismatchError("operator continuity witness: universe mismatch")
     lat = op_x.lattice
-    size = ensure_budget(lat, op_y.universe, budget, "operator continuity witness")
+    ensure_budget(lat, op_y.universe, budget, "operator continuity witness")
+    space = Space(lat, op_y.universe)
     res = lat.residuum
     ex = op_x.universe.elements
-    terms = []
-    for i in range(size):
-        f = set_at(lat, op_y.universe, i)
-        pulled = backward_image(phi, f)
-        closed_x = op_x.table[set_index(pulled)]
-        closed_y = op_y.table[i]
-        for x in range(len(ex)):
-            terms.append((
-                res[closed_x[x]][closed_y[phi.mapping[x]]],
-                (ex[x], f.displays()),
-            ))
-    value, attained = _meet_with_site(lat, terms)
-    return Witness(value, lat, attained)
+    closed_x = list(map(op_x.table.__getitem__, space.pulled_index(phi)))
+    columns = [
+        [res[a[x]][b[y]] for a, b in zip(closed_x, op_y.table)]
+        for x, y in enumerate(phi.mapping)
+    ]
+    return _meet_of_sweep(space, columns, lambda x, f: (ex[x], f.displays()))
 
 
 # ---------------------------------------------------------------------------

@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add
 
 from .errors import MismatchError
-from .fuzzyset import FuzzySet, Universe, ensure_budget, set_at
+from .fuzzyset import FuzzySet, Space, Universe, ensure_budget
 from .lattice import DEFAULT_BUDGET, Lattice
 
 
@@ -76,16 +77,24 @@ def relation_from_system(system, budget: int = DEFAULT_BUDGET) -> FuzzyRelation:
     """
     lat: Lattice = system.lattice
     universe: Universe = system.universe
-    size = ensure_budget(lat, universe, budget, "relation extraction")
-    res = lat.residuum
-    n = len(universe)
-    acc = [[lat.top] * n for _ in range(n)]
-    for i in range(size):
-        f = set_at(lat, universe, i)
-        u = system.value_at(i)
-        for x in range(n):
-            fx = f.values[x]
-            for z in range(n):
-                term = res[u][res[fx][f.values[z]]]
-                acc[x][z] = lat.meet[acc[x][z]][term]
-    return FuzzyRelation(lat, universe, tuple(tuple(r) for r in acc))
+    ensure_budget(lat, universe, budget, "relation extraction")
+    space = Space(lat, universe)
+    res, meet = lat.residuum, lat.meet
+    n = len(lat)
+    points = range(len(universe))
+    rows = []
+    for x in points:
+        # each (membership, f(x), f(z)) triple that occurs, coded u*n*n +
+        # f(x)*n + f(z); the meet needs each distinct term only once
+        prefix = [(u * n + a) * n
+                  for u, a in zip(system.table, space.digits(x))]
+        row = []
+        for z in points:
+            acc = lat.top
+            for code in set(map(add, prefix, space.digits(z))):
+                ua, b = divmod(code, n)
+                u, a = divmod(ua, n)
+                acc = meet[acc][res[u][res[a][b]]]
+            row.append(acc)
+        rows.append(tuple(row))
+    return FuzzyRelation(lat, universe, tuple(rows))

@@ -186,6 +186,26 @@ def test_conversion_roundtrips(coalg_x2, dialg_x2):
     assert back.provenance == "dia_to_coa(coa_to_dia(from_partition))"
 
 
+def test_conversions_reject_the_wrong_view(coalg_x2, dialg_x2):
+    with pytest.raises(lf.MismatchError, match="coa_to_dia needs a coalgebra"):
+        lf.coa_to_dia(dialg_x2)
+    with pytest.raises(lf.MismatchError, match="dia_to_coa needs a dialgebra"):
+        lf.dia_to_coa(coalg_x2)
+
+
+def test_hom_checks_reject_the_wrong_view(coalg_x2, dialg_x2, swap):
+    for cx, cy in ((dialg_x2, dialg_x2), (coalg_x2, dialg_x2),
+                   (dialg_x2, coalg_x2)):
+        with pytest.raises(lf.MismatchError,
+                           match="check_coa_hom needs a coalgebra"):
+            lf.check_coa_hom(swap, cx, cy)
+    for dx, dy in ((coalg_x2, coalg_x2), (dialg_x2, coalg_x2),
+                   (coalg_x2, dialg_x2)):
+        with pytest.raises(lf.MismatchError,
+                           match="check_dia_hom needs a dialgebra"):
+            lf.check_dia_hom(swap, dx, dy)
+
+
 def test_triangle_coa_to_dia_equals_direct(x2p, sp, coalg_x2, dialg_x2):
     assert lf.coa_to_dia(coalg_x2).table == dialg_x2.table
     coalg_sp = lf.coalgebra_from_partition(sp)

@@ -58,6 +58,18 @@ def test_operator_pin_and_table(l3, uni_x, w3_system):
         assert to_fracs(l3, image) == expect[to_fracs(l3, f.values)]
 
 
+def test_partition_operator_is_not_the_transform_field():
+    """The closure operator of a partition's system is not the transform
+    field, so it cannot be computed as one: on the W3 fixture they differ at
+    exactly two of the 27 sets."""
+    doc = load_document(FIXTURES / "w3.json")
+    p = doc.partition("W3")
+    op = lf.operator_from_system(lf.system_from_partition(p))
+    differ = [f.displays() for f in lf.enumerate_sets(p.lattice, p.universe)
+              if op.apply(f) != lf.ft_field(p, f)]
+    assert differ == [("0", "0", "1/2"), ("0", "0", "1")]
+
+
 def test_operator_fixes_top_and_inflates(l3, uni_x, w3_system):
     op = lf.operator_from_system(w3_system)
     top = lf.constant(l3, uni_x, l3.top)
