@@ -69,11 +69,10 @@ from .relation import (
     upper_approx,
 )
 from .closure import (
+    AxiomCheck,
     ClosureOperator,
     ClosureSystem,
-    OperatorCheck,
     RoundTripReport,
-    SystemCheck,
     check_operator,
     check_system,
     identity_operator,

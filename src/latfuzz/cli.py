@@ -16,9 +16,10 @@ find it by document name and how to print it.  The `closure`, `operator`,
 `functor f1…f4inv` are names for six of them (`_FUNCTORS`); `check
 fas|fcss|fcs` resolve their references through the same table.  A system
 reference is a document name, `partition:P` or `relation:R`; a relation
-reference is a name, `partition:P` or `system:S` (S a system reference).
-Closure operators are never serialized; an operator reference is a system
-reference.
+reference is a name, `partition:P` or `system:S`.  After a prefix comes a
+reference to the prefix's kind in turn, so `relation:partition:P` is the
+system of the relation of partition P.  Closure operators are never
+serialized; an operator reference is a system reference.
 """
 
 from __future__ import annotations
@@ -123,30 +124,24 @@ class _Kind:
     """How the CLI builds, finds and prints one kind of object.
 
     `derive` maps a source kind to the construction from it ("partition":
-    from a partition object).  `prefixes` maps each reference prefix the
-    kind accepts to how the named source is found: by document name
-    (`_lookup`) or as a reference in turn (`_resolve`).  `lookup` finds the
-    object by document name.
+    from a partition object).  `prefixes` are the source kinds a reference
+    may name as `kind:ref`, where `ref` is a reference to that kind in
+    turn.  `lookup` finds the object by document name.
     """
 
     derive: dict = field(default_factory=dict)
-    prefixes: dict = field(default_factory=dict)
+    prefixes: tuple[str, ...] = ()
     lookup: Callable | None = None
     to_json: Callable | None = None
 
 
-def _lookup(doc: InstanceDocument, kind: str, name: str, budget: int):
-    return _KINDS[kind].lookup(doc, name, budget)
-
-
 def _resolve(doc: InstanceDocument, kind: str, ref: str, budget: int):
     """The object of `kind` that `ref` names: a document name, or
-    `prefix:name` for the construction from the named source."""
+    `prefix:ref` for the construction from the source `ref` names."""
     entry = _KINDS[kind]
-    prefix, sep, name = ref.partition(":")
+    prefix, sep, rest = ref.partition(":")
     if sep and prefix in entry.prefixes:
-        source = entry.prefixes[prefix](doc, prefix, name, budget)
-        return entry.derive[prefix](source, budget)
+        return _derive(doc, kind, prefix, rest, budget)
     return entry.lookup(doc, ref, budget)
 
 
@@ -168,7 +163,7 @@ _KINDS = {
     "relation": _Kind(
         derive={"partition": lambda p, b: partition.relation_from_partition(p),
                 "system": lambda s, b: relation.relation_from_system(s, b)},
-        prefixes={"partition": _lookup, "system": _resolve},
+        prefixes=("partition", "system"),
         lookup=lambda doc, name, b: doc.relation(name),
         to_json=_relation_json,
     ),
@@ -176,7 +171,7 @@ _KINDS = {
         derive={"partition": lambda p, b: closure.system_from_partition(p, b),
                 "relation": lambda r, b: closure.system_from_relation(r, b),
                 "operator": lambda o, b: closure.system_from_operator(o, b)},
-        prefixes={"partition": _lookup, "relation": _lookup},
+        prefixes=("partition", "relation"),
         lookup=lambda doc, name, b: doc.system(name),
         to_json=_system_json,
     ),
@@ -411,7 +406,7 @@ def _cmd_laws(doc, args, budget):
     if kind == "closure":
         sys_ = _resolve(doc, "system", _required(args, "system"), budget)
         report = closure.check_system(sys_, budget)
-        ok = report.axiom_i and report.axiom_ii
+        ok = report.holds("axiom_i") and report.holds("axiom_ii")
         return {"check": report.to_dict()}, OK if ok else CHECK_FAILED
     raise DocumentError(f"unknown law suite {kind!r}")
 

@@ -17,7 +17,6 @@ from .fuzzyset import (
     FuzzySet,
     Space,
     Universe,
-    constant,
     ensure_budget,
     set_at,
     set_index,
@@ -35,7 +34,7 @@ class ClosureSystem:
     universe: Universe
     table: tuple[int, ...]
     provenance: str
-    _check: "SystemCheck | None" = field(default=None, repr=False, compare=False)
+    _check: "AxiomCheck | None" = field(default=None, repr=False, compare=False)
 
     def value_at(self, index: int) -> int:
         return self.table[index]
@@ -58,7 +57,7 @@ class ClosureOperator:
     universe: Universe
     table: tuple[tuple[int, ...], ...]  # value tuple per enumeration index
     provenance: str
-    _check: "OperatorCheck | None" = field(default=None, repr=False, compare=False)
+    _check: "AxiomCheck | None" = field(default=None, repr=False, compare=False)
 
     def apply(self, f: FuzzySet) -> FuzzySet:
         if f.universe != self.universe or f.lattice is not self.lattice:
@@ -195,32 +194,35 @@ def identity_operator(lat: Lattice, universe: Universe,
 
 # ---------------------------------------------------------------------------
 # axiom checkers
+#
+# Each pair law is swept one set f at a time: `Space.image_index` gives the
+# index of f op g for every g in one fold, so a pair costs one comparison.
+# The pairs run (f, g) with g from f on in enumeration order, and each check
+# stops at its first counterexample.
 
 @dataclass(frozen=True)
-class SystemCheck:
-    axiom_i: bool
-    axiom_ii: bool
-    enriched: bool
-    strong: bool
+class AxiomCheck:
+    """An axiom holds exactly when it has no counterexample."""
+
+    axioms: tuple[str, ...]
     counterexamples: dict
+
+    def holds(self, axiom: str) -> bool:
+        return axiom not in self.counterexamples
 
     @property
     def all_ok(self) -> bool:
-        return self.axiom_i and self.axiom_ii and self.enriched and self.strong
+        return not self.counterexamples
 
     def to_dict(self) -> dict:
-        return {
-            "axiom_i": self.axiom_i,
-            "axiom_ii": self.axiom_ii,
-            "enriched": self.enriched,
-            "strong": self.strong,
-            "counterexamples": dict(self.counterexamples),
-            "all_ok": self.all_ok,
-        }
+        out: dict = {axiom: self.holds(axiom) for axiom in self.axioms}
+        out["counterexamples"] = dict(self.counterexamples)
+        out["all_ok"] = self.all_ok
+        return out
 
 
 def check_system(system: ClosureSystem,
-                 budget: int = DEFAULT_BUDGET) -> SystemCheck:
+                 budget: int = DEFAULT_BUDGET) -> AxiomCheck:
     """Full-table check: top membership, meet-superadditivity over all pairs
     (pairwise suffices for finite families; the empty meet is the top-set
     axiom), and stability under residuation/tensor with constants.
@@ -233,60 +235,42 @@ def check_system(system: ClosureSystem,
     size = ensure_budget(lat, uni, budget, "closure system check")
     if system._check is not None:
         return system._check
-    meet = lat.meet
+    leq, meet = lat.leq, lat.meet
+    table = system.table
+    space = Space(lat, uni)
+    all_vals = list(space.values())
     counter: dict = {}
 
-    top_index = set_index(constant(lat, uni, lat.top))
-    axiom_i = system.table[top_index] == lat.top
-    if not axiom_i:
+    top = table[space.index((lat.top,) * len(uni))]
+    if top != lat.top:
         counter["axiom_i"] = (
-            f"membership of the constant-top set is "
-            f"{lat.displays[system.table[top_index]]}"
+            f"membership of the constant-top set is {lat.displays[top]}"
         )
 
-    space = Space(lat, uni)
-    index = space.index
-    all_vals = list(space.values())
-    axiom_ii = True
-    for i in range(size):
-        if not axiom_ii:
+    for i, f in enumerate(all_vals):
+        met = space.image_index([meet[v] for v in f])
+        low = meet[table[i]]
+        j = next((j for j in range(i, size)
+                  if not leq[low[table[j]]][table[met[j]]]), None)
+        if j is not None:
+            counter["axiom_ii"] = (
+                f"pair ({_show(lat, f)}, {_show(lat, all_vals[j])})"
+            )
             break
-        fi = all_vals[i]
-        ui = system.table[i]
-        for j in range(i, size):
-            mv = tuple(meet[a][b] for a, b in zip(fi, all_vals[j]))
-            if not lat.leq[meet[ui][system.table[j]]][
-                system.table[index(mv)]
-            ]:
-                axiom_ii = False
-                counter["axiom_ii"] = (
-                    f"pair ({_show(lat, fi)}, {_show(lat, all_vals[j])})"
-                )
-                break
 
-    enriched = True
-    strong = True
-    res, tensor = lat.residuum, lat.tensor
     for a in lat.elements():
-        for i in range(size):
-            fi = all_vals[i]
-            ui = system.table[i]
-            ri = index(tuple(res[a][v] for v in fi))
-            if enriched and not lat.leq[ui][system.table[ri]]:
-                enriched = False
-                counter["enriched"] = (
-                    f"constant {lat.displays[a]} with {_show(lat, fi)}"
-                )
-            ti = index(tuple(tensor[a][v] for v in fi))
-            if strong and not lat.leq[ui][system.table[ti]]:
-                strong = False
-                counter["strong"] = (
-                    f"constant {lat.displays[a]} with {_show(lat, fi)}"
-                )
-        if not enriched and not strong:
+        columns = {"enriched": space.image_index([lat.residuum[a]] * len(uni)),
+                   "strong": space.image_index([lat.tensor[a]] * len(uni))}
+        for i, f in enumerate(all_vals):
+            for key, column in columns.items():
+                if key not in counter and not leq[table[i]][table[column[i]]]:
+                    counter[key] = (
+                        f"constant {lat.displays[a]} with {_show(lat, f)}"
+                    )
+        if "enriched" in counter and "strong" in counter:
             break
 
-    report = SystemCheck(axiom_i, axiom_ii, enriched, strong, counter)
+    report = AxiomCheck(("axiom_i", "axiom_ii", "enriched", "strong"), counter)
     system._check = report
     return report
 
@@ -295,36 +279,14 @@ def _show(lat: Lattice, values) -> str:
     return "(" + ",".join(lat.displays[v] for v in values) + ")"
 
 
-@dataclass(frozen=True)
-class OperatorCheck:
-    axiom_i: bool
-    axiom_ii: bool
-    axiom_iii: bool
-    axiom_iv: bool
-    strong: bool
-    counterexamples: dict
-
-    @property
-    def all_ok(self) -> bool:
-        return (self.axiom_i and self.axiom_ii and self.axiom_iii
-                and self.axiom_iv and self.strong)
-
-    def to_dict(self) -> dict:
-        return {
-            "axiom_i": self.axiom_i,
-            "axiom_ii": self.axiom_ii,
-            "axiom_iii": self.axiom_iii,
-            "axiom_iv": self.axiom_iv,
-            "strong": self.strong,
-            "counterexamples": dict(self.counterexamples),
-            "all_ok": self.all_ok,
-        }
-
-
 def check_operator(op: ClosureOperator,
-                   budget: int = DEFAULT_BUDGET) -> OperatorCheck:
+                   budget: int = DEFAULT_BUDGET) -> AxiomCheck:
     """Fix the top set, inflate, preserve binary joins, idempotence (by
     composing the table with itself), plus tensor-stability with constants.
+
+    Joins are compared as indices: the closure of f join g sits at
+    `image[joined[j]]`, and the join of the two closures at
+    `closed_joined[image[j]]`.
 
     Results are cached on the operator after the first run; the budget is
     enforced on every call, cached or not."""
@@ -333,65 +295,51 @@ def check_operator(op: ClosureOperator,
     size = ensure_budget(lat, uni, budget, "closure operator check")
     if op._check is not None:
         return op._check
-    counter: dict = {}
+    leq, join = lat.leq, lat.join
     space = Space(lat, uni)
-    index = space.index
     all_vals = list(space.values())
+    image = [space.index(c) for c in op.table]
+    counter: dict = {}
 
-    top_index = index((lat.top,) * len(uni))
-    axiom_i = op.table[top_index] == (lat.top,) * len(uni)
-    if not axiom_i:
-        counter["axiom_i"] = f"image of top is {_show(lat, op.table[top_index])}"
+    top = op.table[space.index((lat.top,) * len(uni))]
+    if top != (lat.top,) * len(uni):
+        counter["axiom_i"] = f"image of top is {_show(lat, top)}"
 
-    axiom_ii = True
-    for i in range(size):
-        if all(lat.leq[a][b] for a, b in zip(all_vals[i], op.table[i])):
-            continue
-        axiom_ii = False
-        counter["axiom_ii"] = f"{_show(lat, all_vals[i])} not below its closure"
-        break
-
-    join = lat.join
-    axiom_iii = True
-    for i in range(size):
-        if not axiom_iii:
-            break
-        for j in range(i, size):
-            jv = tuple(join[a][b] for a, b in zip(all_vals[i], all_vals[j]))
-            lhs = op.table[index(jv)]
-            rhs = tuple(join[a][b] for a, b in zip(op.table[i], op.table[j]))
-            if lhs != rhs:
-                axiom_iii = False
-                counter["axiom_iii"] = (
-                    f"pair ({_show(lat, all_vals[i])}, {_show(lat, all_vals[j])})"
-                )
-                break
-
-    axiom_iv = True
-    for i in range(size):
-        ci = op.table[i]
-        if op.table[index(ci)] != ci:
-            axiom_iv = False
-            counter["axiom_iv"] = f"closure of {_show(lat, all_vals[i])} not fixed"
+    for f, c in zip(all_vals, op.table):
+        if not all(leq[a][b] for a, b in zip(f, c)):
+            counter["axiom_ii"] = f"{_show(lat, f)} not below its closure"
             break
 
-    strong = True
-    tensor = lat.tensor
+    for i, f in enumerate(all_vals):
+        joined = space.image_index([join[v] for v in f])
+        closed_joined = space.image_index([join[v] for v in op.table[i]])
+        j = next((j for j in range(i, size)
+                  if image[joined[j]] != closed_joined[image[j]]), None)
+        if j is not None:
+            counter["axiom_iii"] = (
+                f"pair ({_show(lat, f)}, {_show(lat, all_vals[j])})"
+            )
+            break
+
+    for f, k in zip(all_vals, image):
+        if image[k] != k:
+            counter["axiom_iv"] = f"closure of {_show(lat, f)} not fixed"
+            break
+
     for a in lat.elements():
-        if not strong:
+        scaled = space.image_index([lat.tensor[a]] * len(uni))
+        i = next((i for i, c in enumerate(op.table) if not all(
+            leq[lat.tensor[a][v]][w] for v, w in zip(c, op.table[scaled[i]])
+        )), None)
+        if i is not None:
+            counter["strong"] = (
+                f"constant {lat.displays[a]} with {_show(lat, all_vals[i])}"
+            )
             break
-        for i in range(size):
-            scaled = tuple(tensor[a][v] for v in all_vals[i])
-            lhs = op.table[index(scaled)]
-            rhs = tuple(tensor[a][v] for v in op.table[i])
-            if not all(lat.leq[x][y] for x, y in zip(rhs, lhs)):
-                strong = False
-                counter["strong"] = (
-                    f"constant {lat.displays[a]} with {_show(lat, all_vals[i])}"
-                )
-                break
 
-    report = OperatorCheck(axiom_i, axiom_ii, axiom_iii, axiom_iv, strong, counter)
+    report = AxiomCheck(
+        ("axiom_i", "axiom_ii", "axiom_iii", "axiom_iv", "strong"), counter
+    )
     op._check = report
     return report
 

@@ -10,11 +10,9 @@ coalgebra and dialgebra constructions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
-
 from .errors import MismatchError
-from .fuzzyset import FuzzySet, Space, constant, ensure_budget
-from .lattice import DEFAULT_BUDGET, LawClause
+from .fuzzyset import FuzzySet, Space, Universe, ensure_budget
+from .lattice import DEFAULT_BUDGET, LawClause, _masks
 from .partition import FuzzyPartition, relation_from_partition
 
 
@@ -95,14 +93,32 @@ def transform_law_suite(p: FuzzyPartition,
     scales through, binary joins are preserved, binary meets only shrink.
     Two structural cross-checks ride along: the field dominates its argument
     and agrees with the upper approximation along the induced relation.
+
+    Every clause is a theorem for any partition on a lattice that
+    `from_tables` accepts, so the suite checks the implementation, not the
+    partition: a false clause means the lattice tables or this code are
+    wrong.
+
+    A law that pairs f with a constant or with every g reads the index of
+    the combined set from one `Space.image_index` column, so each pair costs
+    one comparison.  The components of set i are read two ways: `image[i]`
+    is their index in the space of block values, compared for equality, and
+    `down[i]` holds the down-set of block b's component in bits b*n to
+    b*n+n-1, so components compare blockwise by `down[i] & ~down[j]` and the
+    down-set of a meet is the intersection.
     """
     lat = p.lattice
     size = ensure_budget(lat, p.universe, budget, "transform law suite")
     space = Space(lat, p.universe)
+    blocks = Space(lat, Universe(p.universe.name, p.names))
+    dim = len(p.universe)
     sets = list(space.values())
     comps = list(zip(*(space.upper(block.values) for block in p.blocks)))
-    index_of = {f: i for i, f in enumerate(sets)}
-    d = lat.displays
+    image = [blocks.index(c) for c in comps]
+    down_of = _masks(lat.leq)[0]
+    down = [sum(down_of[c] << (b * len(lat)) for b, c in enumerate(cs))
+            for cs in comps]
+    leq, d = lat.leq, lat.displays
 
     def show(values):
         return tuple(d[v] for v in values)
@@ -117,68 +133,63 @@ def transform_law_suite(p: FuzzyPartition,
 
     def constants():
         for a in lat.elements():
-            got = comps[index_of[constant(lat, p.universe, a).values]]
+            got = comps[space.index((a,) * dim)]
             if any(v != a for v in got):
                 yield f"constant {d[a]} transforms to {[d[v] for v in got]}"
 
     def monotone():
-        # The sets above f, in enumeration order, are the product of the
-        # up-sets of its values; every other g fails f <= g and is skipped.
-        above = [tuple(b for b in lat.elements() if lat.leq[a][b])
+        above = [[b for b in lat.elements() if leq[a][b]]
                  for a in lat.elements()]
         for i, f in enumerate(sets):
-            for gv in product(*(above[v] for v in f)):
-                j = index_of[gv]
-                if any(not lat.leq[x][y] for x, y in zip(comps[i], comps[j])):
+            for j in space.image_index([above[v] for v in f]):
+                if down[i] & ~down[j]:
                     yield (f"{show(f)} <= {show(sets[j])} "
                            f"but components drop")
                     return
 
     def tensor_scaling():
         for a in lat.elements():
+            scaled = space.image_index([lat.tensor[a]] * dim)
+            block_scaled = blocks.image_index([lat.tensor[a]] * len(p.names))
             for i, f in enumerate(sets):
-                scaled = tuple(lat.tensor[a][v] for v in f)
-                got = comps[index_of[scaled]]
-                want = tuple(lat.tensor[a][v] for v in comps[i])
-                if got != want:
+                if image[scaled[i]] != block_scaled[image[i]]:
                     yield f"constant {d[a]} with {show(f)}"
                     return
 
     def join_preserving():
         for i, f in enumerate(sets):
+            joined = space.image_index([lat.join[v] for v in f])
+            block_joined = blocks.image_index([lat.join[c] for c in comps[i]])
             for j in range(i, size):
-                joined = tuple(lat.join[a][b]
-                               for a, b in zip(f, sets[j]))
-                got = comps[index_of[joined]]
-                want = tuple(lat.join[a][b] for a, b in zip(comps[i], comps[j]))
-                if got != want:
+                if image[joined[j]] != block_joined[image[j]]:
                     yield f"pair ({show(f)}, {show(sets[j])})"
                     return
 
     def meet_bound():
         for i, f in enumerate(sets):
+            met = space.image_index([lat.meet[v] for v in f])
             for j in range(i, size):
-                met = tuple(lat.meet[a][b]
-                            for a, b in zip(f, sets[j]))
-                got = comps[index_of[met]]
-                want = tuple(lat.meet[a][b] for a, b in zip(comps[i], comps[j]))
-                if any(not lat.leq[x][y] for x, y in zip(got, want)):
+                if down[met[j]] & ~(down[i] & down[j]):
                     yield f"pair ({show(f)}, {show(sets[j])})"
                     return
 
     def inflationary():
         for i, f in enumerate(sets):
-            fld = tuple(comps[i][p.xi[k]] for k in range(len(p.universe)))
-            if any(not lat.leq[a][b] for a, b in zip(f, fld)):
+            fld = tuple(comps[i][p.xi[k]] for k in range(dim))
+            if any(not leq[a][b] for a, b in zip(f, fld)):
                 yield f"{show(f)} not below its field"
                 return
 
     def field_matches_relation():
+        """The field computed from the component columns against the
+        per-set `upper_approx` along the induced relation: two code paths
+        for one function, so no lattice can make this clause fail, only a
+        defect in one of the paths."""
         from .relation import upper_approx
 
         rel = relation_from_partition(p)
         for i, f in enumerate(sets):
-            fld = tuple(comps[i][p.xi[k]] for k in range(len(p.universe)))
+            fld = tuple(comps[i][p.xi[k]] for k in range(dim))
             if upper_approx(rel, FuzzySet(lat, p.universe, f)).values != fld:
                 yield f"field of {show(f)} differs from the approximation"
                 return

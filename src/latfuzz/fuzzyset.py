@@ -12,6 +12,9 @@ the space in the package goes through it.  A sweep reads whole columns over
 the space (the value at a point, a transform component, the index of an
 image set), each computed by a prefix-shared fold in about `|space|` list
 steps, instead of building and validating one `FuzzySet` per index.
+`Space.image_index` is the column the law checks sweep pairs with: for a
+fixed f it gives the index of f meet g (join, tensor) for every g, so a
+pair law costs one fold per set plus one comparison per pair.
 `set_at`, `set_index` and `enumerate_sets` are thin wrappers over it for
 code that needs the sets themselves.
 """
@@ -276,6 +279,15 @@ class Space:
             else:
                 acc = [ops[r] for ops in map(op.__getitem__, acc) for r in row]
         return acc
+
+    def image_index(self, rows) -> list[int]:
+        """For every f, the index of the set x -> rows[x][f(x)]: one
+        additive fold over the weighted rows.  Rows of other lengths give
+        the index of every set in the product of the rows, choices in
+        lexicographic order: with rows[x] the values above f(x) in ascending
+        order, the sets above f in enumeration order."""
+        return self._fold([[w * r for r in row]
+                           for w, row in zip(self.weights, rows)])
 
     def upper(self, row) -> list[int]:
         """The join over the points of row[x] tensor f(x), for every f: the

@@ -549,6 +549,10 @@ def law_suite(lat: Lattice, budget: int = DEFAULT_BUDGET) -> LawSuiteReport:
     Triple-quantified clauses sweep all |L|^3 triples; the indexed-family
     clauses sweep every subset of the carrier, which suffices on a finite
     lattice (joins and meets of a family only depend on its underlying set).
+
+    Every clause is a theorem on every lattice that `from_tables` accepts,
+    so the suite checks the implementation, not the lattice: only tables
+    corrupted after validation make a clause fail.
     """
     n = len(lat)
     family_cost = (1 << n) * n

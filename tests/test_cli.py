@@ -169,6 +169,16 @@ def test_object_commutation_via_cli(capsys):
     assert direct["system"]["entries"] == via_rel["system"]["entries"]
 
 
+def test_reference_prefixes_resolve_recursively(capsys):
+    # the system of the relation of W3 yields W3's relation again
+    code, nested, _ = run(capsys, "relation", "from-system", "--doc", W3,
+                          "--system", "relation:partition:W3")
+    code2, direct, _ = run(capsys, "relation", "from-system", "--doc", W3,
+                           "--system", "partition:W3")
+    assert code == code2 == 0
+    assert nested == direct
+
+
 def test_roundtrip_f2_reports_w3_gap(capsys):
     _, report, _ = run(capsys, "roundtrip", "f2", "--doc", W3,
                        "--relation", "partition:W3")

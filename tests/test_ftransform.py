@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 import latfuzz as lf
@@ -60,6 +62,34 @@ def test_law_suite_on_parity_window():
     prod = lf.product_partition(doc.partition("PN2"), doc.partition("PZ2"))
     report = lf.ftransform.transform_law_suite(prod)
     assert report.all_pass, report.to_dict()
+
+
+# Gödel 3-chain tensor rows replaced by hand (0, 1/2, 1 are ordinals 0, 1,
+# 2): a row [0, 1, 0] is not monotone, and a top row other than [0, 1, 2]
+# makes top no unit.
+CORRUPTED_TENSORS = [
+    ({1: (0, 1, 0)},
+     {"monotone", "tensor_scaling", "join_preserving", "meet_subhomomorphism"}),
+    ({2: (0, 1, 1)}, {"constant", "inflationary"}),
+    ({2: (0, 1, 0)},
+     {"constant", "monotone", "tensor_scaling", "join_preserving",
+      "meet_subhomomorphism", "inflationary"}),
+]
+
+
+@pytest.mark.parametrize("rows, failing", CORRUPTED_TENSORS)
+def test_law_suite_clauses_can_fail(rows, failing):
+    base = lf.godel_chain(3)
+    tensor = tuple(rows.get(a, row) for a, row in enumerate(base.tensor))
+    lat = dataclasses.replace(base, tensor=tensor)
+    uni = lf.Universe("X", ("x0", "x1"))
+    p = lf.validate_partition(uni, [
+        ("A", lf.FuzzySet(lat, uni, (2, 1))),
+        ("B", lf.FuzzySet(lat, uni, (0, 2))),
+    ])
+    laws = lf.ftransform.transform_law_suite(p).laws
+    assert {key for key, c in laws.items() if not c.passed} == failing
+    assert all(laws[key].counterexample for key in failing)
 
 
 def test_law_suite_budget(w3):

@@ -1,0 +1,537 @@
+"""Differential tests of the law sweeps: `check_system`, `check_operator`
+and `transform_law_suite`.
+
+Each sweep reads the index of every combined set (f meet g, f join g, a
+tensor f, ...) from one `Space.image_index` column instead of building the
+set's value tuple and looking its index up, pair by pair.  The functions
+below are those pairwise sweeps as they were before, kept verbatim apart
+from their names, with the report types they returned.  The rewritten
+checks must give the same `to_dict()` (every flag, every counterexample
+text, in the same key order) on Gödel and Łukasiewicz chains, `boolean(2)`
+and `grid23`, over universes of 0 to 4 points: random explicit systems and
+operators, partition-derived ones as they are and with random entries
+perturbed, and partitions over lattices whose tensor was corrupted, so the
+transform clauses fail too.
+
+The last test patches one line of the new code at a time and checks that
+the comparisons catch each mutant.
+"""
+
+import dataclasses
+import inspect
+import random
+import textwrap
+from dataclasses import dataclass
+from itertools import product
+
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+import latfuzz as lf
+from latfuzz import closure, ftransform
+from latfuzz.closure import ClosureOperator, ClosureSystem
+from latfuzz.ftransform import TransformLawReport
+from latfuzz.fuzzyset import FuzzySet, Space, constant, ensure_budget, set_index
+from latfuzz.lattice import DEFAULT_BUDGET, Lattice, LawClause
+from latfuzz.partition import FuzzyPartition, relation_from_partition
+from test_space_differential import (
+    LATTICES,
+    random_operator,
+    random_partition,
+    random_system,
+    universe,
+)
+
+
+# ---------------------------------------------------------------------------
+# the pairwise sweeps the columns replaced
+
+@dataclass(frozen=True)
+class SystemCheck:
+    axiom_i: bool
+    axiom_ii: bool
+    enriched: bool
+    strong: bool
+    counterexamples: dict
+
+    @property
+    def all_ok(self) -> bool:
+        return self.axiom_i and self.axiom_ii and self.enriched and self.strong
+
+    def to_dict(self) -> dict:
+        return {
+            "axiom_i": self.axiom_i,
+            "axiom_ii": self.axiom_ii,
+            "enriched": self.enriched,
+            "strong": self.strong,
+            "counterexamples": dict(self.counterexamples),
+            "all_ok": self.all_ok,
+        }
+
+
+def reference_check_system(system: ClosureSystem,
+                 budget: int = DEFAULT_BUDGET) -> SystemCheck:
+    """Full-table check: top membership, meet-superadditivity over all pairs
+    (pairwise suffices for finite families; the empty meet is the top-set
+    axiom), and stability under residuation/tensor with constants.
+
+    Results are cached on the system after the first run; the budget is
+    enforced on every call, cached or not.
+    """
+    lat = system.lattice
+    uni = system.universe
+    size = ensure_budget(lat, uni, budget, "closure system check")
+    if system._check is not None:
+        return system._check
+    meet = lat.meet
+    counter: dict = {}
+
+    top_index = set_index(constant(lat, uni, lat.top))
+    axiom_i = system.table[top_index] == lat.top
+    if not axiom_i:
+        counter["axiom_i"] = (
+            f"membership of the constant-top set is "
+            f"{lat.displays[system.table[top_index]]}"
+        )
+
+    space = Space(lat, uni)
+    index = space.index
+    all_vals = list(space.values())
+    axiom_ii = True
+    for i in range(size):
+        if not axiom_ii:
+            break
+        fi = all_vals[i]
+        ui = system.table[i]
+        for j in range(i, size):
+            mv = tuple(meet[a][b] for a, b in zip(fi, all_vals[j]))
+            if not lat.leq[meet[ui][system.table[j]]][
+                system.table[index(mv)]
+            ]:
+                axiom_ii = False
+                counter["axiom_ii"] = (
+                    f"pair ({_show(lat, fi)}, {_show(lat, all_vals[j])})"
+                )
+                break
+
+    enriched = True
+    strong = True
+    res, tensor = lat.residuum, lat.tensor
+    for a in lat.elements():
+        for i in range(size):
+            fi = all_vals[i]
+            ui = system.table[i]
+            ri = index(tuple(res[a][v] for v in fi))
+            if enriched and not lat.leq[ui][system.table[ri]]:
+                enriched = False
+                counter["enriched"] = (
+                    f"constant {lat.displays[a]} with {_show(lat, fi)}"
+                )
+            ti = index(tuple(tensor[a][v] for v in fi))
+            if strong and not lat.leq[ui][system.table[ti]]:
+                strong = False
+                counter["strong"] = (
+                    f"constant {lat.displays[a]} with {_show(lat, fi)}"
+                )
+        if not enriched and not strong:
+            break
+
+    report = SystemCheck(axiom_i, axiom_ii, enriched, strong, counter)
+    system._check = report
+    return report
+
+
+def _show(lat: Lattice, values) -> str:
+    return "(" + ",".join(lat.displays[v] for v in values) + ")"
+
+
+@dataclass(frozen=True)
+class OperatorCheck:
+    axiom_i: bool
+    axiom_ii: bool
+    axiom_iii: bool
+    axiom_iv: bool
+    strong: bool
+    counterexamples: dict
+
+    @property
+    def all_ok(self) -> bool:
+        return (self.axiom_i and self.axiom_ii and self.axiom_iii
+                and self.axiom_iv and self.strong)
+
+    def to_dict(self) -> dict:
+        return {
+            "axiom_i": self.axiom_i,
+            "axiom_ii": self.axiom_ii,
+            "axiom_iii": self.axiom_iii,
+            "axiom_iv": self.axiom_iv,
+            "strong": self.strong,
+            "counterexamples": dict(self.counterexamples),
+            "all_ok": self.all_ok,
+        }
+
+
+def reference_check_operator(op: ClosureOperator,
+                   budget: int = DEFAULT_BUDGET) -> OperatorCheck:
+    """Fix the top set, inflate, preserve binary joins, idempotence (by
+    composing the table with itself), plus tensor-stability with constants.
+
+    Results are cached on the operator after the first run; the budget is
+    enforced on every call, cached or not."""
+    lat = op.lattice
+    uni = op.universe
+    size = ensure_budget(lat, uni, budget, "closure operator check")
+    if op._check is not None:
+        return op._check
+    counter: dict = {}
+    space = Space(lat, uni)
+    index = space.index
+    all_vals = list(space.values())
+
+    top_index = index((lat.top,) * len(uni))
+    axiom_i = op.table[top_index] == (lat.top,) * len(uni)
+    if not axiom_i:
+        counter["axiom_i"] = f"image of top is {_show(lat, op.table[top_index])}"
+
+    axiom_ii = True
+    for i in range(size):
+        if all(lat.leq[a][b] for a, b in zip(all_vals[i], op.table[i])):
+            continue
+        axiom_ii = False
+        counter["axiom_ii"] = f"{_show(lat, all_vals[i])} not below its closure"
+        break
+
+    join = lat.join
+    axiom_iii = True
+    for i in range(size):
+        if not axiom_iii:
+            break
+        for j in range(i, size):
+            jv = tuple(join[a][b] for a, b in zip(all_vals[i], all_vals[j]))
+            lhs = op.table[index(jv)]
+            rhs = tuple(join[a][b] for a, b in zip(op.table[i], op.table[j]))
+            if lhs != rhs:
+                axiom_iii = False
+                counter["axiom_iii"] = (
+                    f"pair ({_show(lat, all_vals[i])}, {_show(lat, all_vals[j])})"
+                )
+                break
+
+    axiom_iv = True
+    for i in range(size):
+        ci = op.table[i]
+        if op.table[index(ci)] != ci:
+            axiom_iv = False
+            counter["axiom_iv"] = f"closure of {_show(lat, all_vals[i])} not fixed"
+            break
+
+    strong = True
+    tensor = lat.tensor
+    for a in lat.elements():
+        if not strong:
+            break
+        for i in range(size):
+            scaled = tuple(tensor[a][v] for v in all_vals[i])
+            lhs = op.table[index(scaled)]
+            rhs = tuple(tensor[a][v] for v in op.table[i])
+            if not all(lat.leq[x][y] for x, y in zip(rhs, lhs)):
+                strong = False
+                counter["strong"] = (
+                    f"constant {lat.displays[a]} with {_show(lat, all_vals[i])}"
+                )
+                break
+
+    report = OperatorCheck(axiom_i, axiom_ii, axiom_iii, axiom_iv, strong, counter)
+    op._check = report
+    return report
+
+
+# ---------------------------------------------------------------------------
+# round-trip reports (informational: differences are recorded, never asserted)
+
+
+def reference_transform_law_suite(p: FuzzyPartition,
+                        budget: int = DEFAULT_BUDGET) -> TransformLawReport:
+    """Exhaustive sweep of the component laws over the whole function space:
+    constants are fixed, components are monotone, tensor by a constant
+    scales through, binary joins are preserved, binary meets only shrink.
+    Two structural cross-checks ride along: the field dominates its argument
+    and agrees with the upper approximation along the induced relation.
+    """
+    lat = p.lattice
+    size = ensure_budget(lat, p.universe, budget, "transform law suite")
+    space = Space(lat, p.universe)
+    sets = list(space.values())
+    comps = list(zip(*(space.upper(block.values) for block in p.blocks)))
+    index_of = {f: i for i, f in enumerate(sets)}
+    d = lat.displays
+
+    def show(values):
+        return tuple(d[v] for v in values)
+
+    laws: dict[str, LawClause] = {}
+
+    def run(key, gen):
+        for failure in gen:
+            laws[key] = LawClause(False, failure)
+            return
+        laws[key] = LawClause(True, None)
+
+    def constants():
+        for a in lat.elements():
+            got = comps[index_of[constant(lat, p.universe, a).values]]
+            if any(v != a for v in got):
+                yield f"constant {d[a]} transforms to {[d[v] for v in got]}"
+
+    def monotone():
+        # The sets above f, in enumeration order, are the product of the
+        # up-sets of its values; every other g fails f <= g and is skipped.
+        above = [tuple(b for b in lat.elements() if lat.leq[a][b])
+                 for a in lat.elements()]
+        for i, f in enumerate(sets):
+            for gv in product(*(above[v] for v in f)):
+                j = index_of[gv]
+                if any(not lat.leq[x][y] for x, y in zip(comps[i], comps[j])):
+                    yield (f"{show(f)} <= {show(sets[j])} "
+                           f"but components drop")
+                    return
+
+    def tensor_scaling():
+        for a in lat.elements():
+            for i, f in enumerate(sets):
+                scaled = tuple(lat.tensor[a][v] for v in f)
+                got = comps[index_of[scaled]]
+                want = tuple(lat.tensor[a][v] for v in comps[i])
+                if got != want:
+                    yield f"constant {d[a]} with {show(f)}"
+                    return
+
+    def join_preserving():
+        for i, f in enumerate(sets):
+            for j in range(i, size):
+                joined = tuple(lat.join[a][b]
+                               for a, b in zip(f, sets[j]))
+                got = comps[index_of[joined]]
+                want = tuple(lat.join[a][b] for a, b in zip(comps[i], comps[j]))
+                if got != want:
+                    yield f"pair ({show(f)}, {show(sets[j])})"
+                    return
+
+    def meet_bound():
+        for i, f in enumerate(sets):
+            for j in range(i, size):
+                met = tuple(lat.meet[a][b]
+                            for a, b in zip(f, sets[j]))
+                got = comps[index_of[met]]
+                want = tuple(lat.meet[a][b] for a, b in zip(comps[i], comps[j]))
+                if any(not lat.leq[x][y] for x, y in zip(got, want)):
+                    yield f"pair ({show(f)}, {show(sets[j])})"
+                    return
+
+    def inflationary():
+        for i, f in enumerate(sets):
+            fld = tuple(comps[i][p.xi[k]] for k in range(len(p.universe)))
+            if any(not lat.leq[a][b] for a, b in zip(f, fld)):
+                yield f"{show(f)} not below its field"
+                return
+
+    def field_matches_relation():
+        from latfuzz.relation import upper_approx
+
+        rel = relation_from_partition(p)
+        for i, f in enumerate(sets):
+            fld = tuple(comps[i][p.xi[k]] for k in range(len(p.universe)))
+            if upper_approx(rel, FuzzySet(lat, p.universe, f)).values != fld:
+                yield f"field of {show(f)} differs from the approximation"
+                return
+
+    run("constant", constants())
+    run("monotone", monotone())
+    run("tensor_scaling", tensor_scaling())
+    run("join_preserving", join_preserving())
+    run("meet_subhomomorphism", meet_bound())
+    run("inflationary", inflationary())
+    run("field_equals_upper_approx", field_matches_relation())
+    return TransformLawReport(p.universe.name, laws)
+
+
+# ---------------------------------------------------------------------------
+# random inputs
+
+def corrupted(rng, lat):
+    """`lat` with one to three random tensor entries overwritten; the tables
+    are no longer validated, so the transform laws may fail."""
+    tensor = [list(row) for row in lat.tensor]
+    for _ in range(rng.randint(1, 3)):
+        tensor[rng.randrange(len(lat))][rng.randrange(len(lat))] = \
+            rng.choice(lat.elements())
+    return dataclasses.replace(lat, tensor=tuple(map(tuple, tensor)))
+
+
+def perturbed_system(rng, system):
+    lat, table = system.lattice, list(system.table)
+    for _ in range(rng.randint(1, 3)):
+        table[rng.randrange(len(table))] = rng.choice(lat.elements())
+    return lf.system_from_explicit(lat, system.universe, table)
+
+
+def perturbed_operator(rng, op):
+    lat, table = op.lattice, list(op.table)
+    for _ in range(rng.randint(1, 3)):
+        table[rng.randrange(len(table))] = tuple(
+            rng.choice(lat.elements()) for _ in op.universe.elements)
+    return lf.ClosureOperator(lat, op.universe, tuple(table), "perturbed")
+
+
+def make_system(rng, lat, uni, kind):
+    if kind == "random":
+        return random_system(rng, lat, uni)
+    system = lf.system_from_partition(random_partition(rng, lat, uni))
+    return perturbed_system(rng, system) if kind == "perturbed" else system
+
+
+def make_operator(rng, lat, uni, kind):
+    if kind == "random":
+        return random_operator(rng, lat, uni)
+    op = lf.operator_from_system(
+        lf.system_from_partition(random_partition(rng, lat, uni)))
+    return perturbed_operator(rng, op) if kind == "perturbed" else op
+
+
+def system_reports(system):
+    """The rewritten and the reference report, each computed afresh."""
+    system._check = None
+    new = closure.check_system(system).to_dict()
+    system._check = None
+    return new, reference_check_system(system).to_dict()
+
+
+def operator_reports(op):
+    op._check = None
+    new = closure.check_operator(op).to_dict()
+    op._check = None
+    return new, reference_check_operator(op).to_dict()
+
+
+def transform_reports(p):
+    return (ftransform.transform_law_suite(p).to_dict(),
+            reference_transform_law_suite(p).to_dict())
+
+
+# one lattice, one universe size (0-4 points, at most 256 sets, so the
+# reference sweeps stay quick), one seed and whether to corrupt the tensor
+case = st.tuples(
+    st.sampled_from(sorted(LATTICES)), st.integers(0, 4),
+    st.integers(0, 2 ** 32 - 1), st.booleans(),
+).filter(lambda c: len(LATTICES[c[0]]) ** c[1] <= 256)
+kinds = st.sampled_from(["random", "partition", "perturbed"])
+
+
+def setup(case, min_points=0):
+    name, npoints, seed, corrupt = case
+    rng = random.Random(seed)
+    lat = corrupted(rng, LATTICES[name]) if corrupt else LATTICES[name]
+    return lat, universe("X", max(npoints, min_points)), rng
+
+
+# ---------------------------------------------------------------------------
+# the comparisons
+
+@settings(max_examples=60, deadline=None)
+@given(case, kinds)
+@example(("godel3", 0, 0, False), "random")
+@example(("boolean2", 4, 1, False), "partition")
+@example(("grid23", 3, 2, False), "perturbed")
+def test_check_system_matches_the_pairwise_sweep(case, kind):
+    lat, uni, rng = setup(case, min_points=0 if kind == "random" else 1)
+    new, reference = system_reports(make_system(rng, lat, uni, kind))
+    assert new == reference
+
+
+@settings(max_examples=60, deadline=None)
+@given(case, kinds)
+@example(("godel3", 0, 0, False), "random")
+@example(("lukasiewicz4", 4, 1, False), "partition")
+@example(("grid23", 3, 2, False), "perturbed")
+def test_check_operator_matches_the_pairwise_sweep(case, kind):
+    lat, uni, rng = setup(case, min_points=0 if kind == "random" else 1)
+    new, reference = operator_reports(make_operator(rng, lat, uni, kind))
+    assert new == reference
+
+
+@settings(max_examples=60, deadline=None)
+@given(case)
+@example(("boolean2", 4, 1, False))
+@example(("godel3", 4, 3, True))
+def test_transform_law_suite_matches_the_pairwise_sweep(case):
+    lat, uni, rng = setup(case, min_points=1)
+    new, reference = transform_reports(random_partition(rng, lat, uni))
+    assert new == reference
+
+
+# ---------------------------------------------------------------------------
+# the comparisons above catch one-line mutants of the rewritten sweeps
+
+def _all_match() -> bool:
+    """Every check agrees with its reference on a fixed battery."""
+    try:
+        for name in sorted(LATTICES):
+            for seed in range(6):
+                rng = random.Random(seed)
+                npoints = 2 if len(LATTICES[name]) > 4 else 3
+                lat = corrupted(rng, LATTICES[name]) if seed % 2 \
+                    else LATTICES[name]
+                uni = universe("X", npoints)
+                for kind in ("random", "partition", "perturbed"):
+                    new, reference = system_reports(
+                        make_system(rng, lat, uni, kind))
+                    if new != reference:
+                        return False
+                    new, reference = operator_reports(
+                        make_operator(rng, lat, uni, kind))
+                    if new != reference:
+                        return False
+                new, reference = transform_reports(
+                    random_partition(rng, lat, uni))
+                if new != reference:
+                    return False
+    except IndexError:
+        return False
+    return True
+
+
+# (module, function, line, mutated line): each mutant changes one line.
+# A scan that starts at j = i + 1 is no mutant: the diagonal pair (f, f)
+# satisfies every pair law on any table, since f meet f = f join f = f.
+MUTANTS = [
+    (closure, "check_system", "        j = next((j for j in range(i, size)",
+     "        j = next((j for j in range(i + 2, size)"),
+    (closure, "check_system",
+     '"strong": space.image_index([lat.tensor[a]] * len(uni))',
+     '"strong": space.image_index([lat.residuum[a]] * len(uni))'),
+    (closure, "check_operator", "image[joined[j]] != closed_joined[image[j]]",
+     "image[joined[j]] != closed_joined[j]"),
+    (ftransform, "transform_law_suite", "down[met[j]] & ~(down[i] & down[j])",
+     "down[j] & ~(down[i] & down[met[j]])"),
+    (lf.fuzzyset.Space, "image_index", "zip(self.weights, rows)",
+     "zip(reversed(self.weights), rows)"),
+]
+
+
+def _mutant(owner, name, line, mutated):
+    """`owner.name` recompiled with `line` replaced by `mutated`."""
+    source = textwrap.dedent(inspect.getsource(getattr(owner, name)))
+    assert source.count(line) == 1
+    module = inspect.getmodule(getattr(owner, name))
+    namespace = dict(vars(module))
+    exec(compile(source.replace(line, mutated), module.__file__, "exec"),
+         namespace)
+    return namespace[name]
+
+
+@pytest.mark.parametrize("owner, name, line, mutated", MUTANTS,
+                         ids=[f"{m[1]}-{i}" for i, m in enumerate(MUTANTS)])
+def test_mutants_are_caught(monkeypatch, owner, name, line, mutated):
+    assert _all_match()
+    monkeypatch.setattr(owner, name, _mutant(owner, name, line, mutated))
+    assert not _all_match()
