@@ -36,15 +36,10 @@ from .fuzzyset import (
     FuzzySet,
     Universe,
     UniverseMap,
-    backward_image,
     constant,
-    enumerate_sets,
-    forward_image,
     from_labels,
     pointwise,
     set_at,
-    set_index,
-    space_size,
 )
 from .partition import (
     FuzzyPartition,
@@ -56,15 +51,12 @@ from .partition import (
 from .ftransform import (
     FTransformResult,
     TransformLawReport,
-    ft_component,
     ft_field,
     ft_transform,
     transform_law_suite,
 )
 from .relation import (
     FuzzyRelation,
-    constant_relation,
-    identity_relation,
     relation_from_system,
     upper_approx,
 )
@@ -75,8 +67,6 @@ from .closure import (
     RoundTripReport,
     check_operator,
     check_system,
-    identity_operator,
-    operator_from_function,
     operator_from_system,
     roundtrip_relation,
     roundtrip_system,

@@ -40,7 +40,7 @@ from .errors import (
     PreconditionError,
     WorkbenchError,
 )
-from .fuzzyset import Space, space_size
+from .fuzzyset import Space
 from .lattice import DEFAULT_BUDGET
 
 ENV_BUDGET = "LATFUZZ_BUDGET"
@@ -71,26 +71,22 @@ def _required(args, name: str) -> str:
     return value
 
 
-def _system_json(sys_) -> dict:
+def _table_json(struct) -> dict:
+    """A closure system or operator: one [set, image] entry per set of the
+    space, the image a membership value or a closed set."""
+    d = struct.lattice.displays
+    if isinstance(struct, closure.ClosureSystem):
+        show = d.__getitem__
+    else:
+        def show(image):
+            return [d[v] for v in image]
     return {
-        "universe": sys_.universe.name,
-        "provenance": sys_.provenance,
+        "universe": struct.universe.name,
+        "provenance": struct.provenance,
         "entries": [
-            [list(f.displays()), sys_.lattice.displays[v]]
-            for f, v in sys_.entries()
-        ],
-    }
-
-
-def _operator_json(op) -> dict:
-    d = op.lattice.displays
-    return {
-        "universe": op.universe.name,
-        "provenance": op.provenance,
-        "entries": [
-            [[d[v] for v in values], [d[v] for v in image]]
-            for values, image in zip(Space(op.lattice, op.universe).values(),
-                                     op.table)
+            [[d[v] for v in values], show(image)]
+            for values, image in zip(
+                Space(struct.lattice, struct.universe).values(), struct.table)
         ],
     }
 
@@ -108,7 +104,7 @@ def _structure_json(struct) -> dict:
     return {
         "universe": struct.universe.name,
         "provenance": struct.provenance,
-        "space": space_size(lat, struct.universe),
+        "space": Space(lat, struct.universe).size,
         "table": [
             {"element": e, "values": [lat.displays[v] for v in row]}
             for e, row in zip(struct.universe.elements, struct.table)
@@ -173,7 +169,7 @@ _KINDS = {
                 "operator": lambda o, b: closure.system_from_operator(o, b)},
         prefixes=("partition", "relation"),
         lookup=lambda doc, name, b: doc.system(name),
-        to_json=_system_json,
+        to_json=_table_json,
     ),
     # never serialized: an operator reference is a system reference
     "operator": _Kind(
@@ -181,7 +177,7 @@ _KINDS = {
                     closure.system_from_partition(p, b), b),
                 "system": lambda s, b: closure.operator_from_system(s, b)},
         lookup=lambda doc, ref, b: _derive(doc, "operator", "system", ref, b),
-        to_json=_operator_json,
+        to_json=_table_json,
     ),
     "coalgebra": _Kind(
         derive={"partition": lambda p, b:

@@ -10,23 +10,16 @@ table is also the cheapest representation to check laws against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import MismatchError
-from .fuzzyset import (
-    FuzzySet,
-    Space,
-    Universe,
-    ensure_budget,
-    set_at,
-    set_index,
-)
+from .fuzzyset import FuzzySet, Space, Universe, ensure_budget
 from .lattice import DEFAULT_BUDGET, Lattice
 from .partition import FuzzyPartition
 from .relation import FuzzyRelation, relation_from_system
 
 
-@dataclass
+@dataclass(frozen=True)
 class ClosureSystem:
     """Degree-valued membership of each fuzzy set in the closed family."""
 
@@ -34,22 +27,14 @@ class ClosureSystem:
     universe: Universe
     table: tuple[int, ...]
     provenance: str
-    _check: "AxiomCheck | None" = field(default=None, repr=False, compare=False)
-
-    def value_at(self, index: int) -> int:
-        return self.table[index]
 
     def value(self, f: FuzzySet) -> int:
         if f.universe != self.universe or f.lattice is not self.lattice:
             raise MismatchError("closure system applied to a foreign fuzzy set")
-        return self.table[set_index(f)]
-
-    def entries(self):
-        for i, v in enumerate(self.table):
-            yield set_at(self.lattice, self.universe, i), v
+        return self.table[Space(self.lattice, self.universe).index(f.values)]
 
 
-@dataclass
+@dataclass(frozen=True)
 class ClosureOperator:
     """Extensional map sending each fuzzy set to its closure."""
 
@@ -57,12 +42,12 @@ class ClosureOperator:
     universe: Universe
     table: tuple[tuple[int, ...], ...]  # value tuple per enumeration index
     provenance: str
-    _check: "AxiomCheck | None" = field(default=None, repr=False, compare=False)
 
     def apply(self, f: FuzzySet) -> FuzzySet:
         if f.universe != self.universe or f.lattice is not self.lattice:
             raise MismatchError("closure operator applied to a foreign fuzzy set")
-        return FuzzySet(self.lattice, self.universe, self.table[set_index(f)])
+        index = Space(self.lattice, self.universe).index(f.values)
+        return FuzzySet(self.lattice, self.universe, self.table[index])
 
 
 # ---------------------------------------------------------------------------
@@ -176,22 +161,6 @@ def system_from_operator(op: ClosureOperator,
                          "from_operator")
 
 
-def operator_from_function(lat: Lattice, universe: Universe, fn,
-                           budget: int = DEFAULT_BUDGET,
-                           provenance: str = "explicit") -> ClosureOperator:
-    """Tabulate an arbitrary L^X -> L^X function (mostly for tests and
-    hand-made fixtures)."""
-    ensure_budget(lat, universe, budget, "operator tabulation")
-    table = [tuple(fn(FuzzySet(lat, universe, values)).values)
-             for values in Space(lat, universe).values()]
-    return ClosureOperator(lat, universe, tuple(table), provenance)
-
-
-def identity_operator(lat: Lattice, universe: Universe,
-                      budget: int = DEFAULT_BUDGET) -> ClosureOperator:
-    return operator_from_function(lat, universe, lambda f: f, budget, "identity")
-
-
 # ---------------------------------------------------------------------------
 # axiom checkers
 #
@@ -226,15 +195,10 @@ def check_system(system: ClosureSystem,
     """Full-table check: top membership, meet-superadditivity over all pairs
     (pairwise suffices for finite families; the empty meet is the top-set
     axiom), and stability under residuation/tensor with constants.
-
-    Results are cached on the system after the first run; the budget is
-    enforced on every call, cached or not.
     """
     lat = system.lattice
     uni = system.universe
     size = ensure_budget(lat, uni, budget, "closure system check")
-    if system._check is not None:
-        return system._check
     leq, meet = lat.leq, lat.meet
     table = system.table
     space = Space(lat, uni)
@@ -270,9 +234,7 @@ def check_system(system: ClosureSystem,
         if "enriched" in counter and "strong" in counter:
             break
 
-    report = AxiomCheck(("axiom_i", "axiom_ii", "enriched", "strong"), counter)
-    system._check = report
-    return report
+    return AxiomCheck(("axiom_i", "axiom_ii", "enriched", "strong"), counter)
 
 
 def _show(lat: Lattice, values) -> str:
@@ -286,15 +248,10 @@ def check_operator(op: ClosureOperator,
 
     Joins are compared as indices: the closure of f join g sits at
     `image[joined[j]]`, and the join of the two closures at
-    `closed_joined[image[j]]`.
-
-    Results are cached on the operator after the first run; the budget is
-    enforced on every call, cached or not."""
+    `closed_joined[image[j]]`."""
     lat = op.lattice
     uni = op.universe
     size = ensure_budget(lat, uni, budget, "closure operator check")
-    if op._check is not None:
-        return op._check
     leq, join = lat.leq, lat.join
     space = Space(lat, uni)
     all_vals = list(space.values())
@@ -337,11 +294,9 @@ def check_operator(op: ClosureOperator,
             )
             break
 
-    report = AxiomCheck(
+    return AxiomCheck(
         ("axiom_i", "axiom_ii", "axiom_iii", "axiom_iv", "strong"), counter
     )
-    op._check = report
-    return report
 
 
 # ---------------------------------------------------------------------------

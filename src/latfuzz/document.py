@@ -144,8 +144,9 @@ def _build(data: dict, budget: int) -> InstanceDocument:
     for name, elements in _section(data, "universes"):
         _require(isinstance(elements, list),
                  f"universe {name}: elements must be a list")
-        _require(all(isinstance(e, (str, int, float)) for e in elements),
-                 f"universe {name}: elements must be strings or numbers")
+        # value maps are keyed by element, and JSON object keys are strings
+        _require(all(isinstance(e, str) for e in elements),
+                 f"universe {name}: elements must be strings")
         doc.universes[name] = Universe(name, tuple(elements))
 
     for name, spec in _section(data, "fuzzy_sets"):

@@ -21,9 +21,6 @@ class FTransformResult:
     partition: FuzzyPartition
     components: tuple[int, ...]  # aligned with partition.names
 
-    def component(self, name: str) -> int:
-        return self.components[self.partition.block_index(name)]
-
     def display_map(self) -> dict:
         lat = self.partition.lattice
         return {
@@ -41,21 +38,13 @@ def _require_on(p: FuzzyPartition, f: FuzzySet) -> None:
         raise MismatchError("transform: lattice mismatch")
 
 
-def ft_component(p: FuzzyPartition, f: FuzzySet, name: str) -> int:
-    _require_on(p, f)
-    block = p.block(name)
-    lat = p.lattice
-    acc = lat.bottom
-    for a, v in zip(block.values, f.values):
-        acc = lat.join[acc][lat.tensor[a][v]]
-    return acc
-
-
 def ft_transform(p: FuzzyPartition, f: FuzzySet) -> FTransformResult:
     _require_on(p, f)
-    return FTransformResult(
-        p, tuple(ft_component(p, f, name) for name in p.names)
-    )
+    lat = p.lattice
+    return FTransformResult(p, tuple(
+        lat.join_all(lat.tensor[a][v] for a, v in zip(block.values, f.values))
+        for block in p.blocks
+    ))
 
 
 def ft_field(p: FuzzyPartition, f: FuzzySet) -> FuzzySet:

@@ -15,8 +15,6 @@ steps, instead of building and validating one `FuzzySet` per index.
 `Space.image_index` is the column the law checks sweep pairs with: for a
 fixed f it gives the index of f meet g (join, tensor) for every g, so a
 pair law costs one fold per set plus one comparison per pair.
-`set_at`, `set_index` and `enumerate_sets` are thin wrappers over it for
-code that needs the sets themselves.
 """
 
 from __future__ import annotations
@@ -25,7 +23,7 @@ from dataclasses import dataclass
 from itertools import product
 
 from .errors import BudgetExceeded, ElementError, MismatchError
-from .lattice import DEFAULT_BUDGET, Lattice
+from .lattice import Lattice
 
 
 @dataclass(frozen=True)
@@ -72,9 +70,6 @@ class FuzzySet:
             )
         for v in self.values:
             self.lattice.check_element(v)
-
-    def value(self, label: str) -> int:
-        return self.values[self.universe.index(label)]
 
     def displays(self) -> tuple[str, ...]:
         return tuple(self.lattice.displays[v] for v in self.values)
@@ -136,7 +131,7 @@ def pointwise(kind: str, f: FuzzySet, g: FuzzySet) -> FuzzySet:
 
 
 # ---------------------------------------------------------------------------
-# maps between universes and the two image operators
+# maps between universes
 
 @dataclass(frozen=True)
 class UniverseMap:
@@ -188,40 +183,12 @@ class UniverseMap:
         return len(set(self.mapping)) == len(self.target)
 
 
-def forward_image(phi: UniverseMap, f: FuzzySet) -> FuzzySet:
-    """Join over each fiber; empty fibers land on bottom."""
-    if f.universe != phi.source:
-        raise MismatchError(
-            f"forward image: set on {f.universe.name}, map from {phi.source.name}"
-        )
-    lat = f.lattice
-    vals = [lat.bottom] * len(phi.target)
-    for i, v in enumerate(f.values):
-        t = phi.mapping[i]
-        vals[t] = lat.join[vals[t]][v]
-    return FuzzySet(lat, phi.target, tuple(vals))
-
-
-def backward_image(phi: UniverseMap, g: FuzzySet) -> FuzzySet:
-    if g.universe != phi.target:
-        raise MismatchError(
-            f"backward image: set on {g.universe.name}, map into {phi.target.name}"
-        )
-    return FuzzySet(
-        g.lattice, phi.source, tuple(g.values[t] for t in phi.mapping)
-    )
-
-
 # ---------------------------------------------------------------------------
 # enumeration of the full function space
 
-def space_size(lat: Lattice, universe: Universe) -> int:
-    return len(lat) ** len(universe)
-
-
 def ensure_budget(lat: Lattice, universe: Universe, budget: int,
                   what: str = "enumeration of the function space") -> int:
-    size = space_size(lat, universe)
+    size = len(lat) ** len(universe)
     if size > budget:
         raise BudgetExceeded(size, budget, what)
     return size
@@ -338,18 +305,6 @@ class Space:
         return out
 
 
-def set_index(f: FuzzySet) -> int:
-    """Position of f in the lexicographic enumeration (mixed radix)."""
-    return Space(f.lattice, f.universe).index(f.values)
-
-
 def set_at(lat: Lattice, universe: Universe, index: int) -> FuzzySet:
+    """The set at one index of the space, to name a counterexample."""
     return FuzzySet(lat, universe, Space(lat, universe).values_at(index))
-
-
-def enumerate_sets(lat: Lattice, universe: Universe,
-                   budget: int = DEFAULT_BUDGET):
-    """Deterministic lexicographic sweep of every fuzzy set on the universe."""
-    ensure_budget(lat, universe, budget)
-    for values in Space(lat, universe).values():
-        yield FuzzySet(lat, universe, values)

@@ -30,8 +30,6 @@ from .errors import BudgetExceeded, ElementError, LatticeBuildError
 
 DEFAULT_BUDGET = 4096
 
-OP_KINDS = ("meet", "join", "tensor", "residuum")
-
 
 @dataclass(frozen=True)
 class Lattice:
@@ -51,10 +49,6 @@ class Lattice:
             self, "_parse", {d: i for i, d in enumerate(self.displays)}
         )
 
-    @property
-    def size(self) -> int:
-        return len(self.displays)
-
     def __len__(self) -> int:
         return len(self.displays)
 
@@ -72,21 +66,6 @@ class Lattice:
             raise ElementError(
                 f"{text!r} is not an element of lattice {self.name}"
             ) from None
-
-    def display(self, a: int) -> str:
-        self.check_element(a)
-        return self.displays[a]
-
-    def le(self, a: int, b: int) -> bool:
-        return self.leq[a][b]
-
-    def apply(self, kind: str, a: int, b: int) -> int:
-        """Binary operation dispatch; `kind` is one of OP_KINDS."""
-        if kind not in OP_KINDS:
-            raise ElementError(f"unknown operation kind {kind!r}")
-        self.check_element(a)
-        self.check_element(b)
-        return getattr(self, kind)[a][b]
 
     def meet_all(self, items) -> int:
         out = self.top

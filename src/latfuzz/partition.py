@@ -31,11 +31,6 @@ class FuzzyPartition:
         except ValueError:
             raise PartitionError(f"unknown block {name!r}") from None
 
-    def xi_map(self) -> dict:
-        return {
-            e: self.names[self.xi[i]] for i, e in enumerate(self.universe.elements)
-        }
-
     def __len__(self) -> int:
         return len(self.blocks)
 
@@ -100,19 +95,14 @@ def validate_partition(
     return FuzzyPartition(universe, lattice, names, blocks, tuple(xi))
 
 
-def product_universe(x: Universe, y: Universe) -> Universe:
-    labels = tuple(
-        f"({a},{b})" for a in x.elements for b in y.elements
-    )
-    return Universe(f"{x.name}*{y.name}", labels)
-
-
 def product_partition(p: FuzzyPartition, q: FuzzyPartition) -> FuzzyPartition:
     """Blocks are pairwise pointwise meets on the paired universe."""
     if p.lattice is not q.lattice:
         raise MismatchError("product partition: lattice mismatch")
     lat = p.lattice
-    uni = product_universe(p.universe, q.universe)
+    x, y = p.universe, q.universe
+    uni = Universe(f"{x.name}*{y.name}",
+                   tuple(f"({a},{b})" for a in x.elements for b in y.elements))
     named = []
     for jn, jb in zip(p.names, p.blocks):
         for kn, kb in zip(q.names, q.blocks):

@@ -36,20 +36,6 @@ class FuzzyRelation:
         return all(self.rows[i][i] == self.lattice.top for i in range(len(self.rows)))
 
 
-def identity_relation(lat: Lattice, universe: Universe) -> FuzzyRelation:
-    n = len(universe)
-    return FuzzyRelation(lat, universe, tuple(
-        tuple(lat.top if i == j else lat.bottom for j in range(n))
-        for i in range(n)
-    ))
-
-
-def constant_relation(lat: Lattice, universe: Universe, a: int) -> FuzzyRelation:
-    lat.check_element(a)
-    n = len(universe)
-    return FuzzyRelation(lat, universe, ((a,) * n,) * n)
-
-
 def upper_approx(rel: FuzzyRelation, f: FuzzySet) -> FuzzySet:
     """Row-wise join of tensors: the approximation of f seen from each point."""
     if f.universe != rel.universe:

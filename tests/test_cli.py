@@ -337,7 +337,10 @@ MALFORMED_DOCUMENTS = {
         "[1] is not an element of lattice"),
     "universe element a list": (
         _doc(universes={"X": [["a"]]}),
-        "universe X: elements must be strings or numbers"),
+        "universe X: elements must be strings"),
+    "universe element a number": (
+        _doc(universes={"X": [1, 2]}),
+        "universe X: elements must be strings"),
     "relation rows not a list": (
         _doc(relations={"R": {"universe": "X", "rows": 5}}),
         "relations entry 'R': 'rows' must be a list"),

@@ -27,9 +27,7 @@ def test_candidate_resolution(w3_doc):
 def test_fault_system_table_resolution(w3_doc):
     system = w3_doc.system("S_fault")
     lat = w3_doc.lattice
-    assert system.value_at(lf.set_index(
-        lf.constant(lat, system.universe, lat.top)
-    )) == lat.top
+    assert system.value(lf.constant(lat, system.universe, lat.top)) == lat.top
 
 
 def base_doc():

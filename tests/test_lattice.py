@@ -52,7 +52,7 @@ def test_law_suite_passes(lat):
 def test_display_roundtrip_and_unit(lat):
     for a in lat.elements():
         assert lat.parse(lat.displays[a]) == a
-        assert lat.apply("tensor", a, lat.top) == a
+        assert lat.tensor[a][lat.top] == a
 
 
 def test_godel3_values():
@@ -166,9 +166,7 @@ def test_unknown_kind_rejected():
 def test_binary_errors():
     lat = lf.godel_chain(3)
     with pytest.raises(lf.ElementError):
-        lat.apply("tensor", 0, 7)
-    with pytest.raises(lf.ElementError):
-        lat.apply("frobnicate", 0, 1)
+        lat.check_element(7)
     with pytest.raises(lf.ElementError):
         lat.parse("2/3")
 

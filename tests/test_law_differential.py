@@ -5,7 +5,8 @@ Each sweep reads the index of every combined set (f meet g, f join g, a
 tensor f, ...) from one `Space.image_index` column instead of building the
 set's value tuple and looking its index up, pair by pair.  The functions
 below are those pairwise sweeps as they were before, kept verbatim apart
-from their names, with the report types they returned.  The rewritten
+from their names and the result cache the checkers no longer keep, with
+the report types they returned.  The rewritten
 checks must give the same `to_dict()` (every flag, every counterexample
 text, in the same key order) on Gödel and Łukasiewicz chains, `boolean(2)`
 and `grid23`, over universes of 0 to 4 points: random explicit systems and
@@ -31,9 +32,10 @@ import latfuzz as lf
 from latfuzz import closure, ftransform
 from latfuzz.closure import ClosureOperator, ClosureSystem
 from latfuzz.ftransform import TransformLawReport
-from latfuzz.fuzzyset import FuzzySet, Space, constant, ensure_budget, set_index
+from latfuzz.fuzzyset import FuzzySet, Space, constant, ensure_budget
 from latfuzz.lattice import DEFAULT_BUDGET, Lattice, LawClause
 from latfuzz.partition import FuzzyPartition, relation_from_partition
+from reference import set_index
 from test_space_differential import (
     LATTICES,
     random_operator,
@@ -74,15 +76,10 @@ def reference_check_system(system: ClosureSystem,
     """Full-table check: top membership, meet-superadditivity over all pairs
     (pairwise suffices for finite families; the empty meet is the top-set
     axiom), and stability under residuation/tensor with constants.
-
-    Results are cached on the system after the first run; the budget is
-    enforced on every call, cached or not.
     """
     lat = system.lattice
     uni = system.universe
     size = ensure_budget(lat, uni, budget, "closure system check")
-    if system._check is not None:
-        return system._check
     meet = lat.meet
     counter: dict = {}
 
@@ -136,9 +133,7 @@ def reference_check_system(system: ClosureSystem,
         if not enriched and not strong:
             break
 
-    report = SystemCheck(axiom_i, axiom_ii, enriched, strong, counter)
-    system._check = report
-    return report
+    return SystemCheck(axiom_i, axiom_ii, enriched, strong, counter)
 
 
 def _show(lat: Lattice, values) -> str:
@@ -175,14 +170,10 @@ def reference_check_operator(op: ClosureOperator,
                    budget: int = DEFAULT_BUDGET) -> OperatorCheck:
     """Fix the top set, inflate, preserve binary joins, idempotence (by
     composing the table with itself), plus tensor-stability with constants.
-
-    Results are cached on the operator after the first run; the budget is
-    enforced on every call, cached or not."""
+    """
     lat = op.lattice
     uni = op.universe
     size = ensure_budget(lat, uni, budget, "closure operator check")
-    if op._check is not None:
-        return op._check
     counter: dict = {}
     space = Space(lat, uni)
     index = space.index
@@ -241,9 +232,7 @@ def reference_check_operator(op: ClosureOperator,
                 )
                 break
 
-    report = OperatorCheck(axiom_i, axiom_ii, axiom_iii, axiom_iv, strong, counter)
-    op._check = report
-    return report
+    return OperatorCheck(axiom_i, axiom_ii, axiom_iii, axiom_iv, strong, counter)
 
 
 # ---------------------------------------------------------------------------
@@ -399,18 +388,14 @@ def make_operator(rng, lat, uni, kind):
 
 
 def system_reports(system):
-    """The rewritten and the reference report, each computed afresh."""
-    system._check = None
-    new = closure.check_system(system).to_dict()
-    system._check = None
-    return new, reference_check_system(system).to_dict()
+    """The rewritten and the reference report."""
+    return (closure.check_system(system).to_dict(),
+            reference_check_system(system).to_dict())
 
 
 def operator_reports(op):
-    op._check = None
-    new = closure.check_operator(op).to_dict()
-    op._check = None
-    return new, reference_check_operator(op).to_dict()
+    return (closure.check_operator(op).to_dict(),
+            reference_check_operator(op).to_dict())
 
 
 def transform_reports(p):

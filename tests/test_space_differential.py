@@ -24,6 +24,13 @@ import latfuzz as lf
 from conftest import FIXTURES
 from latfuzz.document import load_document
 from latfuzz.fuzzyset import Space, ensure_budget
+from reference import (
+    backward_image,
+    enumerate_sets,
+    forward_image,
+    ft_component,
+    set_index,
+)
 
 SPECS = {
     "godel3": {"kind": "godel_chain", "n": 3},
@@ -57,7 +64,7 @@ def reference_t1(phi, lam, lat, budget=lf.DEFAULT_BUDGET):
     out = []
     for i in range(size_y):
         g = lf.set_at(lat, phi.target, i)
-        out.append(lam[lf.set_index(lf.backward_image(phi, g))])
+        out.append(lam[set_index(backward_image(phi, g))])
     return tuple(out)
 
 
@@ -66,7 +73,7 @@ def reference_coa_hom(phi, cx, cy, budget=lf.DEFAULT_BUDGET):
     size_y = ensure_budget(lat, cy.universe, budget, "homomorphism check")
     for i in range(size_y):
         g = lf.set_at(lat, cy.universe, i)
-        pulled_index = lf.set_index(lf.backward_image(phi, g))
+        pulled_index = set_index(backward_image(phi, g))
         for x in range(len(cx.universe)):
             if not lat.leq[cx.table[x][pulled_index]][
                 cy.table[phi.mapping[x]][i]
@@ -83,7 +90,7 @@ def reference_dia_hom(phi, dx, dy, budget=lf.DEFAULT_BUDGET):
     ensure_budget(lat, dy.universe, budget, "homomorphism check")
     for i in range(size_x):
         f = lf.set_at(lat, dx.universe, i)
-        pushed_index = lf.set_index(lf.forward_image(phi, f))
+        pushed_index = set_index(forward_image(phi, f))
         for x in range(len(dx.universe)):
             if not lat.leq[dx.table[x][i]][
                 dy.table[phi.mapping[x]][pushed_index]
@@ -148,7 +155,7 @@ def reference_relation_from_system(system, budget=lf.DEFAULT_BUDGET):
     acc = [[lat.top] * n for _ in range(n)]
     for i in range(size):
         f = lf.set_at(lat, universe, i)
-        u = system.value_at(i)
+        u = system.table[i]
         for x in range(n):
             fx = f.values[x]
             for z in range(n):
@@ -171,9 +178,9 @@ def reference_fcss(phi, sys_x, sys_y, budget=lf.DEFAULT_BUDGET):
     terms = []
     for i in range(size):
         f = lf.set_at(lat, sys_y.universe, i)
-        pulled = lf.backward_image(phi, f)
+        pulled = backward_image(phi, f)
         terms.append((
-            res[sys_y.table[i]][sys_x.table[lf.set_index(pulled)]],
+            res[sys_y.table[i]][sys_x.table[set_index(pulled)]],
             (f.displays(),),
         ))
     return _meet_with_site(lat, terms)
@@ -188,8 +195,8 @@ def reference_fcs(phi, op_x, op_y, budget=lf.DEFAULT_BUDGET):
     terms = []
     for i in range(size):
         f = lf.set_at(lat, op_y.universe, i)
-        pulled = lf.backward_image(phi, f)
-        closed_x = op_x.table[lf.set_index(pulled)]
+        pulled = backward_image(phi, f)
+        closed_x = op_x.table[set_index(pulled)]
         closed_y = op_y.table[i]
         for x in range(len(ex)):
             terms.append((
@@ -207,7 +214,7 @@ def reference_fas_operator(phi, rel_x, rel_y, budget=lf.DEFAULT_BUDGET):
     terms = []
     for i in range(size):
         f = lf.set_at(lat, rel_y.universe, i)
-        pulled = lf.backward_image(phi, f)
+        pulled = backward_image(phi, f)
         lhs = lf.upper_approx(rel_x, pulled)
         rhs = lf.upper_approx(rel_y, f)
         for x in range(len(ex)):
@@ -227,10 +234,10 @@ def reference_ft_inequality(cand, budget=lf.DEFAULT_BUDGET):
     terms = []
     for i in range(size):
         f = lf.set_at(lat, cand.target.universe, i)
-        pulled = lf.backward_image(cand.phi, f)
+        pulled = backward_image(cand.phi, f)
         for j in blocks:
-            lhs = lf.ft_component(cand.source, pulled, cand.source.names[j])
-            rhs = lf.ft_component(
+            lhs = ft_component(cand.source, pulled, cand.source.names[j])
+            rhs = ft_component(
                 cand.target, f, cand.target.names[cand.psi[j]]
             )
             terms.append((res[lhs][rhs], (cand.source.names[j], f.displays())))
@@ -245,10 +252,10 @@ def reference_ft_forward(cand, budget=lf.DEFAULT_BUDGET):
     terms = []
     for i in range(size):
         f = lf.set_at(lat, cand.source.universe, i)
-        pushed = lf.forward_image(cand.phi, f)
+        pushed = forward_image(cand.phi, f)
         for j in blocks:
-            lhs = lf.ft_component(cand.source, f, cand.source.names[j])
-            rhs = lf.ft_component(
+            lhs = ft_component(cand.source, f, cand.source.names[j])
+            rhs = ft_component(
                 cand.target, pushed, cand.target.names[cand.psi[j]]
             )
             terms.append((res[lhs][rhs], (cand.source.names[j], f.displays())))
@@ -351,10 +358,10 @@ def test_space_indices_match_per_set_images(case):
     assert [sx.index(v) for v in sx.values()] == list(range(sx.size))
     assert [sx.values_at(i) for i in range(sx.size)] == list(sx.values())
     assert sy.pulled_index(phi) == [
-        lf.set_index(lf.backward_image(phi, lf.set_at(lat, uy, i)))
+        set_index(backward_image(phi, lf.set_at(lat, uy, i)))
         for i in range(sy.size)]
     assert sx.pushed_index(phi) == [
-        lf.set_index(lf.forward_image(phi, lf.set_at(lat, ux, i)))
+        set_index(forward_image(phi, lf.set_at(lat, ux, i)))
         for i in range(sx.size)]
     for x in range(nx):
         assert sx.digits(x) == [v[x] for v in sx.values()]
@@ -550,7 +557,7 @@ def test_explicit_system_load_reports_the_first_missing_entry(case, dropped):
     uni = universe("X", npoints)
     system = random_system(rng, lat, uni)
     entries = [[list(f.displays()), lat.displays[v]]
-               for f, v in system.entries()]
+               for f, v in zip(enumerate_sets(lat, uni), system.table)]
     for _ in range(min(dropped, len(entries))):
         entries.pop(rng.randrange(len(entries)))
     rng.shuffle(entries)
