@@ -572,8 +572,55 @@ def run(argv=None) -> int:
         return INPUT_ERROR
     if not args.no_timing:
         report["timing_ms"] = round((time.perf_counter() - started) * 1000, 3)
-    print(json.dumps(report, indent=2))
+    print(_json(report, ""))
     return code
+
+
+# ---------------------------------------------------------------------------
+# report output: the text `json.dumps` writes with an indent of 2, built with
+# the C string encoder and one join per container, since any indent makes
+# `json` fall back to its pure-Python encoder
+
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+def _key_json(key) -> str:
+    """A dict key as json writes it: other scalars become their JSON text."""
+    if isinstance(key, str):
+        return _encode_str(key)
+    if key is None or isinstance(key, (int, float)):
+        return _encode_str(json.dumps(key))
+    raise TypeError(f"keys must be str, int, float, bool or None, "
+                    f"not {key.__class__.__name__}")
+
+
+def _json(value, indent: str) -> str:
+    """`value` as `json.dumps` writes it with an indent of 2, each of its
+    lines after the first indented by `indent` more."""
+    if isinstance(value, str):
+        return _encode_str(value)
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        inner = indent + "  "
+        sep = ",\n" + inner
+        if isinstance(value[0], str):
+            # a list of strings in one C-level pass; a later non-string
+            # makes the encoder raise and the list go item by item
+            try:
+                return ("[\n" + inner + sep.join(map(_encode_str, value))
+                        + "\n" + indent + "]")
+            except TypeError:
+                pass
+        return ("[\n" + inner + sep.join([_json(v, inner) for v in value])
+                + "\n" + indent + "]")
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner = indent + "  "
+        items = [_key_json(k) + ": " + _json(v, inner) for k, v in value.items()]
+        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "}"
+    return json.dumps(value)
 
 
 def main() -> None:

@@ -102,8 +102,10 @@ def system_from_explicit(lat: Lattice, universe: Universe, table,
         raise MismatchError(
             f"explicit closure system: expected {size} entries, got {len(table)}"
         )
-    for v in table:
-        lat.check_element(v)
+    # one C-level pass; the walk only names the first bad element
+    if not ({*map(type, table)} <= {int} and {*table} <= set(lat.elements())):
+        for v in table:
+            lat.check_element(v)
     return ClosureSystem(lat, universe, table, "explicit")
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import product
 from pathlib import Path
 
 from . import lattice as lattice_mod
@@ -138,7 +139,7 @@ def _section(data: dict, section: str):
 
 def _build(data: dict, budget: int) -> InstanceDocument:
     _require("lattice" in data, "document lacks a lattice description")
-    lat = lattice_mod.build(data["lattice"])
+    lat = lattice_mod.build(data["lattice"], budget)
     doc = InstanceDocument(lattice=lat)
 
     for name, elements in _section(data, "universes"):
@@ -228,26 +229,63 @@ def _build(data: dict, budget: int) -> InstanceDocument:
 
     for name, spec in _section(data, "systems"):
         uni = doc.universe(spec["universe"])
-        space = Space(lat, uni)
-        by_index = {}
-        for entry in spec["entries"]:
-            _require(isinstance(entry, list) and len(entry) == 2
-                     and isinstance(entry[0], list),
-                     f"system {name}: entries are [value-tuple, value] pairs")
-            key = [lat.parse(v) for v in entry[0]]
-            _require(len(key) == len(uni),
-                     f"system {name}: tuple arity does not match {uni.name}")
-            index = space.index(key)
-            _require(index not in by_index,
-                     f"system {name}: duplicate entry for {entry[0]}")
-            by_index[index] = lat.parse(entry[1])
-        size = ensure_budget(lat, uni, budget, f"system {name} table")
-        if len(by_index) < size:
-            missing = next(i for i in range(size) if i not in by_index)
-            raise DocumentError(
-                f"system {name}: missing entry for "
-                f"{[lat.displays[v] for v in space.values_at(missing)]}")
-        table = [by_index[i] for i in range(size)]
+        table = _system_table(name, lat, uni, spec["entries"], budget)
         doc.systems[name] = system_from_explicit(lat, uni, table, budget)
 
     return doc
+
+
+def _system_table(name: str, lat: Lattice, uni: Universe, entries: list,
+                  budget: int) -> list[int]:
+    """The membership table of system `name`, one ordinal per set in
+    `Space.values()` order, from its `[value-tuple, value]` entries."""
+    table = _bulk_table(lat, uni, entries, budget)
+    if table is not None:
+        return table
+    # entry by entry, so the first fault is the one reported
+    space = Space(lat, uni)
+    by_index = {}
+    for entry in entries:
+        _require(isinstance(entry, list) and len(entry) == 2
+                 and isinstance(entry[0], list),
+                 f"system {name}: entries are [value-tuple, value] pairs")
+        key = [lat.parse(v) for v in entry[0]]
+        _require(len(key) == len(uni),
+                 f"system {name}: tuple arity does not match {uni.name}")
+        index = space.index(key)
+        _require(index not in by_index,
+                 f"system {name}: duplicate entry for {entry[0]}")
+        by_index[index] = lat.parse(entry[1])
+    size = ensure_budget(lat, uni, budget, f"system {name} table")
+    if len(by_index) < size:
+        missing = next(i for i in range(size) if i not in by_index)
+        raise DocumentError(
+            f"system {name}: missing entry for "
+            f"{[lat.displays[v] for v in space.values_at(missing)]}")
+    return [by_index[i] for i in range(size)]
+
+
+def _bulk_table(lat: Lattice, uni: Universe, entries: list,
+                budget: int) -> list[int] | None:
+    """The table of a well-formed, complete entry list on a space within
+    the budget, read with one dict lookup per key and per value; None for
+    any other input, which the entry-by-entry loop then diagnoses."""
+    size = len(lat) ** len(uni)
+    if size > budget or len(entries) != size or not all(
+            type(e) is list and len(e) == 2 and type(e[0]) is list
+            for e in entries):
+        return None
+    # display tuple -> index: product order is Space.values() order
+    index = dict(zip(product(lat.displays, repeat=len(uni)), range(size)))
+    ordinal = dict(zip(lat.displays, lat.elements()))
+    try:
+        keys = [index[tuple(values)] for values, _ in entries]
+        members = [ordinal[value] for _, value in entries]
+    except (KeyError, TypeError):  # TypeError: an unhashable display
+        return None
+    if len(set(keys)) != size:
+        return None
+    table = [0] * size
+    for key, member in zip(keys, members):
+        table[key] = member
+    return table

@@ -22,8 +22,8 @@ validated like any other.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from itertools import combinations
+from math import gcd
 from operator import itemgetter
 
 from .errors import BudgetExceeded, ElementError, LatticeBuildError
@@ -300,7 +300,13 @@ def from_tables(
 # builders
 
 def _fraction_labels(n: int) -> tuple[str, ...]:
-    return tuple(str(Fraction(k, n - 1)) for k in range(n))
+    """k/(n-1) for k = 0..n-1 in lowest terms: "0", "1" and "k/d"."""
+    labels = []
+    for k in range(n):
+        g = gcd(k, n - 1)
+        num, den = k // g, (n - 1) // g
+        labels.append(str(num) if den == 1 else f"{num}/{den}")
+    return tuple(labels)
 
 
 def _chain_leq(n: int):
@@ -398,10 +404,18 @@ def _spec_list(spec, key, rows: bool = False) -> list:
     return value
 
 
-def build(spec: dict) -> Lattice:
+def _charge(n: int, budget: int) -> None:
+    """Charge the n x n operation tables of an n-element lattice to the
+    budget before any of them is built."""
+    if n > 1 and n * n > budget:
+        raise BudgetExceeded(n * n, budget, "lattice tables")
+
+
+def build(spec: dict, budget: int = DEFAULT_BUDGET) -> Lattice:
     """Build from a description dict (the lattice sub-document of an
     instance file).  A missing or malformed key raises LatticeBuildError
-    naming the key."""
+    naming the key; a carrier of n elements whose n*n table entries exceed
+    `budget` raises BudgetExceeded."""
     if not isinstance(spec, dict) or "kind" not in spec:
         raise LatticeBuildError("lattice description must be an object with a 'kind'")
     kind = spec["kind"]
@@ -409,14 +423,22 @@ def build(spec: dict) -> Lattice:
         labels = spec.get("labels")
         if labels is not None:
             labels = _spec_list(spec, "labels")
-        return godel_chain(_spec_int(spec, "n"), labels=labels)
+        n = _spec_int(spec, "n")
+        _charge(n, budget)
+        return godel_chain(n, labels=labels)
     if kind == "lukasiewicz_chain":
-        return lukasiewicz_chain(_spec_int(spec, "n"))
+        n = _spec_int(spec, "n")
+        _charge(n, budget)
+        return lukasiewicz_chain(n)
     if kind == "boolean":
-        return boolean_algebra(_spec_int(spec, "atoms"))
+        atoms = _spec_int(spec, "atoms")
+        if 1 <= atoms <= 4:  # boolean_algebra names any other count
+            _charge(1 << atoms, budget)
+        return boolean_algebra(atoms)
     if kind == "table":
         name = spec.get("name", "table")
         displays = _spec_list(spec, "elements")
+        _charge(len(displays), budget)
         try:
             index = {d: i for i, d in enumerate(displays)}
         except TypeError:

@@ -1,4 +1,9 @@
 import json
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
@@ -386,3 +391,28 @@ def test_malformed_document_exits_2(capsys, case):
     assert report is None
     assert err.startswith("latfuzz: ") and message in err
     assert "Traceback" not in err
+
+
+def test_huge_lattice_exits_3_before_building(capsys, tmp_path):
+    doc = tmp_path / "huge.json"
+    doc.write_text(json.dumps({"lattice": {"kind": "godel_chain",
+                                           "n": 100000}}))
+    started = time.perf_counter()
+    code, report, _ = run(capsys, "validate", "--doc", str(doc))
+    assert time.perf_counter() - started < 5
+    assert code == 3
+    assert report["verdict"] == "budget-exceeded"
+    assert report["cardinality"] == 10 ** 10
+    assert report["error"] == \
+        "lattice tables requires 10000000000 evaluations, over budget 4096"
+
+
+def test_cli_import_leaves_out_fractions():
+    src = Path(cli.__file__).resolve().parent.parent
+    probe = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, latfuzz.cli; print(sorted(m for m in sys.modules "
+         "if m in ('fractions', 'decimal', 'numbers')))"],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, check=True)
+    assert probe.stdout.strip() == "[]"

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import re
 from fractions import Fraction
 
@@ -6,6 +7,8 @@ import pytest
 
 import latfuzz as lf
 import oracles
+from conftest import FIXTURES
+from latfuzz.lattice import _fraction_labels
 
 
 def grid23():
@@ -233,3 +236,37 @@ def test_extra_rows_rejected():
     leq, tensor, residuum = _chain2_tables()
     with pytest.raises(lf.LatticeBuildError, match="tensor table must be 2x2"):
         lf.from_tables(("0", "1"), leq, tensor + [[0, 1]], residuum)
+
+
+def test_fraction_labels_match_fraction():
+    for n in range(2, 101):
+        assert _fraction_labels(n) == \
+            tuple(str(Fraction(k, n - 1)) for k in range(n))
+    assert lf.lukasiewicz_chain(7).displays == _fraction_labels(7)
+
+
+@pytest.mark.parametrize("spec, n", [
+    ({"kind": "godel_chain", "n": 64}, 64),
+    ({"kind": "lukasiewicz_chain", "n": 12}, 12),
+    ({"kind": "boolean", "atoms": 2}, 4),
+    (json.loads((FIXTURES / "grid23.json").read_text())["lattice"], 6),
+])
+def test_build_charges_lattice_tables_to_budget(spec, n):
+    assert len(lf.build(spec, budget=n * n)) == n
+    with pytest.raises(lf.BudgetExceeded) as exc:
+        lf.build(spec, budget=n * n - 1)
+    assert exc.value.cardinality == n * n
+    assert str(exc.value) == \
+        f"lattice tables requires {n * n} evaluations, over budget {n * n - 1}"
+
+
+@pytest.mark.parametrize("spec, message", [
+    ({"kind": "godel_chain", "n": -100}, "needs n >= 2"),
+    ({"kind": "lukasiewicz_chain", "n": 1}, "needs n >= 2"),
+    ({"kind": "boolean", "atoms": 100}, "1 <= atoms <= 4"),
+    ({"kind": "table", "elements": ["0"], "leq": [[True]], "tensor": [["0"]]},
+     "at least two elements"),
+])
+def test_budget_charge_leaves_builder_errors(spec, message):
+    with pytest.raises(lf.LatticeBuildError, match=re.escape(message)):
+        lf.build(spec, budget=1)
