@@ -21,7 +21,7 @@ from .lattice import (
     DEFAULT_BUDGET,
     Lattice,
     LatticeReport,
-    LawSuiteReport,
+    LawReport,
     boolean_algebra,
     build,
     from_tables,
@@ -50,7 +50,6 @@ from .partition import (
 )
 from .ftransform import (
     FTransformResult,
-    TransformLawReport,
     ft_field,
     ft_transform,
     transform_law_suite,
@@ -61,7 +60,6 @@ from .relation import (
     upper_approx,
 )
 from .closure import (
-    AxiomCheck,
     ClosureOperator,
     ClosureSystem,
     RoundTripReport,

@@ -91,6 +91,29 @@ def _table_json(struct) -> dict:
     }
 
 
+def _suite_json(report, subject: str, clauses: str) -> dict:
+    """`laws lattice` and `laws ftransform`: the subject under `subject`, and
+    each clause's verdict and counterexample under `clauses`."""
+    return {
+        subject: report.subject,
+        clauses: {
+            clause: {"passed": report.holds(clause),
+                     "counterexample": report.counterexamples.get(clause)}
+            for clause in report.clauses
+        },
+        "all_pass": report.all_hold,
+    }
+
+
+def _axioms_json(report) -> dict:
+    """`laws closure`, and a closure operator's axioms: one verdict per
+    clause, then the counterexamples in the order the check found them."""
+    out: dict = {clause: report.holds(clause) for clause in report.clauses}
+    out["counterexamples"] = dict(report.counterexamples)
+    out["all_ok"] = report.all_hold
+    return out
+
+
 def _relation_json(rel) -> dict:
     return {
         "universe": rel.universe.name,
@@ -311,18 +334,16 @@ def _cmd_check(doc, args, budget):
                 for end in ("source", "target")
             )
         return _check_payload(witness(phi, x, y, budget))
-    if kind in ("coa-hom", "dia-hom"):
-        phi = doc.map(_required(args, "map"))
-        px = doc.partition(_required(args, "source-partition"))
-        py = doc.partition(_required(args, "target-partition"))
-        if kind == "coa-hom":
-            view, check = "coalgebra", algebra.check_coa_hom
-        else:
-            view, check = "dialgebra", algebra.check_dia_hom
-        verdict = check(phi, _from_partition(view, px, budget),
-                        _from_partition(view, py, budget), budget)
-        return verdict.to_dict(), OK if verdict.holds else CHECK_FAILED
-    raise DocumentError(f"unknown check kind {kind!r}")
+    phi = doc.map(_required(args, "map"))
+    px = doc.partition(_required(args, "source-partition"))
+    py = doc.partition(_required(args, "target-partition"))
+    if kind == "coa-hom":
+        view, check = "coalgebra", algebra.check_coa_hom
+    else:
+        view, check = "dialgebra", algebra.check_dia_hom
+    verdict = check(phi, _from_partition(view, px, budget),
+                    _from_partition(view, py, budget), budget)
+    return verdict.to_dict(), OK if verdict.holds else CHECK_FAILED
 
 
 def _cmd_roundtrip(doc, args, budget):
@@ -334,20 +355,18 @@ def _cmd_roundtrip(doc, args, budget):
         report = roundtrip(_resolve(doc, kind, _required(args, kind), budget),
                            budget)
         return {"roundtrip": report.to_dict()}, OK
-    if name == "coa-dia":
-        p = doc.partition(_required(args, "partition"))
-        c = _from_partition("coalgebra", p, budget)
-        d = _from_partition("dialgebra", p, budget)
-        back_c = algebra.dia_to_coa(algebra.coa_to_dia(c))
-        back_d = algebra.coa_to_dia(algebra.dia_to_coa(d))
-        payload = {
-            "coa_dia_coa_exact": back_c.table == c.table,
-            "dia_coa_dia_exact": back_d.table == d.table,
-            "triangle_exact": algebra.coa_to_dia(c).table == d.table,
-        }
-        ok = all(payload.values())
-        return {"roundtrip": payload}, OK if ok else CHECK_FAILED
-    raise DocumentError(f"unknown roundtrip {name!r}")
+    p = doc.partition(_required(args, "partition"))
+    c = _from_partition("coalgebra", p, budget)
+    d = _from_partition("dialgebra", p, budget)
+    back_c = algebra.dia_to_coa(algebra.coa_to_dia(c))
+    back_d = algebra.coa_to_dia(algebra.dia_to_coa(d))
+    payload = {
+        "coa_dia_coa_exact": back_c.table == c.table,
+        "dia_coa_dia_exact": back_d.table == d.table,
+        "triangle_exact": algebra.coa_to_dia(c).table == d.table,
+    }
+    ok = all(payload.values())
+    return {"roundtrip": payload}, OK if ok else CHECK_FAILED
 
 
 def _cmd_product(doc, args, budget):
@@ -387,24 +406,23 @@ def _cmd_diagnostic(doc, args, budget):
 def _cmd_laws(doc, args, budget):
     kind = args.kind
     if kind == "lattice":
-        suite = lattice.law_suite(doc.lattice, budget)
+        report = lattice.law_suite(doc.lattice, budget)
         scan = lattice.zero_divisor_scan(doc.lattice)
         payload = {
-            "laws": suite.to_dict(),
+            "laws": _suite_json(report, "lattice", "clauses"),
             "zero_divisors": [list(p) for p in scan.zero_divisors],
         }
-        return payload, OK if suite.all_pass else CHECK_FAILED
+        return payload, OK if report.all_hold else CHECK_FAILED
     if kind == "ftransform":
         report = ftransform.transform_law_suite(
             doc.partition(_required(args, "partition")), budget
         )
-        return {"laws": report.to_dict()}, OK if report.all_pass else CHECK_FAILED
-    if kind == "closure":
-        sys_ = _resolve(doc, "system", _required(args, "system"), budget)
-        report = closure.check_system(sys_, budget)
-        ok = report.holds("axiom_i") and report.holds("axiom_ii")
-        return {"check": report.to_dict()}, OK if ok else CHECK_FAILED
-    raise DocumentError(f"unknown law suite {kind!r}")
+        payload = {"laws": _suite_json(report, "universe", "laws")}
+        return payload, OK if report.all_hold else CHECK_FAILED
+    sys_ = _resolve(doc, "system", _required(args, "system"), budget)
+    report = closure.check_system(sys_, budget)
+    ok = report.holds("axiom_i") and report.holds("axiom_ii")
+    return {"check": _axioms_json(report)}, OK if ok else CHECK_FAILED
 
 
 def _cmd_adjunction(doc, args, budget):

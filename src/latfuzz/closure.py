@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .errors import MismatchError
 from .fuzzyset import FuzzySet, Space, Universe, ensure_budget
-from .lattice import DEFAULT_BUDGET, Lattice
+from .lattice import DEFAULT_BUDGET, Lattice, LawReport
 from .partition import FuzzyPartition
 from .relation import FuzzyRelation, relation_from_system
 
@@ -171,32 +171,14 @@ def system_from_operator(op: ClosureOperator,
 # The pairs run (f, g) with g from f on in enumeration order, and each check
 # stops at its first counterexample.
 
-@dataclass(frozen=True)
-class AxiomCheck:
-    """An axiom holds exactly when it has no counterexample."""
-
-    axioms: tuple[str, ...]
-    counterexamples: dict
-
-    def holds(self, axiom: str) -> bool:
-        return axiom not in self.counterexamples
-
-    @property
-    def all_ok(self) -> bool:
-        return not self.counterexamples
-
-    def to_dict(self) -> dict:
-        out: dict = {axiom: self.holds(axiom) for axiom in self.axioms}
-        out["counterexamples"] = dict(self.counterexamples)
-        out["all_ok"] = self.all_ok
-        return out
-
-
 def check_system(system: ClosureSystem,
-                 budget: int = DEFAULT_BUDGET) -> AxiomCheck:
+                 budget: int = DEFAULT_BUDGET) -> LawReport:
     """Full-table check: top membership, meet-superadditivity over all pairs
     (pairwise suffices for finite families; the empty meet is the top-set
     axiom), and stability under residuation/tensor with constants.
+
+    `enriched` and `strong` are swept together, constant by constant and set
+    by set, and their counterexamples are reported in the order found.
     """
     lat = system.lattice
     uni = system.universe
@@ -236,7 +218,8 @@ def check_system(system: ClosureSystem,
         if "enriched" in counter and "strong" in counter:
             break
 
-    return AxiomCheck(("axiom_i", "axiom_ii", "enriched", "strong"), counter)
+    return LawReport(uni.name, ("axiom_i", "axiom_ii", "enriched", "strong"),
+                     counter)
 
 
 def _show(lat: Lattice, values) -> str:
@@ -244,7 +227,7 @@ def _show(lat: Lattice, values) -> str:
 
 
 def check_operator(op: ClosureOperator,
-                   budget: int = DEFAULT_BUDGET) -> AxiomCheck:
+                   budget: int = DEFAULT_BUDGET) -> LawReport:
     """Fix the top set, inflate, preserve binary joins, idempotence (by
     composing the table with itself), plus tensor-stability with constants.
 
@@ -296,9 +279,9 @@ def check_operator(op: ClosureOperator,
             )
             break
 
-    return AxiomCheck(
-        ("axiom_i", "axiom_ii", "axiom_iii", "axiom_iv", "strong"), counter
-    )
+    return LawReport(
+        uni.name, ("axiom_i", "axiom_ii", "axiom_iii", "axiom_iv", "strong"),
+        counter)
 
 
 # ---------------------------------------------------------------------------

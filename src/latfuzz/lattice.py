@@ -513,29 +513,21 @@ def has_zero_divisors(lat: Lattice) -> bool:
 
 
 @dataclass(frozen=True)
-class LawClause:
-    passed: bool
-    counterexample: str | None = None
+class LawReport:
+    """The clauses of one law check on `subject`, and the first
+    counterexample of each clause that fails: a clause holds exactly when it
+    has none.  `counterexamples` keeps the order the check found them in."""
 
+    subject: str
+    clauses: tuple[str, ...]
+    counterexamples: dict
 
-@dataclass(frozen=True)
-class LawSuiteReport:
-    lattice: str
-    clauses: dict
+    def holds(self, clause: str) -> bool:
+        return clause not in self.counterexamples
 
     @property
-    def all_pass(self) -> bool:
-        return all(c.passed for c in self.clauses.values())
-
-    def to_dict(self) -> dict:
-        return {
-            "lattice": self.lattice,
-            "clauses": {
-                key: {"passed": c.passed, "counterexample": c.counterexample}
-                for key, c in self.clauses.items()
-            },
-            "all_pass": self.all_pass,
-        }
+    def all_hold(self) -> bool:
+        return not self.counterexamples
 
 
 def _subsets(n: int):
@@ -544,7 +536,7 @@ def _subsets(n: int):
         yield from combinations(items, size)
 
 
-def law_suite(lat: Lattice, budget: int = DEFAULT_BUDGET) -> LawSuiteReport:
+def law_suite(lat: Lattice, budget: int = DEFAULT_BUDGET) -> LawReport:
     """Check the nine derived-law clauses exhaustively.
 
     Triple-quantified clauses sweep all |L|^3 triples; the indexed-family
@@ -561,19 +553,11 @@ def law_suite(lat: Lattice, budget: int = DEFAULT_BUDGET) -> LawSuiteReport:
         raise BudgetExceeded(max(n ** 3, family_cost), budget, "law suite")
 
     d = lat.displays
-    meet, join = lat.meet, lat.join
     tensor, res = lat.tensor, lat.residuum
     le = lat.leq
     bot, top = lat.bottom, lat.top
-    out: dict[str, LawClause] = {}
-
-    def record(key, counterexample=None):
-        if key not in out:
-            out[key] = LawClause(counterexample is None, counterexample)
-
-    def fail(key, text):
-        if key not in out or out[key].passed:
-            out[key] = LawClause(False, text)
+    found: dict = {}
+    fail = found.setdefault  # a clause keeps its first counterexample
 
     # (i) a*0 = 0 and a*1 = a
     for a in range(n):
@@ -581,7 +565,6 @@ def law_suite(lat: Lattice, budget: int = DEFAULT_BUDGET) -> LawSuiteReport:
             fail("i", f"tensor({d[a]}, 0) = {d[tensor[a][bot]]}")
         if tensor[a][top] != a:
             fail("i", f"tensor({d[a]}, 1) = {d[tensor[a][top]]}")
-    record("i")
 
     # (ii) a->1 = 1, 1->a = a, a->a = 1
     for a in range(n):
@@ -591,7 +574,6 @@ def law_suite(lat: Lattice, budget: int = DEFAULT_BUDGET) -> LawSuiteReport:
             fail("ii", f"residuum(1, {d[a]}) = {d[res[top][a]]}")
         if res[a][a] != top:
             fail("ii", f"residuum({d[a]}, {d[a]}) = {d[res[a][a]]}")
-    record("ii")
 
     # (iii) monotone in the right argument, antitone in the left
     for a in range(n):
@@ -605,7 +587,6 @@ def law_suite(lat: Lattice, budget: int = DEFAULT_BUDGET) -> LawSuiteReport:
                 if not le[res[b][c]][res[a][c]]:
                     fail("iii", f"a={d[a]} <= b={d[b]}, c={d[c]}: "
                                 f"a->c !>= b->c")
-    record("iii")
 
     # (iv) currying: (a*b)->c = a->(b->c); and a*(b->c) <= (a->b)->c
     for a in range(n):
@@ -617,7 +598,6 @@ def law_suite(lat: Lattice, budget: int = DEFAULT_BUDGET) -> LawSuiteReport:
                 if not le[tensor[a][res[b][c]]][res[res[a][b]][c]]:
                     fail("iv", f"a*(b->c) !<= (a->b)->c at "
                                f"({d[a]}, {d[b]}, {d[c]})")
-    record("iv")
 
     # (v) (a->b)*c <= a->(b*c); a*b->a*c >= b->c
     for a in range(n):
@@ -628,7 +608,6 @@ def law_suite(lat: Lattice, budget: int = DEFAULT_BUDGET) -> LawSuiteReport:
                               f"({d[a]}, {d[b]}, {d[c]})")
                 if not le[res[b][c]][res[tensor[a][b]][tensor[a][c]]]:
                     fail("v", f"a*b->a*c !>= b->c at ({d[a]}, {d[b]}, {d[c]})")
-    record("v")
 
     # (vi) (a->b)->(c->b) >= c->a; (a->b)->(a->c) >= b->c
     for a in range(n):
@@ -640,7 +619,6 @@ def law_suite(lat: Lattice, budget: int = DEFAULT_BUDGET) -> LawSuiteReport:
                 if not le[res[b][c]][res[res[a][b]][res[a][c]]]:
                     fail("vi", f"(a->b)->(a->c) !>= b->c at "
                                f"({d[a]}, {d[b]}, {d[c]})")
-    record("vi")
 
     def show_family(fam):
         return "{" + ",".join(d[a] for a in fam) + "}"
@@ -654,7 +632,6 @@ def law_suite(lat: Lattice, budget: int = DEFAULT_BUDGET) -> LawSuiteReport:
                 fail("vii", f"(join {show_family(fam)})*{d[b]} mismatch")
             if not le[tensor[m][b]][lat.meet_all(tensor[a][b] for a in fam)]:
                 fail("vii", f"(meet {show_family(fam)})*{d[b]} too large")
-    record("vii")
 
     # (viii) a->meet = meet of a->; join->b = meet of ->b
     for fam in _subsets(n):
@@ -665,7 +642,6 @@ def law_suite(lat: Lattice, budget: int = DEFAULT_BUDGET) -> LawSuiteReport:
                 fail("viii", f"{d[a]}->meet {show_family(fam)} mismatch")
             if res[j][a] != lat.meet_all(res[x][a] for x in fam):
                 fail("viii", f"join {show_family(fam)}->{d[a]} mismatch")
-    record("viii")
 
     # (ix) join of a-> is below a->join
     for fam in _subsets(n):
@@ -674,8 +650,6 @@ def law_suite(lat: Lattice, budget: int = DEFAULT_BUDGET) -> LawSuiteReport:
             if not le[lat.join_all(res[a][x] for x in fam)][res[a][j]]:
                 fail("ix", f"join of {d[a]}->_ over {show_family(fam)} "
                            f"exceeds {d[a]}->join")
-    record("ix")
 
-    ordered = {k: out[k] for k in
-               ("i", "ii", "iii", "iv", "v", "vi", "vii", "viii", "ix")}
-    return LawSuiteReport(lat.name, ordered)
+    return LawReport(lat.name, ("i", "ii", "iii", "iv", "v", "vi", "vii",
+                                "viii", "ix"), found)

@@ -5,14 +5,16 @@ Each sweep reads the index of every combined set (f meet g, f join g, a
 tensor f, ...) from one `Space.image_index` column instead of building the
 set's value tuple and looking its index up, pair by pair.  The functions
 below are those pairwise sweeps as they were before, kept verbatim apart
-from their names and the result cache the checkers no longer keep, with
-the report types they returned.  The rewritten
-checks must give the same `to_dict()` (every flag, every counterexample
-text, in the same key order) on Gödel and Łukasiewicz chains, `boolean(2)`
-and `grid23`, over universes of 0 to 4 points: random explicit systems and
-operators, partition-derived ones as they are and with random entries
-perturbed, and partitions over lattices whose tensor was corrupted, so the
-transform clauses fail too.
+from their names, the result cache the checkers no longer keep, and their
+return type: each now returns a `LawReport`.  The rewritten checks must
+print the same report bytes in the CLI's layouts (every flag, every
+counterexample text, in the same key order) on Gödel and Łukasiewicz
+chains, `boolean(2)` and `grid23`, over universes of 0 to 4 points: random
+explicit systems and operators, partition-derived ones as they are and with
+random entries perturbed, and partitions over lattices whose tensor was
+corrupted, so the transform clauses fail too.  Among the explicit systems
+are ones where `strong` fails before `enriched`, whose counterexamples
+`check_system` reports in the order it finds them, not in clause order.
 
 The last test patches one line of the new code at a time and checks that
 the comparisons catch each mutant.
@@ -22,18 +24,16 @@ import dataclasses
 import inspect
 import random
 import textwrap
-from dataclasses import dataclass
 from itertools import product
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import latfuzz as lf
-from latfuzz import closure, ftransform
+from latfuzz import cli, closure, ftransform
 from latfuzz.closure import ClosureOperator, ClosureSystem
-from latfuzz.ftransform import TransformLawReport
 from latfuzz.fuzzyset import FuzzySet, Space, constant, ensure_budget
-from latfuzz.lattice import DEFAULT_BUDGET, Lattice, LawClause
+from latfuzz.lattice import DEFAULT_BUDGET, Lattice, LawReport
 from latfuzz.partition import FuzzyPartition, relation_from_partition
 from reference import set_index
 from test_space_differential import (
@@ -48,31 +48,8 @@ from test_space_differential import (
 # ---------------------------------------------------------------------------
 # the pairwise sweeps the columns replaced
 
-@dataclass(frozen=True)
-class SystemCheck:
-    axiom_i: bool
-    axiom_ii: bool
-    enriched: bool
-    strong: bool
-    counterexamples: dict
-
-    @property
-    def all_ok(self) -> bool:
-        return self.axiom_i and self.axiom_ii and self.enriched and self.strong
-
-    def to_dict(self) -> dict:
-        return {
-            "axiom_i": self.axiom_i,
-            "axiom_ii": self.axiom_ii,
-            "enriched": self.enriched,
-            "strong": self.strong,
-            "counterexamples": dict(self.counterexamples),
-            "all_ok": self.all_ok,
-        }
-
-
 def reference_check_system(system: ClosureSystem,
-                 budget: int = DEFAULT_BUDGET) -> SystemCheck:
+                 budget: int = DEFAULT_BUDGET) -> LawReport:
     """Full-table check: top membership, meet-superadditivity over all pairs
     (pairwise suffices for finite families; the empty meet is the top-set
     axiom), and stability under residuation/tensor with constants.
@@ -133,41 +110,16 @@ def reference_check_system(system: ClosureSystem,
         if not enriched and not strong:
             break
 
-    return SystemCheck(axiom_i, axiom_ii, enriched, strong, counter)
+    return LawReport(uni.name, ("axiom_i", "axiom_ii", "enriched", "strong"),
+                     counter)
 
 
 def _show(lat: Lattice, values) -> str:
     return "(" + ",".join(lat.displays[v] for v in values) + ")"
 
 
-@dataclass(frozen=True)
-class OperatorCheck:
-    axiom_i: bool
-    axiom_ii: bool
-    axiom_iii: bool
-    axiom_iv: bool
-    strong: bool
-    counterexamples: dict
-
-    @property
-    def all_ok(self) -> bool:
-        return (self.axiom_i and self.axiom_ii and self.axiom_iii
-                and self.axiom_iv and self.strong)
-
-    def to_dict(self) -> dict:
-        return {
-            "axiom_i": self.axiom_i,
-            "axiom_ii": self.axiom_ii,
-            "axiom_iii": self.axiom_iii,
-            "axiom_iv": self.axiom_iv,
-            "strong": self.strong,
-            "counterexamples": dict(self.counterexamples),
-            "all_ok": self.all_ok,
-        }
-
-
 def reference_check_operator(op: ClosureOperator,
-                   budget: int = DEFAULT_BUDGET) -> OperatorCheck:
+                   budget: int = DEFAULT_BUDGET) -> LawReport:
     """Fix the top set, inflate, preserve binary joins, idempotence (by
     composing the table with itself), plus tensor-stability with constants.
     """
@@ -232,15 +184,13 @@ def reference_check_operator(op: ClosureOperator,
                 )
                 break
 
-    return OperatorCheck(axiom_i, axiom_ii, axiom_iii, axiom_iv, strong, counter)
-
-
-# ---------------------------------------------------------------------------
-# round-trip reports (informational: differences are recorded, never asserted)
+    return LawReport(
+        uni.name, ("axiom_i", "axiom_ii", "axiom_iii", "axiom_iv", "strong"),
+        counter)
 
 
 def reference_transform_law_suite(p: FuzzyPartition,
-                        budget: int = DEFAULT_BUDGET) -> TransformLawReport:
+                        budget: int = DEFAULT_BUDGET) -> LawReport:
     """Exhaustive sweep of the component laws over the whole function space:
     constants are fixed, components are monotone, tensor by a constant
     scales through, binary joins are preserved, binary meets only shrink.
@@ -258,13 +208,10 @@ def reference_transform_law_suite(p: FuzzyPartition,
     def show(values):
         return tuple(d[v] for v in values)
 
-    laws: dict[str, LawClause] = {}
+    laws: dict = {}
 
     def run(key, gen):
-        for failure in gen:
-            laws[key] = LawClause(False, failure)
-            return
-        laws[key] = LawClause(True, None)
+        laws[key] = next(gen, None)
 
     def constants():
         for a in lat.elements():
@@ -341,7 +288,8 @@ def reference_transform_law_suite(p: FuzzyPartition,
     run("meet_subhomomorphism", meet_bound())
     run("inflationary", inflationary())
     run("field_equals_upper_approx", field_matches_relation())
-    return TransformLawReport(p.universe.name, laws)
+    return LawReport(p.universe.name, tuple(laws),
+                     {k: v for k, v in laws.items() if v is not None})
 
 
 # ---------------------------------------------------------------------------
@@ -387,20 +335,25 @@ def make_operator(rng, lat, uni, kind):
     return perturbed_operator(rng, op) if kind == "perturbed" else op
 
 
+def axioms_text(report) -> str:
+    return cli._json(cli._axioms_json(report), "")
+
+
 def system_reports(system):
-    """The rewritten and the reference report."""
-    return (closure.check_system(system).to_dict(),
-            reference_check_system(system).to_dict())
+    """The rewritten and the reference report, as the CLI prints them."""
+    return (axioms_text(closure.check_system(system)),
+            axioms_text(reference_check_system(system)))
 
 
 def operator_reports(op):
-    return (closure.check_operator(op).to_dict(),
-            reference_check_operator(op).to_dict())
+    return (axioms_text(closure.check_operator(op)),
+            axioms_text(reference_check_operator(op)))
 
 
 def transform_reports(p):
-    return (ftransform.transform_law_suite(p).to_dict(),
-            reference_transform_law_suite(p).to_dict())
+    return tuple(cli._json(cli._suite_json(report, "universe", "laws"), "")
+                 for report in (ftransform.transform_law_suite(p),
+                                reference_transform_law_suite(p)))
 
 
 # one lattice, one universe size (0-4 points, at most 256 sets, so the
@@ -427,6 +380,7 @@ def setup(case, min_points=0):
 @example(("godel3", 0, 0, False), "random")
 @example(("boolean2", 4, 1, False), "partition")
 @example(("grid23", 3, 2, False), "perturbed")
+@example(("boolean2", 1, 3, False), "random")  # strong fails before enriched
 def test_check_system_matches_the_pairwise_sweep(case, kind):
     lat, uni, rng = setup(case, min_points=0 if kind == "random" else 1)
     new, reference = system_reports(make_system(rng, lat, uni, kind))
@@ -454,12 +408,31 @@ def test_transform_law_suite_matches_the_pairwise_sweep(case):
     assert new == reference
 
 
+def interleaved_system():
+    """The explicit system of the CLI tests' `laws closure` case on an
+    inline document: `strong` fails at constant 0, before `enriched` fails
+    at constant 1/2."""
+    lat = lf.lukasiewicz_chain(3)
+    return lf.system_from_explicit(lat, universe("X", 1), (1, 0, 2))
+
+
+def test_check_system_reports_counterexamples_in_the_order_found():
+    system = interleaved_system()
+    assert list(closure.check_system(system).counterexamples) == \
+        ["strong", "enriched"]
+    new, reference = system_reports(system)
+    assert new == reference
+
+
 # ---------------------------------------------------------------------------
 # the comparisons above catch one-line mutants of the rewritten sweeps
 
 def _all_match() -> bool:
     """Every check agrees with its reference on a fixed battery."""
     try:
+        new, reference = system_reports(interleaved_system())
+        if new != reference:
+            return False
         for name in sorted(LATTICES):
             for seed in range(6):
                 rng = random.Random(seed)
@@ -494,6 +467,9 @@ MUTANTS = [
     (closure, "check_system",
      '"strong": space.image_index([lat.tensor[a]] * len(uni))',
      '"strong": space.image_index([lat.residuum[a]] * len(uni))'),
+    # counterexamples written in clause order, not in the order found
+    (closure, "check_system", "                     counter)",
+     "                     dict(sorted(counter.items())))"),
     (closure, "check_operator", "image[joined[j]] != closed_joined[image[j]]",
      "image[joined[j]] != closed_joined[j]"),
     (ftransform, "transform_law_suite", "down[met[j]] & ~(down[i] & down[j])",
