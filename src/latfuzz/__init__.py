@@ -20,7 +20,6 @@ from .errors import (
 from .lattice import (
     DEFAULT_BUDGET,
     Lattice,
-    LatticeReport,
     LawReport,
     boolean_algebra,
     build,

@@ -212,17 +212,16 @@ def morphism_transfer_check(phi: UniverseMap, source, target,
 
 @dataclass(frozen=True)
 class AdjunctionVerdict:
-    holds: bool
     rho_check: HomVerdict
-    triangle_commutes: bool
-    uniqueness_forced: bool
+
+    @property
+    def holds(self) -> bool:
+        return self.rho_check.holds
 
     def to_dict(self) -> dict:
         return {
             "holds": self.holds,
             "rho_is_dialgebra_morphism": self.rho_check.to_dict(),
-            "triangle_commutes": self.triangle_commutes,
-            "uniqueness_forced": self.uniqueness_forced,
         }
 
 
@@ -230,11 +229,12 @@ def adjunction_check(c: StructureTable, d: StructureTable,
                      phi: UniverseMap,
                      budget: int = DEFAULT_BUDGET) -> AdjunctionVerdict:
     """Given a coalgebra morphism phi from c into the coalgebra view of d,
-    take rho = phi as the mate, verify it is a dialgebra morphism from the
-    dialgebra view of c into d, and verify the unit triangle.
+    take rho = phi as the mate and verify it is a dialgebra morphism from
+    the dialgebra view of c into d.
 
-    The unit is the identity carrier map, so the triangle forces rho to
-    equal phi; uniqueness holds by construction.
+    The unit is the identity carrier map, so the unit triangle forces rho
+    to equal phi: the mate is unique and the triangle commutes by
+    construction, and neither is reported.
     """
     pre = check_coa_hom(phi, c, dia_to_coa(d), budget)
     if not pre.holds:
@@ -242,9 +242,4 @@ def adjunction_check(c: StructureTable, d: StructureTable,
             "phi is not a coalgebra morphism into the converted dialgebra; "
             f"violation at {pre.violation}"
         )
-    rho_check = check_dia_hom(phi, coa_to_dia(c), d, budget)
-    # unit is id, so T'(rho) . unit = rho as a carrier map
-    triangle = phi.mapping == tuple(phi.mapping)
-    return AdjunctionVerdict(
-        rho_check.holds and triangle, rho_check, triangle, True
-    )
+    return AdjunctionVerdict(check_dia_hom(phi, coa_to_dia(c), d, budget))

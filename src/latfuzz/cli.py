@@ -268,8 +268,7 @@ def _cmd_validate(doc, args, budget):
         "lattice": {
             "name": doc.lattice.name,
             "size": len(doc.lattice),
-            "axioms": scan.axioms,
-            "zero_divisors": [list(p) for p in scan.zero_divisors],
+            "zero_divisors": [list(p) for p in scan],
         },
         "objects": {
             section: sorted(getattr(doc, section)) for section in SECTIONS
@@ -410,7 +409,7 @@ def _cmd_laws(doc, args, budget):
         scan = lattice.zero_divisor_scan(doc.lattice)
         payload = {
             "laws": _suite_json(report, "lattice", "clauses"),
-            "zero_divisors": [list(p) for p in scan.zero_divisors],
+            "zero_divisors": [list(p) for p in scan],
         }
         return payload, OK if report.all_hold else CHECK_FAILED
     if kind == "ftransform":

@@ -471,29 +471,9 @@ def build(spec: dict, budget: int = DEFAULT_BUDGET) -> Lattice:
 # ---------------------------------------------------------------------------
 # reports
 
-@dataclass(frozen=True)
-class LatticeReport:
-    """Axiom results (per definition clause) and zero-divisor witnesses."""
-
-    lattice: str
-    axioms: dict
-    zero_divisors: tuple[tuple[str, str], ...]
-
-    @property
-    def zero_divisor_free(self) -> bool:
-        return not self.zero_divisors
-
-    def to_dict(self) -> dict:
-        return {
-            "lattice": self.lattice,
-            "axioms": dict(self.axioms),
-            "zero_divisors": [list(p) for p in self.zero_divisors],
-            "zero_divisor_free": self.zero_divisor_free,
-        }
-
-
-def zero_divisor_scan(lat: Lattice) -> LatticeReport:
-    """Exhaustive scan for pairs a,b != 0 with tensor(a,b) = 0."""
+def zero_divisor_scan(lat: Lattice) -> tuple[tuple[str, str], ...]:
+    """Every pair a, b != 0 with tensor(a, b) = 0, as display pairs, found
+    by an exhaustive scan."""
     witnesses = []
     for a in lat.elements():
         if a == lat.bottom:
@@ -503,13 +483,11 @@ def zero_divisor_scan(lat: Lattice) -> LatticeReport:
                 continue
             if lat.tensor[a][b] == lat.bottom:
                 witnesses.append((lat.displays[a], lat.displays[b]))
-    # construction already validated the three definition clauses
-    axioms = {"i": "ok", "ii": "ok", "iii": "ok"}
-    return LatticeReport(lat.name, axioms, tuple(witnesses))
+    return tuple(witnesses)
 
 
 def has_zero_divisors(lat: Lattice) -> bool:
-    return not zero_divisor_scan(lat).zero_divisor_free
+    return bool(zero_divisor_scan(lat))
 
 
 @dataclass(frozen=True)
