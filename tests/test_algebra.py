@@ -1,8 +1,12 @@
+import random
+from itertools import product
+
 import pytest
 
 import latfuzz as lf
 from conftest import fs
 from reference import backward_image, enumerate_sets, forward_image, set_index
+from test_space_differential import LATTICES, random_partition, universe
 
 
 @pytest.fixture(scope="module")
@@ -284,3 +288,72 @@ def test_budget_paths(x2p, coalg_x2, uni_x2):
     ident = lf.UniverseMap.identity(uni_x2)
     with pytest.raises(lf.BudgetExceeded):
         lf.check_coa_hom(ident, coalg_x2, coalg_x2, budget=2)
+
+
+# ---------------------------------------------------------------------------
+# the two homomorphism views agree on monotone tables
+#
+# Every table latfuzz builds is monotone in its set argument, since its
+# entries are components of the direct upper transform.  On monotone tables
+# the coalgebra and the dialgebra condition are equivalent for every carrier
+# map phi, by the Galois connection f <= phi^-1(phi->f), phi->(phi^-1 g) <= g
+# between forward and backward images.  So neither transfer proviso is
+# needed on tables built from partitions.
+
+def _all_maps(source, target):
+    for mapping in product(range(len(target)), repeat=len(source)):
+        yield lf.UniverseMap(source, target, mapping)
+
+
+def _views_agree(px, py):
+    """The verdict of every carrier map X -> Y, after asserting that the two
+    views give it on each."""
+    cx, cy = lf.coalgebra_from_partition(px), lf.coalgebra_from_partition(py)
+    dx, dy = lf.dialgebra_from_partition(px), lf.dialgebra_from_partition(py)
+    verdicts = []
+    for phi in _all_maps(px.universe, py.universe):
+        coa = lf.check_coa_hom(phi, cx, cy).holds
+        assert lf.check_dia_hom(phi, dx, dy).holds == coa, phi.mapping
+        verdicts.append(coa)
+    return verdicts
+
+
+def test_views_agree_on_every_map_between_fixture_tables(x2p, sp):
+    verdicts = [v for px in (x2p, sp) for py in (x2p, sp)
+                for v in _views_agree(px, py)]
+    assert len(verdicts) == 4 + 1 + 2 + 1
+
+
+@pytest.mark.parametrize("name", sorted(LATTICES))
+def test_views_agree_on_every_map_between_random_tables(name):
+    """Random identity-indexed partitions of 1-3 points; on each lattice
+    some maps are homomorphisms and some are not."""
+    lat, rng = LATTICES[name], random.Random(name)
+    verdicts = []
+    for _ in range(10):
+        px, py = (random_partition(rng, lat, universe(end, rng.randint(1, 3)),
+                                   identity=True)
+                  for end in ("X", "Y"))
+        verdicts += _views_agree(px, py)
+    assert True in verdicts and False in verdicts
+
+
+def test_views_differ_on_a_non_monotone_table():
+    """On the 2-chain, X's rows are 0 at the bottom and top sets and 1 in
+    between, and Y's single row falls from 1 to 0.  Pulling back along the
+    constant map phi only reaches X's constant sets, so the coalgebra check
+    holds; pushing forward (0, 1) reaches Y's top set, so the dialgebra
+    check fails there."""
+    lat = lf.godel_chain(2)
+    x, y = universe("X", 2), universe("Y", 1)
+    phi = lf.UniverseMap(x, y, (0, 0))
+    rows_x, rows_y = ((0, 1, 1, 0),) * 2, ((1, 0),)
+    coa = lf.check_coa_hom(
+        phi, lf.StructureTable(lat, x, rows_x, "by hand", "coalgebra"),
+        lf.StructureTable(lat, y, rows_y, "by hand", "coalgebra"))
+    dia = lf.check_dia_hom(
+        phi, lf.StructureTable(lat, x, rows_x, "by hand", "dialgebra"),
+        lf.StructureTable(lat, y, rows_y, "by hand", "dialgebra"))
+    assert coa.holds
+    assert not dia.holds
+    assert dia.violation == ("x0", ("0", "1"))
