@@ -107,7 +107,6 @@ def transform_law_suite(p: FuzzyPartition,
                 if down[i] & ~down[j]:
                     yield (f"{show(f)} <= {show(sets[j])} "
                            f"but components drop")
-                    return
 
     def tensor_scaling():
         for a in lat.elements():
@@ -116,7 +115,6 @@ def transform_law_suite(p: FuzzyPartition,
             for i, f in enumerate(sets):
                 if image[scaled[i]] != block_scaled[image[i]]:
                     yield f"constant {d[a]} with {show(f)}"
-                    return
 
     def join_preserving():
         for i, f in enumerate(sets):
@@ -125,7 +123,6 @@ def transform_law_suite(p: FuzzyPartition,
             for j in range(i, size):
                 if image[joined[j]] != block_joined[image[j]]:
                     yield f"pair ({show(f)}, {show(sets[j])})"
-                    return
 
     def meet_bound():
         for i, f in enumerate(sets):
@@ -133,14 +130,12 @@ def transform_law_suite(p: FuzzyPartition,
             for j in range(i, size):
                 if down[met[j]] & ~(down[i] & down[j]):
                     yield f"pair ({show(f)}, {show(sets[j])})"
-                    return
 
     def inflationary():
         for i, f in enumerate(sets):
             fld = tuple(comps[i][p.xi[k]] for k in range(dim))
             if any(not leq[a][b] for a, b in zip(f, fld)):
                 yield f"{show(f)} not below its field"
-                return
 
     def field_matches_relation():
         """The field computed from the component columns against the
@@ -152,7 +147,6 @@ def transform_law_suite(p: FuzzyPartition,
             fld = tuple(comps[i][p.xi[k]] for k in range(dim))
             if upper_approx(rel, FuzzySet(lat, p.universe, f)).values != fld:
                 yield f"field of {show(f)} differs from the approximation"
-                return
 
     # each clause yields its counterexamples; only the first is drawn
     first = {
