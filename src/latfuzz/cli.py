@@ -535,7 +535,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = cmd("dialg", _cmd_construct, help="dialgebra table of a partition")
     p.add_argument("--partition", required=True)
 
-    p = cmd("adjunction", _cmd_adjunction, help="adjunction triangle verdict")
+    p = cmd("adjunction", _cmd_adjunction,
+            help="is the mate of a coalgebra morphism a dialgebra morphism")
     p.add_argument("--map", required=True)
     p.add_argument("--source-partition", required=True)
     p.add_argument("--target-partition", required=True)

@@ -467,15 +467,15 @@ MUTANTS = [
     (closure, "check_system",
      '"strong": space.image_index([lat.tensor[a]] * len(uni))',
      '"strong": space.image_index([lat.residuum[a]] * len(uni))'),
-    # counterexamples written in clause order, not in the order found
-    (closure, "check_system", "                     counter)",
-     "                     dict(sorted(counter.items())))"),
     (closure, "check_operator", "image[joined[j]] != closed_joined[image[j]]",
      "image[joined[j]] != closed_joined[j]"),
     (ftransform, "transform_law_suite", "down[met[j]] & ~(down[i] & down[j])",
      "down[j] & ~(down[i] & down[met[j]])"),
     (lf.fuzzyset.Space, "image_index", "zip(self.weights, rows)",
      "zip(reversed(self.weights), rows)"),
+    # counterexamples written in clause order, not in the order found
+    (closure, "check_system", "                     counter)",
+     "                     dict(sorted(counter.items())))"),
 ]
 
 
