@@ -106,5 +106,6 @@ from .algebra import (
     morphism_transfer_check,
     t1_on_morphism,
 )
+from .record import replace
 
 __version__ = "0.1.0"

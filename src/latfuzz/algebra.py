@@ -11,16 +11,14 @@ and adjunction checks exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-
 from .errors import MismatchError, PreconditionError
 from .fuzzyset import Space, UniverseMap, Universe, ensure_budget, set_at
 from .lattice import DEFAULT_BUDGET, Lattice
 from .partition import FuzzyPartition, is_identity_indexed
+from .record import Record, replace
 
 
-@dataclass(frozen=True)
-class StructureTable:
+class StructureTable(Record):
     lattice: Lattice
     universe: Universe
     table: tuple[tuple[int, ...], ...]  # per point, per enumeration index
@@ -87,8 +85,7 @@ def t1_on_morphism(phi: UniverseMap, lam: tuple[int, ...], lat: Lattice,
 # ---------------------------------------------------------------------------
 # homomorphism checks
 
-@dataclass(frozen=True)
-class HomVerdict:
+class HomVerdict(Record):
     holds: bool
     violation: tuple | None = None  # (element label, set displays)
 
@@ -159,8 +156,7 @@ def check_dia_hom(phi: UniverseMap, dx: StructureTable, dy: StructureTable,
 # ---------------------------------------------------------------------------
 # transfer between the two views
 
-@dataclass(frozen=True)
-class TransferVerdict:
+class TransferVerdict(Record):
     status: str  # "holds" | "fails" | "proviso unmet" | "source check fails"
     original: HomVerdict | None
     converted: HomVerdict | None
@@ -210,8 +206,7 @@ def morphism_transfer_check(phi: UniverseMap, source, target,
 # ---------------------------------------------------------------------------
 # adjunction triangle
 
-@dataclass(frozen=True)
-class AdjunctionVerdict:
+class AdjunctionVerdict(Record):
     rho_check: HomVerdict
 
     @property

@@ -30,7 +30,6 @@ import os
 import sys
 import time
 from collections.abc import Callable
-from dataclasses import dataclass, field
 
 from . import algebra, closure, ftransform, lattice, morphism, partition, relation
 from .document import SECTIONS, InstanceDocument, load_document
@@ -42,6 +41,7 @@ from .errors import (
 )
 from .fuzzyset import Space
 from .lattice import DEFAULT_BUDGET
+from .record import Record
 
 ENV_BUDGET = "LATFUZZ_BUDGET"
 
@@ -138,8 +138,7 @@ def _structure_json(struct) -> dict:
 # ---------------------------------------------------------------------------
 # the construction table: one entry per kind of object the CLI derives
 
-@dataclass(frozen=True)
-class _Kind:
+class _Kind(Record):
     """How the CLI builds, finds and prints one kind of object.
 
     `derive` maps a source kind to the construction from it ("partition":
@@ -148,7 +147,7 @@ class _Kind:
     turn.  `lookup` finds the object by document name.
     """
 
-    derive: dict = field(default_factory=dict)
+    derive: dict = {}
     prefixes: tuple[str, ...] = ()
     lookup: Callable | None = None
     to_json: Callable | None = None

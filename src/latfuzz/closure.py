@@ -10,17 +10,15 @@ table is also the cheapest representation to check laws against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import MismatchError
 from .fuzzyset import FuzzySet, Space, Universe, ensure_budget
 from .lattice import DEFAULT_BUDGET, Lattice, LawReport
 from .partition import FuzzyPartition
+from .record import Record
 from .relation import FuzzyRelation, relation_from_system
 
 
-@dataclass(frozen=True)
-class ClosureSystem:
+class ClosureSystem(Record):
     """Degree-valued membership of each fuzzy set in the closed family."""
 
     lattice: Lattice
@@ -34,8 +32,7 @@ class ClosureSystem:
         return self.table[Space(self.lattice, self.universe).index(f.values)]
 
 
-@dataclass(frozen=True)
-class ClosureOperator:
+class ClosureOperator(Record):
     """Extensional map sending each fuzzy set to its closure."""
 
     lattice: Lattice
@@ -287,8 +284,7 @@ def check_operator(op: ClosureOperator,
 # ---------------------------------------------------------------------------
 # round-trip reports (informational: differences are recorded, never asserted)
 
-@dataclass(frozen=True)
-class RoundTripReport:
+class RoundTripReport(Record):
     kind: str
     total: int
     mismatches: tuple[dict, ...]

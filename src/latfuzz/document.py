@@ -10,7 +10,6 @@ map) are collected as warnings.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from itertools import product
 from pathlib import Path
 
@@ -28,22 +27,22 @@ from .fuzzyset import (
 from .lattice import DEFAULT_BUDGET, Lattice
 from .morphism import FPMapCandidate, make_candidate
 from .partition import FuzzyPartition, validate_partition
+from .record import Record
 from .relation import FuzzyRelation
 
 
-@dataclass
-class InstanceDocument:
+class InstanceDocument(Record, frozen=False):
     lattice: Lattice
-    universes: dict[str, Universe] = field(default_factory=dict)
-    fuzzy_sets: dict[str, FuzzySet] = field(default_factory=dict)
-    partitions: dict[str, FuzzyPartition] = field(default_factory=dict)
-    relations: dict[str, FuzzyRelation] = field(default_factory=dict)
-    maps: dict[str, UniverseMap] = field(default_factory=dict)
-    index_maps: dict[str, dict] = field(default_factory=dict)
-    candidates: dict[str, FPMapCandidate] = field(default_factory=dict)
-    pairings: dict[str, tuple[str, str]] = field(default_factory=dict)
-    systems: dict[str, ClosureSystem] = field(default_factory=dict)
-    warnings: list[str] = field(default_factory=list)
+    universes: dict[str, Universe] = {}
+    fuzzy_sets: dict[str, FuzzySet] = {}
+    partitions: dict[str, FuzzyPartition] = {}
+    relations: dict[str, FuzzyRelation] = {}
+    maps: dict[str, UniverseMap] = {}
+    index_maps: dict[str, dict] = {}
+    candidates: dict[str, FPMapCandidate] = {}
+    pairings: dict[str, tuple[str, str]] = {}
+    systems: dict[str, ClosureSystem] = {}
+    warnings: list[str] = []
 
     def universe(self, name):
         return self._get("universe", self.universes, name)

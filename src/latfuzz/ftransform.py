@@ -9,16 +9,15 @@ coalgebra and dialgebra constructions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from .errors import MismatchError
 from .fuzzyset import FuzzySet, Space, Universe, ensure_budget
 from .lattice import DEFAULT_BUDGET, LawReport, _masks
 from .partition import FuzzyPartition, relation_from_partition
+from .record import Record
 from .relation import upper_approx
 
 
-@dataclass(frozen=True)
-class FTransformResult:
+class FTransformResult(Record):
     partition: FuzzyPartition
     components: tuple[int, ...]  # aligned with partition.names
 

@@ -19,15 +19,14 @@ pair law costs one fold per set plus one comparison per pair.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 
 from .errors import BudgetExceeded, ElementError, MismatchError
 from .lattice import Lattice
+from .record import Record
 
 
-@dataclass(frozen=True)
-class Universe:
+class Universe(Record):
     name: str
     elements: tuple[str, ...]
 
@@ -47,8 +46,7 @@ class Universe:
             ) from None
 
 
-@dataclass(frozen=True)
-class CrispSubset:
+class CrispSubset(Record):
     universe: Universe
     flags: tuple[bool, ...]
 
@@ -56,8 +54,7 @@ class CrispSubset:
         return tuple(e for e, f in zip(self.universe.elements, self.flags) if f)
 
 
-@dataclass(frozen=True)
-class FuzzySet:
+class FuzzySet(Record):
     lattice: Lattice
     universe: Universe
     values: tuple[int, ...]
@@ -133,8 +130,7 @@ def pointwise(kind: str, f: FuzzySet, g: FuzzySet) -> FuzzySet:
 # ---------------------------------------------------------------------------
 # maps between universes
 
-@dataclass(frozen=True)
-class UniverseMap:
+class UniverseMap(Record):
     source: Universe
     target: Universe
     mapping: tuple[int, ...]  # target index per source element

@@ -21,18 +21,17 @@ validated like any other.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import combinations
 from math import gcd
 from operator import itemgetter
 
 from .errors import BudgetExceeded, ElementError, LatticeBuildError
+from .record import Record
 
 DEFAULT_BUDGET = 4096
 
 
-@dataclass(frozen=True)
-class Lattice:
+class Lattice(Record):
     name: str
     displays: tuple[str, ...]
     leq: tuple[tuple[bool, ...], ...]
@@ -42,7 +41,7 @@ class Lattice:
     residuum: tuple[tuple[int, ...], ...]
     bottom: int
     top: int
-    _parse: dict = field(repr=False, compare=False, hash=False, default=None)
+    _parse: dict  # display -> ordinal, from __post_init__; not a field
 
     def __post_init__(self):
         object.__setattr__(
@@ -490,8 +489,7 @@ def has_zero_divisors(lat: Lattice) -> bool:
     return bool(zero_divisor_scan(lat))
 
 
-@dataclass(frozen=True)
-class LawReport:
+class LawReport(Record):
     """The clauses of one law check on `subject`, and the first
     counterexample of each clause that fails: a clause holds exactly when it
     has none.  `counterexamples` keeps the order the check found them in."""

@@ -10,18 +10,16 @@ computed values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .closure import ClosureOperator, ClosureSystem
 from .errors import CandidateError, MismatchError
 from .fuzzyset import Space, UniverseMap, ensure_budget, set_at
 from .lattice import DEFAULT_BUDGET, Lattice, has_zero_divisors
 from .partition import FuzzyPartition, product_partition
+from .record import Record
 from .relation import FuzzyRelation
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(Record):
     """Greatest admissible scaling element; a candidate is a morphism iff
     the value is strictly above bottom."""
 
@@ -65,8 +63,7 @@ def _meet_of_sweep(space: Space, columns, site) -> Witness:
 # ---------------------------------------------------------------------------
 # partition-to-partition candidates
 
-@dataclass(frozen=True)
-class FPMapCandidate:
+class FPMapCandidate(Record):
     source: FuzzyPartition
     target: FuzzyPartition
     phi: UniverseMap
@@ -161,8 +158,7 @@ def fp_witness(cand: FPMapCandidate) -> Witness:
     return Witness(value, lat, attained)
 
 
-@dataclass(frozen=True)
-class ComposedFP:
+class ComposedFP(Record):
     candidate: FPMapCandidate
     bound: Witness
     zero_divisor_warning: bool
@@ -323,8 +319,7 @@ def fcs_witness(phi: UniverseMap, op_x: ClosureOperator, op_y: ClosureOperator,
 # ---------------------------------------------------------------------------
 # binary products
 
-@dataclass(frozen=True)
-class FPSProduct:
+class FPSProduct(Record):
     product: FuzzyPartition
     proj_left: FPMapCandidate
     proj_right: FPMapCandidate
@@ -387,8 +382,7 @@ def fps_product(p: FuzzyPartition, q: FuzzyPartition) -> FPSProduct:
 # ---------------------------------------------------------------------------
 # index-square diagnostic (reported, never asserted)
 
-@dataclass(frozen=True)
-class IndexSquareReport:
+class IndexSquareReport(Record):
     holds: bool
     failures: tuple[tuple[str, str, str], ...]  # (element, via target, via psi)
 

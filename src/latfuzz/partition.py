@@ -3,16 +3,14 @@ partition the universe, together with the induced index function."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import MismatchError, PartitionError
 from .fuzzyset import FuzzySet, Universe
 from .lattice import Lattice
+from .record import Record
 from .relation import FuzzyRelation
 
 
-@dataclass(frozen=True)
-class FuzzyPartition:
+class FuzzyPartition(Record):
     universe: Universe
     lattice: Lattice
     names: tuple[str, ...]

@@ -2,16 +2,15 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import add
 
 from .errors import MismatchError
 from .fuzzyset import FuzzySet, Space, Universe, ensure_budget
 from .lattice import DEFAULT_BUDGET, Lattice
+from .record import Record
 
 
-@dataclass(frozen=True)
-class FuzzyRelation:
+class FuzzyRelation(Record):
     lattice: Lattice
     universe: Universe
     rows: tuple[tuple[int, ...], ...]

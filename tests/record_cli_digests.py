@@ -21,14 +21,14 @@ import json
 from conftest import CLI_DIGESTS, FIXTURES, cli_digest, cli_digest_key
 from latfuzz import cli
 from test_acceptance import CLI_CORPUS
-from test_cli import CORPUS
+from test_cli import corpus_argvs as cli_corpus_argvs
 
 
 def corpus_argvs():
     w3_doc = str(FIXTURES / "w3.json")
     for argv in CLI_CORPUS:
         yield [*argv, "--doc", w3_doc, "--no-timing"]
-    for argv in CORPUS:
+    for argv in cli_corpus_argvs():
         yield [*argv, "--no-timing"]
 
 

@@ -5,7 +5,6 @@ assertion is equality or a table-level order comparison.  Run with -s to see
 the per-criterion lines.
 """
 
-import dataclasses
 import functools
 import json
 
@@ -65,7 +64,7 @@ def test_criterion_1_lattice_laws():
     luk = lf.lukasiewicz_chain(5)
     res = [list(row) for row in luk.residuum]
     res[1][0] = 1
-    corrupted = dataclasses.replace(
+    corrupted = lf.replace(
         luk, residuum=tuple(tuple(r) for r in res), name="luk5_corrupt"
     )
     suite = lf.law_suite(corrupted)

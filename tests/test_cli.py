@@ -46,9 +46,11 @@ CORPUS = [
     ("relation", "from-partition", "--doc", W3, "--partition", "W3"),
     ("relation", "from-system", "--doc", W3, "--system", "partition:W3"),
     ("check", "fp", "--doc", W3, "--cand", "m_half"),
-    ("check", "fas", "--doc", W3, "--cand", "m_half"),
-    ("check", "fas", "--doc", W3, "--map", "id_X2", "--source-relation",
-     "R_id_X2", "--target-relation", "R_top_X2"),
+    pytest.param(("check", "fas", "--doc", W3, "--cand", "m_half"),
+                 id="check fas m_half"),
+    pytest.param(("check", "fas", "--doc", W3, "--map", "id_X2",
+                  "--source-relation", "R_id_X2",
+                  "--target-relation", "R_top_X2"), id="check fas id_X2"),
     ("check", "fcss", "--doc", W3, "--cand", "m_half"),
     ("check", "fcs", "--doc", W3, "--cand", "m_half"),
     ("check", "coa-hom", "--doc", W3, "--map", "swap",
@@ -61,8 +63,10 @@ CORPUS = [
     ("functor", "f3", "--doc", W3, "--partition", "W3"),
     ("functor", "f4", "--doc", W3, "--system", "partition:W3"),
     ("functor", "f4inv", "--doc", W3, "--system", "partition:W3"),
-    ("roundtrip", "f2", "--doc", W3, "--relation", "partition:W3"),
-    ("roundtrip", "f2", "--doc", W3, "--relation", "R_bot_X2"),
+    pytest.param(("roundtrip", "f2", "--doc", W3, "--relation",
+                  "partition:W3"), id="roundtrip f2 partition:W3"),
+    pytest.param(("roundtrip", "f2", "--doc", W3, "--relation", "R_bot_X2"),
+                 id="roundtrip f2 R_bot_X2"),
     ("roundtrip", "f4", "--doc", W3, "--system", "partition:W3"),
     ("roundtrip", "coa-dia", "--doc", W3, "--partition", "X2P"),
     ("product", "fps", "--doc", W3, "--left", "Q", "--right", "P2",
@@ -76,16 +80,30 @@ CORPUS = [
     ("dialg", "--doc", W3, "--partition", "X2P"),
     ("adjunction", "--doc", W3, "--map", "swap",
      "--source-partition", "X2P", "--target-partition", "X2P"),
-    ("transfer", "coa-dia", "--doc", W3, "--map", "swap",
-     "--source-partition", "X2P", "--target-partition", "X2P"),
-    ("transfer", "coa-dia", "--doc", W3, "--map", "collapse",
-     "--source-partition", "X2P", "--target-partition", "SP"),
+    pytest.param(("transfer", "coa-dia", "--doc", W3, "--map", "swap",
+                  "--source-partition", "X2P", "--target-partition", "X2P"),
+                 id="transfer coa-dia swap"),
+    pytest.param(("transfer", "coa-dia", "--doc", W3, "--map", "collapse",
+                  "--source-partition", "X2P", "--target-partition", "SP"),
+                 id="transfer coa-dia collapse"),
 ]
 
 
 def _corpus_id(argv) -> str:
+    """The subcommand words.  A case whose words another case shares is a
+    `pytest.param` with the reference that tells it apart in its id."""
     name = " ".join(argv[:2])
     return f"{name} inline" if INTERLEAVED in argv else name
+
+
+def corpus_argvs():
+    return [getattr(case, "values", (case,))[0] for case in CORPUS]
+
+
+def test_corpus_ids_name_one_case_each():
+    # pytest numbers repeated ids, so a repeat would rename an older test
+    ids = [getattr(case, "id", None) or _corpus_id(case) for case in CORPUS]
+    assert len(set(ids)) == len(ids)
 
 
 @pytest.mark.parametrize("argv", CORPUS, ids=_corpus_id)
@@ -428,7 +446,8 @@ def test_cli_import_leaves_out_fractions():
     probe = subprocess.run(
         [sys.executable, "-c",
          "import sys, latfuzz.cli; print(sorted(m for m in sys.modules "
-         "if m in ('fractions', 'decimal', 'numbers')))"],
+         "if m in ('fractions', 'decimal', 'numbers', 'dataclasses', "
+         "'inspect')))"],
         env={**os.environ, "PYTHONPATH": str(src)},
         capture_output=True, text=True, check=True)
     assert probe.stdout.strip() == "[]"

@@ -1,5 +1,3 @@
-import dataclasses
-
 import pytest
 
 import latfuzz as lf
@@ -80,7 +78,7 @@ CORRUPTED_TENSORS = [
 def test_law_suite_clauses_can_fail(rows, failing):
     base = lf.godel_chain(3)
     tensor = tuple(rows.get(a, row) for a, row in enumerate(base.tensor))
-    lat = dataclasses.replace(base, tensor=tensor)
+    lat = lf.replace(base, tensor=tensor)
     uni = lf.Universe("X", ("x0", "x1"))
     p = lf.validate_partition(uni, [
         ("A", lf.FuzzySet(lat, uni, (2, 1))),

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import re
 from fractions import Fraction
@@ -178,7 +177,7 @@ def test_law_suite_catches_corrupted_residuum():
     lat = lf.lukasiewicz_chain(5)
     res = [list(row) for row in lat.residuum]
     res[1][0] = 1  # 1/4 -> 0 becomes 1/4 instead of 3/4
-    corrupted = dataclasses.replace(
+    corrupted = lf.replace(
         lat, residuum=tuple(tuple(r) for r in res), name="luk5_corrupt"
     )
     report = lf.law_suite(corrupted)

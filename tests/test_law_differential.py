@@ -20,7 +20,6 @@ The last test patches one line of the new code at a time and checks that
 the comparisons catch each mutant.
 """
 
-import dataclasses
 import inspect
 import random
 import textwrap
@@ -302,7 +301,7 @@ def corrupted(rng, lat):
     for _ in range(rng.randint(1, 3)):
         tensor[rng.randrange(len(lat))][rng.randrange(len(lat))] = \
             rng.choice(lat.elements())
-    return dataclasses.replace(lat, tensor=tuple(map(tuple, tensor)))
+    return lf.replace(lat, tensor=tuple(map(tuple, tensor)))
 
 
 def perturbed_system(rng, system):
@@ -458,24 +457,34 @@ def _all_match() -> bool:
     return True
 
 
-# (module, function, line, mutated line): each mutant changes one line.
+# (module, function, line, mutated line), with an id naming the mutation:
+# each mutant changes one line.
 # A scan that starts at j = i + 1 is no mutant: the diagonal pair (f, f)
 # satisfies every pair law on any table, since f meet f = f join f = f.
 MUTANTS = [
-    (closure, "check_system", "        j = next((j for j in range(i, size)",
-     "        j = next((j for j in range(i + 2, size)"),
-    (closure, "check_system",
-     '"strong": space.image_index([lat.tensor[a]] * len(uni))',
-     '"strong": space.image_index([lat.residuum[a]] * len(uni))'),
-    (closure, "check_operator", "image[joined[j]] != closed_joined[image[j]]",
-     "image[joined[j]] != closed_joined[j]"),
-    (ftransform, "transform_law_suite", "down[met[j]] & ~(down[i] & down[j])",
-     "down[j] & ~(down[i] & down[met[j]])"),
-    (lf.fuzzyset.Space, "image_index", "zip(self.weights, rows)",
-     "zip(reversed(self.weights), rows)"),
+    pytest.param(closure, "check_system",
+                 "        j = next((j for j in range(i, size)",
+                 "        j = next((j for j in range(i + 2, size)",
+                 id="check_system-scan_from_i_plus_2"),
+    pytest.param(closure, "check_system",
+                 '"strong": space.image_index([lat.tensor[a]] * len(uni))',
+                 '"strong": space.image_index([lat.residuum[a]] * len(uni))',
+                 id="check_system-strong_by_residuum"),
+    pytest.param(closure, "check_operator",
+                 "image[joined[j]] != closed_joined[image[j]]",
+                 "image[joined[j]] != closed_joined[j]",
+                 id="check_operator-unmapped_join_index"),
+    pytest.param(ftransform, "transform_law_suite",
+                 "down[met[j]] & ~(down[i] & down[j])",
+                 "down[j] & ~(down[i] & down[met[j]])",
+                 id="transform_law_suite-meet_swapped"),
+    pytest.param(lf.fuzzyset.Space, "image_index", "zip(self.weights, rows)",
+                 "zip(reversed(self.weights), rows)",
+                 id="image_index-reversed_weights"),
     # counterexamples written in clause order, not in the order found
-    (closure, "check_system", "                     counter)",
-     "                     dict(sorted(counter.items())))"),
+    pytest.param(closure, "check_system", "                     counter)",
+                 "                     dict(sorted(counter.items())))",
+                 id="check_system-counterexamples_sorted"),
 ]
 
 
@@ -490,8 +499,7 @@ def _mutant(owner, name, line, mutated):
     return namespace[name]
 
 
-@pytest.mark.parametrize("owner, name, line, mutated", MUTANTS,
-                         ids=[f"{m[1]}-{i}" for i, m in enumerate(MUTANTS)])
+@pytest.mark.parametrize("owner, name, line, mutated", MUTANTS)
 def test_mutants_are_caught(monkeypatch, owner, name, line, mutated):
     assert _all_match()
     monkeypatch.setattr(owner, name, _mutant(owner, name, line, mutated))
