@@ -8,7 +8,13 @@ Reports are deterministic: stable key order, values as display strings, no
 timestamps.  Timing lives in a trailing `timing_ms` field that `--no-timing`
 drops, so byte-comparison of reports is possible.
 
-One table, `_KINDS`, says for each kind of object the CLI derives
+One table, `_COMMANDS`, gives each command its handler, help line,
+positional word and flags, and one loop builds the parser from it: only the
+named command's subparser, or all of them for `-h` and a missing or unknown
+command.  Each handler returns a payload and a verdict, and the verdict sets
+the exit status.
+
+Another table, `_KINDS`, says for each kind of object the CLI derives
 (relation, system, operator, coalgebra, dialgebra) how to build it from a
 partition or another source, which reference prefixes it accepts, how to
 find it by document name and how to print it.  The `closure`, `operator`,
@@ -33,12 +39,8 @@ from collections.abc import Callable
 
 from . import algebra, closure, ftransform, lattice, morphism, partition, relation
 from .document import SECTIONS, InstanceDocument, load_document
-from .errors import (
-    BudgetExceeded,
-    DocumentError,
-    PreconditionError,
-    WorkbenchError,
-)
+from .errors import (BudgetExceeded, DocumentError, PreconditionError,
+                     WorkbenchError)
 from .fuzzyset import Space
 from .lattice import DEFAULT_BUDGET
 from .record import Record
@@ -46,6 +48,8 @@ from .record import Record
 ENV_BUDGET = "LATFUZZ_BUDGET"
 
 OK, CHECK_FAILED, INPUT_ERROR, BUDGET_EXCEEDED = 0, 1, 2, 3
+# a report's exit status follows from its verdict: any other verdict is OK
+_EXIT_CODES = {"fail": CHECK_FAILED, "budget-exceeded": BUDGET_EXCEEDED}
 
 
 def _resolve_budget(args) -> int:
@@ -251,19 +255,17 @@ _WITNESS_CHECKS = {
 def _witness_json(w: morphism.Witness) -> dict:
     out = {"witness": w.display, "admissible": w.admissible}
     if w.attained is not None:
-        site = []
-        for part in w.attained:
-            site.append(list(part) if isinstance(part, tuple) else part)
-        out["attained_at"] = site
+        out["attained_at"] = [list(part) if isinstance(part, tuple) else part
+                              for part in w.attained]
     return out
 
 
 # ---------------------------------------------------------------------------
-# command handlers: each returns (payload dict, exit code)
+# command handlers: each returns (payload dict, verdict)
 
 def _cmd_validate(doc, args, budget):
     scan = lattice.zero_divisor_scan(doc.lattice)
-    payload = {
+    return {
         "lattice": {
             "name": doc.lattice.name,
             "size": len(doc.lattice),
@@ -273,32 +275,32 @@ def _cmd_validate(doc, args, budget):
             section: sorted(getattr(doc, section)) for section in SECTIONS
         },
         "warnings": list(doc.warnings),
-    }
-    return payload, OK
+    }, "ok"
 
 
 def _cmd_ft(doc, args, budget):
     p = doc.partition(args.partition)
     f = doc.fuzzy_set(args.set)
-    result = ftransform.ft_transform(p, f)
-    fld = ftransform.ft_field(p, f)
     return {
         "partition": args.partition,
         "set": args.set,
-        "components": result.display_map(),
+        "components": ftransform.ft_transform(p, f).display_map(),
         "field": {
             "universe": p.universe.name,
-            "values": list(fld.displays()),
+            "values": list(ftransform.ft_field(p, f).displays()),
         },
-    }, OK
+    }, "ok"
+
+
+def _verdict(holds: bool) -> str:
+    return "ok" if holds else "fail"
 
 
 def _check_payload(w: morphism.Witness):
     payload = _witness_json(w)
-    code = OK if w.admissible else CHECK_FAILED
     if not w.admissible and w.attained is not None:
         payload["counterexample"] = payload.pop("attained_at")
-    return payload, code
+    return payload, _verdict(w.admissible)
 
 
 def _cmd_construct(doc, args, budget):
@@ -308,15 +310,14 @@ def _cmd_construct(doc, args, budget):
         key = (args.command, getattr(args, "construction", None))
     kind, option, source = _CONSTRUCTIONS[key]
     built = _derive(doc, kind, source, _required(args, option), budget)
-    return {kind: _KINDS[kind].to_json(built)}, OK
+    return {kind: _KINDS[kind].to_json(built)}, "ok"
 
 
 def _cmd_check(doc, args, budget):
     kind = args.kind
     if kind == "fp":
-        return _check_payload(
-            morphism.fp_witness(doc.candidate(_required(args, "cand")))
-        )
+        return _check_payload(morphism.fp_witness(
+            doc.candidate(_required(args, "cand"))))
     if kind in _WITNESS_CHECKS:
         compared, option, witness = _WITNESS_CHECKS[kind]
         if args.cand:
@@ -326,22 +327,25 @@ def _cmd_check(doc, args, budget):
             y = _from_partition(compared, cand.target, budget)
         else:
             phi = doc.map(_required(args, "map"))
-            x, y = (
-                _resolve(doc, compared, _required(args, f"{end}-{option}"),
-                         budget)
-                for end in ("source", "target")
-            )
+            x, y = (_resolve(doc, compared,
+                             _required(args, f"{end}-{option}"), budget)
+                    for end in ("source", "target"))
         return _check_payload(witness(phi, x, y, budget))
-    phi = doc.map(_required(args, "map"))
-    px = doc.partition(_required(args, "source-partition"))
-    py = doc.partition(_required(args, "target-partition"))
     if kind == "coa-hom":
         view, check = "coalgebra", algebra.check_coa_hom
     else:
         view, check = "dialgebra", algebra.check_dia_hom
-    verdict = check(phi, _from_partition(view, px, budget),
-                    _from_partition(view, py, budget), budget)
-    return verdict.to_dict(), OK if verdict.holds else CHECK_FAILED
+    verdict = check(*_hom_ends(doc, args, view, budget), budget)
+    return verdict.to_dict(), _verdict(verdict.holds)
+
+
+def _hom_ends(doc, args, view: str, budget: int):
+    """The map, and the `view` of its source and target partitions."""
+    phi = doc.map(_required(args, "map"))
+    px = doc.partition(_required(args, "source-partition"))
+    py = doc.partition(_required(args, "target-partition"))
+    return (phi, _from_partition(view, px, budget),
+            _from_partition(view, py, budget))
 
 
 def _cmd_roundtrip(doc, args, budget):
@@ -352,7 +356,7 @@ def _cmd_roundtrip(doc, args, budget):
                      else closure.roundtrip_system)
         report = roundtrip(_resolve(doc, kind, _required(args, kind), budget),
                            budget)
-        return {"roundtrip": report.to_dict()}, OK
+        return {"roundtrip": report.to_dict()}, "ok"
     p = doc.partition(_required(args, "partition"))
     c = _from_partition("coalgebra", p, budget)
     d = _from_partition("dialgebra", p, budget)
@@ -363,8 +367,7 @@ def _cmd_roundtrip(doc, args, budget):
         "dia_coa_dia_exact": back_d.table == d.table,
         "triangle_exact": algebra.coa_to_dia(c).table == d.table,
     }
-    ok = all(payload.values())
-    return {"roundtrip": payload}, OK if ok else CHECK_FAILED
+    return {"roundtrip": payload}, _verdict(all(payload.values()))
 
 
 def _cmd_product(doc, args, budget):
@@ -391,14 +394,13 @@ def _cmd_product(doc, args, budget):
             "certified_bound": bound.display,
             "actual_witness": morphism.fp_witness(cand).display,
         }
-    return payload, OK
+    return payload, "ok"
 
 
 def _cmd_diagnostic(doc, args, budget):
     report = morphism.index_square_diagnostic(
-        doc.candidate(_required(args, "cand"))
-    )
-    return {"index_square": report.to_dict()}, OK
+        doc.candidate(_required(args, "cand")))
+    return {"index_square": report.to_dict()}, "ok"
 
 
 def _cmd_laws(doc, args, budget):
@@ -406,21 +408,19 @@ def _cmd_laws(doc, args, budget):
     if kind == "lattice":
         report = lattice.law_suite(doc.lattice, budget)
         scan = lattice.zero_divisor_scan(doc.lattice)
-        payload = {
+        return {
             "laws": _suite_json(report, "lattice", "clauses"),
             "zero_divisors": [list(p) for p in scan],
-        }
-        return payload, OK if report.all_hold else CHECK_FAILED
+        }, _verdict(report.all_hold)
     if kind == "ftransform":
         report = ftransform.transform_law_suite(
-            doc.partition(_required(args, "partition")), budget
-        )
+            doc.partition(_required(args, "partition")), budget)
         payload = {"laws": _suite_json(report, "universe", "laws")}
-        return payload, OK if report.all_hold else CHECK_FAILED
+        return payload, _verdict(report.all_hold)
     sys_ = _resolve(doc, "system", _required(args, "system"), budget)
     report = closure.check_system(sys_, budget)
     ok = report.holds("axiom_i") and report.holds("axiom_ii")
-    return {"check": _axioms_json(report)}, OK if ok else CHECK_FAILED
+    return {"check": _axioms_json(report)}, _verdict(ok)
 
 
 def _cmd_adjunction(doc, args, budget):
@@ -428,169 +428,146 @@ def _cmd_adjunction(doc, args, budget):
     c = _derive(doc, "coalgebra", "partition", args.source_partition, budget)
     d = _derive(doc, "dialgebra", "partition", args.target_partition, budget)
     verdict = algebra.adjunction_check(c, d, phi, budget)
-    return {"adjunction": verdict.to_dict()}, OK if verdict.holds else CHECK_FAILED
+    return {"adjunction": verdict.to_dict()}, _verdict(verdict.holds)
 
 
 def _cmd_transfer(doc, args, budget):
-    phi = doc.map(args.map)
-    px = doc.partition(args.source_partition)
-    py = doc.partition(args.target_partition)
     view = "coalgebra" if args.direction == "coa-dia" else "dialgebra"
     verdict = algebra.morphism_transfer_check(
-        phi, _from_partition(view, px, budget),
-        _from_partition(view, py, budget), args.direction, budget
-    )
-    payload = {"transfer": verdict.to_dict()}
-    if verdict.status == "proviso unmet":
-        return payload, OK, "proviso-unmet"
-    return payload, OK if verdict.status == "holds" else CHECK_FAILED
+        *_hom_ends(doc, args, view, budget), args.direction, budget)
+    verdicts = {"holds": "ok", "proviso unmet": "proviso-unmet"}
+    return {"transfer": verdict.to_dict()}, verdicts.get(verdict.status, "fail")
 
 
 # ---------------------------------------------------------------------------
-# argument wiring
+# the command table, read by one builder loop
 
-def _build_parser() -> argparse.ArgumentParser:
+class _Command(Record):
+    """One subcommand.  `word` is its positional word as (dest, choices);
+    `echo` says whether the report's `command` field repeats that word."""
+
+    handler: Callable
+    help: str
+    word: tuple | None = None
+    required: tuple[str, ...] = ()
+    optional: tuple[str, ...] = ()
+    echo: bool = True
+
+
+def _built_by(command: str) -> list:
+    return [construction for cmd, construction in _CONSTRUCTIONS
+            if cmd == command]
+
+
+# a flag's help line, looked up as "command --flag", then as "flag"
+_FLAG_HELP = {"relation": "relation reference", "system": "system reference",
+              "closure --system": "system reference (operator is derived)"}
+_HOM = ("map", "source-partition", "target-partition")
+
+_COMMANDS = {
+    "validate": _Command(_cmd_validate, "validate the lattice and all objects"),
+    "ft": _Command(_cmd_ft, "direct upper transform of a named set",
+                   required=("partition", "set")),
+    "closure": _Command(_cmd_construct, "build a closure system",
+                        ("construction", _built_by("closure")),
+                        optional=("partition", "relation", "system")),
+    "operator": _Command(_cmd_construct, "build a closure operator",
+                         ("construction", _built_by("operator")), ("system",)),
+    "relation": _Command(_cmd_construct, "build a relation",
+                         ("construction", _built_by("relation")),
+                         optional=("partition", "system")),
+    "check": _Command(
+        _cmd_check, "greatest-witness / homomorphism checks",
+        ("kind", ["fp", "fas", "fcss", "fcs", "coa-hom", "dia-hom"]),
+        optional=("cand", "map", "source-relation", "target-relation",
+                  "source-system", "target-system", "source-partition",
+                  "target-partition")),
+    "functor": _Command(_cmd_construct, "object maps of the six functors",
+                        ("name", list(_FUNCTORS)),
+                        optional=("partition", "relation", "system")),
+    "roundtrip": _Command(_cmd_roundtrip, "informational round-trip reports",
+                          ("name", ["f2", "f4", "coa-dia"]),
+                          optional=("relation", "system", "partition")),
+    "product": _Command(_cmd_product, "binary product with projections",
+                        ("kind", ["fps"]), ("left", "right"), ("pairing",)),
+    "diagnostic": _Command(_cmd_diagnostic, "non-asserting diagnostics",
+                           ("kind", ["index-square"]), ("cand",)),
+    "laws": _Command(_cmd_laws, "exhaustive law suites",
+                     ("kind", ["lattice", "ftransform", "closure"]),
+                     optional=("partition", "system")),
+    "coalg": _Command(_cmd_construct, "coalgebra table of a partition",
+                      required=("partition",)),
+    "dialg": _Command(_cmd_construct, "dialgebra table of a partition",
+                      required=("partition",)),
+    "adjunction": _Command(
+        _cmd_adjunction,
+        "is the mate of a coalgebra morphism a dialgebra morphism", None, _HOM),
+    "transfer": _Command(
+        _cmd_transfer, "re-check a homomorphism in the other view",
+        ("direction", ["coa-dia", "dia-coa"]), _HOM, echo=False),
+}
+
+
+def _build_parser(first: str | None) -> argparse.ArgumentParser:
+    """The parser for a command line whose first word is `first`.  When
+    that names a command, only its subparser is built, and the metavar
+    keeps every command in the usage line that errors print.  Otherwise
+    (`-h`, a missing or unknown command) all of them are built, without the
+    metavar, which would rename `argument command` in their errors."""
+    chosen = first if first in _COMMANDS else None
     parser = argparse.ArgumentParser(
         prog="latfuzz",
         description="Finite residuated-lattice workbench (batch runner).",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def cmd(name, handler, **kwargs):
-        p = sub.add_parser(name, **kwargs)
+    sub = parser.add_subparsers(
+        dest="command", required=True,
+        metavar="{" + ",".join(_COMMANDS) + "}" if chosen else None)
+    for name, command in _COMMANDS.items():
+        if chosen not in (None, name):
+            continue
+        p = sub.add_parser(name, help=command.help)
         p.add_argument("--doc", required=True, help="instance document (JSON)")
         p.add_argument("--budget", type=int, default=None,
                        help=f"enumeration budget (default {DEFAULT_BUDGET}, "
                             f"env {ENV_BUDGET})")
         p.add_argument("--no-timing", action="store_true",
                        help="omit the timing field for byte comparison")
-        p.set_defaults(handler=handler)
-        return p
-
-    cmd("validate", _cmd_validate, help="validate the lattice and all objects")
-
-    p = cmd("ft", _cmd_ft, help="direct upper transform of a named set")
-    p.add_argument("--partition", required=True)
-    p.add_argument("--set", required=True)
-
-    p = cmd("closure", _cmd_construct, help="build a closure system")
-    p.add_argument("construction",
-                   choices=["from-partition", "from-relation", "from-operator"])
-    p.add_argument("--partition")
-    p.add_argument("--relation", help="relation reference")
-    p.add_argument("--system", help="system reference (operator is derived)")
-
-    p = cmd("operator", _cmd_construct, help="build a closure operator")
-    p.add_argument("construction", choices=["from-system"])
-    p.add_argument("--system", required=True, help="system reference")
-
-    p = cmd("relation", _cmd_construct, help="build a relation")
-    p.add_argument("construction", choices=["from-partition", "from-system"])
-    p.add_argument("--partition")
-    p.add_argument("--system", help="system reference")
-
-    p = cmd("check", _cmd_check, help="greatest-witness / homomorphism checks")
-    p.add_argument("kind",
-                   choices=["fp", "fas", "fcss", "fcs", "coa-hom", "dia-hom"])
-    p.add_argument("--cand")
-    p.add_argument("--map")
-    p.add_argument("--source-relation")
-    p.add_argument("--target-relation")
-    p.add_argument("--source-system")
-    p.add_argument("--target-system")
-    p.add_argument("--source-partition")
-    p.add_argument("--target-partition")
-
-    p = cmd("functor", _cmd_construct, help="object maps of the six functors")
-    p.add_argument("name", choices=list(_FUNCTORS))
-    p.add_argument("--partition")
-    p.add_argument("--relation", help="relation reference")
-    p.add_argument("--system", help="system reference")
-
-    p = cmd("roundtrip", _cmd_roundtrip, help="informational round-trip reports")
-    p.add_argument("name", choices=["f2", "f4", "coa-dia"])
-    p.add_argument("--relation", help="relation reference")
-    p.add_argument("--system", help="system reference")
-    p.add_argument("--partition")
-
-    p = cmd("product", _cmd_product, help="binary product with projections")
-    p.add_argument("kind", choices=["fps"])
-    p.add_argument("--left", required=True)
-    p.add_argument("--right", required=True)
-    p.add_argument("--pairing")
-
-    p = cmd("diagnostic", _cmd_diagnostic, help="non-asserting diagnostics")
-    p.add_argument("kind", choices=["index-square"])
-    p.add_argument("--cand", required=True)
-
-    p = cmd("laws", _cmd_laws, help="exhaustive law suites")
-    p.add_argument("kind", choices=["lattice", "ftransform", "closure"])
-    p.add_argument("--partition")
-    p.add_argument("--system", help="system reference")
-
-    p = cmd("coalg", _cmd_construct, help="coalgebra table of a partition")
-    p.add_argument("--partition", required=True)
-
-    p = cmd("dialg", _cmd_construct, help="dialgebra table of a partition")
-    p.add_argument("--partition", required=True)
-
-    p = cmd("adjunction", _cmd_adjunction,
-            help="is the mate of a coalgebra morphism a dialgebra morphism")
-    p.add_argument("--map", required=True)
-    p.add_argument("--source-partition", required=True)
-    p.add_argument("--target-partition", required=True)
-
-    p = cmd("transfer", _cmd_transfer,
-            help="re-check a homomorphism in the other view")
-    p.add_argument("direction", choices=["coa-dia", "dia-coa"])
-    p.add_argument("--map", required=True)
-    p.add_argument("--source-partition", required=True)
-    p.add_argument("--target-partition", required=True)
-
+        if command.word:
+            dest, choices = command.word
+            p.add_argument(dest, choices=choices)
+        for flag in command.required + command.optional:
+            p.add_argument(f"--{flag}", required=flag in command.required,
+                           help=_FLAG_HELP.get(f"{name} --{flag}",
+                                               _FLAG_HELP.get(flag)))
     return parser
 
 
-def _command_echo(args) -> str:
-    parts = [args.command]
-    for attr in ("construction", "kind", "name"):
-        extra = getattr(args, attr, None)
-        if isinstance(extra, str):
-            parts.append(extra)
-    return " ".join(parts)
-
-
 def run(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _build_parser(argv[0] if argv else None).parse_args(argv)
+    command = _COMMANDS[args.command]
     started = time.perf_counter()
-    report = {"command": _command_echo(args)}
+    words = [args.command]
+    if command.word and command.echo:
+        words.append(getattr(args, command.word[0]))
+    report = {"command": " ".join(words)}
     try:
-        budget = _resolve_budget(args)
-        report["budget"] = budget
+        report["budget"] = budget = _resolve_budget(args)
         doc = load_document(args.doc, budget)
-        outcome = args.handler(doc, args, budget)
-        payload, code = outcome[0], outcome[1]
-        verdict = outcome[2] if len(outcome) > 2 else (
-            "ok" if code == OK else "fail"
-        )
-        report["verdict"] = verdict
+        payload, report["verdict"] = command.handler(doc, args, budget)
         report.update(payload)
     except BudgetExceeded as exc:
-        report["verdict"] = "budget-exceeded"
-        report["error"] = str(exc)
-        report["cardinality"] = exc.cardinality
-        code = BUDGET_EXCEEDED
+        report.update(verdict="budget-exceeded", error=str(exc),
+                      cardinality=exc.cardinality)
     except PreconditionError as exc:
-        report["verdict"] = "fail"
-        report["error"] = str(exc)
-        code = CHECK_FAILED
+        report.update(verdict="fail", error=str(exc))
     except (DocumentError, WorkbenchError) as exc:
         print(f"latfuzz: {exc}", file=sys.stderr)
         return INPUT_ERROR
     if not args.no_timing:
         report["timing_ms"] = round((time.perf_counter() - started) * 1000, 3)
     print(_json(report, ""))
-    return code
+    return _EXIT_CODES.get(report["verdict"], OK)
 
 
 # ---------------------------------------------------------------------------

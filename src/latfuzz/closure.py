@@ -227,14 +227,11 @@ def check_operator(op: ClosureOperator,
                    budget: int = DEFAULT_BUDGET) -> LawReport:
     """Fix the top set, inflate, preserve binary joins, idempotence (by
     composing the table with itself), plus tensor-stability with constants.
-
-    Joins are compared as indices: the closure of f join g sits at
-    `image[joined[j]]`, and the join of the two closures at
-    `closed_joined[image[j]]`."""
+    Joins are compared as indices, by `Space._join_failures`."""
     lat = op.lattice
     uni = op.universe
-    size = ensure_budget(lat, uni, budget, "closure operator check")
-    leq, join = lat.leq, lat.join
+    ensure_budget(lat, uni, budget, "closure operator check")
+    leq = lat.leq
     space = Space(lat, uni)
     all_vals = list(space.values())
     image = [space.index(c) for c in op.table]
@@ -249,16 +246,10 @@ def check_operator(op: ClosureOperator,
             counter["axiom_ii"] = f"{_show(lat, f)} not below its closure"
             break
 
-    for i, f in enumerate(all_vals):
-        joined = space.image_index([join[v] for v in f])
-        closed_joined = space.image_index([join[v] for v in op.table[i]])
-        j = next((j for j in range(i, size)
-                  if image[joined[j]] != closed_joined[image[j]]), None)
-        if j is not None:
-            counter["axiom_iii"] = (
-                f"pair ({_show(lat, f)}, {_show(lat, all_vals[j])})"
-            )
-            break
+    pair = next(space._join_failures(space, image, op.table), None)
+    if pair is not None:
+        f, g = (_show(lat, all_vals[k]) for k in pair)
+        counter["axiom_iii"] = f"pair ({f}, {g})"
 
     for f, k in zip(all_vals, image):
         if image[k] != k:

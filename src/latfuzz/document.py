@@ -84,7 +84,7 @@ def load_document(source, budget: int = DEFAULT_BUDGET) -> InstanceDocument:
     ):
         try:
             raw = Path(source).read_text(encoding="utf-8")
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise DocumentError(f"cannot read document: {exc}") from exc
         return load_document(raw, budget)
     if isinstance(source, str):
@@ -92,6 +92,8 @@ def load_document(source, budget: int = DEFAULT_BUDGET) -> InstanceDocument:
             data = json.loads(source)
         except json.JSONDecodeError as exc:
             raise DocumentError(f"document is not valid JSON: {exc}") from exc
+        except RecursionError:
+            raise DocumentError("document nests too deeply to decode") from None
     else:
         data = source
     _require(isinstance(data, dict), "document root must be an object")

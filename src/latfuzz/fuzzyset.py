@@ -252,6 +252,20 @@ class Space:
         return self._fold([[w * r for r in row]
                            for w, row in zip(self.weights, rows)])
 
+    def _join_failures(self, target: "Space", image, images):
+        """The pairs (i, j), i <= j, at which the map sending set i to the
+        set of `target` at `image[i]`, with values `images[i]`, fails to
+        preserve binary joins, in enumeration order of i, then j.  The image
+        of f_i join f_j sits at `image[joined[j]]`, and the join of the two
+        images at `target_joined[image[j]]`."""
+        join = self.lattice.join
+        for i, f in enumerate(self.values()):
+            joined = self.image_index([join[v] for v in f])
+            target_joined = target.image_index([join[c] for c in images[i]])
+            for j in range(i, self.size):
+                if image[joined[j]] != target_joined[image[j]]:
+                    yield i, j
+
     def upper(self, row) -> list[int]:
         """The join over the points of row[x] tensor f(x), for every f: the
         transform component of a block, or the upper approximation at one

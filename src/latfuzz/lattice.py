@@ -381,14 +381,14 @@ def _spec_value(spec, key):
 
 
 def _spec_int(spec, key) -> int:
+    """A JSON integer: not a bool, a float or a numeric string."""
     value = _spec_value(spec, key)
-    try:
-        return int(value)
-    except (TypeError, ValueError, OverflowError):
+    if type(value) is not int:
         raise LatticeBuildError(
             f"{spec['kind']} lattice description: {key!r} must be an integer, "
             f"got {value!r}"
-        ) from None
+        )
+    return value
 
 
 def _spec_list(spec, key, rows: bool = False) -> list:

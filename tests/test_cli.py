@@ -1,5 +1,7 @@
+import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -318,6 +320,12 @@ MALFORMED_LATTICES = {
                               "'labels' must be a list"),
     "lukasiewicz n not int": ({"kind": "lukasiewicz_chain", "n": [3]},
                               "'n' must be an integer"),
+    "godel n a float": ({"kind": "godel_chain", "n": 2.5},
+                        "'n' must be an integer, got 2.5"),
+    "godel n a bool": ({"kind": "godel_chain", "n": True},
+                       "'n' must be an integer, got True"),
+    "boolean atoms a string": ({"kind": "boolean", "atoms": "2"},
+                               "'atoms' must be an integer, got '2'"),
     "boolean missing atoms": ({"kind": "boolean"}, "lacks key 'atoms'"),
     "table missing elements": (_chain2(elements=None), "lacks key 'elements'"),
     "table missing leq": (_chain2(leq=None), "lacks key 'leq'"),
@@ -415,13 +423,23 @@ MALFORMED_DOCUMENTS = {
     "system entries not a list": (
         _doc(systems={"S": {"universe": "X", "entries": {}}}),
         "systems entry 'S': 'entries' must be a list"),
+    # bytes are a document file's contents
+    "file not UTF-8": (b"\xff\xfe{bad", "cannot read document: 'utf-8'"),
+    "nested too deeply": (b'{"a": ' + b"[" * 100000 + b"]" * 100000 + b"}",
+                          "document nests too deeply to decode"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED_DOCUMENTS))
-def test_malformed_document_exits_2(capsys, case):
+def test_malformed_document_exits_2(capsys, tmp_path, case):
     doc, message = MALFORMED_DOCUMENTS[case]
-    code, report, err = run(capsys, "validate", "--doc", json.dumps(doc))
+    if isinstance(doc, bytes):
+        path = tmp_path / "doc.json"
+        path.write_bytes(doc)
+        source = str(path)
+    else:
+        source = json.dumps(doc)
+    code, report, err = run(capsys, "validate", "--doc", source)
     assert code == 2
     assert report is None
     assert err.startswith("latfuzz: ") and message in err
@@ -452,3 +470,92 @@ def test_cli_import_leaves_out_fractions():
         env={**os.environ, "PYTHONPATH": str(src)},
         capture_output=True, text=True, check=True)
     assert probe.stdout.strip() == "[]"
+
+
+# ---------------------------------------------------------------------------
+# argument parsing: `run` builds only the named command's subparser, and its
+# reports and usage errors are those of the build with all of them
+
+def _outcome(capsys, argv):
+    """Exit status, stdout and stderr of `cli.run(argv)`, usage errors and
+    help included."""
+    try:
+        code = cli.run(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+PARSER_CASES = [
+    [], ["-h"], ["nope"], ["closure", "from-nowhere", "--doc", W3],
+    ["validate"], ["validate", "--doc", W3, "extra"],
+    ["validate", "--doc", W3, "--budget", "x"], ["--doc", W3, "validate"],
+    *([name, "-h"] for name in cli._COMMANDS),
+    *([*argv, "--no-timing"] for argv in corpus_argvs()),
+]
+
+
+def test_one_command_parser_matches_the_full_build(capsys, monkeypatch):
+    build = cli._build_parser
+    for argv in PARSER_CASES:
+        one = _outcome(capsys, argv)
+        with monkeypatch.context() as m:
+            m.setattr(cli, "_build_parser", lambda first: build(None))
+            full = _outcome(capsys, argv)
+        assert one == full, argv
+    # the full build names the command argument `command` in its errors
+    assert _outcome(capsys, [])[2].endswith(
+        "error: the following arguments are required: command\n")
+    assert "error: argument command: invalid choice: 'nope'" in \
+        _outcome(capsys, ["nope"])[2]
+
+
+def test_only_help_and_unknown_commands_build_every_subparser(capsys,
+                                                              monkeypatch):
+    added = []
+    add_parser = argparse._SubParsersAction.add_parser
+
+    def spy(self, name, **kwargs):
+        added.append(name)
+        return add_parser(self, name, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", spy)
+    for argv in corpus_argvs():
+        added.clear()
+        _outcome(capsys, [*argv, "--no-timing"])
+        assert added == [argv[0]], argv
+    for argv in ([], ["-h"], ["nope"]):
+        added.clear()
+        _outcome(capsys, argv)
+        assert added == list(cli._COMMANDS), argv
+
+
+def test_module_entry_point_reads_sys_argv(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    src = Path(cli.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    for argv in (["validate", "--doc", W3, "--no-timing"], ["--help"]):
+        proc = subprocess.run([sys.executable, "-m", "latfuzz.cli", *argv],
+                              env=env, capture_output=True, text=True)
+        assert (proc.returncode, proc.stdout, proc.stderr) == \
+            _outcome(capsys, argv), argv
+
+
+def _readme_commands() -> dict:
+    """Command -> the choices of its positional word (None without one),
+    from README's "Subcommands:" list."""
+    text = (FIXTURES.parent / "README.md").read_text(encoding="utf-8")
+    listing = text.split("\nSubcommands: ", 1)[1].split("\n\n", 1)[0]
+    commands = {}
+    for entry in re.findall(r"`([^`]+)`", listing):
+        name, *word = entry.split()
+        commands[name] = "".join(word).split("|") if word else None
+    return commands
+
+
+def test_readme_lists_every_command_and_its_choices():
+    assert _readme_commands() == {
+        name: list(command.word[1]) if command.word else None
+        for name, command in cli._COMMANDS.items()
+    }

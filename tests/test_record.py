@@ -51,6 +51,7 @@ def _samples():
          lf.HomVerdict(False, ("x", ()))),
         (DOC, "warnings", ["changed"]),
         (cli._KINDS["system"], "prefixes", ()),
+        (cli._COMMANDS["transfer"], "echo", True),
     ]
 
 
