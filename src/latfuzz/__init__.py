@@ -31,7 +31,6 @@ from .lattice import (
     zero_divisor_scan,
 )
 from .fuzzyset import (
-    CrispSubset,
     FuzzySet,
     Universe,
     UniverseMap,

@@ -12,7 +12,7 @@ and adjunction checks exact.
 from __future__ import annotations
 
 from .errors import MismatchError, PreconditionError
-from .fuzzyset import Space, UniverseMap, Universe, ensure_budget, set_at
+from .fuzzyset import Space, UniverseMap, Universe, set_at
 from .lattice import DEFAULT_BUDGET, Lattice
 from .partition import FuzzyPartition, is_identity_indexed
 from .record import Record, replace
@@ -32,8 +32,7 @@ def _transform_table(p: FuzzyPartition, budget: int):
             f"partition on {p.universe.name} is not identity-indexed"
         )
     lat = p.lattice
-    ensure_budget(lat, p.universe, budget, "structure table")
-    space = Space(lat, p.universe)
+    space = Space(lat, p.universe, budget, "structure table")
     # the field at x is the component of x's own block
     return tuple(tuple(space.upper(p.blocks[j].values)) for j in p.xi)
 
@@ -74,12 +73,11 @@ def t1_on_morphism(phi: UniverseMap, lam: tuple[int, ...], lat: Lattice,
                    budget: int = DEFAULT_BUDGET) -> tuple[int, ...]:
     """Push a table over the source function space to one over the target
     space by precomposition with the pullback."""
-    ensure_budget(lat, phi.source, budget, "functor table")
-    ensure_budget(lat, phi.target, budget, "functor table")
-    if len(lam) != len(lat) ** len(phi.source):
+    source = Space(lat, phi.source, budget, "functor table")
+    target = Space(lat, phi.target, budget, "functor table")
+    if len(lam) != source.size:
         raise MismatchError("table length does not match the source space")
-    return tuple(map(lam.__getitem__,
-                     Space(lat, phi.target).pulled_index(phi)))
+    return tuple(map(lam.__getitem__, target.pulled_index(phi)))
 
 
 # ---------------------------------------------------------------------------
@@ -133,8 +131,7 @@ def check_coa_hom(phi: UniverseMap, cx: StructureTable, cy: StructureTable,
         raise MismatchError("coalgebra homomorphism: universe mismatch")
     _require_view(cx, "coalgebra", "check_coa_hom")
     _require_view(cy, "coalgebra", "check_coa_hom")
-    ensure_budget(cx.lattice, cy.universe, budget, "homomorphism check")
-    space = Space(cx.lattice, cy.universe)
+    space = Space(cx.lattice, cy.universe, budget, "homomorphism check")
     return _first_violation(space, phi, cx, cy, space.pulled_index(phi), None)
 
 
@@ -147,9 +144,9 @@ def check_dia_hom(phi: UniverseMap, dx: StructureTable, dy: StructureTable,
     _require_view(dx, "dialgebra", "check_dia_hom")
     _require_view(dy, "dialgebra", "check_dia_hom")
     lat = dx.lattice
-    ensure_budget(lat, dx.universe, budget, "homomorphism check")
-    ensure_budget(lat, dy.universe, budget, "homomorphism check")
-    space = Space(lat, dx.universe)
+    space = Space(lat, dx.universe, budget, "homomorphism check")
+    # only the source is swept, but the target space is charged too
+    Space(lat, dy.universe, budget, "homomorphism check")
     return _first_violation(space, phi, dx, dy, None, space.pushed_index(phi))
 
 

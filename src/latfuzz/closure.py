@@ -11,7 +11,7 @@ table is also the cheapest representation to check laws against.
 from __future__ import annotations
 
 from .errors import MismatchError
-from .fuzzyset import FuzzySet, Space, Universe, ensure_budget
+from .fuzzyset import Space, Universe
 from .lattice import DEFAULT_BUDGET, Lattice, LawReport
 from .partition import FuzzyPartition
 from .record import Record
@@ -26,11 +26,6 @@ class ClosureSystem(Record):
     table: tuple[int, ...]
     provenance: str
 
-    def value(self, f: FuzzySet) -> int:
-        if f.universe != self.universe or f.lattice is not self.lattice:
-            raise MismatchError("closure system applied to a foreign fuzzy set")
-        return self.table[Space(self.lattice, self.universe).index(f.values)]
-
 
 class ClosureOperator(Record):
     """Extensional map sending each fuzzy set to its closure."""
@@ -39,12 +34,6 @@ class ClosureOperator(Record):
     universe: Universe
     table: tuple[tuple[int, ...], ...]  # value tuple per enumeration index
     provenance: str
-
-    def apply(self, f: FuzzySet) -> FuzzySet:
-        if f.universe != self.universe or f.lattice is not self.lattice:
-            raise MismatchError("closure operator applied to a foreign fuzzy set")
-        index = Space(self.lattice, self.universe).index(f.values)
-        return FuzzySet(self.lattice, self.universe, self.table[index])
 
 
 # ---------------------------------------------------------------------------
@@ -67,8 +56,7 @@ def system_from_partition(p: FuzzyPartition,
                           budget: int = DEFAULT_BUDGET) -> ClosureSystem:
     """Membership degree of f: meet over x of (field(f)(x) -> f(x))."""
     lat = p.lattice
-    ensure_budget(lat, p.universe, budget, "closure system construction")
-    space = Space(lat, p.universe)
+    space = Space(lat, p.universe, budget, "closure system construction")
 
     def field_columns():
         for j, block in enumerate(p.blocks):
@@ -84,8 +72,7 @@ def system_from_partition(p: FuzzyPartition,
 def system_from_relation(rel: FuzzyRelation,
                          budget: int = DEFAULT_BUDGET) -> ClosureSystem:
     lat = rel.lattice
-    ensure_budget(lat, rel.universe, budget, "closure system construction")
-    space = Space(lat, rel.universe)
+    space = Space(lat, rel.universe, budget, "closure system construction")
     approx = ((x, space.upper(row)) for x, row in enumerate(rel.rows))
     return ClosureSystem(lat, rel.universe, _meet_residua(space, approx),
                          "from_relation")
@@ -93,7 +80,7 @@ def system_from_relation(rel: FuzzyRelation,
 
 def system_from_explicit(lat: Lattice, universe: Universe, table,
                          budget: int = DEFAULT_BUDGET) -> ClosureSystem:
-    size = ensure_budget(lat, universe, budget, "closure system table")
+    size = Space(lat, universe, budget, "closure system table").size
     table = tuple(table)
     if len(table) != size:
         raise MismatchError(
@@ -120,11 +107,11 @@ def operator_from_system(system: ClosureSystem,
     """
     lat = system.lattice
     uni = system.universe
-    size = ensure_budget(lat, uni, budget, "closure operator construction")
+    space = Space(lat, uni, budget, "closure operator construction")
     res, tensor, meet = lat.residuum, lat.tensor, lat.meet
     bottom, top = lat.bottom, lat.top
     points = range(len(uni))
-    all_sets = list(Space(lat, uni).values())
+    all_sets = list(space.values())
     members = [(tensor[m], g) for m, g in zip(system.table, all_sets)
                if m != bottom]
     table = []
@@ -153,8 +140,7 @@ def operator_from_system(system: ClosureSystem,
 def system_from_operator(op: ClosureOperator,
                          budget: int = DEFAULT_BUDGET) -> ClosureSystem:
     lat = op.lattice
-    ensure_budget(lat, op.universe, budget, "closure system construction")
-    space = Space(lat, op.universe)
+    space = Space(lat, op.universe, budget, "closure system construction")
     closed = ((x, [c[x] for c in op.table]) for x in range(len(op.universe)))
     return ClosureSystem(lat, op.universe, _meet_residua(space, closed),
                          "from_operator")
@@ -179,10 +165,9 @@ def check_system(system: ClosureSystem,
     """
     lat = system.lattice
     uni = system.universe
-    size = ensure_budget(lat, uni, budget, "closure system check")
+    space = Space(lat, uni, budget, "closure system check")
     leq, meet = lat.leq, lat.meet
     table = system.table
-    space = Space(lat, uni)
     all_vals = list(space.values())
     counter: dict = {}
 
@@ -195,7 +180,7 @@ def check_system(system: ClosureSystem,
     for i, f in enumerate(all_vals):
         met = space.image_index([meet[v] for v in f])
         low = meet[table[i]]
-        j = next((j for j in range(i, size)
+        j = next((j for j in range(i, space.size)
                   if not leq[low[table[j]]][table[met[j]]]), None)
         if j is not None:
             counter["axiom_ii"] = (
@@ -230,9 +215,8 @@ def check_operator(op: ClosureOperator,
     Joins are compared as indices, by `Space._join_failures`."""
     lat = op.lattice
     uni = op.universe
-    ensure_budget(lat, uni, budget, "closure operator check")
+    space = Space(lat, uni, budget, "closure operator check")
     leq = lat.leq
-    space = Space(lat, uni)
     all_vals = list(space.values())
     image = [space.index(c) for c in op.table]
     counter: dict = {}

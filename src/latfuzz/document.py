@@ -16,14 +16,7 @@ from pathlib import Path
 from . import lattice as lattice_mod
 from .closure import ClosureSystem, system_from_explicit
 from .errors import BudgetExceeded, DocumentError, WorkbenchError
-from .fuzzyset import (
-    FuzzySet,
-    Space,
-    Universe,
-    UniverseMap,
-    ensure_budget,
-    from_labels,
-)
+from .fuzzyset import FuzzySet, Space, Universe, UniverseMap, from_labels
 from .lattice import DEFAULT_BUDGET, Lattice
 from .morphism import FPMapCandidate, make_candidate
 from .partition import FuzzyPartition, validate_partition
@@ -83,10 +76,9 @@ def load_document(source, budget: int = DEFAULT_BUDGET) -> InstanceDocument:
         isinstance(source, str) and source.lstrip().startswith("{")
     ):
         try:
-            raw = Path(source).read_text(encoding="utf-8")
+            source = Path(source).read_text(encoding="utf-8")
         except (OSError, UnicodeDecodeError) as exc:
             raise DocumentError(f"cannot read document: {exc}") from exc
-        return load_document(raw, budget)
     if isinstance(source, str):
         try:
             data = json.loads(source)
@@ -244,26 +236,24 @@ def _system_table(name: str, lat: Lattice, uni: Universe, entries: list,
     if table is not None:
         return table
     # entry by entry, so the first fault is the one reported
-    space = Space(lat, uni)
-    by_index = {}
+    by_values = {}
     for entry in entries:
         _require(isinstance(entry, list) and len(entry) == 2
                  and isinstance(entry[0], list),
                  f"system {name}: entries are [value-tuple, value] pairs")
-        key = [lat.parse(v) for v in entry[0]]
+        key = tuple(lat.parse(v) for v in entry[0])
         _require(len(key) == len(uni),
                  f"system {name}: tuple arity does not match {uni.name}")
-        index = space.index(key)
-        _require(index not in by_index,
+        _require(key not in by_values,
                  f"system {name}: duplicate entry for {entry[0]}")
-        by_index[index] = lat.parse(entry[1])
-    size = ensure_budget(lat, uni, budget, f"system {name} table")
-    if len(by_index) < size:
-        missing = next(i for i in range(size) if i not in by_index)
+        by_values[key] = lat.parse(entry[1])
+    space = Space(lat, uni, budget, f"system {name} table")
+    if len(by_values) < space.size:
+        missing = next(v for v in space.values() if v not in by_values)
         raise DocumentError(
             f"system {name}: missing entry for "
-            f"{[lat.displays[v] for v in space.values_at(missing)]}")
-    return [by_index[i] for i in range(size)]
+            f"{[lat.displays[v] for v in missing]}")
+    return [by_values[v] for v in space.values()]
 
 
 def _bulk_table(lat: Lattice, uni: Universe, entries: list,

@@ -10,7 +10,7 @@ coalgebra and dialgebra constructions.
 from __future__ import annotations
 
 from .errors import MismatchError
-from .fuzzyset import FuzzySet, Space, Universe, ensure_budget
+from .fuzzyset import FuzzySet, Space, Universe
 from .lattice import DEFAULT_BUDGET, LawReport, _masks
 from .partition import FuzzyPartition, relation_from_partition
 from .record import Record
@@ -77,8 +77,7 @@ def transform_law_suite(p: FuzzyPartition,
     down-set of a meet is the intersection.
     """
     lat = p.lattice
-    size = ensure_budget(lat, p.universe, budget, "transform law suite")
-    space = Space(lat, p.universe)
+    space = Space(lat, p.universe, budget, "transform law suite")
     blocks = Space(lat, Universe(p.universe.name, p.names))
     dim = len(p.universe)
     sets = list(space.values())
@@ -122,7 +121,7 @@ def transform_law_suite(p: FuzzyPartition,
     def meet_bound():
         for i, f in enumerate(sets):
             met = space.image_index([lat.meet[v] for v in f])
-            for j in range(i, size):
+            for j in range(i, space.size):
                 if down[met[j]] & ~(down[i] & down[j]):
                     yield f"pair ({show(f)}, {show(sets[j])})"
 

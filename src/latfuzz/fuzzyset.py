@@ -8,10 +8,13 @@ rather than a silent re-indexing.
 
 `Space(lattice, universe)` is the enumeration kernel: it fixes the
 lexicographic order of `L^X` and its index arithmetic, and every sweep over
-the space in the package goes through it.  A sweep reads whole columns over
-the space (the value at a point, a transform component, the index of an
-image set), each computed by a prefix-shared fold in about `|space|` list
-steps, instead of building and validating one `FuzzySet` per index.
+the space in the package goes through it.  It is also the one place a sweep
+is charged: `Space(lattice, universe, budget, what)` raises BudgetExceeded,
+naming `what` and the exact `|L|^|X|`, when the space holds more than
+`budget` sets.  A sweep reads whole columns over the space (the value at a
+point, a transform component, the index of an image set), each computed by
+a prefix-shared fold in about `|space|` list steps, instead of building and
+validating one `FuzzySet` per index.
 `Space.image_index` is the column the law checks sweep pairs with: for a
 fixed f it gives the index of f meet g (join, tensor) for every g, so a
 pair law costs one fold per set plus one comparison per pair.
@@ -46,14 +49,6 @@ class Universe(Record):
             ) from None
 
 
-class CrispSubset(Record):
-    universe: Universe
-    flags: tuple[bool, ...]
-
-    def labels(self) -> tuple[str, ...]:
-        return tuple(e for e, f in zip(self.universe.elements, self.flags) if f)
-
-
 class FuzzySet(Record):
     lattice: Lattice
     universe: Universe
@@ -71,16 +66,8 @@ class FuzzySet(Record):
     def displays(self) -> tuple[str, ...]:
         return tuple(self.lattice.displays[v] for v in self.values)
 
-    def core(self) -> CrispSubset:
-        top = self.lattice.top
-        return CrispSubset(self.universe, tuple(v == top for v in self.values))
-
     def is_normal(self) -> bool:
         return self.lattice.top in self.values
-
-    def le(self, other: "FuzzySet") -> bool:
-        _require_same(self, other)
-        return all(self.lattice.leq[a][b] for a, b in zip(self.values, other.values))
 
 
 def _require_same(f: FuzzySet, g: FuzzySet) -> None:
@@ -182,14 +169,6 @@ class UniverseMap(Record):
 # ---------------------------------------------------------------------------
 # enumeration of the full function space
 
-def ensure_budget(lat: Lattice, universe: Universe, budget: int,
-                  what: str = "enumeration of the function space") -> int:
-    size = len(lat) ** len(universe)
-    if size > budget:
-        raise BudgetExceeded(size, budget, what)
-    return size
-
-
 class Space:
     """The function space L^X in lexicographic (mixed-radix) order: the set
     at index i has digit x of i in base |L| as its value at point x, the
@@ -200,14 +179,21 @@ class Space:
     `rows[x][f(x)]` for every f at once, sharing each prefix of points
     between the sets that agree on it, so a fold costs about
     `|space| * n / (n - 1)` list steps rather than `|space| * |X|`.
+
+    With a `budget`, a space of more sets than that raises BudgetExceeded
+    naming `what` before anything else is built.
     """
 
-    def __init__(self, lat: Lattice, universe: Universe):
+    def __init__(self, lat: Lattice, universe: Universe,
+                 budget: int | None = None,
+                 what: str = "enumeration of the function space"):
         self.lattice = lat
         self.universe = universe
         self.radix = n = len(lat)
         dim = len(universe)
         self.size = n ** dim
+        if budget is not None and self.size > budget:
+            raise BudgetExceeded(self.size, budget, what)
         self.weights = tuple(n ** (dim - 1 - x) for x in range(dim))
 
     def values(self):

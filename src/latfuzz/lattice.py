@@ -63,7 +63,7 @@ class Lattice(Record):
             return self._parse[text]
         except (KeyError, TypeError):  # TypeError: an unhashable value
             raise ElementError(
-                f"{text!r} is not an element of lattice {self.name}"
+                f"{_quote(text)} is not an element of lattice {self.name}"
             ) from None
 
     def meet_all(self, items) -> int:
@@ -77,6 +77,14 @@ class Lattice(Record):
         for a in items:
             out = self.join[out][a]
         return out
+
+
+def _quote(value) -> str:
+    """The repr of a value from a document, for an error message: past 60
+    characters it is cut there and ends in an ASCII "...", as stderr may
+    not take other characters."""
+    text = repr(value)
+    return text if len(text) <= 60 else text[:60] + "..."
 
 
 # ---------------------------------------------------------------------------
@@ -386,7 +394,7 @@ def _spec_int(spec, key) -> int:
     if type(value) is not int:
         raise LatticeBuildError(
             f"{spec['kind']} lattice description: {key!r} must be an integer, "
-            f"got {value!r}"
+            f"got {_quote(value)}"
         )
     return value
 
@@ -450,7 +458,7 @@ def build(spec: dict, budget: int = DEFAULT_BUDGET) -> Lattice:
                 return index[v]
             except (KeyError, TypeError):
                 raise LatticeBuildError(
-                    f"{name}: {key} names unknown element {v!r}"
+                    f"{name}: {key} names unknown element {_quote(v)}"
                 ) from None
 
         def op_table(key):
@@ -464,7 +472,7 @@ def build(spec: dict, budget: int = DEFAULT_BUDGET) -> Lattice:
             op_table("residuum") if spec.get("residuum") is not None else None,
             name=name,
         )
-    raise LatticeBuildError(f"unknown lattice kind {kind!r}")
+    raise LatticeBuildError(f"unknown lattice kind {_quote(kind)}")
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from .closure import ClosureOperator, ClosureSystem
 from .errors import CandidateError, MismatchError
-from .fuzzyset import Space, UniverseMap, ensure_budget, set_at
+from .fuzzyset import Space, UniverseMap, set_at
 from .lattice import DEFAULT_BUDGET, Lattice, has_zero_divisors
 from .partition import FuzzyPartition, product_partition
 from .record import Record
@@ -199,8 +199,7 @@ def ft_inequality_witness(cand: FPMapCandidate,
     """Greatest l with component(psi(j))[f] >= component(j)[pullback f] . l
     for every f on the target universe and every declared block."""
     lat = cand.source.lattice
-    ensure_budget(lat, cand.target.universe, budget, "transform witness")
-    space = Space(lat, cand.target.universe)
+    space = Space(lat, cand.target.universe, budget, "transform witness")
     res = lat.residuum
     blocks = cand.constrained_blocks()
     columns = []
@@ -217,8 +216,7 @@ def ft_forward_bound(cand: FPMapCandidate,
     """Greatest l with component(psi(j))[pushforward f] >= component(j)[f] . l
     over all f on the source universe; a one-directional bound."""
     lat = cand.source.lattice
-    ensure_budget(lat, cand.source.universe, budget, "transform bound")
-    space = Space(lat, cand.source.universe)
+    space = Space(lat, cand.source.universe, budget, "transform bound")
     res, join, tensor = lat.residuum, lat.join, lat.tensor
     blocks = cand.constrained_blocks()
     pushed = [space.fiber_join(cand.phi, y)
@@ -261,7 +259,7 @@ def fas_operator_witness(phi: UniverseMap, rel_x: FuzzyRelation,
     """Greatest l for the approximation-operator inequality, swept over every
     fuzzy set on the target universe."""
     lat = rel_x.lattice
-    ensure_budget(lat, rel_y.universe, budget, "operator witness")
+    space = Space(lat, rel_y.universe, budget, "operator witness")
     if rel_y.universe != phi.target:
         raise MismatchError(
             f"backward image: set on {rel_y.universe.name}, "
@@ -274,7 +272,6 @@ def fas_operator_witness(phi: UniverseMap, rel_x: FuzzyRelation,
         )
     if rel_y.lattice is not lat:
         raise MismatchError("upper approximation: lattice mismatch")
-    space = Space(lat, rel_y.universe)
     res = lat.residuum
     ex = rel_x.universe.elements
     rhs = [space.upper(row) for row in rel_y.rows]
@@ -291,8 +288,7 @@ def fcss_witness(phi: UniverseMap, sys_x: ClosureSystem, sys_y: ClosureSystem,
     if sys_x.universe != phi.source or sys_y.universe != phi.target:
         raise MismatchError("continuity witness: universe mismatch")
     lat = sys_x.lattice
-    ensure_budget(lat, sys_y.universe, budget, "continuity witness")
-    space = Space(lat, sys_y.universe)
+    space = Space(lat, sys_y.universe, budget, "continuity witness")
     res = lat.residuum
     column = [res[a][sys_x.table[k]]
               for a, k in zip(sys_y.table, space.pulled_index(phi))]
@@ -304,8 +300,7 @@ def fcs_witness(phi: UniverseMap, op_x: ClosureOperator, op_y: ClosureOperator,
     if op_x.universe != phi.source or op_y.universe != phi.target:
         raise MismatchError("operator continuity witness: universe mismatch")
     lat = op_x.lattice
-    ensure_budget(lat, op_y.universe, budget, "operator continuity witness")
-    space = Space(lat, op_y.universe)
+    space = Space(lat, op_y.universe, budget, "operator continuity witness")
     res = lat.residuum
     ex = op_x.universe.elements
     closed_x = list(map(op_x.table.__getitem__, space.pulled_index(phi)))

@@ -5,7 +5,7 @@ from __future__ import annotations
 from operator import add
 
 from .errors import MismatchError
-from .fuzzyset import FuzzySet, Space, Universe, ensure_budget
+from .fuzzyset import FuzzySet, Space, Universe
 from .lattice import DEFAULT_BUDGET, Lattice
 from .record import Record
 
@@ -30,9 +30,6 @@ class FuzzyRelation(Record):
 
     def display_rows(self) -> list[list[str]]:
         return [[self.lattice.displays[v] for v in row] for row in self.rows]
-
-    def is_reflexive(self) -> bool:
-        return all(self.rows[i][i] == self.lattice.top for i in range(len(self.rows)))
 
 
 def upper_approx(rel: FuzzyRelation, f: FuzzySet) -> FuzzySet:
@@ -62,8 +59,7 @@ def relation_from_system(system, budget: int = DEFAULT_BUDGET) -> FuzzyRelation:
     """
     lat: Lattice = system.lattice
     universe: Universe = system.universe
-    ensure_budget(lat, universe, budget, "relation extraction")
-    space = Space(lat, universe)
+    space = Space(lat, universe, budget, "relation extraction")
     res, meet = lat.residuum, lat.meet
     n = len(lat)
     points = range(len(universe))

@@ -3,17 +3,28 @@
 The package sweeps `L^X` only through `fuzzyset.Space`, whole columns at a
 time.  The functions here are the set-by-set forms the differential tests
 compare those sweeps against (images along a map, one transform component,
-the index of one set, a budget-guarded sweep of every set), plus builders
-for hand-made operators and relations.  None of them is package API.
+the index of one set, a budget-guarded sweep of every set, the budget rule
+itself), lookups of one set in a system or operator table, the pointwise
+order, cores and reflexivity, plus builders for hand-made operators and
+relations.  None of them is package API.
 """
 
 from latfuzz.closure import ClosureOperator
-from latfuzz.errors import MismatchError
+from latfuzz.errors import BudgetExceeded, MismatchError
 from latfuzz.ftransform import _require_on
-from latfuzz.fuzzyset import FuzzySet, Space, Universe, UniverseMap, ensure_budget
+from latfuzz.fuzzyset import FuzzySet, Space, Universe, UniverseMap
 from latfuzz.lattice import DEFAULT_BUDGET, Lattice
 from latfuzz.partition import FuzzyPartition
 from latfuzz.relation import FuzzyRelation
+
+
+def ensure_budget(lat: Lattice, universe: Universe, budget: int,
+                  what: str = "enumeration of the function space") -> int:
+    """The budget rule, stated apart from the package's `Space`."""
+    size = len(lat) ** len(universe)
+    if size > budget:
+        raise BudgetExceeded(size, budget, what)
+    return size
 
 
 def forward_image(phi: UniverseMap, f: FuzzySet) -> FuzzySet:
@@ -43,6 +54,31 @@ def backward_image(phi: UniverseMap, g: FuzzySet) -> FuzzySet:
 def set_index(f: FuzzySet) -> int:
     """Position of f in the lexicographic enumeration (mixed radix)."""
     return Space(f.lattice, f.universe).index(f.values)
+
+
+def system_value(system, f: FuzzySet) -> int:
+    """The membership degree of f in a closure system."""
+    return system.table[set_index(f)]
+
+
+def apply_operator(op: ClosureOperator, f: FuzzySet) -> FuzzySet:
+    """The closure of f under an extensional operator."""
+    return FuzzySet(op.lattice, op.universe, op.table[set_index(f)])
+
+
+def le(f: FuzzySet, g: FuzzySet) -> bool:
+    """f <= g pointwise."""
+    return all(f.lattice.leq[a][b] for a, b in zip(f.values, g.values))
+
+
+def core(f: FuzzySet) -> tuple[str, ...]:
+    """The labels of the points where f is top."""
+    return tuple(e for e, v in zip(f.universe.elements, f.values)
+                 if v == f.lattice.top)
+
+
+def is_reflexive(rel: FuzzyRelation) -> bool:
+    return all(row[i] == rel.lattice.top for i, row in enumerate(rel.rows))
 
 
 def enumerate_sets(lat: Lattice, universe: Universe,

@@ -427,6 +427,11 @@ MALFORMED_DOCUMENTS = {
     "file not UTF-8": (b"\xff\xfe{bad", "cannot read document: 'utf-8'"),
     "nested too deeply": (b'{"a": ' + b"[" * 100000 + b"]" * 100000 + b"}",
                           "document nests too deeply to decode"),
+    # a file's text is parsed as JSON, never taken for a path
+    "file root a list": (b"[1]", "document root must be an object"),
+    "file with a byte-order mark": (
+        b"\xef\xbb\xbf" + json.dumps(_doc()).encode(),
+        "document is not valid JSON: Unexpected UTF-8 BOM"),
 }
 
 
@@ -444,6 +449,29 @@ def test_malformed_document_exits_2(capsys, tmp_path, case):
     assert report is None
     assert err.startswith("latfuzz: ") and message in err
     assert "Traceback" not in err
+
+
+# a value nested 900 lists deep, at each place a lattice error quotes one
+DEEP_VALUES = {
+    "fuzzy set value": _doc(fuzzy_sets={"f": {"universe": "X",
+                                              "values": {"a": "DEEP"}}}),
+    "tensor entry": {"lattice": {"kind": "table", "elements": ["0", "1"],
+                                 "leq": [[True, True], [False, True]],
+                                 "tensor": [["DEEP", "0"], ["0", "1"]]}},
+    "n": {"lattice": {"kind": "godel_chain", "n": "DEEP"}},
+    "lattice kind": {"lattice": {"kind": "DEEP"}},
+}
+
+
+@pytest.mark.parametrize("case", sorted(DEEP_VALUES))
+def test_deep_value_gives_a_short_error(capsys, case):
+    source = json.dumps(DEEP_VALUES[case]).replace(
+        '"DEEP"', "[" * 900 + "]" * 900)
+    code, report, err = run(capsys, "validate", "--doc", source)
+    assert code == 2
+    assert report is None
+    assert err.startswith("latfuzz: ") and "[[[..." in err
+    assert all(len(line) < 200 for line in err.splitlines())
 
 
 def test_huge_lattice_exits_3_before_building(capsys, tmp_path):

@@ -25,7 +25,8 @@ from conftest import FIXTURES
 from latfuzz import cli
 from latfuzz.closure import system_from_explicit
 from latfuzz.document import _bulk_table, _system_table, load_document
-from latfuzz.fuzzyset import Space, ensure_budget
+from latfuzz.fuzzyset import Space
+from reference import ensure_budget
 
 SPECS = {
     "godel3": {"kind": "godel_chain", "n": 3},

@@ -57,6 +57,17 @@ def test_display_roundtrip_and_unit(lat):
         assert lat.tensor[a][lat.top] == a
 
 
+def test_value_quotes_are_cut_at_60_characters():
+    lat = lf.godel_chain(3)
+    for value, quoted in ((["a" * 10] * 4, repr(["a" * 10] * 4)),
+                          ("b" * 58, repr("b" * 58)),
+                          ("b" * 59, repr("b" * 59)[:60] + "...")):
+        with pytest.raises(lf.ElementError) as err:
+            lat.parse(value)
+        assert str(err.value) == \
+            f"{quoted} is not an element of lattice godel_chain(3)"
+
+
 def test_godel3_values():
     lat = lf.godel_chain(3)
     assert lat.displays == ("0", "1/2", "1")

@@ -31,10 +31,10 @@ from hypothesis import example, given, settings, strategies as st
 import latfuzz as lf
 from latfuzz import cli, closure, ftransform
 from latfuzz.closure import ClosureOperator, ClosureSystem
-from latfuzz.fuzzyset import FuzzySet, Space, constant, ensure_budget
+from latfuzz.fuzzyset import FuzzySet, Space, constant
 from latfuzz.lattice import DEFAULT_BUDGET, Lattice, LawReport
 from latfuzz.partition import FuzzyPartition, relation_from_partition
-from reference import set_index
+from reference import ensure_budget, set_index
 from test_space_differential import (
     LATTICES,
     random_operator,
@@ -463,8 +463,8 @@ def _all_match() -> bool:
 # satisfies every pair law on any table, since f meet f = f join f = f.
 MUTANTS = [
     pytest.param(closure, "check_system",
-                 "        j = next((j for j in range(i, size)",
-                 "        j = next((j for j in range(i + 2, size)",
+                 "        j = next((j for j in range(i, space.size)",
+                 "        j = next((j for j in range(i + 2, space.size)",
                  id="check_system-0"),
     pytest.param(closure, "check_system",
                  '"strong": space.image_index([lat.tensor[a]] * len(uni))',

@@ -27,7 +27,6 @@ def _samples():
         (lat, "name", "renamed"),
         (lf.law_suite(lat), "subject", "renamed"),
         (DOC.universe("X"), "name", "renamed"),
-        (ramp.core(), "flags", (True,) * len(ramp.values)),
         (ramp, "values", (lat.top,) * len(ramp.values)),
         (swap, "mapping", tuple(range(len(swap.mapping)))),
         (w3, "names", tuple(f"{n}'" for n in w3.names)),

@@ -23,9 +23,10 @@ from hypothesis import example, given, settings, strategies as st
 import latfuzz as lf
 from conftest import FIXTURES
 from latfuzz.document import load_document
-from latfuzz.fuzzyset import Space, ensure_budget
+from latfuzz.fuzzyset import Space
 from reference import (
     backward_image,
+    ensure_budget,
     enumerate_sets,
     forward_image,
     ft_component,
