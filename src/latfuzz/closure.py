@@ -97,44 +97,44 @@ def operator_from_system(system: ClosureSystem,
                          budget: int = DEFAULT_BUDGET) -> ClosureOperator:
     """Close each f against every member g, weighted by membership and by
     how far f sits below g: closed(x) is the meet over g of
-    premise(f, g) -> g(x), where premise(f, g) is membership(g) tensor the
-    inclusion degree of f in g.
+    (membership(g) tensor S(f, g)) -> g(x), where S(f, g) is the inclusion
+    degree of f in g, the meet over y of f(y) -> g(y).
 
-    A g whose premise is bottom contributes bottom -> g(x), which is top on
-    every residuated lattice and so leaves the meet unchanged; such g are
-    skipped.  A bottom membership always gives a bottom premise, and so does
-    a bottom inclusion degree, so the inclusion meet stops there.
+    The term is antitone in S, and by adjointness s <= S(f, g) iff
+    f <= s -> g pointwise.  So closed is also the meet of
+    (membership(g) tensor s) -> g over the pairs (g, s) with f <= s -> g:
+    each pair's term is met into a bucket A at the set s -> g, and closed(f)
+    is the meet of A over the sets above f.  A bottom s gives a top term
+    and is skipped.  The up-set meet sweeps one point at a time, meeting
+    each value with the values above it in the order; the point swept is
+    always the last, whose values are strided slices, and each sweep
+    rotates the points by one.  That is O(|space| * |L| * |X|^2) steps,
+    not |space|^2.
     """
     lat = system.lattice
     uni = system.universe
     space = Space(lat, uni, budget, "closure operator construction")
-    res, tensor, meet = lat.residuum, lat.tensor, lat.meet
-    bottom, top = lat.bottom, lat.top
-    points = range(len(uni))
-    all_sets = list(space.values())
-    members = [(tensor[m], g) for m, g in zip(system.table, all_sets)
-               if m != bottom]
-    table = []
-    for f in all_sets:
-        res_f = [res[v] for v in f]
-        weighted = []
-        for scale, g in members:
-            inclusion = top
-            for row, v in zip(res_f, g):
-                inclusion = meet[inclusion][row[v]]
-                if inclusion == bottom:
-                    break
-            premise = scale[inclusion]
-            if premise != bottom:
-                weighted.append((res[premise], g))
-        closed = []
-        for x in points:
-            acc = top
-            for row, g in weighted:
-                acc = meet[acc][row[g[x]]]
-            closed.append(acc)
-        table.append(tuple(closed))
-    return ClosureOperator(lat, uni, tuple(table), "from_system")
+    res, tensor, meet, leq = lat.residuum, lat.tensor, lat.meet, lat.leq
+    n, points, values = space.radix, range(len(uni)), lat.elements()
+    digits = [space.digits(x) for x in points]
+    buckets = [[lat.top] * space.size for _ in points]
+    for s in values:
+        if s == lat.bottom:
+            continue
+        at = space.image_index([res[s]] * len(uni))
+        premise = [res[tensor[m][s]] for m in system.table]
+        for column, digit in zip(buckets, digits):
+            for h, row, v in zip(at, premise, digit):
+                column[h] = meet[column[h]][row[v]]
+    above = [(d, u) for d in values for u in values if d != u and leq[d][u]]
+    for _ in points:
+        for x, column in enumerate(buckets):
+            parts = [column[d::n] for d in values]
+            for d, u in above:
+                parts[d] = [meet[a][b] for a, b in zip(parts[d], parts[u])]
+            buckets[x] = [a for part in parts for a in part]
+    return ClosureOperator(lat, uni, tuple(zip(*buckets)) or ((),),
+                           "from_system")
 
 
 def system_from_operator(op: ClosureOperator,

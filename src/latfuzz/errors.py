@@ -1,4 +1,13 @@
-"""Exception types shared across the workbench."""
+"""Exception types shared across the workbench, and the quoting of document
+values in their messages."""
+
+
+def quote(value) -> str:
+    """The repr of a value from a document, for an error message: past 60
+    characters it is cut there and ends in an ASCII "...", as stderr may
+    not take other characters."""
+    text = repr(value)
+    return text if len(text) <= 60 else text[:60] + "..."
 
 
 class WorkbenchError(Exception):

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from itertools import product
 
-from .errors import BudgetExceeded, ElementError, MismatchError
+from .errors import BudgetExceeded, ElementError, MismatchError, quote
 from .lattice import Lattice
 from .record import Record
 
@@ -45,7 +45,7 @@ class Universe(Record):
             return self.elements.index(label)
         except ValueError:
             raise ElementError(
-                f"{label!r} is not an element of universe {self.name}"
+                f"{quote(label)} is not an element of universe {self.name}"
             ) from None
 
 
@@ -90,12 +90,13 @@ def from_labels(lat: Lattice, universe: Universe, mapping: dict) -> FuzzySet:
     missing = [e for e in universe.elements if e not in mapping]
     if missing:
         raise MismatchError(
-            f"value map on {universe.name} missing {missing[0]!r}"
+            f"value map on {universe.name} missing {quote(missing[0])}"
         )
     extra = [k for k in mapping if k not in universe.elements]
     if extra:
         raise ElementError(
-            f"value map on {universe.name} names unknown element {extra[0]!r}"
+            f"value map on {universe.name} names unknown element "
+            f"{quote(extra[0])}"
         )
     return FuzzySet(
         lat, universe, tuple(lat.parse(mapping[e]) for e in universe.elements)
@@ -139,7 +140,8 @@ class UniverseMap(Record):
         missing = [e for e in source.elements if e not in mapping]
         if missing:
             raise MismatchError(
-                f"map {source.name} -> {target.name} missing {missing[0]!r}"
+                f"map {source.name} -> {target.name} missing "
+                f"{quote(missing[0])}"
             )
         return cls(
             source, target, tuple(target.index(mapping[e]) for e in source.elements)

@@ -25,7 +25,7 @@ from itertools import combinations
 from math import gcd
 from operator import itemgetter
 
-from .errors import BudgetExceeded, ElementError, LatticeBuildError
+from .errors import BudgetExceeded, ElementError, LatticeBuildError, quote
 from .record import Record
 
 DEFAULT_BUDGET = 4096
@@ -63,7 +63,7 @@ class Lattice(Record):
             return self._parse[text]
         except (KeyError, TypeError):  # TypeError: an unhashable value
             raise ElementError(
-                f"{_quote(text)} is not an element of lattice {self.name}"
+                f"{quote(text)} is not an element of lattice {self.name}"
             ) from None
 
     def meet_all(self, items) -> int:
@@ -77,14 +77,6 @@ class Lattice(Record):
         for a in items:
             out = self.join[out][a]
         return out
-
-
-def _quote(value) -> str:
-    """The repr of a value from a document, for an error message: past 60
-    characters it is cut there and ends in an ASCII "...", as stderr may
-    not take other characters."""
-    text = repr(value)
-    return text if len(text) <= 60 else text[:60] + "..."
 
 
 # ---------------------------------------------------------------------------
@@ -394,7 +386,7 @@ def _spec_int(spec, key) -> int:
     if type(value) is not int:
         raise LatticeBuildError(
             f"{spec['kind']} lattice description: {key!r} must be an integer, "
-            f"got {_quote(value)}"
+            f"got {quote(value)}"
         )
     return value
 
@@ -458,21 +450,27 @@ def build(spec: dict, budget: int = DEFAULT_BUDGET) -> Lattice:
                 return index[v]
             except (KeyError, TypeError):
                 raise LatticeBuildError(
-                    f"{name}: {key} names unknown element {_quote(v)}"
+                    f"{name}: {key} names unknown element {quote(v)}"
                 ) from None
 
         def op_table(key):
             return [[ordinal(key, v) for v in row]
                     for row in _spec_list(spec, key, rows=True)]
 
+        leq = _spec_list(spec, "leq", rows=True)
+        for a, row in enumerate(leq):
+            for b, v in enumerate(row):
+                if type(v) is not bool:  # from_tables takes any truthy value
+                    raise LatticeBuildError(
+                        f"{name}: leq[{a}][{b}] = {quote(v)} is not a boolean")
         return from_tables(
             displays,
-            _spec_list(spec, "leq", rows=True),
+            leq,
             op_table("tensor"),
             op_table("residuum") if spec.get("residuum") is not None else None,
             name=name,
         )
-    raise LatticeBuildError(f"unknown lattice kind {_quote(kind)}")
+    raise LatticeBuildError(f"unknown lattice kind {quote(kind)}")
 
 
 # ---------------------------------------------------------------------------

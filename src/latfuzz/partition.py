@@ -3,7 +3,7 @@ partition the universe, together with the induced index function."""
 
 from __future__ import annotations
 
-from .errors import MismatchError, PartitionError
+from .errors import MismatchError, PartitionError, quote
 from .fuzzyset import FuzzySet, Universe
 from .lattice import Lattice
 from .record import Record
@@ -21,13 +21,13 @@ class FuzzyPartition(Record):
         try:
             return self.blocks[self.names.index(name)]
         except ValueError:
-            raise PartitionError(f"unknown block {name!r}") from None
+            raise PartitionError(f"unknown block {quote(name)}") from None
 
     def block_index(self, name: str) -> int:
         try:
             return self.names.index(name)
         except ValueError:
-            raise PartitionError(f"unknown block {name!r}") from None
+            raise PartitionError(f"unknown block {quote(name)}") from None
 
     def __len__(self) -> int:
         return len(self.blocks)

@@ -423,6 +423,13 @@ MALFORMED_DOCUMENTS = {
     "system entries not a list": (
         _doc(systems={"S": {"universe": "X", "entries": {}}}),
         "systems entry 'S': 'entries' must be a list"),
+    # leq entries must be JSON booleans, not merely truthy
+    "table leq entry a string": (
+        {"lattice": _chain2(leq=[[True, "false"], [False, True]])},
+        "table: leq[0][1] = 'false' is not a boolean"),
+    "table leq entry a list": (
+        {"lattice": _chain2(leq=[[True, [0]], [False, True]])},
+        "table: leq[0][1] = [0] is not a boolean"),
     # bytes are a document file's contents
     "file not UTF-8": (b"\xff\xfe{bad", "cannot read document: 'utf-8'"),
     "nested too deeply": (b'{"a": ' + b"[" * 100000 + b"]" * 100000 + b"}",
@@ -460,6 +467,14 @@ DEEP_VALUES = {
                                  "tensor": [["DEEP", "0"], ["0", "1"]]}},
     "n": {"lattice": {"kind": "godel_chain", "n": "DEEP"}},
     "lattice kind": {"lattice": {"kind": "DEEP"}},
+    "leq entry": {"lattice": _chain2(leq=[[True, "DEEP"], [False, True]])},
+    "map value": _doc(maps={"m": {"source": "X", "target": "X",
+                                  "values": {"a": "DEEP"}}}),
+    "index map value": _doc(**{**_LINKED, "index_maps": {
+        "psi": {"source": "P", "target": "P", "values": {"A": "DEEP"}}}},
+        candidates={"c": _CAND}),
+    "candidate pair": _doc(**_LINKED, candidates={
+        "c": {**_CAND, "pairs": [["A", "DEEP"]]}}),
 }
 
 
@@ -471,6 +486,31 @@ def test_deep_value_gives_a_short_error(capsys, case):
     assert code == 2
     assert report is None
     assert err.startswith("latfuzz: ") and "[[[..." in err
+    assert all(len(line) < 200 for line in err.splitlines())
+
+
+LONG = "a" * 1000
+
+# a 1000-character element label, at each place a universe error quotes one
+LONG_LABELS = {
+    "value map missing an element": _doc(
+        universes={"X": [LONG]}, fuzzy_sets={"f": {"universe": "X",
+                                                   "values": {}}}),
+    "value map naming an unknown element": _doc(
+        fuzzy_sets={"f": {"universe": "X", "values": {"a": "1", LONG: "1"}}}),
+    "map missing an element": _doc(
+        universes={"X": [LONG]}, maps={"m": {"source": "X", "target": "X",
+                                             "values": {}}}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LONG_LABELS))
+def test_long_label_gives_a_short_error(capsys, case):
+    code, report, err = run(capsys, "validate", "--doc",
+                            json.dumps(LONG_LABELS[case]))
+    assert code == 2
+    assert report is None
+    assert err.startswith("latfuzz: ") and "'aaa" in err and "..." in err
     assert all(len(line) < 200 for line in err.splitlines())
 
 
