@@ -47,7 +47,6 @@ from .partition import (
     validate_partition,
 )
 from .ftransform import (
-    FTransformResult,
     ft_field,
     ft_transform,
     transform_law_suite,
@@ -60,7 +59,6 @@ from .relation import (
 from .closure import (
     ClosureOperator,
     ClosureSystem,
-    RoundTripReport,
     check_operator,
     check_system,
     operator_from_system,
@@ -75,7 +73,6 @@ from .morphism import (
     ComposedFP,
     FPMapCandidate,
     FPSProduct,
-    IndexSquareReport,
     Witness,
     compose_fp,
     fas_operator_witness,
@@ -91,7 +88,6 @@ from .morphism import (
     make_candidate,
 )
 from .algebra import (
-    AdjunctionVerdict,
     HomVerdict,
     StructureTable,
     TransferVerdict,

@@ -87,15 +87,6 @@ class HomVerdict(Record):
     holds: bool
     violation: tuple | None = None  # (element label, set displays)
 
-    def to_dict(self) -> dict:
-        out = {"holds": self.holds}
-        if self.violation is not None:
-            out["violation"] = {
-                "element": self.violation[0],
-                "set": list(self.violation[1]),
-            }
-        return out
-
 
 def _first_violation(space: Space, phi: UniverseMap,
                      lower: StructureTable, upper: StructureTable,
@@ -158,13 +149,6 @@ class TransferVerdict(Record):
     original: HomVerdict | None
     converted: HomVerdict | None
 
-    def to_dict(self) -> dict:
-        return {
-            "status": self.status,
-            "original": self.original.to_dict() if self.original else None,
-            "converted": self.converted.to_dict() if self.converted else None,
-        }
-
 
 def morphism_transfer_check(phi: UniverseMap, source, target,
                             direction: str,
@@ -203,26 +187,12 @@ def morphism_transfer_check(phi: UniverseMap, source, target,
 # ---------------------------------------------------------------------------
 # adjunction triangle
 
-class AdjunctionVerdict(Record):
-    rho_check: HomVerdict
-
-    @property
-    def holds(self) -> bool:
-        return self.rho_check.holds
-
-    def to_dict(self) -> dict:
-        return {
-            "holds": self.holds,
-            "rho_is_dialgebra_morphism": self.rho_check.to_dict(),
-        }
-
-
 def adjunction_check(c: StructureTable, d: StructureTable,
                      phi: UniverseMap,
-                     budget: int = DEFAULT_BUDGET) -> AdjunctionVerdict:
+                     budget: int = DEFAULT_BUDGET) -> HomVerdict:
     """Given a coalgebra morphism phi from c into the coalgebra view of d,
-    take rho = phi as the mate and verify it is a dialgebra morphism from
-    the dialgebra view of c into d.
+    take rho = phi as the mate and check that it is a dialgebra morphism
+    from the dialgebra view of c into d: the verdict of that check.
 
     The unit is the identity carrier map, so the unit triangle forces rho
     to equal phi: the mate is unique and the triangle commutes by
@@ -234,4 +204,4 @@ def adjunction_check(c: StructureTable, d: StructureTable,
             "phi is not a coalgebra morphism into the converted dialgebra; "
             f"violation at {pre.violation}"
         )
-    return AdjunctionVerdict(check_dia_hom(phi, coa_to_dia(c), d, budget))
+    return check_dia_hom(phi, coa_to_dia(c), d, budget)

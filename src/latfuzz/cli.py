@@ -12,7 +12,8 @@ One table, `_COMMANDS`, gives each command its handler, help line,
 positional word and flags, and one loop builds the parser from it: only the
 named command's subparser, or all of them for `-h` and a missing or unknown
 command.  Each handler returns a payload and a verdict, and the verdict sets
-the exit status.
+the exit status.  The handlers and the `_json` helpers are the only code that
+knows a report's keys and nesting: the library returns plain results.
 
 Another table, `_KINDS`, says for each kind of object the CLI derives
 (relation, system, operator, coalgebra, dialgebra) how to build it from a
@@ -119,10 +120,11 @@ def _axioms_json(report) -> dict:
 
 
 def _relation_json(rel) -> dict:
+    d = rel.lattice.displays
     return {
         "universe": rel.universe.name,
         "elements": list(rel.universe.elements),
-        "rows": rel.display_rows(),
+        "rows": [[d[v] for v in row] for row in rel.rows],
     }
 
 
@@ -281,10 +283,12 @@ def _cmd_validate(doc, args, budget):
 def _cmd_ft(doc, args, budget):
     p = doc.partition(args.partition)
     f = doc.fuzzy_set(args.set)
+    d = p.lattice.displays
     return {
         "partition": args.partition,
         "set": args.set,
-        "components": ftransform.ft_transform(p, f).display_map(),
+        "components": {name: d[v] for name, v in
+                       zip(p.names, ftransform.ft_transform(p, f))},
         "field": {
             "universe": p.universe.name,
             "values": list(ftransform.ft_field(p, f).displays()),
@@ -294,6 +298,18 @@ def _cmd_ft(doc, args, budget):
 
 def _verdict(holds: bool) -> str:
     return "ok" if holds else "fail"
+
+
+def _hom_json(v: algebra.HomVerdict | None) -> dict | None:
+    """A homomorphism verdict, with its violation if it has one; `None` for
+    a check that was not run."""
+    if v is None:
+        return None
+    out = {"holds": v.holds}
+    if v.violation is not None:
+        element, values = v.violation
+        out["violation"] = {"element": element, "set": list(values)}
+    return out
 
 
 def _check_payload(w: morphism.Witness):
@@ -336,7 +352,7 @@ def _cmd_check(doc, args, budget):
     else:
         view, check = "dialgebra", algebra.check_dia_hom
     verdict = check(*_hom_ends(doc, args, view, budget), budget)
-    return verdict.to_dict(), _verdict(verdict.holds)
+    return _hom_json(verdict), _verdict(verdict.holds)
 
 
 def _hom_ends(doc, args, view: str, budget: int):
@@ -352,11 +368,24 @@ def _cmd_roundtrip(doc, args, budget):
     name = args.name
     if name in ("f2", "f4"):
         kind = "relation" if name == "f2" else "system"
-        roundtrip = (closure.roundtrip_relation if name == "f2"
-                     else closure.roundtrip_system)
-        report = roundtrip(_resolve(doc, kind, _required(args, kind), budget),
-                           budget)
-        return {"roundtrip": report.to_dict()}, "ok"
+        start = _resolve(doc, kind, _required(args, kind), budget)
+        d = start.lattice.displays
+        # a mismatch's site is a pair of point labels or a set's values
+        if name == "f2":
+            label, total = "relation-system", len(start.universe) ** 2
+            mismatches = [(list(at), a, b) for at, a, b
+                          in closure.roundtrip_relation(start, budget)]
+        else:
+            label, total = "system-operator", len(start.table)
+            mismatches = [([d[v] for v in at], a, b) for at, a, b
+                          in closure.roundtrip_system(start, budget)]
+        return {"roundtrip": {
+            "kind": label,
+            "total": total,
+            "exact": not mismatches,
+            "mismatches": [{"at": at, "original": d[a], "mapped_back": d[b]}
+                           for at, a, b in mismatches],
+        }}, "ok"
     p = doc.partition(_required(args, "partition"))
     c = _from_partition("coalgebra", p, budget)
     d = _from_partition("dialgebra", p, budget)
@@ -398,9 +427,14 @@ def _cmd_product(doc, args, budget):
 
 
 def _cmd_diagnostic(doc, args, budget):
-    report = morphism.index_square_diagnostic(
+    failures = morphism.index_square_diagnostic(
         doc.candidate(_required(args, "cand")))
-    return {"index_square": report.to_dict()}, "ok"
+    return {"index_square": {
+        "holds": not failures,
+        "failures": [{"element": e, "target_index_of_image": got,
+                      "psi_of_index": expected}
+                     for e, got, expected in failures],
+    }}, "ok"
 
 
 def _cmd_laws(doc, args, budget):
@@ -427,16 +461,20 @@ def _cmd_adjunction(doc, args, budget):
     phi = doc.map(args.map)
     c = _derive(doc, "coalgebra", "partition", args.source_partition, budget)
     d = _derive(doc, "dialgebra", "partition", args.target_partition, budget)
-    verdict = algebra.adjunction_check(c, d, phi, budget)
-    return {"adjunction": verdict.to_dict()}, _verdict(verdict.holds)
+    rho = algebra.adjunction_check(c, d, phi, budget)
+    payload = {"holds": rho.holds, "rho_is_dialgebra_morphism": _hom_json(rho)}
+    return {"adjunction": payload}, _verdict(rho.holds)
 
 
 def _cmd_transfer(doc, args, budget):
     view = "coalgebra" if args.direction == "coa-dia" else "dialgebra"
     verdict = algebra.morphism_transfer_check(
         *_hom_ends(doc, args, view, budget), args.direction, budget)
+    payload = {"status": verdict.status,
+               "original": _hom_json(verdict.original),
+               "converted": _hom_json(verdict.converted)}
     verdicts = {"holds": "ok", "proviso unmet": "proviso-unmet"}
-    return {"transfer": verdict.to_dict()}, verdicts.get(verdict.status, "fail")
+    return {"transfer": payload}, verdicts.get(verdict.status, "fail")
 
 
 # ---------------------------------------------------------------------------

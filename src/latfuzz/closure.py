@@ -257,56 +257,24 @@ def check_operator(op: ClosureOperator,
 
 
 # ---------------------------------------------------------------------------
-# round-trip reports (informational: differences are recorded, never asserted)
-
-class RoundTripReport(Record):
-    kind: str
-    total: int
-    mismatches: tuple[dict, ...]
-
-    @property
-    def exact(self) -> bool:
-        return not self.mismatches
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "total": self.total,
-            "exact": self.exact,
-            "mismatches": [dict(m) for m in self.mismatches],
-        }
-
+# round trips (informational: differences are recorded, never asserted)
 
 def roundtrip_relation(rel: FuzzyRelation,
-                       budget: int = DEFAULT_BUDGET) -> RoundTripReport:
-    """relation -> system -> relation, reporting every differing entry."""
+                       budget: int = DEFAULT_BUDGET) -> tuple:
+    """relation -> system -> relation: each entry that differs, as
+    ((x, z) labels, original, mapped back), row by row."""
     back = relation_from_system(system_from_relation(rel, budget), budget)
-    lat = rel.lattice
     labels = rel.universe.elements
-    mismatches = []
-    for x in range(len(labels)):
-        for z in range(len(labels)):
-            if rel.rows[x][z] != back.rows[x][z]:
-                mismatches.append({
-                    "at": [labels[x], labels[z]],
-                    "original": lat.displays[rel.rows[x][z]],
-                    "mapped_back": lat.displays[back.rows[x][z]],
-                })
-    return RoundTripReport("relation-system", len(labels) ** 2, tuple(mismatches))
+    return tuple(((labels[x], labels[z]), a, b)
+                 for x, (row, back_row) in enumerate(zip(rel.rows, back.rows))
+                 for z, (a, b) in enumerate(zip(row, back_row)) if a != b)
 
 
 def roundtrip_system(system: ClosureSystem,
-                     budget: int = DEFAULT_BUDGET) -> RoundTripReport:
-    """system -> operator -> system, reporting every differing entry."""
+                     budget: int = DEFAULT_BUDGET) -> tuple:
+    """system -> operator -> system: each set whose membership differs, as
+    (set values, original, mapped back), in enumeration order."""
     back = system_from_operator(operator_from_system(system, budget), budget)
-    d = system.lattice.displays
-    mismatches = []
-    for values, orig, mapped in zip(Space(system.lattice, system.universe)
-                                    .values(), system.table, back.table):
-        if orig != mapped:
-            mismatches.append({
-                "at": [d[v] for v in values],
-                "original": d[orig],
-                "mapped_back": d[mapped],
-            })
-    return RoundTripReport("system-operator", len(system.table), tuple(mismatches))
+    return tuple((values, a, b) for values, a, b
+                 in zip(Space(system.lattice, system.universe).values(),
+                        system.table, back.table) if a != b)

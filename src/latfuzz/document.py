@@ -24,7 +24,7 @@ from .record import Record
 from .relation import FuzzyRelation
 
 
-class InstanceDocument(Record, frozen=False):
+class InstanceDocument(Record):
     lattice: Lattice
     universes: dict[str, Universe] = {}
     fuzzy_sets: dict[str, FuzzySet] = {}

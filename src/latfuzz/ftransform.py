@@ -13,20 +13,7 @@ from .errors import MismatchError
 from .fuzzyset import FuzzySet, Space, Universe
 from .lattice import DEFAULT_BUDGET, LawReport, _masks
 from .partition import FuzzyPartition, relation_from_partition
-from .record import Record
 from .relation import upper_approx
-
-
-class FTransformResult(Record):
-    partition: FuzzyPartition
-    components: tuple[int, ...]  # aligned with partition.names
-
-    def display_map(self) -> dict:
-        lat = self.partition.lattice
-        return {
-            name: lat.displays[v]
-            for name, v in zip(self.partition.names, self.components)
-        }
 
 
 def _require_on(p: FuzzyPartition, f: FuzzySet) -> None:
@@ -38,18 +25,19 @@ def _require_on(p: FuzzyPartition, f: FuzzySet) -> None:
         raise MismatchError("transform: lattice mismatch")
 
 
-def ft_transform(p: FuzzyPartition, f: FuzzySet) -> FTransformResult:
+def ft_transform(p: FuzzyPartition, f: FuzzySet) -> tuple[int, ...]:
+    """The components of f, one per block, aligned with `p.names`."""
     _require_on(p, f)
     lat = p.lattice
-    return FTransformResult(p, tuple(
+    return tuple(
         lat.join_all(lat.tensor[a][v] for a, v in zip(block.values, f.values))
         for block in p.blocks
-    ))
+    )
 
 
 def ft_field(p: FuzzyPartition, f: FuzzySet) -> FuzzySet:
     """x maps to the component of x's own block."""
-    comps = ft_transform(p, f).components
+    comps = ft_transform(p, f)
     return FuzzySet(
         p.lattice, p.universe, tuple(comps[p.xi[i]] for i in range(len(p.universe)))
     )

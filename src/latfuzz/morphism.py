@@ -377,24 +377,12 @@ def fps_product(p: FuzzyPartition, q: FuzzyPartition) -> FPSProduct:
 # ---------------------------------------------------------------------------
 # index-square diagnostic (reported, never asserted)
 
-class IndexSquareReport(Record):
-    holds: bool
-    failures: tuple[tuple[str, str, str], ...]  # (element, via target, via psi)
-
-    def to_dict(self) -> dict:
-        return {
-            "holds": self.holds,
-            "failures": [
-                {"element": e, "target_index_of_image": got, "psi_of_index": exp}
-                for e, got, exp in self.failures
-            ],
-        }
-
-
-def index_square_diagnostic(cand: FPMapCandidate) -> IndexSquareReport:
-    """Does indexing commute with the point map?  Guaranteed when the
-    witness is top, but admissible candidates in general may break it (the
-    shipped half-witness fixture does), so this reports and never asserts."""
+def index_square_diagnostic(cand: FPMapCandidate) -> tuple:
+    """Where indexing fails to commute with the point map: one (element,
+    target index of its image, psi of its index) per failing element, none
+    when the square commutes.  Commuting is guaranteed when the witness is
+    top, but admissible candidates in general may break it (the shipped
+    half-witness fixture does), so this reports and never asserts."""
     failures = []
     src, tgt = cand.source, cand.target
     for i, label in enumerate(src.universe.elements):
@@ -402,4 +390,4 @@ def index_square_diagnostic(cand: FPMapCandidate) -> IndexSquareReport:
         expected = tgt.names[cand.psi[src.xi[i]]]
         if got != expected:
             failures.append((label, got, expected))
-    return IndexSquareReport(not failures, tuple(failures))
+    return tuple(failures)

@@ -17,12 +17,6 @@ class FuzzyPartition(Record):
     blocks: tuple[FuzzySet, ...]
     xi: tuple[int, ...]  # block ordinal per universe element
 
-    def block(self, name: str) -> FuzzySet:
-        try:
-            return self.blocks[self.names.index(name)]
-        except ValueError:
-            raise PartitionError(f"unknown block {quote(name)}") from None
-
     def block_index(self, name: str) -> int:
         try:
             return self.names.index(name)
@@ -31,6 +25,14 @@ class FuzzyPartition(Record):
 
     def __len__(self) -> int:
         return len(self.blocks)
+
+
+def _name(value) -> str:
+    """A label or block name from a document as an error message shows it:
+    a short string as it is, anything else quoted and cut by `quote`."""
+    if isinstance(value, str) and len(value) <= 60:
+        return value
+    return quote(value)
 
 
 def validate_partition(
@@ -86,8 +88,9 @@ def validate_partition(
             i = universe.index(label)
             if names[xi[i]] != block_name:
                 raise PartitionError(
-                    f"declared index map sends {label} to {block_name}, "
-                    f"but its core lies in {names[xi[i]]}"
+                    f"declared index map sends {_name(label)} to "
+                    f"{_name(block_name)}, but its core lies in "
+                    f"{_name(names[xi[i]])}"
                 )
 
     return FuzzyPartition(universe, lattice, names, blocks, tuple(xi))

@@ -17,17 +17,13 @@ class Record:
     dict or list default is copied for each instance).  The fields alone make
     up equality, hash and repr; names that start with `_` are not fields.
     The constructor runs `__post_init__`, where a subclass checks its fields.
-    Instances are immutable, unless the class is declared `frozen=False`,
-    which also makes them unhashable."""
+    Instances are immutable; one with a dict or list field is unhashable."""
 
-    def __init_subclass__(cls, frozen=True, **kwargs):
+    def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
         cls._fields = tuple(n for n in cls.__dict__.get("__annotations__", ())
                             if n[0] != "_")
         cls._key = attrgetter(*cls._fields)
-        if not frozen:
-            cls.__setattr__, cls.__delattr__ = _set, object.__delattr__
-            cls.__hash__ = None
 
     def __init__(self, *args, **kwargs):
         if kwargs or len(args) != len(self._fields):

@@ -25,12 +25,6 @@ class FuzzyRelation(Record):
             for v in row:
                 self.lattice.check_element(v)
 
-    def value(self, x_label: str, y_label: str) -> int:
-        return self.rows[self.universe.index(x_label)][self.universe.index(y_label)]
-
-    def display_rows(self) -> list[list[str]]:
-        return [[self.lattice.displays[v] for v in row] for row in self.rows]
-
 
 def upper_approx(rel: FuzzyRelation, f: FuzzySet) -> FuzzySet:
     """Row-wise join of tensors: the approximation of f seen from each point."""

@@ -4,13 +4,14 @@ The package sweeps `L^X` only through `fuzzyset.Space`, whole columns at a
 time.  The functions here are the set-by-set forms the differential tests
 compare those sweeps against (images along a map, one transform component,
 the index of one set, a budget-guarded sweep of every set, the budget rule
-itself), lookups of one set in a system or operator table, the pointwise
-order, cores and reflexivity, plus builders for hand-made operators and
-relations.  None of them is package API.
+itself), lookups of one set in a system or operator table, of one block of
+a partition and of one entry of a relation, the pointwise order, cores and
+reflexivity, plus builders for hand-made operators and relations.  None of
+them is package API.
 """
 
 from latfuzz.closure import ClosureOperator
-from latfuzz.errors import BudgetExceeded, MismatchError
+from latfuzz.errors import BudgetExceeded, MismatchError, PartitionError, quote
 from latfuzz.ftransform import _require_on
 from latfuzz.fuzzyset import FuzzySet, Space, Universe, UniverseMap
 from latfuzz.lattice import DEFAULT_BUDGET, Lattice
@@ -77,6 +78,19 @@ def core(f: FuzzySet) -> tuple[str, ...]:
                  if v == f.lattice.top)
 
 
+def block(p: FuzzyPartition, name: str) -> FuzzySet:
+    """The block of a partition that `name` names."""
+    try:
+        return p.blocks[p.names.index(name)]
+    except ValueError:
+        raise PartitionError(f"unknown block {quote(name)}") from None
+
+
+def relation_value(rel: FuzzyRelation, x_label: str, y_label: str) -> int:
+    """The degree to which `x_label` relates to `y_label`."""
+    return rel.rows[rel.universe.index(x_label)][rel.universe.index(y_label)]
+
+
 def is_reflexive(rel: FuzzyRelation) -> bool:
     return all(row[i] == rel.lattice.top for i, row in enumerate(rel.rows))
 
@@ -91,10 +105,9 @@ def enumerate_sets(lat: Lattice, universe: Universe,
 
 def ft_component(p: FuzzyPartition, f: FuzzySet, name: str) -> int:
     _require_on(p, f)
-    block = p.block(name)
     lat = p.lattice
     acc = lat.bottom
-    for a, v in zip(block.values, f.values):
+    for a, v in zip(block(p, name).values, f.values):
         acc = lat.join[acc][lat.tensor[a][v]]
     return acc
 

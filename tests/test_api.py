@@ -1,7 +1,7 @@
 """The package's public surface: what `latfuzz` exports is what README's
-"Library API" list names, module by module, and every public top-level
+"Library API" list names, module by module, every public top-level
 function or class of a package module is used by another module or
-exported."""
+exported, and only the CLI defines report layout methods."""
 
 import ast
 import re
@@ -70,3 +70,18 @@ def test_every_public_definition_is_used_elsewhere_or_exported():
             if name not in elsewhere and name not in exported:
                 unused.append(f"{module}.{name}")
     assert unused == []
+
+
+# the names of report layout methods, which only the CLI may define
+LAYOUT = {"to_dict", "display_map", "display_rows"}
+
+
+def test_only_the_cli_lays_out_reports():
+    """Library functions return plain results, and `cli.py` alone knows
+    the report keys and their nesting."""
+    found = [f"{path.stem}.{node.name}"
+             for path in sorted(PACKAGE.glob("*.py")) if path.stem != "cli"
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+             and node.name in LAYOUT]
+    assert found == []

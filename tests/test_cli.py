@@ -475,6 +475,8 @@ DEEP_VALUES = {
         candidates={"c": _CAND}),
     "candidate pair": _doc(**_LINKED, candidates={
         "c": {**_CAND, "pairs": [["A", "DEEP"]]}}),
+    "declared index map value": _doc(partitions={
+        "P": {**_P, "xi": {"a": "DEEP"}}}),
 }
 
 
@@ -491,7 +493,8 @@ def test_deep_value_gives_a_short_error(capsys, case):
 
 LONG = "a" * 1000
 
-# a 1000-character element label, at each place a universe error quotes one
+# a 1000-character element label, at each place a universe error quotes one,
+# and a block name as long where a partition error quotes one
 LONG_LABELS = {
     "value map missing an element": _doc(
         universes={"X": [LONG]}, fuzzy_sets={"f": {"universe": "X",
@@ -501,6 +504,8 @@ LONG_LABELS = {
     "map missing an element": _doc(
         universes={"X": [LONG]}, maps={"m": {"source": "X", "target": "X",
                                              "values": {}}}),
+    "declared index map value": _doc(partitions={
+        "P": {**_P, "xi": {"a": LONG}}}),
 }
 
 

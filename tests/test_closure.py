@@ -182,23 +182,21 @@ def test_check_operator_catches_deflation(l3, uni_x2):
 
 def test_roundtrip_relation_reports(l3, uni_x2, w3):
     rel = lf.relation_from_partition(w3)
-    report = lf.roundtrip_relation(rel)
-    assert report.total == 9
-    assert not report.exact
-    assert [dict(m) for m in report.mismatches] == [
-        {"at": ["x1", "x3"], "original": "0", "mapped_back": "1/2"},
-    ]
+    assert lf.roundtrip_relation(rel) == (
+        (("x1", "x3"), l3.bottom, l3.parse("1/2")),
+    )
     ident = identity_relation(l3, uni_x2)
-    assert lf.roundtrip_relation(ident).exact
+    assert lf.roundtrip_relation(ident) == ()
     bot = constant_relation(l3, uni_x2, l3.bottom)
-    bot_report = lf.roundtrip_relation(bot)
-    assert {tuple(m["at"]) for m in bot_report.mismatches} == \
-        {("x1", "x1"), ("x2", "x2")}
+    assert lf.roundtrip_relation(bot) == (
+        (("x1", "x1"), l3.bottom, l3.top),
+        (("x2", "x2"), l3.bottom, l3.top),
+    )
 
 
 def test_roundtrip_system_reports(w3, x2p):
-    assert lf.roundtrip_system(lf.system_from_partition(w3)).exact
-    assert lf.roundtrip_system(lf.system_from_partition(x2p)).exact
+    assert lf.roundtrip_system(lf.system_from_partition(w3)) == ()
+    assert lf.roundtrip_system(lf.system_from_partition(x2p)) == ()
 
 
 def test_roundtrip_system_fault_not_exact(l3, uni_x2):
@@ -209,8 +207,7 @@ def test_roundtrip_system_fault_not_exact(l3, uni_x2):
         member = f.displays() in {("1", "0"), ("0", "1"), ("1", "1")}
         table.append(l3.top if member else l3.bottom)
     system = lf.system_from_explicit(l3, uni_x2, table)
-    report = lf.roundtrip_system(system)
-    assert not report.exact
+    assert lf.roundtrip_system(system)
 
 
 def test_budget_errors(w3):

@@ -301,7 +301,7 @@ def test_misaligned_index_maps_break_relation_transfer():
     )
     assert fas.display == "1/2"
     assert not lat.leq[fp.value][fas.value]
-    assert not lf.index_square_diagnostic(cand).holds
+    assert lf.index_square_diagnostic(cand)
 
 
 def test_fps_product_projections(w3, x2p, q, p2, m_half):
@@ -325,25 +325,23 @@ def test_fps_product_projections(w3, x2p, q, p2, m_half):
 def test_product_projection_candidates_check_out(w3, q):
     prod = lf.fps_product(w3, q)
     assert lf.fp_witness(prod.proj_left).value == w3.lattice.top
-    assert lf.index_square_diagnostic(prod.proj_left).holds
-    assert lf.index_square_diagnostic(prod.proj_right).holds
+    assert lf.index_square_diagnostic(prod.proj_left) == ()
+    assert lf.index_square_diagnostic(prod.proj_right) == ()
 
 
 def test_index_square_diagnostic(m_half, w3, corpus):
-    assert lf.index_square_diagnostic(lf.identity_candidate(w3)).holds
-    report = lf.index_square_diagnostic(m_half)
-    assert not report.holds
-    assert report.failures == (("x2", "B2", "B1"),)
+    assert lf.index_square_diagnostic(lf.identity_candidate(w3)) == ()
+    assert lf.index_square_diagnostic(m_half) == (("x2", "B2", "B1"),)
     # witness-top candidates and core-aligned candidates commute the square
     for item in corpus[:60]:
-        assert lf.index_square_diagnostic(item.cand).holds
+        assert lf.index_square_diagnostic(item.cand) == ()
 
 
 def test_witness_top_implies_index_square(corpus):
     for item in corpus:
         lat = item.cand.source.lattice
         if lf.fp_witness(item.cand).value == lat.top:
-            assert lf.index_square_diagnostic(item.cand).holds
+            assert lf.index_square_diagnostic(item.cand) == ()
 
 
 def test_budget_paths(m_half):

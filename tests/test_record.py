@@ -21,8 +21,7 @@ def _samples():
     ramp, swap, cand = DOC.fuzzy_set("ramp_up"), DOC.map("swap"), \
         DOC.candidate("m_half")
     system = lf.system_from_partition(w3)
-    coa, dia = lf.coalgebra_from_partition(x2p), \
-        lf.dialgebra_from_partition(x2p)
+    coa = lf.coalgebra_from_partition(x2p)
     return [
         (lat, "name", "renamed"),
         (lf.law_suite(lat), "subject", "renamed"),
@@ -30,24 +29,19 @@ def _samples():
         (ramp, "values", (lat.top,) * len(ramp.values)),
         (swap, "mapping", tuple(range(len(swap.mapping)))),
         (w3, "names", tuple(f"{n}'" for n in w3.names)),
-        (lf.ft_transform(w3, ramp), "components", (lat.bottom,) * len(w3)),
         (DOC.relation("R_id_X2"), "rows", DOC.relation("R_top_X2").rows),
         (system, "provenance", "renamed"),
         (lf.operator_from_system(system), "provenance", "renamed"),
-        (lf.roundtrip_system(system), "kind", "renamed"),
         (lf.fp_witness(cand), "value", lat.bottom),
         (cand, "pairs", ()),
         (lf.compose_fp(cand, lf.identity_candidate(cand.target)),
          "zero_divisor_warning", True),
         (lf.fps_product(DOC.partition("Q"), DOC.partition("P2")),
          "proj_left_witness", lf.Witness(lat.bottom, lat)),
-        (lf.index_square_diagnostic(cand), "failures", (("x", "A", "B"),)),
         (coa, "view", "dialgebra"),
         (lf.check_coa_hom(swap, coa, coa), "holds", False),
         (lf.morphism_transfer_check(swap, coa, coa, "coa-dia"), "status",
          "fails"),
-        (lf.adjunction_check(coa, dia, swap), "rho_check",
-         lf.HomVerdict(False, ("x", ()))),
         (DOC, "warnings", ["changed"]),
         (cli._KINDS["system"], "prefixes", ()),
         (cli._COMMANDS["transfer"], "echo", True),
@@ -56,8 +50,6 @@ def _samples():
 
 SAMPLES = _samples()
 IDS = [type(record).__name__ for record, _, _ in SAMPLES]
-# instance documents are filled in as they load
-FROZEN = [(s, i) for s, i in zip(SAMPLES, IDS) if i != "InstanceDocument"]
 
 
 def _fields(cls) -> list:
@@ -97,8 +89,7 @@ def test_records_are_values(record, name, value):
     assert repr(a) == repr(b) and f"{name}=" in repr(a)
 
 
-@pytest.mark.parametrize("record, name, value", [s for s, _ in FROZEN],
-                         ids=[i for _, i in FROZEN])
+@pytest.mark.parametrize("record, name, value", SAMPLES, ids=IDS)
 def test_records_are_immutable(record, name, value):
     before = repr(record)
     with pytest.raises(AttributeError):
@@ -137,12 +128,16 @@ def test_lattice_equality_ignores_the_parse_cache():
 
 
 def test_instance_documents_are_mutable_unhashable_and_own_their_sections():
+    """A document's fields cannot be reassigned, but the sections they hold
+    are filled in place as it loads, so each document owns its own, and the
+    dicts make it unhashable."""
     a, b = InstanceDocument(DOC.lattice), InstanceDocument(DOC.lattice)
     assert a == b
     assert a.universes is not b.universes and a.warnings is not b.warnings
     a.warnings.append("note")
     assert a != b and b.warnings == []
-    a.lattice = lf.godel_chain(2)
-    assert a.lattice == lf.godel_chain(2)
+    with pytest.raises(AttributeError):
+        a.lattice = lf.godel_chain(2)
+    assert a.lattice is DOC.lattice
     with pytest.raises(TypeError):
         hash(b)
