@@ -59,7 +59,6 @@ from .relation import (
 from .closure import (
     ClosureOperator,
     ClosureSystem,
-    check_operator,
     check_system,
     operator_from_system,
     roundtrip_relation,
@@ -75,14 +74,11 @@ from .morphism import (
     FPSProduct,
     Witness,
     compose_fp,
-    fas_operator_witness,
     fas_witness,
     fcs_witness,
     fcss_witness,
     fp_witness,
     fps_product,
-    ft_forward_bound,
-    ft_inequality_witness,
     identity_candidate,
     index_square_diagnostic,
     make_candidate,
@@ -99,7 +95,6 @@ from .algebra import (
     dia_to_coa,
     dialgebra_from_partition,
     morphism_transfer_check,
-    t1_on_morphism,
 )
 from .record import replace
 

@@ -67,20 +67,6 @@ def dia_to_coa(d: StructureTable) -> StructureTable:
 
 
 # ---------------------------------------------------------------------------
-# the set-level functor on tables over the function space
-
-def t1_on_morphism(phi: UniverseMap, lam: tuple[int, ...], lat: Lattice,
-                   budget: int = DEFAULT_BUDGET) -> tuple[int, ...]:
-    """Push a table over the source function space to one over the target
-    space by precomposition with the pullback."""
-    source = Space(lat, phi.source, budget, "functor table")
-    target = Space(lat, phi.target, budget, "functor table")
-    if len(lam) != source.size:
-        raise MismatchError("table length does not match the source space")
-    return tuple(map(lam.__getitem__, target.pulled_index(phi)))
-
-
-# ---------------------------------------------------------------------------
 # homomorphism checks
 
 class HomVerdict(Record):

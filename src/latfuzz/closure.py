@@ -147,11 +147,11 @@ def system_from_operator(op: ClosureOperator,
 
 
 # ---------------------------------------------------------------------------
-# axiom checkers
+# the axiom checker
 #
-# Each pair law is swept one set f at a time: `Space.image_index` gives the
-# index of f op g for every g in one fold, so a pair costs one comparison.
-# The pairs run (f, g) with g from f on in enumeration order, and each check
+# The pair law is swept one set f at a time: `Space.image_index` gives the
+# index of f meet g for every g in one fold, so a pair costs one comparison.
+# The pairs run (f, g) with g from f on in enumeration order, and the sweep
 # stops at its first counterexample.
 
 def check_system(system: ClosureSystem,
@@ -206,54 +206,6 @@ def check_system(system: ClosureSystem,
 
 def _show(lat: Lattice, values) -> str:
     return "(" + ",".join(lat.displays[v] for v in values) + ")"
-
-
-def check_operator(op: ClosureOperator,
-                   budget: int = DEFAULT_BUDGET) -> LawReport:
-    """Fix the top set, inflate, preserve binary joins, idempotence (by
-    composing the table with itself), plus tensor-stability with constants.
-    Joins are compared as indices, by `Space._join_failures`."""
-    lat = op.lattice
-    uni = op.universe
-    space = Space(lat, uni, budget, "closure operator check")
-    leq = lat.leq
-    all_vals = list(space.values())
-    image = [space.index(c) for c in op.table]
-    counter: dict = {}
-
-    top = op.table[space.index((lat.top,) * len(uni))]
-    if top != (lat.top,) * len(uni):
-        counter["axiom_i"] = f"image of top is {_show(lat, top)}"
-
-    for f, c in zip(all_vals, op.table):
-        if not all(leq[a][b] for a, b in zip(f, c)):
-            counter["axiom_ii"] = f"{_show(lat, f)} not below its closure"
-            break
-
-    pair = next(space._join_failures(space, image, op.table), None)
-    if pair is not None:
-        f, g = (_show(lat, all_vals[k]) for k in pair)
-        counter["axiom_iii"] = f"pair ({f}, {g})"
-
-    for f, k in zip(all_vals, image):
-        if image[k] != k:
-            counter["axiom_iv"] = f"closure of {_show(lat, f)} not fixed"
-            break
-
-    for a in lat.elements():
-        scaled = space.image_index([lat.tensor[a]] * len(uni))
-        i = next((i for i, c in enumerate(op.table) if not all(
-            leq[lat.tensor[a][v]][w] for v, w in zip(c, op.table[scaled[i]])
-        )), None)
-        if i is not None:
-            counter["strong"] = (
-                f"constant {lat.displays[a]} with {_show(lat, all_vals[i])}"
-            )
-            break
-
-    return LawReport(
-        uni.name, ("axiom_i", "axiom_ii", "axiom_iii", "axiom_iv", "strong"),
-        counter)
 
 
 # ---------------------------------------------------------------------------

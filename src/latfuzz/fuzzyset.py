@@ -241,11 +241,14 @@ class Space:
                            for w, row in zip(self.weights, rows)])
 
     def _join_failures(self, target: "Space", image, images):
-        """The pairs (i, j), i <= j, at which the map sending set i to the
-        set of `target` at `image[i]`, with values `images[i]`, fails to
-        preserve binary joins, in enumeration order of i, then j.  The image
-        of f_i join f_j sits at `image[joined[j]]`, and the join of the two
-        images at `target_joined[image[j]]`."""
+        """The pairs (i, j), i <= j, at which a map from this space into
+        `target` fails to preserve binary joins, in enumeration order of i,
+        then j: set i goes to the set of `target` with values `images[i]`,
+        whose index there is `image[i]`.  The image of f_i join f_j sits at
+        `image[joined[j]]`, and the join of the two images at
+        `target_joined[image[j]]`.  `transform_law_suite` sweeps its
+        `join_preserving` clause here, with the transform components as the
+        map into the space of block values."""
         join = self.lattice.join
         for i, f in enumerate(self.values()):
             joined = self.image_index([join[v] for v in f])
@@ -260,17 +263,6 @@ class Space:
         point along a relation row."""
         lat = self.lattice
         return self._fold([lat.tensor[a] for a in row], lat.join, lat.bottom)
-
-    def pulled_upper(self, phi: "UniverseMap", row) -> list[int]:
-        """`upper` of the backward image: the join over phi's source of
-        row[x] tensor g(phi x), for every g on phi's target (this space's
-        universe).  The points of each fiber share one row."""
-        lat = self.lattice
-        join = lat.join
-        rows = [[lat.bottom] * self.radix for _ in phi.target.elements]
-        for a, y in zip(row, phi.mapping):
-            rows[y] = [join[r][t] for r, t in zip(rows[y], lat.tensor[a])]
-        return self._fold(rows, join, lat.bottom)
 
     def pulled_index(self, phi: "UniverseMap") -> list[int]:
         """For every g on this space's universe (phi's target), the index of

@@ -312,7 +312,7 @@ def _chain_leq(n: int):
     return [[a <= b for b in range(n)] for a in range(n)]
 
 
-def godel_chain(n: int, labels=None, name: str | None = None) -> Lattice:
+def godel_chain(n: int, labels=None) -> Lattice:
     """Equidistant chain with the minimum tensor.
 
     Only the order matters for min/max/residuum, so custom labels (e.g. the
@@ -329,11 +329,11 @@ def godel_chain(n: int, labels=None, name: str | None = None) -> Lattice:
     tensor = [[min(a, b) for b in range(n)] for a in range(n)]
     residuum = [[top if a <= b else b for b in range(n)] for a in range(n)]
     return from_tables(
-        labels, _chain_leq(n), tensor, residuum, name=name or f"godel_chain({n})"
+        labels, _chain_leq(n), tensor, residuum, name=f"godel_chain({n})"
     )
 
 
-def lukasiewicz_chain(n: int, name: str | None = None) -> Lattice:
+def lukasiewicz_chain(n: int) -> Lattice:
     """Chain k/(n-1) with the truncated-sum tensor, computed exactly on the
     integer numerators k over the common denominator n-1."""
     if n < 2:
@@ -346,14 +346,14 @@ def lukasiewicz_chain(n: int, name: str | None = None) -> Lattice:
         _chain_leq(n),
         tensor,
         residuum,
-        name=name or f"lukasiewicz_chain({n})",
+        name=f"lukasiewicz_chain({n})",
     )
 
 
 _ATOMS = "abcd"
 
 
-def boolean_algebra(k: int, name: str | None = None) -> Lattice:
+def boolean_algebra(k: int) -> Lattice:
     """Powerset of k atoms; tensor is intersection, residuum is material
     implication."""
     if not 1 <= k <= 4:
@@ -369,7 +369,7 @@ def boolean_algebra(k: int, name: str | None = None) -> Lattice:
     leq = [[(a & b) == a for b in range(n)] for a in range(n)]
     tensor = [[a & b for b in range(n)] for a in range(n)]
     residuum = [[(full ^ a) | b for b in range(n)] for a in range(n)]
-    return from_tables(displays, leq, tensor, residuum, name=name or f"boolean({k})")
+    return from_tables(displays, leq, tensor, residuum, name=f"boolean({k})")
 
 
 def _spec_value(spec, key):

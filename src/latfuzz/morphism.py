@@ -192,50 +192,6 @@ def compose_fp(m1: FPMapCandidate, m2: FPMapCandidate) -> ComposedFP:
 
 
 # ---------------------------------------------------------------------------
-# transform-side witnesses
-
-def ft_inequality_witness(cand: FPMapCandidate,
-                          budget: int = DEFAULT_BUDGET) -> Witness:
-    """Greatest l with component(psi(j))[f] >= component(j)[pullback f] . l
-    for every f on the target universe and every declared block."""
-    lat = cand.source.lattice
-    space = Space(lat, cand.target.universe, budget, "transform witness")
-    res = lat.residuum
-    blocks = cand.constrained_blocks()
-    columns = []
-    for j in blocks:
-        lhs = space.pulled_upper(cand.phi, cand.source.blocks[j].values)
-        rhs = space.upper(cand.target.blocks[cand.psi[j]].values)
-        columns.append([res[a][b] for a, b in zip(lhs, rhs)])
-    return _meet_of_sweep(space, columns, lambda k, f: (
-        cand.source.names[blocks[k]], f.displays()))
-
-
-def ft_forward_bound(cand: FPMapCandidate,
-                     budget: int = DEFAULT_BUDGET) -> Witness:
-    """Greatest l with component(psi(j))[pushforward f] >= component(j)[f] . l
-    over all f on the source universe; a one-directional bound."""
-    lat = cand.source.lattice
-    space = Space(lat, cand.source.universe, budget, "transform bound")
-    res, join, tensor = lat.residuum, lat.join, lat.tensor
-    blocks = cand.constrained_blocks()
-    pushed = [space.fiber_join(cand.phi, y)
-              for y in range(len(cand.target.universe))]
-    columns = []
-    for j in blocks:
-        # the component of the forward image: a join over the target's
-        # points of image(y) tensor (the join of f over the fiber of y)
-        rhs = [lat.bottom] * space.size
-        for a, fiber in zip(cand.target.blocks[cand.psi[j]].values, pushed):
-            scale = tensor[a]
-            rhs = [join[r][scale[v]] for r, v in zip(rhs, fiber)]
-        lhs = space.upper(cand.source.blocks[j].values)
-        columns.append([res[a][b] for a, b in zip(lhs, rhs)])
-    return _meet_of_sweep(space, columns, lambda k, f: (
-        cand.source.names[blocks[k]], f.displays()))
-
-
-# ---------------------------------------------------------------------------
 # approximation-space and closure-side witnesses
 
 def fas_witness(phi: UniverseMap, rel_x: FuzzyRelation,
@@ -251,36 +207,6 @@ def fas_witness(phi: UniverseMap, rel_x: FuzzyRelation,
     ]
     value, attained = _meet_with_site(lat, terms)
     return Witness(value, lat, attained)
-
-
-def fas_operator_witness(phi: UniverseMap, rel_x: FuzzyRelation,
-                         rel_y: FuzzyRelation,
-                         budget: int = DEFAULT_BUDGET) -> Witness:
-    """Greatest l for the approximation-operator inequality, swept over every
-    fuzzy set on the target universe."""
-    lat = rel_x.lattice
-    space = Space(lat, rel_y.universe, budget, "operator witness")
-    if rel_y.universe != phi.target:
-        raise MismatchError(
-            f"backward image: set on {rel_y.universe.name}, "
-            f"map into {phi.target.name}"
-        )
-    if rel_x.universe != phi.source:
-        raise MismatchError(
-            f"upper approximation: set on {phi.source.name}, "
-            f"relation on {rel_x.universe.name}"
-        )
-    if rel_y.lattice is not lat:
-        raise MismatchError("upper approximation: lattice mismatch")
-    res = lat.residuum
-    ex = rel_x.universe.elements
-    rhs = [space.upper(row) for row in rel_y.rows]
-    columns = [
-        [res[a][b] for a, b in zip(space.pulled_upper(phi, rel_x.rows[x]),
-                                   rhs[phi.mapping[x]])]
-        for x in range(len(ex))
-    ]
-    return _meet_of_sweep(space, columns, lambda x, f: (ex[x], f.displays()))
 
 
 def fcss_witness(phi: UniverseMap, sys_x: ClosureSystem, sys_y: ClosureSystem,

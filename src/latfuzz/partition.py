@@ -49,7 +49,8 @@ def validate_partition(
     items = list(named_blocks.items()) if isinstance(named_blocks, dict) \
         else list(named_blocks)
     if not items:
-        raise PartitionError(f"partition of {universe.name} has no blocks")
+        raise PartitionError(
+            f"partition of {_name(universe.name)} has no blocks")
     names = tuple(name for name, _ in items)
     if len(set(names)) != len(names):
         raise PartitionError("duplicate block names")
@@ -58,12 +59,15 @@ def validate_partition(
     for name, block in items:
         if block.universe != universe:
             raise MismatchError(
-                f"block {name} lives on {block.universe.name}, not {universe.name}"
+                f"block {_name(name)} lives on {_name(block.universe.name)}, "
+                f"not {_name(universe.name)}"
             )
         if block.lattice is not lattice:
-            raise MismatchError(f"block {name} uses a different lattice")
+            raise MismatchError(
+                f"block {_name(name)} uses a different lattice")
         if not block.is_normal():
-            raise PartitionError(f"block {name} not normal (empty core)")
+            raise PartitionError(
+                f"block {_name(name)} not normal (empty core)")
 
     xi = [-1] * len(universe)
     top = lattice.top
@@ -73,14 +77,14 @@ def validate_partition(
                 continue
             if xi[i] != -1:
                 raise PartitionError(
-                    f"core overlap at {universe.elements[i]}: blocks "
-                    f"{names[xi[i]]} and {name}"
+                    f"core overlap at {_name(universe.elements[i])}: blocks "
+                    f"{_name(names[xi[i]])} and {_name(name)}"
                 )
             xi[i] = b
     for i, b in enumerate(xi):
         if b == -1:
             raise PartitionError(
-                f"element {universe.elements[i]} covered by no core"
+                f"element {_name(universe.elements[i])} covered by no core"
             )
 
     if declared_xi is not None:

@@ -20,6 +20,8 @@ from reference import (
     constant_relation,
     enumerate_sets,
     le,
+    reference_fas_operator,
+    reference_ft_inequality,
     relation_value,
     system_value,
 )
@@ -131,12 +133,11 @@ def test_criterion_4_witness_equalities(w3, m_half, m_half_broken, corpus):
     cands += [item.cand for item in corpus]
     assert len(cands) == 203
     for cand in cands:
-        assert lf.fp_witness(cand).value == \
-            lf.ft_inequality_witness(cand).value
+        assert lf.fp_witness(cand).value == reference_ft_inequality(cand)[0]
         rx = lf.relation_from_partition(cand.source)
         ry = lf.relation_from_partition(cand.target)
         assert lf.fas_witness(cand.phi, rx, ry).value == \
-            lf.fas_operator_witness(cand.phi, rx, ry).value
+            reference_fas_operator(cand.phi, rx, ry)[0]
 
 
 @criterion(5, "functor chain inequalities")

@@ -17,14 +17,10 @@ PACKAGE = Path(lf.__file__).resolve().parent
 
 
 @pytest.fixture(scope="module")
-def o(l3, uni_x, uni_x2, w3, p2, q, x2p, phi_m, m_half):
-    system = lf.system_from_partition(w3)
+def o(l3, uni_x, w3, x2p, phi_m):
     return SimpleNamespace(
-        l3=l3, uni_x=uni_x, w3=w3, phi_m=phi_m, m_half=m_half, x2p=x2p,
-        system=system, op=lf.operator_from_system(system),
-        rel_x=lf.relation_from_partition(p2),
-        rel_y=lf.relation_from_partition(q),
-        rel_x2=lf.relation_from_partition(x2p),
+        l3=l3, uni_x=uni_x, w3=w3, phi_m=phi_m, x2p=x2p,
+        system=lf.system_from_partition(w3),
         coa=lf.coalgebra_from_partition(x2p),
         dia=lf.dialgebra_from_partition(x2p))
 
@@ -53,21 +49,9 @@ OVER_BUDGET = {
     "check_system": (
         lambda o, b: lf.check_system(o.system, b),
         "closure system check", 27),
-    "check_operator": (
-        lambda o, b: lf.check_operator(o.op, b),
-        "closure operator check", 27),
     "transform_law_suite": (
         lambda o, b: lf.transform_law_suite(o.w3, b),
         "transform law suite", 27),
-    "ft_inequality_witness": (
-        lambda o, b: lf.ft_inequality_witness(o.m_half, b),
-        "transform witness", 9),
-    "ft_forward_bound": (
-        lambda o, b: lf.ft_forward_bound(o.m_half, b),
-        "transform bound", 27),
-    "fas_operator_witness": (
-        lambda o, b: lf.fas_operator_witness(o.phi_m, o.rel_x, o.rel_y, b),
-        "operator witness", 9),
     "dialgebra_from_partition": (
         lambda o, b: lf.dialgebra_from_partition(o.x2p, b),
         "structure table", 9),
@@ -114,10 +98,6 @@ ERROR_ORDER = {
             lf.UniverseMap.identity(o.x2p.universe), o.coa, o.coa, 1),
         lf.MismatchError, "check_dia_hom needs a dialgebra table, "
                           "got a coalgebra"),
-    "operator witness budget before its mismatches": (
-        lambda o: lf.fas_operator_witness(o.phi_m, o.rel_x, o.rel_x2, 1),
-        lf.BudgetExceeded,
-        "operator witness requires 9 evaluations, over budget 1"),
 }
 
 
@@ -131,15 +111,10 @@ def test_error_order_around_the_budget(o, case):
 
 
 def test_two_spaces_charge_the_source_first(o, l3, uni_x, uni_x2):
-    """`t1_on_morphism` and `check_dia_hom` size the source space, then the
-    target: with both over budget the source is named, with only the target
-    over budget the target is."""
+    """`check_dia_hom` sizes the source space, then the target: with both
+    over budget the source is named, with only the target over budget the
+    target is."""
     into = lf.UniverseMap(uni_x2, uni_x, (0, 1))
-    lam = (l3.top,) * 9
-    for budget, size in ((8, 9), (26, 27)):
-        with pytest.raises(lf.BudgetExceeded) as err:
-            lf.t1_on_morphism(into, lam, l3, budget)
-        assert err.value.cardinality == size
     dy = lf.StructureTable(l3, uni_x, ((l3.top,) * 27,) * 3, "top",
                            "dialgebra")
     for budget, size in ((8, 9), (26, 27)):

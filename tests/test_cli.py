@@ -494,7 +494,7 @@ def test_deep_value_gives_a_short_error(capsys, case):
 LONG = "a" * 1000
 
 # a 1000-character element label, at each place a universe error quotes one,
-# and a block name as long where a partition error quotes one
+# and a block or universe name as long where a partition error quotes one
 LONG_LABELS = {
     "value map missing an element": _doc(
         universes={"X": [LONG]}, fuzzy_sets={"f": {"universe": "X",
@@ -506,6 +506,16 @@ LONG_LABELS = {
                                              "values": {}}}),
     "declared index map value": _doc(partitions={
         "P": {**_P, "xi": {"a": LONG}}}),
+    "block not normal": _doc(partitions={
+        "P": {"universe": "X", "blocks": {LONG: {"a": "0"}}}}),
+    "core overlap": _doc(partitions={
+        "P": {"universe": "X", "blocks": {LONG: {"a": "1"}, "B": {"a": "1"}}}}),
+    "partition with no blocks": _doc(
+        universes={LONG: ["a"]},
+        partitions={"P": {"universe": LONG, "blocks": {}}}),
+    "element covered by no core": _doc(
+        universes={"X": ["a", LONG]}, partitions={
+            "P": {"universe": "X", "blocks": {"A": {"a": "1", LONG: "0"}}}}),
 }
 
 

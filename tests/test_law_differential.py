@@ -1,5 +1,5 @@
-"""Differential tests of the law sweeps: `check_system`, `check_operator`
-and `transform_law_suite`.
+"""Differential tests of the law sweeps: `check_system` and
+`transform_law_suite`.
 
 Each sweep reads the index of every combined set (f meet g, f join g, a
 tensor f, ...) from one `Space.image_index` column instead of building the
@@ -10,16 +10,17 @@ return type: each now returns a `LawReport`.  The rewritten checks must
 print the same report bytes in the CLI's layouts (every flag, every
 counterexample text, in the same key order) on Gödel and Łukasiewicz
 chains, `boolean(2)` and `grid23`, over universes of 0 to 4 points: random
-explicit systems and operators, partition-derived ones as they are and with
-random entries perturbed, and partitions over lattices whose tensor was
-corrupted, so the transform clauses fail too.  Among the explicit systems
-are ones where `strong` fails before `enriched`, whose counterexamples
+explicit systems, partition-derived ones as they are and with random
+entries perturbed, and partitions over lattices whose tensor was corrupted,
+so the transform clauses fail too.  Among the explicit systems are ones
+where `strong` fails before `enriched`, whose counterexamples
 `check_system` reports in the order it finds them, not in clause order.
+The closure-operator axioms have no package checker; their pairwise sweep
+is `reference_check_operator` in `tests/reference.py`.
 
 The last test patches one line of the new code at a time and checks that
 the comparisons catch each mutant.
 """
-
 import inspect
 import random
 import textwrap
@@ -30,14 +31,13 @@ from hypothesis import example, given, settings, strategies as st
 
 import latfuzz as lf
 from latfuzz import cli, closure, ftransform
-from latfuzz.closure import ClosureOperator, ClosureSystem
+from latfuzz.closure import ClosureSystem
 from latfuzz.fuzzyset import FuzzySet, Space, constant
-from latfuzz.lattice import DEFAULT_BUDGET, Lattice, LawReport
+from latfuzz.lattice import DEFAULT_BUDGET, LawReport
 from latfuzz.partition import FuzzyPartition, relation_from_partition
-from reference import ensure_budget, set_index
+from reference import ensure_budget, set_index, show_set
 from test_space_differential import (
     LATTICES,
-    random_operator,
     random_partition,
     random_system,
     universe,
@@ -83,7 +83,7 @@ def reference_check_system(system: ClosureSystem,
             ]:
                 axiom_ii = False
                 counter["axiom_ii"] = (
-                    f"pair ({_show(lat, fi)}, {_show(lat, all_vals[j])})"
+                    f"pair ({show_set(lat, fi)}, {show_set(lat, all_vals[j])})"
                 )
                 break
 
@@ -98,94 +98,19 @@ def reference_check_system(system: ClosureSystem,
             if enriched and not lat.leq[ui][system.table[ri]]:
                 enriched = False
                 counter["enriched"] = (
-                    f"constant {lat.displays[a]} with {_show(lat, fi)}"
+                    f"constant {lat.displays[a]} with {show_set(lat, fi)}"
                 )
             ti = index(tuple(tensor[a][v] for v in fi))
             if strong and not lat.leq[ui][system.table[ti]]:
                 strong = False
                 counter["strong"] = (
-                    f"constant {lat.displays[a]} with {_show(lat, fi)}"
+                    f"constant {lat.displays[a]} with {show_set(lat, fi)}"
                 )
         if not enriched and not strong:
             break
 
     return LawReport(uni.name, ("axiom_i", "axiom_ii", "enriched", "strong"),
                      counter)
-
-
-def _show(lat: Lattice, values) -> str:
-    return "(" + ",".join(lat.displays[v] for v in values) + ")"
-
-
-def reference_check_operator(op: ClosureOperator,
-                   budget: int = DEFAULT_BUDGET) -> LawReport:
-    """Fix the top set, inflate, preserve binary joins, idempotence (by
-    composing the table with itself), plus tensor-stability with constants.
-    """
-    lat = op.lattice
-    uni = op.universe
-    size = ensure_budget(lat, uni, budget, "closure operator check")
-    counter: dict = {}
-    space = Space(lat, uni)
-    index = space.index
-    all_vals = list(space.values())
-
-    top_index = index((lat.top,) * len(uni))
-    axiom_i = op.table[top_index] == (lat.top,) * len(uni)
-    if not axiom_i:
-        counter["axiom_i"] = f"image of top is {_show(lat, op.table[top_index])}"
-
-    axiom_ii = True
-    for i in range(size):
-        if all(lat.leq[a][b] for a, b in zip(all_vals[i], op.table[i])):
-            continue
-        axiom_ii = False
-        counter["axiom_ii"] = f"{_show(lat, all_vals[i])} not below its closure"
-        break
-
-    join = lat.join
-    axiom_iii = True
-    for i in range(size):
-        if not axiom_iii:
-            break
-        for j in range(i, size):
-            jv = tuple(join[a][b] for a, b in zip(all_vals[i], all_vals[j]))
-            lhs = op.table[index(jv)]
-            rhs = tuple(join[a][b] for a, b in zip(op.table[i], op.table[j]))
-            if lhs != rhs:
-                axiom_iii = False
-                counter["axiom_iii"] = (
-                    f"pair ({_show(lat, all_vals[i])}, {_show(lat, all_vals[j])})"
-                )
-                break
-
-    axiom_iv = True
-    for i in range(size):
-        ci = op.table[i]
-        if op.table[index(ci)] != ci:
-            axiom_iv = False
-            counter["axiom_iv"] = f"closure of {_show(lat, all_vals[i])} not fixed"
-            break
-
-    strong = True
-    tensor = lat.tensor
-    for a in lat.elements():
-        if not strong:
-            break
-        for i in range(size):
-            scaled = tuple(tensor[a][v] for v in all_vals[i])
-            lhs = op.table[index(scaled)]
-            rhs = tuple(tensor[a][v] for v in op.table[i])
-            if not all(lat.leq[x][y] for x, y in zip(rhs, lhs)):
-                strong = False
-                counter["strong"] = (
-                    f"constant {lat.displays[a]} with {_show(lat, all_vals[i])}"
-                )
-                break
-
-    return LawReport(
-        uni.name, ("axiom_i", "axiom_ii", "axiom_iii", "axiom_iv", "strong"),
-        counter)
 
 
 def reference_transform_law_suite(p: FuzzyPartition,
@@ -311,27 +236,11 @@ def perturbed_system(rng, system):
     return lf.system_from_explicit(lat, system.universe, table)
 
 
-def perturbed_operator(rng, op):
-    lat, table = op.lattice, list(op.table)
-    for _ in range(rng.randint(1, 3)):
-        table[rng.randrange(len(table))] = tuple(
-            rng.choice(lat.elements()) for _ in op.universe.elements)
-    return lf.ClosureOperator(lat, op.universe, tuple(table), "perturbed")
-
-
 def make_system(rng, lat, uni, kind):
     if kind == "random":
         return random_system(rng, lat, uni)
     system = lf.system_from_partition(random_partition(rng, lat, uni))
     return perturbed_system(rng, system) if kind == "perturbed" else system
-
-
-def make_operator(rng, lat, uni, kind):
-    if kind == "random":
-        return random_operator(rng, lat, uni)
-    op = lf.operator_from_system(
-        lf.system_from_partition(random_partition(rng, lat, uni)))
-    return perturbed_operator(rng, op) if kind == "perturbed" else op
 
 
 def axioms_text(report) -> str:
@@ -342,11 +251,6 @@ def system_reports(system):
     """The rewritten and the reference report, as the CLI prints them."""
     return (axioms_text(closure.check_system(system)),
             axioms_text(reference_check_system(system)))
-
-
-def operator_reports(op):
-    return (axioms_text(closure.check_operator(op)),
-            axioms_text(reference_check_operator(op)))
 
 
 def transform_reports(p):
@@ -383,17 +287,6 @@ def setup(case, min_points=0):
 def test_check_system_matches_the_pairwise_sweep(case, kind):
     lat, uni, rng = setup(case, min_points=0 if kind == "random" else 1)
     new, reference = system_reports(make_system(rng, lat, uni, kind))
-    assert new == reference
-
-
-@settings(max_examples=60, deadline=None)
-@given(case, kinds)
-@example(("godel3", 0, 0, False), "random")
-@example(("lukasiewicz4", 4, 1, False), "partition")
-@example(("grid23", 3, 2, False), "perturbed")
-def test_check_operator_matches_the_pairwise_sweep(case, kind):
-    lat, uni, rng = setup(case, min_points=0 if kind == "random" else 1)
-    new, reference = operator_reports(make_operator(rng, lat, uni, kind))
     assert new == reference
 
 
@@ -444,10 +337,6 @@ def _all_match() -> bool:
                         make_system(rng, lat, uni, kind))
                     if new != reference:
                         return False
-                    new, reference = operator_reports(
-                        make_operator(rng, lat, uni, kind))
-                    if new != reference:
-                        return False
                 new, reference = transform_reports(
                     random_partition(rng, lat, uni))
                 if new != reference:
@@ -470,7 +359,8 @@ MUTANTS = [
                  '"strong": space.image_index([lat.tensor[a]] * len(uni))',
                  '"strong": space.image_index([lat.residuum[a]] * len(uni))',
                  id="check_system-1"),
-    # check_operator's join sweep, shared with transform_law_suite
+    # transform_law_suite's join sweep; the id is kept from when the
+    # closure-operator checker shared it
     pytest.param(lf.fuzzyset.Space, "_join_failures",
                  "image[joined[j]] != target_joined[image[j]]",
                  "image[joined[j]] != target_joined[j]",

@@ -44,6 +44,19 @@ def test_uncovered_element_named(l3, uni_x):
         ])
 
 
+def test_block_on_another_universe_named(l3, uni_x, uni_y):
+    """Short names print as they are, long ones quoted and cut by
+    `partition._name`.  Only the library reaches this error, since a
+    document builds each block on its partition's universe."""
+    with pytest.raises(lf.MismatchError, match="block A1 lives on Y, not X"):
+        lf.validate_partition(uni_x, [("A1", fs(l3, uni_y, "1", "0"))])
+    long = "a" * 1000
+    other = lf.Universe(long, ("y1",))
+    with pytest.raises(lf.MismatchError) as err:
+        lf.validate_partition(uni_x, [(long, fs(l3, other, "1"))])
+    assert "'aaa" in str(err.value) and len(str(err.value)) < 200
+
+
 @pytest.fixture(scope="module")
 def example31():
     return load_document(FIXTURES / "example31.json")
