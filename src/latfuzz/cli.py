@@ -604,14 +604,20 @@ def run(argv=None) -> int:
         return INPUT_ERROR
     if not args.no_timing:
         report["timing_ms"] = round((time.perf_counter() - started) * 1000, 3)
-    print(_json(report, ""))
+    # looked up now: a caller may have redirected stdout
+    _write_json(report, sys.stdout.write)
     return _EXIT_CODES.get(report["verdict"], OK)
 
 
 # ---------------------------------------------------------------------------
-# report output: the text `json.dumps` writes with an indent of 2, built with
-# the C string encoder and one join per container, since any indent makes
-# `json` fall back to its pure-Python encoder
+# report output: the text `json.dumps` writes with an indent of 2, laid out
+# with the C string encoder and one join per list of strings, since any
+# indent makes `json` fall back to its pure-Python encoder.  The text goes out
+# in chunks, so a large report never exists as one string; and not piece by
+# piece, since where stdout is unbuffered (PYTHONUNBUFFERED) each write is a
+# system call.
+
+CHUNK = 1 << 16  # characters per write; the text is ASCII, so bytes too
 
 _encode_str = json.encoder.encode_basestring_ascii
 
@@ -626,33 +632,59 @@ def _key_json(key) -> str:
                     f"not {key.__class__.__name__}")
 
 
-def _json(value, indent: str) -> str:
-    """`value` as `json.dumps` writes it with an indent of 2, each of its
-    lines after the first indented by `indent` more."""
+def _write_json(value, write) -> None:
+    """Pass `value` as `json.dumps(value, indent=2)` writes it, and a
+    newline, to `write` in pieces of at least `CHUNK` characters, the last
+    one shorter."""
+    pieces = []
+    size = 0
+
+    def emit(piece):
+        nonlocal size
+        pieces.append(piece)
+        size += len(piece)
+        if size >= CHUNK:
+            write("".join(pieces))
+            pieces.clear()
+            size = 0
+
+    _lay_out(value, "", emit)
+    pieces.append("\n")
+    write("".join(pieces))
+
+
+def _lay_out(value, indent: str, emit) -> None:
+    """Emit the text of `value`, each of its lines after the first indented
+    by `indent` more."""
     if isinstance(value, str):
-        return _encode_str(value)
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        inner = indent + "  "
-        sep = ",\n" + inner
-        if isinstance(value[0], str):
-            # a list of strings in one C-level pass; a later non-string
-            # makes the encoder raise and the list go item by item
-            try:
-                return ("[\n" + inner + sep.join(map(_encode_str, value))
-                        + "\n" + indent + "]")
-            except TypeError:
-                pass
-        return ("[\n" + inner + sep.join([_json(v, inner) for v in value])
-                + "\n" + indent + "]")
+        return emit(_encode_str(value))
+    if not isinstance(value, (list, tuple, dict)):
+        return emit(json.dumps(value))
+    if not value:
+        return emit("{}" if isinstance(value, dict) else "[]")
+    inner = indent + "  "
+    sep = ",\n" + inner
     if isinstance(value, dict):
-        if not value:
-            return "{}"
-        inner = indent + "  "
-        items = [_key_json(k) + ": " + _json(v, inner) for k, v in value.items()]
-        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "}"
-    return json.dumps(value)
+        head = "{\n" + inner
+        for k, v in value.items():
+            emit(head + _key_json(k) + ": ")
+            _lay_out(v, inner, emit)
+            head = sep
+        return emit("\n" + indent + "}")
+    head = "[\n" + inner
+    if isinstance(value[0], str):
+        # a list of strings in one C-level pass; a later non-string makes
+        # the encoder raise and the list go item by item
+        try:
+            return emit(head + sep.join(map(_encode_str, value))
+                        + "\n" + indent + "]")
+        except TypeError:
+            pass
+    for v in value:
+        emit(head)
+        _lay_out(v, inner, emit)
+        head = sep
+    emit("\n" + indent + "]")
 
 
 def main() -> None:

@@ -5,12 +5,20 @@ Loading is eager and strict: every cross-reference must resolve, every value
 must parse into the declared lattice, and every partition/candidate is fully
 validated.  Non-fatal oddities (declared pairs outside the graph of an index
 map) are collected as warnings.
+
+A document can hold explicit systems of thousands of entries, so loading
+holds as little beside the decoded JSON as it can.  A file's text is freed
+as soon as it is decoded.  A `systems` entry list that is well-formed, complete and within
+the budget is read in bulk into one preallocated table: each entry's index
+is the sum of one dict lookup per point, and a slot filled twice rejects
+the list.  Any other list is read entry by entry, so the first fault and
+its message stay those of the plain loop.
 """
 
 from __future__ import annotations
 
 import json
-from itertools import product
+from operator import getitem
 from pathlib import Path
 
 from . import lattice as lattice_mod
@@ -72,22 +80,7 @@ def _require(cond, message):
 
 def load_document(source, budget: int = DEFAULT_BUDGET) -> InstanceDocument:
     """Parse a document from a path, JSON text, or an already-decoded dict."""
-    if isinstance(source, (str, Path)) and not (
-        isinstance(source, str) and source.lstrip().startswith("{")
-    ):
-        try:
-            source = Path(source).read_text(encoding="utf-8")
-        except (OSError, UnicodeDecodeError) as exc:
-            raise DocumentError(f"cannot read document: {exc}") from exc
-    if isinstance(source, str):
-        try:
-            data = json.loads(source)
-        except json.JSONDecodeError as exc:
-            raise DocumentError(f"document is not valid JSON: {exc}") from exc
-        except RecursionError:
-            raise DocumentError("document nests too deeply to decode") from None
-    else:
-        data = source
+    data = _decode(source) if isinstance(source, (str, Path)) else source
     _require(isinstance(data, dict), "document root must be an object")
 
     try:
@@ -96,6 +89,23 @@ def load_document(source, budget: int = DEFAULT_BUDGET) -> InstanceDocument:
         raise
     except WorkbenchError as exc:
         raise DocumentError(str(exc)) from exc
+
+
+def _decode(source: str | Path):
+    """The JSON value of a document given as a path or as JSON text.  A file's
+    text lives only in this frame, so it is freed before the document is
+    built from the value."""
+    if not (isinstance(source, str) and source.lstrip().startswith("{")):
+        try:
+            source = Path(source).read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
+            raise DocumentError(f"cannot read document: {exc}") from exc
+    try:
+        return json.loads(source)
+    except json.JSONDecodeError as exc:
+        raise DocumentError(f"document is not valid JSON: {exc}") from exc
+    except RecursionError:
+        raise DocumentError("document nests too deeply to decode") from None
 
 
 # the object sections of a document, in load order, with the keys each
@@ -259,24 +269,31 @@ def _system_table(name: str, lat: Lattice, uni: Universe, entries: list,
 def _bulk_table(lat: Lattice, uni: Universe, entries: list,
                 budget: int) -> list[int] | None:
     """The table of a well-formed, complete entry list on a space within
-    the budget, read with one dict lookup per key and per value; None for
-    any other input, which the entry-by-entry loop then diagnoses."""
-    size = len(lat) ** len(uni)
-    if size > budget or len(entries) != size or not all(
-            type(e) is list and len(e) == 2 and type(e[0]) is list
-            for e in entries):
+    the budget, each entry's index summed from one dict lookup per point;
+    None for any other input, which the entry-by-entry loop then
+    diagnoses."""
+    n = len(uni)
+    size = len(lat) ** n
+    if size > budget or len(entries) != size:
         return None
-    # display tuple -> index: product order is Space.values() order
-    index = dict(zip(product(lat.displays, repeat=len(uni)), range(size)))
     ordinal = dict(zip(lat.displays, lat.elements()))
+    # display -> its digit's share of the index, one dict per point
+    weights = [{d: v * w for d, v in ordinal.items()}
+               for w in Space(lat, uni).weights]
+    table = [-1] * size
     try:
-        keys = [index[tuple(values)] for values, _ in entries]
-        members = [ordinal[value] for _, value in entries]
+        for entry in entries:
+            if type(entry) is not list or len(entry) != 2:
+                return None
+            values, member = entry
+            # map() would stop at the shorter of the two
+            if type(values) is not list or len(values) != n:
+                return None
+            key = sum(map(getitem, weights, values))
+            # each of the `size` entries must fill a slot of its own
+            if table[key] != -1:
+                return None
+            table[key] = ordinal[member]
     except (KeyError, TypeError):  # TypeError: an unhashable display
         return None
-    if len(set(keys)) != size:
-        return None
-    table = [0] * size
-    for key, member in zip(keys, members):
-        table[key] = member
     return table

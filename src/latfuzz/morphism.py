@@ -14,7 +14,7 @@ from .closure import ClosureOperator, ClosureSystem
 from .errors import CandidateError, MismatchError
 from .fuzzyset import Space, UniverseMap, set_at
 from .lattice import DEFAULT_BUDGET, Lattice, has_zero_divisors
-from .partition import FuzzyPartition, product_partition
+from .partition import FuzzyPartition, _name, product_partition
 from .record import Record
 from .relation import FuzzyRelation
 
@@ -96,13 +96,14 @@ def make_candidate(
         raise MismatchError("candidate: partitions on different lattices")
     if phi.source != source.universe or phi.target != target.universe:
         raise MismatchError(
-            f"candidate: map {phi.source.name}->{phi.target.name} does not "
-            f"match partitions on {source.universe.name} and {target.universe.name}"
+            f"candidate: map {_name(phi.source.name)}->{_name(phi.target.name)} "
+            f"does not match partitions on {_name(source.universe.name)} and "
+            f"{_name(target.universe.name)}"
         )
     psi = []
     for name in source.names:
         if name not in psi_by_name:
-            raise CandidateError(f"index map misses source block {name}")
+            raise CandidateError(f"index map misses source block {_name(name)}")
         psi.append(target.block_index(psi_by_name[name]))
     if pairs is None:
         pairs = [
@@ -116,7 +117,7 @@ def make_candidate(
     missing = [n for n in source.names if n not in covered]
     if missing:
         raise CandidateError(
-            f"pair relation does not cover source block {missing[0]}"
+            f"pair relation does not cover source block {_name(missing[0])}"
         )
     warnings = []
     graph = {(name, target.names[psi[j]]) for j, name in enumerate(source.names)}

@@ -1,6 +1,8 @@
 import functools
 import hashlib
 import json
+import random
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -145,3 +147,20 @@ def corpus_triples():
     from corpus import build_composable_triples
 
     return build_composable_triples()
+
+
+@pytest.fixture(scope="session")
+def big_system_doc(tmp_path_factory):
+    """A document holding a complete explicit system `S` on `boolean(2)`
+    over 6 points (4096 entries, random memberships), written compactly as
+    the benchmark writes its documents."""
+    lat = lf.boolean_algebra(2)
+    rng = random.Random(4096)
+    entries = [[list(values), rng.choice(lat.displays)]
+               for values in product(lat.displays, repeat=6)]
+    doc = {"lattice": {"kind": "boolean", "atoms": 2},
+           "universes": {"U": [f"u{k}" for k in range(6)]},
+           "systems": {"S": {"universe": "U", "entries": entries}}}
+    path = tmp_path_factory.mktemp("big") / "big_system.json"
+    path.write_text(json.dumps(doc, separators=(",", ":")), encoding="utf-8")
+    return path

@@ -494,7 +494,8 @@ def test_deep_value_gives_a_short_error(capsys, case):
 LONG = "a" * 1000
 
 # a 1000-character element label, at each place a universe error quotes one,
-# and a block or universe name as long where a partition error quotes one
+# and a block or universe name as long where a partition or candidate error
+# quotes one
 LONG_LABELS = {
     "value map missing an element": _doc(
         universes={"X": [LONG]}, fuzzy_sets={"f": {"universe": "X",
@@ -516,6 +517,23 @@ LONG_LABELS = {
     "element covered by no core": _doc(
         universes={"X": ["a", LONG]}, partitions={
             "P": {"universe": "X", "blocks": {"A": {"a": "1", LONG: "0"}}}}),
+    "candidate map between other universes": _doc(
+        **{**_LINKED, "universes": {"X": ["a"], LONG: ["a"]},
+           "maps": {"id": {"source": "X", "target": LONG,
+                           "values": {"a": "a"}}}},
+        candidates={"c": _CAND}),
+    "index map missing a source block": _doc(
+        **{**_LINKED, "partitions": {"P": {"universe": "X",
+                                           "blocks": {LONG: {"a": "1"}}}},
+           "index_maps": {"psi": {"source": "P", "target": "P",
+                                  "values": {}}}},
+        candidates={"c": _CAND}),
+    "pairs missing a source block": _doc(
+        **{**_LINKED, "partitions": {"P": {"universe": "X",
+                                           "blocks": {LONG: {"a": "1"}}}},
+           "index_maps": {"psi": {"source": "P", "target": "P",
+                                  "values": {LONG: LONG}}}},
+        candidates={"c": {**_CAND, "pairs": []}}),
 }
 
 

@@ -1,21 +1,30 @@
 """Differential tests of the two I/O ends of every command.
 
 Loading: a `systems` entry list is read in bulk when it is well-formed,
-complete and within the budget, and entry by entry otherwise.
-`reference_system_table` is the entry-by-entry loop as it was before the
-bulk path existed.  On Gödel 3, Łukasiewicz 4, `boolean(2)` and `grid23`
-over universes of 0 to 4 points, the load must return the same table for
-valid lists in any order, and raise the same exception with the same text
-for every single fault: a dropped, duplicated or re-shaped entry, a wrong
-arity, an unknown or unhashable display, a non-list entry, and budgets of 1
-and of one below the space.
+complete and within the budget, and entry by entry otherwise.  The bulk
+read sums each entry's index from one dict lookup per point, so it must
+check the key's arity itself (`map` stops at the shorter input), and it
+takes a slot filled twice for a duplicate (with exactly one entry per set,
+no slot is then left empty).  `reference_system_table` is the
+entry-by-entry loop as it was before the bulk path existed.  On Gödel 3,
+Łukasiewicz 4, `boolean(2)` and `grid23` over universes of 0 to 4 points,
+the load must return the same table for valid lists in any order, and
+raise the same exception with the same text for every single fault: a
+dropped, duplicated or re-shaped entry, a wrong arity, an unknown or
+unhashable display, a non-list entry, and budgets of 1 and of one below
+the space.
 
-Printing: `cli._json` must write exactly what `json.dumps(report,
-indent=2)` writes, on random nested reports.
+Printing: the chunks `cli._write_json` passes on, joined, must be exactly
+what `json.dumps(report, indent=2)` writes plus a newline, on random nested
+reports split into many small chunks.  A report of 4096 entries must reach
+an unbuffered stdout in few writes of about `cli.CHUNK` characters each.
 """
 
+import io
 import json
+import math
 import random
+import sys
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -144,6 +153,12 @@ def _universe(npoints):
        st.sampled_from((None, *FAULTS)), st.integers(0, 2**32 - 1))
 @example("godel3", 2, "string-key", 5)
 @example("boolean2", 0, "budget-below", 0)
+# the bulk read's arity check: a key one value short whose dropped value is
+# the bottom, and a key one value long, each name a set of the space
+@example("boolean2", 3, "short-key", 6)
+@example("boolean2", 3, "long-key", 0)
+# its duplicate test: two entries for one set, none for another
+@example("boolean2", 3, "copy-key", 0)
 def test_bulk_load_matches_entry_by_entry(lat_name, npoints, fault, seed):
     lat = LATTICES[lat_name]
     if lat_name == "grid23":
@@ -225,6 +240,16 @@ _REPORTS = st.recursive(
 )
 
 
+def _written(report) -> list[str]:
+    """The chunks the report writer passes on, made small enough that a
+    report spans several."""
+    chunks = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "CHUNK", 16)
+        cli._write_json(report, chunks.append)
+    return chunks
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.dictionaries(_KEYS, _REPORTS, max_size=6))
 @example({})
@@ -234,7 +259,9 @@ _REPORTS = st.recursive(
 @example({1: "int", 2.5: "float", True: "bool", None: "none",
           float("nan"): "nan", float("-inf"): "inf", "1": "str"})
 def test_writer_matches_json_dumps(report):
-    assert cli._json(report, "") == json.dumps(report, indent=2)
+    chunks = _written(report)
+    assert "".join(chunks) == json.dumps(report, indent=2) + "\n"
+    assert all(len(chunk) >= 16 for chunk in chunks[:-1])
 
 
 @pytest.mark.parametrize("bad", [{(1, 2): "tuple key"}, {"a": [1, object()]},
@@ -243,7 +270,7 @@ def test_writer_rejects_what_json_rejects(bad):
     with pytest.raises(TypeError) as want:
         json.dumps(bad, indent=2)
     with pytest.raises(TypeError) as got:
-        cli._json(bad, "")
+        _written(bad)
     assert str(got.value) == str(want.value)
 
 
@@ -253,3 +280,32 @@ def test_report_ends_with_one_newline(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+
+class _CountingRaw(io.RawIOBase):
+    """A raw stream that keeps the size of every write it is given."""
+
+    def __init__(self):
+        self.sizes = []
+
+    def writable(self):
+        return True
+
+    def write(self, data):
+        self.sizes.append(len(data))
+        return len(data)
+
+
+def test_large_report_reaches_unbuffered_stdout_in_chunks(big_system_doc,
+                                                          monkeypatch):
+    # what sys.stdout is under PYTHONUNBUFFERED: every write a raw write
+    raw = _CountingRaw()
+    monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(
+        raw, encoding="ascii", write_through=True))
+    code = cli.run(["operator", "from-system", "--system", "S",
+                    "--doc", str(big_system_doc), "--no-timing"])
+    assert code == 0
+    total = sum(raw.sizes)
+    assert total > 8 * cli.CHUNK
+    assert len(raw.sizes) <= math.ceil(total / cli.CHUNK) + 2
+    assert max(raw.sizes) <= cli.CHUNK + 1024

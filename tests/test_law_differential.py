@@ -243,8 +243,15 @@ def make_system(rng, lat, uni, kind):
     return perturbed_system(rng, system) if kind == "perturbed" else system
 
 
+def report_text(payload) -> str:
+    """`payload` as the CLI writes it, its chunks joined."""
+    chunks = []
+    cli._write_json(payload, chunks.append)
+    return "".join(chunks)
+
+
 def axioms_text(report) -> str:
-    return cli._json(cli._axioms_json(report), "")
+    return report_text(cli._axioms_json(report))
 
 
 def system_reports(system):
@@ -254,7 +261,7 @@ def system_reports(system):
 
 
 def transform_reports(p):
-    return tuple(cli._json(cli._suite_json(report, "universe", "laws"), "")
+    return tuple(report_text(cli._suite_json(report, "universe", "laws"))
                  for report in (ftransform.transform_law_suite(p),
                                 reference_transform_law_suite(p)))
 
