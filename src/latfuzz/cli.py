@@ -2,7 +2,8 @@
 check, print a single JSON report on stdout.
 
 Exit statuses: 0 ok, 1 check failed (counterexample in the report), 2 input
-error (diagnostic on stderr), 3 enumeration budget exceeded.
+error (diagnostic on stderr), 3 enumeration budget exceeded, 141 stdout
+closed before the report was written (128 + SIGPIPE, no traceback).
 
 Reports are deterministic: stable key order, values as display strings, no
 timestamps.  Timing lives in a trailing `timing_ms` field that `--no-timing`
@@ -36,7 +37,7 @@ import json
 import os
 import sys
 import time
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 
 from . import algebra, closure, ftransform, lattice, morphism, partition, relation
 from .document import SECTIONS, InstanceDocument, load_document
@@ -49,6 +50,7 @@ from .record import Record
 ENV_BUDGET = "LATFUZZ_BUDGET"
 
 OK, CHECK_FAILED, INPUT_ERROR, BUDGET_EXCEEDED = 0, 1, 2, 3
+STDOUT_CLOSED = 141  # 128 + SIGPIPE, as a shell shows a pipe's writer killed
 # a report's exit status follows from its verdict: any other verdict is OK
 _EXIT_CODES = {"fail": CHECK_FAILED, "budget-exceeded": BUDGET_EXCEEDED}
 
@@ -78,7 +80,8 @@ def _required(args, name: str) -> str:
 
 def _table_json(struct) -> dict:
     """A closure system or operator: one [set, image] entry per set of the
-    space, the image a membership value or a closed set."""
+    space, the image a membership value or a closed set.  The entries are
+    made one at a time as the report is written."""
     d = struct.lattice.displays
     if isinstance(struct, closure.ClosureSystem):
         show = d.__getitem__
@@ -88,11 +91,11 @@ def _table_json(struct) -> dict:
     return {
         "universe": struct.universe.name,
         "provenance": struct.provenance,
-        "entries": [
+        "entries": (
             [[d[v] for v in values], show(image)]
             for values, image in zip(
                 Space(struct.lattice, struct.universe).values(), struct.table)
-        ],
+        ),
     }
 
 
@@ -655,12 +658,12 @@ def _write_json(value, write) -> None:
 
 def _lay_out(value, indent: str, emit) -> None:
     """Emit the text of `value`, each of its lines after the first indented
-    by `indent` more."""
+    by `indent` more.  An iterator is laid out as a list, item by item."""
     if isinstance(value, str):
         return emit(_encode_str(value))
-    if not isinstance(value, (list, tuple, dict)):
+    if not isinstance(value, (list, tuple, dict, Iterator)):
         return emit(json.dumps(value))
-    if not value:
+    if not value:  # an iterator is never false: see the last line
         return emit("{}" if isinstance(value, dict) else "[]")
     inner = indent + "  "
     sep = ",\n" + inner
@@ -672,7 +675,7 @@ def _lay_out(value, indent: str, emit) -> None:
             head = sep
         return emit("\n" + indent + "}")
     head = "[\n" + inner
-    if isinstance(value[0], str):
+    if isinstance(value, (list, tuple)) and isinstance(value[0], str):
         # a list of strings in one C-level pass; a later non-string makes
         # the encoder raise and the list go item by item
         try:
@@ -684,11 +687,18 @@ def _lay_out(value, indent: str, emit) -> None:
         emit(head)
         _lay_out(v, inner, emit)
         head = sep
-    emit("\n" + indent + "]")
+    emit("\n" + indent + "]" if head == sep else "[]")
 
 
 def main() -> None:
-    sys.exit(run())
+    try:
+        code = run()
+        sys.stdout.flush()  # so that a closed pipe shows here, not at exit
+    except BrokenPipeError:
+        # what is still buffered goes nowhere: the exit flush cannot raise
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = STDOUT_CLOSED
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -6,18 +6,24 @@ must parse into the declared lattice, and every partition/candidate is fully
 validated.  Non-fatal oddities (declared pairs outside the graph of an index
 map) are collected as warnings.
 
-A document can hold explicit systems of thousands of entries, so loading
-holds as little beside the decoded JSON as it can.  A file's text is freed
-as soon as it is decoded.  A `systems` entry list that is well-formed, complete and within
-the budget is read in bulk into one preallocated table: each entry's index
-is the sum of one dict lookup per point, and a slot filled twice rejects
-the list.  Any other list is read entry by entry, so the first fault and
-its message stay those of the plain loop.
+A document can hold explicit systems of thousands of entries, so a
+document's text is read one value at a time with `json`'s own scanner, and
+each `systems` entry list is read one entry at a time straight into its
+table: no decoded tree of a whole space ever exists.  An entry's index is
+the sum of one dict lookup per point, and a slot filled twice or left empty
+rejects the list.  Anything out of the ordinary (the lattice, the universes
+or a system's universe after its entries, a repeated key, text that is not
+plain JSON, a lattice or budget error, a faulty entry list) sends the whole
+text to `json.loads` instead, and each decoded entry list that the bulk
+read rejects is read entry by entry, so every table, error and message
+stays those of the plain loop.
 """
 
 from __future__ import annotations
 
 import json
+import os
+from collections.abc import Iterable
 from operator import getitem
 from pathlib import Path
 
@@ -79,33 +85,174 @@ def _require(cond, message):
 
 
 def load_document(source, budget: int = DEFAULT_BUDGET) -> InstanceDocument:
-    """Parse a document from a path, JSON text, or an already-decoded dict."""
-    data = _decode(source) if isinstance(source, (str, Path)) else source
-    _require(isinstance(data, dict), "document root must be an object")
+    """Parse a document from a path, JSON text, or an already-decoded dict.
+    A string is JSON text when it starts with `{` and names no file."""
+    lat = None
+    if isinstance(source, (str, Path)):
+        source, lat = _decode(source, budget)
+    _require(isinstance(source, dict), "document root must be an object")
 
     try:
-        return _build(data, budget)
+        return _build(source, budget, lat)
     except (DocumentError, BudgetExceeded):
         raise
     except WorkbenchError as exc:
         raise DocumentError(str(exc)) from exc
 
 
-def _decode(source: str | Path):
-    """The JSON value of a document given as a path or as JSON text.  A file's
-    text lives only in this frame, so it is freed before the document is
-    built from the value."""
-    if not (isinstance(source, str) and source.lstrip().startswith("{")):
+def _decode(source: str | Path, budget: int):
+    """The JSON value of a document given as a path or as JSON text, with
+    each system's entries already read into its table, and the lattice if
+    that read built it.  A file's text lives only in this frame, so it is
+    freed before the document is built from the value."""
+    if not (isinstance(source, str) and source.lstrip().startswith("{")
+            and not os.path.isfile(source)):
         try:
             source = Path(source).read_text(encoding="utf-8")
         except (OSError, UnicodeDecodeError) as exc:
             raise DocumentError(f"cannot read document: {exc}") from exc
+    reader = _Reader(source, budget)
     try:
-        return json.loads(source)
+        return reader.document(), reader.lattice
+    except (_Irregular, ValueError, RecursionError):
+        pass
+    try:
+        return json.loads(source), None
     except json.JSONDecodeError as exc:
         raise DocumentError(f"document is not valid JSON: {exc}") from exc
     except RecursionError:
         raise DocumentError("document nests too deeply to decode") from None
+
+
+_scan = json.JSONDecoder().scan_once
+_skip = json.decoder.WHITESPACE.match
+_SPACE = " \t\n\r"
+
+
+class _Irregular(Exception):
+    """Something the streamed read leaves to `json.loads`."""
+
+
+class _Table(list):
+    """A system's membership table, read from the text entry by entry."""
+
+
+class _Reader:
+    """A document's text, read as `json.loads` reads it, one value at a time
+    from a cursor `i`, except that the entries of each system go straight
+    into its table.  Whatever this read does not expect raises
+    `_Irregular`."""
+
+    def __init__(self, text: str, budget: int):
+        self.text = text
+        self.budget = budget
+        self.i = 0
+        self.lattice = None
+
+    def _next(self) -> str:
+        """The character after any whitespace at the cursor, which moves
+        onto it."""
+        self.i = _skip(self.text, self.i).end()
+        return self.text[self.i:self.i + 1]
+
+    def _take(self, char: str) -> None:
+        if self._next() != char:
+            raise _Irregular
+        self.i += 1
+
+    def _value(self):
+        self._next()
+        try:
+            value, self.i = _scan(self.text, self.i)
+        except StopIteration:
+            raise _Irregular from None
+        return value
+
+    def _keys(self):
+        """Each key of the object at the cursor, the cursor then at its
+        value, which the caller reads before the next key."""
+        self._take("{")
+        if self._next() == "}":
+            self.i += 1
+            return
+        seen = set()
+        while True:
+            if self._next() != '"':
+                raise _Irregular
+            key = self._value()
+            if key in seen:  # json would keep the last
+                raise _Irregular
+            seen.add(key)
+            self._take(":")
+            yield key
+            if self._next() == "}":
+                self.i += 1
+                return
+            self._take(",")
+
+    def document(self) -> dict:
+        data = {}
+        for key in self._keys():
+            data[key] = (self._systems(data) if key == "systems"
+                         else self._value())
+        if self._next():
+            raise _Irregular
+        return data
+
+    def _systems(self, data: dict) -> dict:
+        systems = {}
+        for name in self._keys():
+            spec = systems[name] = {}
+            for key in self._keys():
+                spec[key] = (self._table(data, spec) if key == "entries"
+                             else self._value())
+        return systems
+
+    def _table(self, data: dict, spec: dict) -> _Table:
+        """The table of the system `spec`, from the entry list at the
+        cursor; the lattice and the universe must come before it."""
+        universes = data.get("universes")
+        name = spec.get("universe")
+        if not ("lattice" in data and isinstance(universes, dict)
+                and isinstance(name, str)
+                and isinstance(universes.get(name), list)):
+            raise _Irregular
+        try:
+            if self.lattice is None:
+                self.lattice = lattice_mod.build(data["lattice"], self.budget)
+            uni = Universe(name, tuple(universes[name]))
+        except (WorkbenchError, TypeError):  # TypeError: unhashable labels
+            raise _Irregular from None
+        table = _bulk_table(self.lattice, uni, self._entries(), self.budget)
+        if table is None:
+            raise _Irregular
+        return _Table(table)
+
+    def _entries(self):
+        """Each entry of the list at the cursor, decoded one at a time."""
+        self._take("[")
+        if self._next() == "]":
+            self.i += 1
+            return
+        text = self.text
+        i = self.i
+        try:
+            while True:
+                entry, i = _scan(text, i)
+                yield entry
+                # the regex only where there is whitespace, which compact
+                # text has none of
+                if text[i] in _SPACE:
+                    i = _skip(text, i).end()
+                if text[i] != ",":
+                    break
+                i += 1
+                if text[i] in _SPACE:
+                    i = _skip(text, i).end()
+        except (StopIteration, IndexError):  # no value, or the text ends
+            raise _Irregular from None
+        self.i = i
+        self._take("]")
 
 
 # the object sections of a document, in load order, with the keys each
@@ -140,9 +287,11 @@ def _section(data: dict, section: str):
         yield name, spec
 
 
-def _build(data: dict, budget: int) -> InstanceDocument:
+def _build(data: dict, budget: int, lat: Lattice | None) -> InstanceDocument:
+    """The document `data` describes; `lat` is its lattice if already built."""
     _require("lattice" in data, "document lacks a lattice description")
-    lat = lattice_mod.build(data["lattice"], budget)
+    if lat is None:
+        lat = lattice_mod.build(data["lattice"], budget)
     doc = InstanceDocument(lattice=lat)
 
     for name, elements in _section(data, "universes"):
@@ -232,7 +381,9 @@ def _build(data: dict, budget: int) -> InstanceDocument:
 
     for name, spec in _section(data, "systems"):
         uni = doc.universe(spec["universe"])
-        table = _system_table(name, lat, uni, spec["entries"], budget)
+        table = spec["entries"]
+        if type(table) is not _Table:
+            table = _system_table(name, lat, uni, table, budget)
         doc.systems[name] = system_from_explicit(lat, uni, table, budget)
 
     return doc
@@ -266,15 +417,15 @@ def _system_table(name: str, lat: Lattice, uni: Universe, entries: list,
     return [by_values[v] for v in space.values()]
 
 
-def _bulk_table(lat: Lattice, uni: Universe, entries: list,
+def _bulk_table(lat: Lattice, uni: Universe, entries: Iterable,
                 budget: int) -> list[int] | None:
-    """The table of a well-formed, complete entry list on a space within
-    the budget, each entry's index summed from one dict lookup per point;
-    None for any other input, which the entry-by-entry loop then
-    diagnoses."""
+    """The table of a well-formed, complete entry list, given as any
+    iterable, on a space within the budget, each entry's index summed from
+    one dict lookup per point; None for any other input, which the
+    entry-by-entry loop then diagnoses."""
     n = len(uni)
     size = len(lat) ** n
-    if size > budget or len(entries) != size:
+    if size > budget:
         return None
     ordinal = dict(zip(lat.displays, lat.elements()))
     # display -> its digit's share of the index, one dict per point
@@ -290,10 +441,11 @@ def _bulk_table(lat: Lattice, uni: Universe, entries: list,
             if type(values) is not list or len(values) != n:
                 return None
             key = sum(map(getitem, weights, values))
-            # each of the `size` entries must fill a slot of its own
+            # each entry must fill a slot of its own
             if table[key] != -1:
                 return None
             table[key] = ordinal[member]
     except (KeyError, TypeError):  # TypeError: an unhashable display
         return None
-    return table
+    # and no slot may be left empty
+    return None if -1 in table else table

@@ -561,6 +561,53 @@ def test_huge_lattice_exits_3_before_building(capsys, tmp_path):
         "lattice tables requires 10000000000 evaluations, over budget 4096"
 
 
+def test_doc_path_may_start_with_a_brace(capsys, tmp_path, monkeypatch):
+    # `--doc` also takes JSON text, which starts with `{` too
+    (tmp_path / "{w3}.json").write_bytes((FIXTURES / "w3.json").read_bytes())
+    monkeypatch.chdir(tmp_path)
+    code, report, _ = run(capsys, "validate", "--doc", "{w3}.json")
+    assert code == 0
+    assert report["lattice"]["name"] == "godel_chain(3)"
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"],
+                         ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("after", [0, 1], ids=["at start", "after a byte"])
+def test_closed_stdout_exits_141_without_a_traceback(tmp_path, unbuffered,
+                                                     after):
+    # closed at the start, a short report waits in stdout's buffer for the
+    # flush; closed after one byte, as `latfuzz ... | head -c 1` does, a
+    # 0.6 MB report fails in a write, since a pipe holds far less
+    argv = ["validate", "--doc", W3]
+    if after:
+        points = [f"u{k}" for k in range(6)]
+        doc = tmp_path / "g4.json"
+        doc.write_text(json.dumps({
+            "lattice": {"kind": "godel_chain", "n": 4},
+            "universes": {"X": points},
+            "partitions": {"P": {"universe": "X",
+                                 "blocks": {"B": {p: "1" for p in points}}}},
+        }))
+        argv = ["closure", "from-partition", "--doc", str(doc),
+                "--partition", "P"]
+    src = Path(cli.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(src),
+           "PYTHONUNBUFFERED": unbuffered}
+    read, write = os.pipe()
+    if not after:
+        os.close(read)
+    proc = subprocess.Popen([sys.executable, "-m", "latfuzz.cli", *argv],
+                            env=env, stdout=write, stderr=subprocess.PIPE)
+    os.close(write)
+    if after:
+        with open(read, "rb") as out:
+            assert out.read(1) == b"{"
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == cli.STDOUT_CLOSED == 141
+    assert err == b""
+
+
 def test_cli_import_leaves_out_fractions():
     src = Path(cli.__file__).resolve().parent.parent
     probe = subprocess.run(

@@ -3,21 +3,31 @@
 Loading: a `systems` entry list is read in bulk when it is well-formed,
 complete and within the budget, and entry by entry otherwise.  The bulk
 read sums each entry's index from one dict lookup per point, so it must
-check the key's arity itself (`map` stops at the shorter input), and it
-takes a slot filled twice for a duplicate (with exactly one entry per set,
-no slot is then left empty).  `reference_system_table` is the
-entry-by-entry loop as it was before the bulk path existed.  On Gödel 3,
-Łukasiewicz 4, `boolean(2)` and `grid23` over universes of 0 to 4 points,
-the load must return the same table for valid lists in any order, and
-raise the same exception with the same text for every single fault: a
-dropped, duplicated or re-shaped entry, a wrong arity, an unknown or
-unhashable display, a non-list entry, and budgets of 1 and of one below
-the space.
+check the key's arity itself (`map` stops at the shorter input); a slot
+filled twice is a duplicate and a slot left empty a missing entry.
+`reference_system_table` is the entry-by-entry loop as it was before the
+bulk path existed.  On Gödel 3, Łukasiewicz 4, `boolean(2)` and `grid23`
+over universes of 0 to 4 points, the load must return the same table for
+valid lists in any order, and raise the same exception with the same text
+for every single fault: a dropped, duplicated or re-shaped entry, a wrong
+arity, an unknown or unhashable display, a non-list entry, and budgets of 1
+and of one below the space.
+
+A document's text is read value by value, each system's entries one at a
+time straight into the bulk read, and anything irregular goes to
+`json.loads` and the entry-by-entry loop.  `_decoded_first` is the load as
+it was before: `json.loads`, then the decoded value.  For every fault
+above, and for texts with the lattice, the universes or a system's universe
+after the entries, a repeated key at each level, whitespace, a BOM,
+trailing data, NaN, deep nesting inside an entry, an empty entry list and
+budgets below the space, both must give the same document or the same
+error; a regular text must never reach `json.loads`.
 
 Printing: the chunks `cli._write_json` passes on, joined, must be exactly
 what `json.dumps(report, indent=2)` writes plus a newline, on random nested
-reports split into many small chunks.  A report of 4096 entries must reach
-an unbuffered stdout in few writes of about `cli.CHUNK` characters each.
+reports split into many small chunks, with their lists given as lists or as
+iterators.  A report of 4096 entries must reach an unbuffered stdout in few
+writes of about `cli.CHUNK` characters each.
 """
 
 import io
@@ -223,6 +233,167 @@ def test_table_check_matches_element_walk(lat_name, npoints, bad, seed):
 
 
 # ---------------------------------------------------------------------------
+# the streamed read of a document's text
+
+def _decoded_first(path, budget):
+    """The load as it was before the streamed read: the whole text through
+    `json.loads`, then the decoded value."""
+    try:
+        data = json.loads(path.read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise lf.DocumentError(f"document is not valid JSON: {exc}") from None
+    except RecursionError:
+        raise lf.DocumentError("document nests too deeply to decode") from None
+    return load_document(data, budget)
+
+
+def _load_outcome(load, path, budget):
+    try:
+        return "document", load(path, budget)
+    except lf.WorkbenchError as exc:
+        return type(exc), str(exc)
+
+
+def _assert_streams_as_decoded(tmp_path, text, budget, streams):
+    """`load_document` of `text` as a file gives the document, or the error
+    type and text, of `json.loads` and then the decoded value; with
+    `streams`, without ever calling `json.loads`."""
+    path = tmp_path / "doc.json"
+    path.write_text(text, encoding="utf-8")
+    want = _load_outcome(_decoded_first, path, budget)
+    calls = []
+    loads = json.loads
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return loads(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(json, "loads", counted)
+        got = _load_outcome(load_document, path, budget)
+    assert got == want
+    if streams:
+        assert not calls
+
+
+def _obj(*members) -> str:
+    """The text of a JSON object of `(key, value text)` members, in order
+    and with any repeats."""
+    return "{" + ",".join(f"{json.dumps(k)}:{v}" for k, v in members) + "}"
+
+
+@pytest.mark.parametrize("fault", (None, *FAULTS))
+def test_streamed_read_matches_decoded_first(tmp_path, fault):
+    for i, lat_name in enumerate(sorted(LATTICES) * 2):
+        lat = LATTICES[lat_name]
+        uni = _universe(2 + i % 2)
+        rng = random.Random(i)
+        entries = _entries(lat, uni, rng)
+        budget = _inject(fault, entries, lat, rng) if fault else None
+        doc = {"lattice": SPECS[lat_name],
+               "universes": {"U": list(uni.elements)},
+               "systems": {"S": {"universe": "U", "entries": entries}}}
+        # compact text, as the benchmark writes it, and json's default
+        compact = (",", ":") if i % 2 else None
+        _assert_streams_as_decoded(
+            tmp_path, json.dumps(doc, separators=compact),
+            budget or lf.DEFAULT_BUDGET, streams=fault is None)
+
+
+_LAT = json.dumps(SPECS["godel3"])
+_UNIS = json.dumps({"U": ["u0", "u1", "u2"]})
+_ENTRIES = json.dumps(_entries(LATTICES["godel3"], _universe(3),
+                               random.Random(0)))
+_SYSTEM = _obj(("universe", '"U"'), ("entries", _ENTRIES))
+_REGULAR = _obj(("lattice", _LAT), ("universes", _UNIS),
+                ("systems", _obj(("S", _SYSTEM))))
+_SPACE = 27
+_DEEP = "[" * 5000 + "]" * 5000
+
+
+def _systems(*systems) -> str:
+    """A document on the Gödel 3-chain of systems on `U`, in this order."""
+    return _obj(("lattice", _LAT), ("universes", _UNIS),
+                ("systems", _obj(*systems)))
+
+
+# each shape of text: (text, budget, whether the read streams it)
+SHAPES = {
+    "regular": (_REGULAR, _SPACE, True),
+    "indent=2": (json.dumps(json.loads(_REGULAR), indent=2), _SPACE, True),
+    "trailing whitespace": (_REGULAR + "\n \t\r\n", _SPACE, True),
+    "whitespace around every separator": (json.dumps(
+        json.loads(_REGULAR), separators=(" ,\t", " :\n")), _SPACE, True),
+    "a repeat inside a value": (_REGULAR.replace(
+        _UNIS, '{"U": ["a"], "U": ["u0", "u1", "u2"]}'), _SPACE, True),
+    "NaN outside the entries": (_REGULAR.replace(
+        "{", '{"note": NaN, ', 1), _SPACE, True),
+    "two systems": (_systems(("S", _SYSTEM), ("T", _SYSTEM)), _SPACE, True),
+    "lattice after the entries": (_obj(
+        ("universes", _UNIS), ("systems", _obj(("S", _SYSTEM))),
+        ("lattice", _LAT)), _SPACE, False),
+    "universes after the entries": (_obj(
+        ("lattice", _LAT), ("systems", _obj(("S", _SYSTEM))),
+        ("universes", _UNIS)), _SPACE, False),
+    "universe after the entries": (_systems(
+        ("S", _obj(("entries", _ENTRIES), ("universe", '"U"')))),
+        _SPACE, False),
+    "lattice twice, before the entries": (_REGULAR.replace(
+        "{", '{"lattice": {"kind": "boolean", "atoms": 2}, ', 1),
+        _SPACE, False),
+    "lattice twice, after the entries": (_REGULAR[:-1] + ', "lattice": '
+                                         + json.dumps(SPECS["boolean2"]) + "}",
+                                         64, False),
+    "systems twice": (_REGULAR[:-1] + ', "systems": {"T": ' + _SYSTEM + "}}",
+                      _SPACE, False),
+    "system twice": (_systems(
+        ("S", _obj(("universe", '"U"'), ("entries", "[]"))), ("S", _SYSTEM)),
+        _SPACE, False),
+    "entries twice": (_systems(("S", _obj(
+        ("universe", '"U"'), ("entries", _ENTRIES), ("entries", "[]")))),
+        _SPACE, False),
+    "universe twice": (_systems(("S", _obj(
+        ("universe", '"V"'), ("universe", '"U"'), ("entries", _ENTRIES)))),
+        _SPACE, False),
+    "BOM": ("\ufeff" + _REGULAR, _SPACE, False),
+    "trailing data": (_REGULAR + " {}", _SPACE, False),
+    "truncated": (_REGULAR[:-3], _SPACE, False),
+    "trailing comma": (_REGULAR.replace(_ENTRIES, _ENTRIES[:-1] + ",]"),
+                       _SPACE, False),
+    "NaN member": (_REGULAR.replace('"1"]', "NaN]", 1), _SPACE, False),
+    "deep nesting inside an entry": (
+        _REGULAR.replace("[[", f"[{_DEEP}, [", 1), _SPACE, False),
+    "shallow nesting inside an entry": (
+        _REGULAR.replace("[[", f"[{_DEEP[4950:5050]}, [", 1), _SPACE, False),
+    "empty entry list": (_REGULAR.replace(_ENTRIES, "[]"), _SPACE, False),
+    "entries not a list": (_REGULAR.replace(_ENTRIES, '{"a": 1}'),
+                           _SPACE, False),
+    "unknown universe": (_REGULAR.replace('"universe":"U"',
+                                          '"universe":"V"'), _SPACE, False),
+    "universe not a string": (_REGULAR.replace('"universe":"U"',
+                                               '"universe":["U"]'),
+                              _SPACE, False),
+    "universes not an object": (_REGULAR.replace(_UNIS, '[["u0"]]'),
+                                _SPACE, False),
+    "lattice error": (_REGULAR.replace(_LAT, '{"kind": "godel_chain"}'),
+                      _SPACE, False),
+    "lattice over the budget": (_REGULAR.replace(
+        _LAT, '{"kind": "godel_chain", "n": 100000}'), _SPACE, False),
+    "budget one below the space": (_REGULAR, _SPACE - 1, False),
+    "budget 1": (_REGULAR, 1, False),
+    "root not an object": ("[" + _REGULAR + "]", _SPACE, False),
+    "empty object": ("{}", _SPACE, False),
+}
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+def test_streamed_read_of_each_shape_matches_decoded_first(tmp_path, shape):
+    text, budget, streams = SHAPES[shape]
+    assert streams or (text, budget) != (_REGULAR, _SPACE)
+    _assert_streams_as_decoded(tmp_path, text, budget, streams)
+
+
+# ---------------------------------------------------------------------------
 # printing
 
 _SCALARS = (st.none() | st.booleans() | st.integers()
@@ -262,6 +433,17 @@ def test_writer_matches_json_dumps(report):
     chunks = _written(report)
     assert "".join(chunks) == json.dumps(report, indent=2) + "\n"
     assert all(len(chunk) >= 16 for chunk in chunks[:-1])
+    # a table's entries reach the writer as an iterator
+    assert "".join(_written(_lazy(report))) == "".join(chunks)
+
+
+def _lazy(value):
+    """`value` with every list in it made an iterator."""
+    if isinstance(value, dict):
+        return {k: _lazy(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return iter([_lazy(v) for v in value])
+    return value
 
 
 @pytest.mark.parametrize("bad", [{(1, 2): "tuple key"}, {"a": [1, object()]},

@@ -2,11 +2,13 @@
 traced with `tracemalloc`, so the figures repeat exactly.
 
 The document is a complete explicit system of 4096 entries.  Loading it
-may hold little more than `json` itself needs to read and decode the file:
-the file's text is dropped once decoded, and the bulk read of the entries
-builds no index of its own.  Printing the 4096-entry operator of that
-system may then reach no higher than the command's own load did, because the report goes
-out in chunks rather than as one string and its encoded copy.
+may hold under a third of what `json.loads` needs to read and decode the
+file, because the entries are read one at a time into the table and never
+exist as a decoded tree.  Printing the 4096-entry operator of that system
+may then reach little higher than building the operator does, because the
+report's entries are laid out one at a time and go out in chunks: neither
+the payload tree, nor the report as one string, nor its encoded copy ever
+exists.
 """
 
 import contextlib
@@ -14,7 +16,7 @@ import gc
 import json
 import tracemalloc
 
-from latfuzz import cli
+from latfuzz import cli, closure
 from latfuzz.document import load_document
 
 
@@ -48,18 +50,18 @@ def _print_operator(path):
 def test_load_peaks_near_json_decoding(big_system_doc):
     load = _peak(load_document, big_system_doc)
     decode = _peak(_decode, big_system_doc)
-    assert load <= 1.1 * decode, (load, decode)
+    assert load <= 0.3 * decode, (load, decode)
 
 
-def test_printing_peaks_no_higher_than_loading(big_system_doc, monkeypatch):
-    peaks = {}
+def test_printing_holds_no_second_copy(big_system_doc, monkeypatch):
+    build = _peak(closure.operator_from_system,
+                  load_document(big_system_doc).system("S"))
 
     def load(*args):
         doc = load_document(*args)
-        peaks["load"] = tracemalloc.get_traced_memory()[1]
         tracemalloc.reset_peak()
         return doc
 
     monkeypatch.setattr(cli, "load_document", load)
     after_load = _peak(_print_operator, big_system_doc)
-    assert after_load <= peaks["load"], (after_load, peaks["load"])
+    assert after_load <= build + 300_000, (after_load, build)
