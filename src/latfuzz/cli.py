@@ -2,8 +2,9 @@
 check, print a single JSON report on stdout.
 
 Exit statuses: 0 ok, 1 check failed (counterexample in the report), 2 input
-error (diagnostic on stderr), 3 enumeration budget exceeded, 141 stdout
-closed before the report was written (128 + SIGPIPE, no traceback).
+or output error (diagnostic on stderr, such as a full disk under stdout), 3
+enumeration budget exceeded, 141 stdout closed before the report was written
+(128 + SIGPIPE, no traceback).
 
 Reports are deterministic: stable key order, values as display strings, no
 timestamps.  Timing lives in a trailing `timing_ms` field that `--no-timing`
@@ -693,11 +694,17 @@ def _lay_out(value, indent: str, emit) -> None:
 def main() -> None:
     try:
         code = run()
-        sys.stdout.flush()  # so that a closed pipe shows here, not at exit
-    except BrokenPipeError:
-        # what is still buffered goes nowhere: the exit flush cannot raise
+        sys.stdout.flush()  # so that a write error shows here, not at exit
+    except OSError as exc:
+        # `run` turns every read error into a DocumentError, so this comes
+        # from writing stdout (or stderr, where the print below fails too).
+        # What is still buffered goes nowhere: the exit flush cannot raise
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        code = STDOUT_CLOSED
+        if isinstance(exc, BrokenPipeError):
+            code = STDOUT_CLOSED
+        else:
+            print(f"latfuzz: cannot write the report: {exc}", file=sys.stderr)
+            code = INPUT_ERROR
     sys.exit(code)
 
 

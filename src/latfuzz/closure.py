@@ -152,7 +152,10 @@ def system_from_operator(op: ClosureOperator,
 # The pair law is swept one set f at a time: `Space.image_index` gives the
 # index of f meet g for every g in one fold, so a pair costs one comparison.
 # The pairs run (f, g) with g from f on in enumeration order, and the sweep
-# stops at its first counterexample.
+# stops at its first counterexample.  Past the first |X|^2 rows the verdict
+# comes from `Space._cuts_meet_closed`, in about |L| * |X|^2 * |space|
+# steps, and the scan resumes only to name the pair, so passing input does
+# not pay |space|^2.
 
 def check_system(system: ClosureSystem,
                  budget: int = DEFAULT_BUDGET) -> LawReport:
@@ -177,7 +180,16 @@ def check_system(system: ClosureSystem,
             f"membership of the constant-top set is {lat.displays[top]}"
         )
 
-    for i, f in enumerate(all_vals):
+    def rows():
+        # the first |X|^2 always, as a failing table mostly fails there; the
+        # rest only when a cut is not meet-closed, to name the first pair
+        prefix = min(len(uni) ** 2, space.size)
+        yield from range(prefix)
+        if not space._cuts_meet_closed(table):
+            yield from range(prefix, space.size)
+
+    for i in rows():
+        f = all_vals[i]
         met = space.image_index([meet[v] for v in f])
         low = meet[table[i]]
         j = next((j for j in range(i, space.size)

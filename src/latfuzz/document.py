@@ -86,7 +86,9 @@ def _require(cond, message):
 
 def load_document(source, budget: int = DEFAULT_BUDGET) -> InstanceDocument:
     """Parse a document from a path, JSON text, or an already-decoded dict.
-    A string is JSON text when it starts with `{` and names no file."""
+    A string is JSON text when it names no file and its first non-whitespace
+    character is `{`, `[` or a byte-order mark, so such text gets the error
+    a file with that text gets."""
     lat = None
     if isinstance(source, (str, Path)):
         source, lat = _decode(source, budget)
@@ -100,12 +102,15 @@ def load_document(source, budget: int = DEFAULT_BUDGET) -> InstanceDocument:
         raise DocumentError(str(exc)) from exc
 
 
+_TEXT_STARTS = ("{", "[", "\ufeff")
+
+
 def _decode(source: str | Path, budget: int):
     """The JSON value of a document given as a path or as JSON text, with
     each system's entries already read into its table, and the lattice if
     that read built it.  A file's text lives only in this frame, so it is
     freed before the document is built from the value."""
-    if not (isinstance(source, str) and source.lstrip().startswith("{")
+    if not (isinstance(source, str) and source.lstrip()[:1] in _TEXT_STARTS
             and not os.path.isfile(source)):
         try:
             source = Path(source).read_text(encoding="utf-8")

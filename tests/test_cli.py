@@ -1,4 +1,5 @@
 import argparse
+import errno
 import json
 import os
 import re
@@ -606,6 +607,29 @@ def test_closed_stdout_exits_141_without_a_traceback(tmp_path, unbuffered,
     proc.stderr.close()
     assert proc.wait(timeout=60) == cli.STDOUT_CLOSED == 141
     assert err == b""
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"),
+                    reason="needs a device whose writes fail with ENOSPC")
+@pytest.mark.parametrize("unbuffered", ["", "1"],
+                         ids=["buffered", "unbuffered"])
+def test_failed_stdout_write_exits_2_with_one_line(unbuffered):
+    # every write to /dev/full raises OSError(ENOSPC): buffered, the short
+    # report fails in main's flush; unbuffered, in the report's write.  An
+    # uncaught error would exit 1, the "check failed" status, or 120 from
+    # the exit flush
+    src = Path(cli.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(src),
+           "PYTHONUNBUFFERED": unbuffered}
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "latfuzz.cli", "validate", "--doc",
+             json.dumps({"lattice": {"kind": "godel_chain", "n": 2}})],
+            env=env, stdout=full, stderr=subprocess.PIPE, timeout=60)
+    assert proc.returncode == cli.INPUT_ERROR == 2
+    assert proc.stderr.decode() == ("latfuzz: cannot write the report: "
+                                    f"[Errno {errno.ENOSPC}] "
+                                    f"{os.strerror(errno.ENOSPC)}\n")
 
 
 def test_cli_import_leaves_out_fractions():

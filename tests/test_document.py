@@ -103,6 +103,31 @@ def test_not_json_fails(tmp_path):
         load_document(tmp_path / "missing.json")
 
 
+# JSON text that names no file is read as the text, whatever JSON value it
+# starts with, and gets the error that a file with that text gets
+JSON_TEXTS = {
+    "list": "[1]",
+    "list after whitespace": " \n\t[1]",
+    "byte-order mark": "\ufeff" + json.dumps({"lattice": {"kind": "boolean",
+                                                          "atoms": 1}}),
+    "byte-order mark after whitespace": " \ufeff[1]",
+    "object not valid JSON": "{not json",
+}
+
+
+@pytest.mark.parametrize("case", sorted(JSON_TEXTS))
+def test_json_text_errs_as_its_file_does(tmp_path, case):
+    text = JSON_TEXTS[case]
+    path = tmp_path / "doc.json"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(lf.DocumentError) as from_file:
+        load_document(path)
+    with pytest.raises(lf.DocumentError) as from_text:
+        load_document(text)
+    assert str(from_text.value) == str(from_file.value)
+    assert "cannot read document" not in str(from_text.value)
+
+
 def test_relation_shape_checked():
     data = base_doc()
     data["relations"]["R_id_X2"]["rows"] = [["1", "0"]]

@@ -18,6 +18,13 @@ where `strong` fails before `enriched`, whose counterexamples
 The closure-operator axioms have no package checker; their pairwise sweep
 is `reference_check_operator` in `tests/reference.py`.
 
+Past its first |X|^2 rows, `check_system` takes axiom (ii)'s verdict from
+`Space._cuts_meet_closed`, the meet lemma's cut test, and scans pairs only
+to name the first failing one.  Most failing tables of at most 256 sets
+fail within those rows, so the cut test is also compared on its own, on
+the lattices above and on `lattices.PRODUCT`, including the one-point
+`grid23` system whose failure no cut at a value the system takes shows.
+
 The last test patches one line of the new code at a time and checks that
 the comparisons catch each mutant.
 """
@@ -35,6 +42,7 @@ from latfuzz.closure import ClosureSystem
 from latfuzz.fuzzyset import FuzzySet, Space, constant
 from latfuzz.lattice import DEFAULT_BUDGET, LawReport
 from latfuzz.partition import FuzzyPartition, relation_from_partition
+from lattices import spaces, with_product
 from reference import ensure_budget, set_index, show_set
 from test_space_differential import (
     LATTICES,
@@ -236,10 +244,34 @@ def perturbed_system(rng, system):
     return lf.system_from_explicit(lat, system.universe, table)
 
 
+def top_lowered(rng, system):
+    """`system` with the top set's membership moved below top: axiom (i)
+    fails, and so does every cut above the new value, yet (ii) holds when
+    it held, since f meet top = f."""
+    lat, table = system.lattice, list(system.table)
+    table[-1] = rng.choice([a for a in lat.elements() if a != lat.top])
+    return lf.system_from_explicit(lat, system.universe, table)
+
+
+def crisp_system(rng, lat, uni):
+    """Membership top on a random family of crisp sets (values bottom and
+    top only), bottom elsewhere.  Off the two-element chain, a crisp set
+    reaches the members above it only across values strictly between, so
+    an up-set meet that stops one value up misses them."""
+    crisp = (lat.bottom, lat.top)
+    return lf.system_from_explicit(lat, uni, [
+        lat.top if all(v in crisp for v in f) and rng.random() < 0.5
+        else lat.bottom for f in Space(lat, uni).values()])
+
+
 def make_system(rng, lat, uni, kind):
     if kind == "random":
         return random_system(rng, lat, uni)
+    if kind == "crisp":
+        return crisp_system(rng, lat, uni)
     system = lf.system_from_partition(random_partition(rng, lat, uni))
+    if kind == "top-lowered":
+        return top_lowered(rng, system)
     return perturbed_system(rng, system) if kind == "perturbed" else system
 
 
@@ -258,6 +290,20 @@ def system_reports(system):
     """The rewritten and the reference report, as the CLI prints them."""
     return (axioms_text(closure.check_system(system)),
             axioms_text(reference_check_system(system)))
+
+
+def cut_verdict(system) -> bool:
+    """Axiom (ii) as the cut test decides it, on the whole table."""
+    space = Space(system.lattice, system.universe)
+    return space._cuts_meet_closed(system.table)
+
+
+def system_matches(system) -> bool:
+    """The report and the cut test's verdict agree with the pair sweep."""
+    reference = reference_check_system(system)
+    return (axioms_text(closure.check_system(system))
+            == axioms_text(reference)
+            and cut_verdict(system) == reference.holds("axiom_ii"))
 
 
 def transform_reports(p):
@@ -307,6 +353,63 @@ def test_transform_law_suite_matches_the_pairwise_sweep(case):
     assert new == reference
 
 
+# the lattices above and the Gödel x Łukasiewicz product
+WIDE_LATTICES = with_product(LATTICES)
+CUT_KINDS = ["random", "crisp", "partition", "perturbed", "top-lowered"]
+
+
+@st.composite
+def systems(draw):
+    """A system over `WIDE_LATTICES` with at most 256 sets, of any kind;
+    explicit on 0 points, where no partition exists."""
+    name, npoints, seed = draw(spaces(WIDE_LATTICES))
+    kind = draw(st.sampled_from(CUT_KINDS if npoints else CUT_KINDS[:2]))
+    return make_system(random.Random(seed), WIDE_LATTICES[name],
+                       universe("X", npoints), kind)
+
+
+def grid_system():
+    """The one-point `grid23` system with S(11)=11, S(02)=02, S(12)=12 and
+    00 elsewhere.  Axiom (ii) fails at the pair ((02), (11)), whose meet is
+    01, yet every cut at a value S takes is meet-closed, as S never takes
+    01."""
+    lat = LATTICES["grid23"]
+    table = [lat.bottom] * len(lat)
+    for v in ("11", "02", "12"):
+        table[lat.parse(v)] = lat.parse(v)
+    return lf.system_from_explicit(lat, universe("X", 1), table)
+
+
+@settings(max_examples=100, deadline=None)
+@given(systems())
+@example(grid_system())
+def test_cut_test_matches_the_pairwise_sweep(system):
+    reference = reference_check_system(system)
+    assert cut_verdict(system) == reference.holds("axiom_ii")
+    assert axioms_text(closure.check_system(system)) == \
+        axioms_text(reference)
+
+
+def test_passing_system_folds_at_most_the_first_rows(monkeypatch):
+    """On a passing 4096-set system, the pair scan folds only its first
+    |X|^2 rows: the cut test decides the rest."""
+    lat, uni = lf.boolean_algebra(2), universe("X", 6)
+    system = lf.system_from_partition(random_partition(random.Random(5),
+                                                       lat, uni))
+    folds = 0
+    image_index = Space.image_index
+
+    def counted(self, rows):
+        nonlocal folds
+        folds += 1
+        return image_index(self, rows)
+
+    monkeypatch.setattr(Space, "image_index", counted)
+    assert closure.check_system(system).all_hold
+    # less the enriched and strong columns, one each per constant
+    assert folds - 2 * len(lat) <= len(uni) ** 2
+
+
 def interleaved_system():
     """The explicit system of the CLI tests' `laws closure` case on an
     inline document: `strong` fails at constant 0, before `enriched` fails
@@ -327,10 +430,11 @@ def test_check_system_reports_counterexamples_in_the_order_found():
 # the comparisons above catch one-line mutants of the rewritten sweeps
 
 def _all_match() -> bool:
-    """Every check agrees with its reference on a fixed battery."""
+    """Every check agrees with its reference on a fixed battery; the cut
+    test also on its own, on the kinds of system made for it."""
     try:
-        new, reference = system_reports(interleaved_system())
-        if new != reference:
+        if not (system_matches(interleaved_system())
+                and system_matches(grid_system())):
             return False
         for name in sorted(LATTICES):
             for seed in range(6):
@@ -340,14 +444,20 @@ def _all_match() -> bool:
                     else LATTICES[name]
                 uni = universe("X", npoints)
                 for kind in ("random", "partition", "perturbed"):
-                    new, reference = system_reports(
-                        make_system(rng, lat, uni, kind))
-                    if new != reference:
+                    if not system_matches(make_system(rng, lat, uni, kind)):
                         return False
                 new, reference = transform_reports(
                     random_partition(rng, lat, uni))
                 if new != reference:
                     return False
+        for name in sorted(WIDE_LATTICES):
+            lat = WIDE_LATTICES[name]
+            uni = universe("X", 2 if len(lat) > 4 else 3)
+            for seed in range(2):
+                rng = random.Random(seed)
+                for kind in ("crisp", "top-lowered"):
+                    if not system_matches(make_system(rng, lat, uni, kind)):
+                        return False
     except IndexError:
         return False
     return True
@@ -383,6 +493,18 @@ MUTANTS = [
     pytest.param(closure, "check_system", "                     counter)",
                  "                     dict(sorted(counter.items())))",
                  id="check_system-5"),
+    # the cut test: cuts only at values the table takes; a set with no
+    # member above taken as having the top set above it; upper covers
+    # swept bottom up, so a value meets covers not yet met with theirs
+    pytest.param(lf.fuzzyset.Space, "_cuts_meet_closed",
+                 "for a in lat.elements():", "for a in {*table}:",
+                 id="cuts-image-only"),
+    pytest.param(lf.fuzzyset.Space, "_cuts_meet_closed",
+                 "[v if m else none for", "[v if m else lat.top for",
+                 id="cuts-sentinel-dropped"),
+    pytest.param(lf.fuzzyset.Space, "_cuts_meet_closed",
+                 "key=lambda d: len(above[d])", "key=lambda d: -len(above[d])",
+                 id="cuts-covers-bottom-up"),
 ]
 
 

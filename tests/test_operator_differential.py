@@ -9,10 +9,10 @@ gives one row of it, for the sampled rows of a 4096-set space.
 The construction instead meets each term into a bucket at the set s -> g,
 for every s up to the inclusion degree, and then meets the buckets over the
 up-set of f.  The lattices include `boolean(2)`, `grid23` and a product of
-the Gödel and Łukasiewicz 3-chains, whose incomparable values meet above
-bottom, so an up-set taken by ordinal instead of by the order shows.  The
-last test patches one line of the construction at a time and checks that
-the comparisons catch each mutant.
+the Gödel and Łukasiewicz 3-chains (`lattices.PRODUCT`), whose incomparable
+values meet above bottom, so an up-set taken by ordinal instead of by the
+order shows.  The last test patches one line of the construction at a time
+and checks that the comparisons catch each mutant.
 """
 
 import json
@@ -24,6 +24,7 @@ from hypothesis import example, given, settings, strategies as st
 import latfuzz as lf
 from latfuzz import closure
 from conftest import FIXTURES
+from lattices import spaces, with_product
 from test_law_differential import _mutant
 
 
@@ -52,36 +53,15 @@ def reference_operator(system):
     return tuple(reference_closure(system, sets, f) for f in sets)
 
 
-def product_lattice(left, right, name):
-    """The product of two lattices, with the componentwise order and
-    tensor, through `from_tables` (the residuum is derived)."""
-    pairs = [(a, b) for a in left.elements() for b in right.elements()]
-    ordinal = {p: i for i, p in enumerate(pairs)}
-    return lf.from_tables(
-        [f"{left.displays[a]}|{right.displays[b]}" for a, b in pairs],
-        [[left.leq[a][c] and right.leq[b][d] for c, d in pairs]
-         for a, b in pairs],
-        [[ordinal[left.tensor[a][c], right.tensor[b][d]] for c, d in pairs]
-         for a, b in pairs],
-        name=name)
+LATTICES = with_product({
+    "godel3": lf.godel_chain(3),
+    "lukasiewicz3": lf.lukasiewicz_chain(3),
+    "boolean2": lf.boolean_algebra(2),
+    "grid23": lf.build(json.loads((FIXTURES / "grid23.json").read_text())
+                       ["lattice"]),
+})
 
-
-# lattice name -> (lattice, largest universe whose space has at most 256 sets)
-LATTICES = {
-    "godel3": (lf.godel_chain(3), 5),
-    "lukasiewicz3": (lf.lukasiewicz_chain(3), 5),
-    "boolean2": (lf.boolean_algebra(2), 4),
-    "grid23": (lf.build(json.loads((FIXTURES / "grid23.json").read_text())
-                        ["lattice"]), 3),
-    "godel3xlukasiewicz3": (product_lattice(lf.godel_chain(3),
-                                            lf.lukasiewicz_chain(3),
-                                            "godel3xlukasiewicz3"), 2),
-}
-
-cases = st.sampled_from(sorted(LATTICES)).flatmap(
-    lambda name: st.tuples(st.just(name),
-                           st.integers(1, LATTICES[name][1]),
-                           st.integers(0, 2 ** 32 - 1)))
+cases = spaces(LATTICES, min_points=1)
 
 
 def _universe(npoints):
@@ -121,7 +101,7 @@ def random_explicit(lat, npoints, rng):
 @example(("godel3xlukasiewicz3", 2, 4))
 def test_operator_matches_formula_on_partition_systems(case):
     name, npoints, seed = case
-    lat, _ = LATTICES[name]
+    lat = LATTICES[name]
     system = lf.system_from_partition(
         random_partition(lat, npoints, random.Random(seed)))
     assert lf.operator_from_system(system).table == reference_operator(system)
@@ -134,13 +114,13 @@ def test_operator_matches_formula_on_partition_systems(case):
 @example(("godel3xlukasiewicz3", 1, 5))
 def test_operator_matches_formula_on_explicit_systems(case):
     name, npoints, seed = case
-    lat, _ = LATTICES[name]
+    lat = LATTICES[name]
     system = random_explicit(lat, npoints, random.Random(seed))
     assert lf.operator_from_system(system).table == reference_operator(system)
 
 
 def test_product_lattice_meets_incomparable_values_above_bottom():
-    lat, _ = LATTICES["godel3xlukasiewicz3"]
+    lat = LATTICES["godel3xlukasiewicz3"]
     high, half = lat.parse("1|1/2"), lat.parse("1/2|1")
     assert not lat.leq[high][half] and not lat.leq[half][high]
     assert lat.displays[lat.meet[high][half]] == "1/2|1/2"
@@ -148,7 +128,7 @@ def test_product_lattice_meets_incomparable_values_above_bottom():
 
 @pytest.mark.parametrize("name", sorted(LATTICES))
 def test_empty_universe_closes_its_one_set(name):
-    lat, _ = LATTICES[name]
+    lat = LATTICES[name]
     system = lf.system_from_explicit(lat, _universe(0), [lat.top])
     assert lf.operator_from_system(system).table == ((),)
     assert reference_operator(system) == ((),)
@@ -156,8 +136,8 @@ def test_empty_universe_closes_its_one_set(name):
 
 @pytest.mark.parametrize("name", sorted(LATTICES))
 def test_all_bottom_system_closes_everything_to_top(name):
-    lat, npoints = LATTICES[name]
-    npoints = min(npoints, 2)
+    lat = LATTICES[name]
+    npoints = 2
     system = lf.system_from_explicit(lat, _universe(npoints),
                                      [lat.bottom] * len(lat) ** npoints)
     table = lf.operator_from_system(system).table
@@ -182,7 +162,7 @@ def _all_match() -> bool:
     """The construction agrees with the formula on a fixed battery: a
     partition and an explicit system per lattice, on one and two points."""
     for name in sorted(LATTICES):
-        lat, _ = LATTICES[name]
+        lat = LATTICES[name]
         for npoints in (1, 2):
             rng = random.Random(npoints)
             for system in (
