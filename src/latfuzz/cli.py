@@ -604,7 +604,7 @@ def run(argv=None) -> int:
     except PreconditionError as exc:
         report.update(verdict="fail", error=str(exc))
     except (DocumentError, WorkbenchError) as exc:
-        print(f"latfuzz: {exc}", file=sys.stderr)
+        _complain(f"latfuzz: {exc}")
         return INPUT_ERROR
     if not args.no_timing:
         report["timing_ms"] = round((time.perf_counter() - started) * 1000, 3)
@@ -691,19 +691,28 @@ def _lay_out(value, indent: str, emit) -> None:
     emit("\n" + indent + "]" if head == sep else "[]")
 
 
+def _complain(line: str) -> None:
+    """`line` on stderr; if stderr fails, the line and what else is still
+    buffered there go nowhere, so the exit flush cannot raise."""
+    try:
+        print(line, file=sys.stderr, flush=True)
+    except OSError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stderr.fileno())
+
+
 def main() -> None:
     try:
         code = run()
         sys.stdout.flush()  # so that a write error shows here, not at exit
     except OSError as exc:
         # `run` turns every read error into a DocumentError, so this comes
-        # from writing stdout (or stderr, where the print below fails too).
-        # What is still buffered goes nowhere: the exit flush cannot raise
+        # from writing stdout.  What is still buffered goes nowhere, as in
+        # `_complain`
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         if isinstance(exc, BrokenPipeError):
             code = STDOUT_CLOSED
         else:
-            print(f"latfuzz: cannot write the report: {exc}", file=sys.stderr)
+            _complain(f"latfuzz: cannot write the report: {exc}")
             code = INPUT_ERROR
     sys.exit(code)
 

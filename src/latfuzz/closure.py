@@ -105,20 +105,18 @@ def operator_from_system(system: ClosureSystem,
     (membership(g) tensor s) -> g over the pairs (g, s) with f <= s -> g:
     each pair's term is met into a bucket A at the set s -> g, and closed(f)
     is the meet of A over the sets above f.  A bottom s gives a top term
-    and is skipped.  The up-set meet sweeps one point at a time, meeting
-    each value with the values above it in the order; the point swept is
-    always the last, whose values are strided slices, and each sweep
-    rotates the points by one.  That is O(|space| * |L| * |X|^2) steps,
-    not |space|^2.
+    and is skipped.  `Space.meets_above` takes the up-set meets, one
+    bucket column per point, in O(|space| * |L| * |X|^2) steps, not
+    |space|^2.
     """
     lat = system.lattice
     uni = system.universe
     space = Space(lat, uni, budget, "closure operator construction")
-    res, tensor, meet, leq = lat.residuum, lat.tensor, lat.meet, lat.leq
-    n, points, values = space.radix, range(len(uni)), lat.elements()
+    res, tensor, meet = lat.residuum, lat.tensor, lat.meet
+    points = range(len(uni))
     digits = [space.digits(x) for x in points]
     buckets = [[lat.top] * space.size for _ in points]
-    for s in values:
+    for s in lat.elements():
         if s == lat.bottom:
             continue
         at = space.image_index([res[s]] * len(uni))
@@ -126,13 +124,7 @@ def operator_from_system(system: ClosureSystem,
         for column, digit in zip(buckets, digits):
             for h, row, v in zip(at, premise, digit):
                 column[h] = meet[column[h]][row[v]]
-    above = [(d, u) for d in values for u in values if d != u and leq[d][u]]
-    for _ in points:
-        for x, column in enumerate(buckets):
-            parts = [column[d::n] for d in values]
-            for d, u in above:
-                parts[d] = [meet[a][b] for a, b in zip(parts[d], parts[u])]
-            buckets[x] = [a for part in parts for a in part]
+    space.meets_above(buckets, meet)
     return ClosureOperator(lat, uni, tuple(zip(*buckets)) or ((),),
                            "from_system")
 
@@ -153,9 +145,9 @@ def system_from_operator(op: ClosureOperator,
 # index of f meet g for every g in one fold, so a pair costs one comparison.
 # The pairs run (f, g) with g from f on in enumeration order, and the sweep
 # stops at its first counterexample.  Past the first |X|^2 rows the verdict
-# comes from `Space._cuts_meet_closed`, in about |L| * |X|^2 * |space|
-# steps, and the scan resumes only to name the pair, so passing input does
-# not pay |space|^2.
+# comes from `_cuts_meet_closed`, in about |L| * |X|^2 * |space| steps, and
+# the scan resumes only to name the pair, so passing input does not pay
+# |space|^2.
 
 def check_system(system: ClosureSystem,
                  budget: int = DEFAULT_BUDGET) -> LawReport:
@@ -171,7 +163,6 @@ def check_system(system: ClosureSystem,
     space = Space(lat, uni, budget, "closure system check")
     leq, meet = lat.leq, lat.meet
     table = system.table
-    all_vals = list(space.values())
     counter: dict = {}
 
     top = table[space.index((lat.top,) * len(uni))]
@@ -185,27 +176,31 @@ def check_system(system: ClosureSystem,
         # rest only when a cut is not meet-closed, to name the first pair
         prefix = min(len(uni) ** 2, space.size)
         yield from range(prefix)
-        if not space._cuts_meet_closed(table):
+        if not _cuts_meet_closed(space, table):
             yield from range(prefix, space.size)
 
     for i in rows():
-        f = all_vals[i]
+        f = space.values_at(i)
         met = space.image_index([meet[v] for v in f])
         low = meet[table[i]]
         j = next((j for j in range(i, space.size)
                   if not leq[low[table[j]]][table[met[j]]]), None)
         if j is not None:
             counter["axiom_ii"] = (
-                f"pair ({_show(lat, f)}, {_show(lat, all_vals[j])})"
+                f"pair ({_show(lat, f)}, {_show(lat, space.values_at(j))})"
             )
             break
 
+    def image_membership(row):  # small cached ints, unlike set indices
+        return [table[j] for j in space.image_index([row] * len(uni))]
+
     for a in lat.elements():
-        columns = {"enriched": space.image_index([lat.residuum[a]] * len(uni)),
-                   "strong": space.image_index([lat.tensor[a]] * len(uni))}
-        for i, f in enumerate(all_vals):
+        columns = {"enriched": image_membership(lat.residuum[a]),
+                   "strong": image_membership(lat.tensor[a])}
+        for i, t in enumerate(table):
             for key, column in columns.items():
-                if key not in counter and not leq[table[i]][table[column[i]]]:
+                if key not in counter and not leq[t][column[i]]:
+                    f = space.values_at(i)
                     counter[key] = (
                         f"constant {lat.displays[a]} with {_show(lat, f)}"
                     )
@@ -214,6 +209,38 @@ def check_system(system: ClosureSystem,
 
     return LawReport(uni.name, ("axiom_i", "axiom_ii", "enriched", "strong"),
                      counter)
+
+
+def _cuts_meet_closed(space: Space, table) -> bool:
+    """Whether the map sending set i to the lattice value `table[i]` is
+    meet-superadditive, S(f) meet S(g) <= S(f meet g) for all f and g,
+    decided without visiting pairs.  It is iff every cut
+    C_a = {f : a <= S(f)} at a non-bottom a is closed under binary meets:
+    for f and g, take the cut at S(f) meet S(g).  Cuts only at values S
+    takes are not enough off chains.
+
+    A family is meet-closed iff, for every f with a member above it, the
+    meet of the members above f is a member: `Space.meets_above` over one
+    column per point, with a sentinel `none` for "no member above".
+    """
+    lat = space.lattice
+    if not space.weights:
+        return True  # one set, and f meet f = f
+    none = n = space.radix
+    meet = [(*row, v) for v, row in enumerate(lat.meet)]
+    meet.append(tuple(range(n + 1)))
+    digits = [space.digits(x) for x in range(len(space.weights))]
+    for a in lat.elements():
+        if a == lat.bottom:
+            continue
+        member = list(map(lat.leq[a].__getitem__, table))
+        columns = [[v if m else none for v, m in zip(digit, member)]
+                   for digit in digits]
+        space.meets_above(columns, meet)
+        at = space.index_of(columns, space.size)
+        if not all(member[i] for i, v in zip(at, columns[0]) if v != none):
+            return False
+    return True
 
 
 def _show(lat: Lattice, values) -> str:

@@ -103,8 +103,12 @@ def transform_law_suite(p: FuzzyPartition,
                     yield f"constant {d[a]} with {show(f)}"
 
     def join_preserving():
-        for i, j in space._join_failures(blocks, image, comps):
-            yield f"pair ({show(sets[i])}, {show(sets[j])})"
+        for i, f in enumerate(sets):
+            joined = space.image_index([lat.join[v] for v in f])
+            block_joined = blocks.image_index([lat.join[c] for c in comps[i]])
+            for j in range(i, space.size):
+                if image[joined[j]] != block_joined[image[j]]:
+                    yield f"pair ({show(f)}, {show(sets[j])})"
 
     def meet_bound():
         for i, f in enumerate(sets):

@@ -18,8 +18,8 @@ validating one `FuzzySet` per index.
 `Space.image_index` is the column the law checks sweep pairs with: for a
 fixed f it gives the index of f meet g (join, tensor) for every g, so a
 pair law costs one fold per set plus one comparison per pair.
-`Space._cuts_meet_closed` decides meet-superadditivity without pairs, by
-up-set meets over the cuts of the map.
+`Space.meets_above` meets columns over the up-set of each f, for the
+closure operator of a system and the cut test of its meet axiom.
 """
 
 from __future__ import annotations
@@ -242,72 +242,35 @@ class Space:
         return self._fold([[w * r for r in row]
                            for w, row in zip(self.weights, rows)])
 
-    def _join_failures(self, target: "Space", image, images):
-        """The pairs (i, j), i <= j, at which a map from this space into
-        `target` fails to preserve binary joins, in enumeration order of i,
-        then j: set i goes to the set of `target` with values `images[i]`,
-        whose index there is `image[i]`.  The image of f_i join f_j sits at
-        `image[joined[j]]`, and the join of the two images at
-        `target_joined[image[j]]`.  `transform_law_suite` sweeps its
-        `join_preserving` clause here, with the transform components as the
-        map into the space of block values."""
-        join = self.lattice.join
-        for i, f in enumerate(self.values()):
-            joined = self.image_index([join[v] for v in f])
-            target_joined = target.image_index([join[c] for c in images[i]])
-            for j in range(i, self.size):
-                if image[joined[j]] != target_joined[image[j]]:
-                    yield i, j
+    def index_of(self, columns, size: int) -> list[int]:
+        """For each of `size` positions i, the index of the set whose value
+        at x is `columns[x][i]`; `columns` may be any iterable of them."""
+        out = [0] * size
+        for w, column in zip(self.weights, columns):
+            out = [i + w * v for i, v in zip(out, column)]
+        return out
 
-    def _cuts_meet_closed(self, table) -> bool:
-        """Whether the map sending set i to the lattice value `table[i]` is
-        meet-superadditive, S(f) meet S(g) <= S(f meet g) for all f and g,
-        decided without visiting pairs.  It is iff every cut
-        C_a = {f : a <= S(f)} at a non-bottom a is closed under binary
-        meets: for f and g, take the cut at S(f) meet S(g).  Cuts only at
-        values S takes are not enough off chains.
+    def meets_above(self, columns, meet) -> None:
+        """Replace the value of every column at each f, in place, with the
+        meet, by the table `meet`, of its values over the sets above f.
 
-        A family is meet-closed iff, for every f with a member above it,
-        the meet m(f) of the members above f is a member.  m is the up-set
-        meet of `closure.operator_from_system`, one column per point, over
-        the lattice extended by a sentinel `none` that stands for "no member
-        above": each sweep meets the values at the last point with those at
-        its upper covers, top down, and rotates the points by one.  A cut
-        costs |X|^2 sweeps of about |space| * (1 + covers / |L|) steps.
-        """
+        Each sweep meets the values at the last point, strided slices, with
+        those at their upper covers, top down, so each cover has already
+        met those above it; then it rotates the points by one.  A column costs |X|
+        sweeps of about |space| * (1 + covers / |L|) steps."""
         lat = self.lattice
-        n, points = self.radix, range(len(self.weights))
-        if not points:
-            return True  # one set, and f meet f = f
-        leq, none = lat.leq, n
-        meet = [(*row, v) for v, row in enumerate(lat.meet)]
-        meet.append(tuple(range(n + 1)))
+        n, leq = self.radix, lat.leq
         above = [{u for u in lat.elements() if u != d and leq[d][u]}
                  for d in lat.elements()]
         top_down = sorted(lat.elements(), key=lambda d: len(above[d]))
         steps = [(d, u) for d in top_down  # u an upper cover of d
                  for u in above[d].difference(*(above[w] for w in above[d]))]
-        digits = [self.digits(x) for x in points]
-        for a in lat.elements():
-            if a == lat.bottom:
-                continue
-            member = list(map(leq[a].__getitem__, table))
-            columns = [[v if m else none for v, m in zip(digit, member)]
-                       for digit in digits]
-            for _ in points:
-                for x, column in enumerate(columns):
-                    parts = [column[d::n] for d in range(n)]
-                    for d, u in steps:
-                        parts[d] = [meet[p][q] for p, q in
-                                    zip(parts[d], parts[u])]
-                    columns[x] = [v for part in parts for v in part]
-            at = [0] * self.size
-            for w, column in zip(self.weights, columns):
-                at = [i + w * v for i, v in zip(at, column)]
-            if not all(member[i] for i, v in zip(at, columns[0])
-                       if v != none):
-                return False
-        return True
+        for _ in range(len(self.weights)):
+            for x, column in enumerate(columns):
+                parts = [column[d::n] for d in range(n)]
+                for d, u in steps:
+                    parts[d] = [meet[p][q] for p, q in zip(parts[d], parts[u])]
+                columns[x] = [v for part in parts for v in part]
 
     def upper(self, row) -> list[int]:
         """The join over the points of row[x] tensor f(x), for every f: the
@@ -338,13 +301,8 @@ class Space:
     def pushed_index(self, phi: "UniverseMap") -> list[int]:
         """For every f on phi's source, the index of its forward image in
         the space over phi's target."""
-        n = self.radix
-        dim = len(phi.target)
-        out = [0] * self.size
-        for y in range(dim):
-            w = n ** (dim - 1 - y)
-            out = [i + w * v for i, v in zip(out, self.fiber_join(phi, y))]
-        return out
+        columns = (self.fiber_join(phi, y) for y in range(len(phi.target)))
+        return Space(self.lattice, phi.target).index_of(columns, self.size)
 
 
 def set_at(lat: Lattice, universe: Universe, index: int) -> FuzzySet:

@@ -632,6 +632,29 @@ def test_failed_stdout_write_exits_2_with_one_line(unbuffered):
                                     f"{os.strerror(errno.ENOSPC)}\n")
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"),
+                    reason="needs a device whose writes fail with ENOSPC")
+@pytest.mark.parametrize("unbuffered", ["", "1"],
+                         ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv, stdout", [
+    (["validate", "--doc", "/nonexistent"], None),
+    (["validate", "--doc", W3], "/dev/full"),
+], ids=["bad-document", "full-stdout"])
+def test_failed_stderr_write_exits_2(unbuffered, argv, stdout):
+    # the diagnostic cannot be written either: the status stays 2, not 1
+    # from an uncaught error (the traceback is lost on the same stderr) or
+    # 120 from the exit flush
+    src = Path(cli.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(src),
+           "PYTHONUNBUFFERED": unbuffered}
+    with open("/dev/full", "w") as full, \
+            open(stdout or os.devnull, "w") as out:
+        proc = subprocess.run(
+            [sys.executable, "-m", "latfuzz.cli", *argv],
+            env=env, stdout=out, stderr=full, timeout=60)
+    assert proc.returncode == cli.INPUT_ERROR == 2
+
+
 def test_cli_import_leaves_out_fractions():
     src = Path(cli.__file__).resolve().parent.parent
     probe = subprocess.run(

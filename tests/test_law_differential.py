@@ -19,7 +19,7 @@ The closure-operator axioms have no package checker; their pairwise sweep
 is `reference_check_operator` in `tests/reference.py`.
 
 Past its first |X|^2 rows, `check_system` takes axiom (ii)'s verdict from
-`Space._cuts_meet_closed`, the meet lemma's cut test, and scans pairs only
+`closure._cuts_meet_closed`, the meet lemma's cut test, and scans pairs only
 to name the first failing one.  Most failing tables of at most 256 sets
 fail within those rows, so the cut test is also compared on its own, on
 the lattices above and on `lattices.PRODUCT`, including the one-point
@@ -295,7 +295,7 @@ def system_reports(system):
 def cut_verdict(system) -> bool:
     """Axiom (ii) as the cut test decides it, on the whole table."""
     space = Space(system.lattice, system.universe)
-    return space._cuts_meet_closed(system.table)
+    return closure._cuts_meet_closed(space, system.table)
 
 
 def system_matches(system) -> bool:
@@ -473,14 +473,14 @@ MUTANTS = [
                  "        j = next((j for j in range(i + 2, space.size)",
                  id="check_system-0"),
     pytest.param(closure, "check_system",
-                 '"strong": space.image_index([lat.tensor[a]] * len(uni))',
-                 '"strong": space.image_index([lat.residuum[a]] * len(uni))',
+                 '"strong": image_membership(lat.tensor[a])',
+                 '"strong": image_membership(lat.residuum[a])',
                  id="check_system-1"),
     # transform_law_suite's join sweep; the id is kept from when the
     # closure-operator checker shared it
-    pytest.param(lf.fuzzyset.Space, "_join_failures",
-                 "image[joined[j]] != target_joined[image[j]]",
-                 "image[joined[j]] != target_joined[j]",
+    pytest.param(ftransform, "transform_law_suite",
+                 "image[joined[j]] != block_joined[image[j]]",
+                 "image[joined[j]] != block_joined[j]",
                  id="check_operator-2"),
     pytest.param(ftransform, "transform_law_suite",
                  "down[met[j]] & ~(down[i] & down[j])",
@@ -495,14 +495,15 @@ MUTANTS = [
                  id="check_system-5"),
     # the cut test: cuts only at values the table takes; a set with no
     # member above taken as having the top set above it; upper covers
-    # swept bottom up, so a value meets covers not yet met with theirs
-    pytest.param(lf.fuzzyset.Space, "_cuts_meet_closed",
+    # swept bottom up by the up-set meet, so a value meets covers not yet
+    # met with theirs
+    pytest.param(closure, "_cuts_meet_closed",
                  "for a in lat.elements():", "for a in {*table}:",
                  id="cuts-image-only"),
-    pytest.param(lf.fuzzyset.Space, "_cuts_meet_closed",
+    pytest.param(closure, "_cuts_meet_closed",
                  "[v if m else none for", "[v if m else lat.top for",
                  id="cuts-sentinel-dropped"),
-    pytest.param(lf.fuzzyset.Space, "_cuts_meet_closed",
+    pytest.param(Space, "meets_above",
                  "key=lambda d: len(above[d])", "key=lambda d: -len(above[d])",
                  id="cuts-covers-bottom-up"),
 ]

@@ -11,8 +11,9 @@ for every s up to the inclusion degree, and then meets the buckets over the
 up-set of f.  The lattices include `boolean(2)`, `grid23` and a product of
 the Gödel and Łukasiewicz 3-chains (`lattices.PRODUCT`), whose incomparable
 values meet above bottom, so an up-set taken by ordinal instead of by the
-order shows.  The last test patches one line of the construction at a time
-and checks that the comparisons catch each mutant.
+order shows.  The last test patches one line of the construction, or of the
+up-set meet sweep `Space.meets_above` it calls, at a time and checks that
+the comparisons catch each mutant.
 """
 
 import json
@@ -23,6 +24,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import latfuzz as lf
 from latfuzz import closure
+from latfuzz.fuzzyset import Space
 from conftest import FIXTURES
 from lattices import spaces, with_product
 from test_law_differential import _mutant
@@ -175,25 +177,26 @@ def _all_match() -> bool:
     return True
 
 
-# (function, line, mutated line), each with a fixed id
+# (owner, function, line, mutated line), each with a fixed id; the up-set
+# meets are `Space.meets_above`
 MUTANTS = [
-    pytest.param("operator_from_system",
-                 "for d in values for u in values if d != u and leq[d][u]]",
-                 "for d in values for u in values if d < u]",
+    pytest.param(Space, "meets_above",
+                 "{u for u in lat.elements() if u != d and leq[d][u]}",
+                 "{u for u in lat.elements() if u > d}",
                  id="up-set-by-ordinal"),
-    pytest.param("operator_from_system",
+    pytest.param(closure, "operator_from_system",
                  "        if s == lat.bottom:",
                  "        if s != lat.top:",
                  id="s-top-only"),
-    pytest.param("operator_from_system",
-                 "            for d, u in above:",
-                 "            for d, u in above if _ else ():",
+    pytest.param(Space, "meets_above",
+                 "            for d, u in steps:",
+                 "            for d, u in steps if _ else ():",
                  id="last-point-sweep-skipped"),
 ]
 
 
-@pytest.mark.parametrize("name, line, mutated", MUTANTS)
-def test_mutants_are_caught(monkeypatch, name, line, mutated):
+@pytest.mark.parametrize("owner, name, line, mutated", MUTANTS)
+def test_mutants_are_caught(monkeypatch, owner, name, line, mutated):
     assert _all_match()
-    monkeypatch.setattr(closure, name, _mutant(closure, name, line, mutated))
+    monkeypatch.setattr(owner, name, _mutant(owner, name, line, mutated))
     assert not _all_match()

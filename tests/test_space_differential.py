@@ -9,13 +9,19 @@ verdicts with the same first violation or attained site, and raise the same
 `BudgetExceeded`, on Gödel and Łukasiewicz chains, `boolean(2)` and
 `grid23`, over universes of 0 to 4 points and random maps between them.
 
+The column primitives `Space.meets_above` and `Space.index_of` are also
+compared on their own, with a brute-force meet over the up-set of each set
+and with `Space.index` at each position, on these lattices and on
+`lattices.PRODUCT`, over universes of 0 to 3 points.
+
 The last test patches one line of the kernel at a time (a wrong weight, a
-wrong row order, an off-by-one radix) and checks that the comparisons catch
-each mutant.
+wrong row order, an off-by-one radix, reversed weights) and checks that the
+comparisons catch each mutant.
 """
 
 import json
 import random
+from itertools import product
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -24,6 +30,7 @@ import latfuzz as lf
 from conftest import FIXTURES
 from latfuzz.document import load_document
 from latfuzz.fuzzyset import Space
+from lattices import spaces, with_product
 from reference import (
     backward_image,
     ensure_budget,
@@ -294,6 +301,69 @@ def test_space_indices_match_per_set_images(case):
         assert sx.digits(x) == [v[x] for v in sx.values()]
 
 
+# one lattice, the product among them, one universe size (0-3 points) and
+# one seed per case
+WITH_PRODUCT = with_product(LATTICES)
+small = spaces(WITH_PRODUCT, max_sets=729).filter(lambda c: c[1] <= 3)
+
+
+def reference_meets_above(lat, npoints, column, meet):
+    """For every f, the meet of `column` over the sets g >= f."""
+    sets = list(product(lat.elements(), repeat=npoints))
+    leq = lat.leq
+    out = []
+    for f in sets:
+        above = [v for g, v in zip(sets, column)
+                 if all(leq[a][b] for a, b in zip(f, g))]
+        acc = above[0]
+        for v in above[1:]:
+            acc = meet[acc][v]
+        out.append(acc)
+    return out
+
+
+@settings(max_examples=30, deadline=None)
+@given(small)
+@example(("godel3xlukasiewicz3", 3, 0))
+@example(("grid23", 0, 1))
+def test_meets_above_matches_the_up_set_meet(case):
+    name, npoints, seed = case
+    lat = WITH_PRODUCT[name]
+    rng, space = random.Random(seed), Space(lat, universe("X", npoints))
+    n = len(lat)
+    # the lattice's own meet, and the meet extended by a sentinel n that
+    # every value meets to itself
+    sentinel = [(*row, v) for v, row in enumerate(lat.meet)]
+    sentinel.append(tuple(range(n + 1)))
+    for meet, values in ((lat.meet, n), (sentinel, n + 1)):
+        columns = [[rng.randrange(values) for _ in range(space.size)]
+                   for _ in range(rng.randint(1, 3))]
+        expected = [reference_meets_above(lat, npoints, c, meet)
+                    for c in columns]
+        space.meets_above(columns, meet)
+        assert columns == expected
+
+
+@settings(max_examples=40, deadline=None)
+@given(small, st.integers(0, 3))
+@example(("godel3xlukasiewicz3", 2, 0), 3)
+@example(("boolean2", 0, 1), 2)
+@example(("grid23", 3, 2), 0)
+def test_index_of_matches_index_at_each_position(case, source_points):
+    """Columns as `pushed_index` passes them: one per point of the target
+    space, as a generator, over the sets of a source space of its own
+    size."""
+    name, npoints, seed = case
+    lat = WITH_PRODUCT[name]
+    rng, space = random.Random(seed), Space(lat, universe("Y", npoints))
+    size = Space(lat, universe("X", source_points)).size
+    columns = [[rng.randrange(len(lat)) for _ in range(size)]
+               for _ in range(npoints)]
+    assert space.index_of(iter(columns), size) == [
+        space.index(tuple(column[i] for column in columns))
+        for i in range(size)]
+
+
 # ---------------------------------------------------------------------------
 # structure tables, the functor table and the hom checks
 
@@ -519,6 +589,13 @@ def _pushed_index_off_by_one_radix(self, phi):
     return out
 
 
+def _index_of_reversed_weights(self, columns, size):
+    out = [0] * size
+    for w, column in zip(reversed(self.weights), columns):  # mutant
+        out = [i + w * v for i, v in zip(out, column)]
+    return out
+
+
 def _kernel_matches_references() -> bool:
     """Every rerouted sweep agrees with its reference on a fixed battery."""
     try:
@@ -552,6 +629,7 @@ def _kernel_matches_references() -> bool:
     ("_fold", _fold_wrong_row),
     ("pulled_index", _pulled_index_wrong_weight),
     ("pushed_index", _pushed_index_off_by_one_radix),
+    ("index_of", _index_of_reversed_weights),
 ])
 def test_kernel_mutants_are_caught(monkeypatch, method, mutant):
     assert _kernel_matches_references()
