@@ -25,7 +25,6 @@ from .lattice import (
     build,
     from_tables,
     godel_chain,
-    has_zero_divisors,
     law_suite,
     lukasiewicz_chain,
     zero_divisor_scan,

@@ -9,20 +9,20 @@ map) are collected as warnings.
 A document can hold explicit systems of thousands of entries, so a
 document's text is read one value at a time with `json`'s own scanner, and
 each `systems` entry list is read one entry at a time straight into its
-table: no decoded tree of a whole space ever exists.  An entry's index is
-the sum of one dict lookup per point, and a slot filled twice or left empty
-rejects the list.  Anything out of the ordinary (the lattice, the universes
-or a system's universe after its entries, a repeated key, text that is not
-plain JSON, a lattice or budget error, a faulty entry list) sends the whole
-text to `json.loads` instead, and each decoded entry list that the bulk
-read rejects is read entry by entry, so every table, error and message
-stays those of the plain loop.
+table: no decoded tree of a whole space ever exists.  `_system_table` is
+the one reader of an entry list, a single pass over any iterable: an
+entry's index is the sum of one dict lookup per point, and the first fault
+raises the plain loop's error.  Anything out of the ordinary (the lattice,
+the universes or a system's universe after its entries, a repeated key,
+text that is not plain JSON, any error) sends the whole text to
+`json.loads` instead, so every table, error and message stays the same.
 """
 
 from __future__ import annotations
 
 import json
 import os
+from collections import defaultdict
 from collections.abc import Iterable
 from operator import getitem
 from pathlib import Path
@@ -209,29 +209,28 @@ class _Reader:
         for name in self._keys():
             spec = systems[name] = {}
             for key in self._keys():
-                spec[key] = (self._table(data, spec) if key == "entries"
-                             else self._value())
+                spec[key] = (self._table(data, name, spec)
+                             if key == "entries" else self._value())
         return systems
 
-    def _table(self, data: dict, spec: dict) -> _Table:
-        """The table of the system `spec`, from the entry list at the
-        cursor; the lattice and the universe must come before it."""
+    def _table(self, data: dict, name: str, spec: dict) -> _Table:
+        """The table of system `name`, from the entry list at the cursor;
+        the lattice and the universe must come before it."""
         universes = data.get("universes")
-        name = spec.get("universe")
+        label = spec.get("universe")
         if not ("lattice" in data and isinstance(universes, dict)
-                and isinstance(name, str)
-                and isinstance(universes.get(name), list)):
+                and isinstance(label, str)
+                and isinstance(universes.get(label), list)):
             raise _Irregular
         try:
             if self.lattice is None:
                 self.lattice = lattice_mod.build(data["lattice"], self.budget)
-            uni = Universe(name, tuple(universes[name]))
-        except (WorkbenchError, TypeError):  # TypeError: unhashable labels
+            uni = Universe(label, tuple(universes[label]))
+            return _Table(_system_table(name, self.lattice, uni,
+                                        self._entries(), self.budget))
+        # json.loads decides which error wins; TypeError: unhashable labels
+        except (WorkbenchError, TypeError):
             raise _Irregular from None
-        table = _bulk_table(self.lattice, uni, self._entries(), self.budget)
-        if table is None:
-            raise _Irregular
-        return _Table(table)
 
     def _entries(self):
         """Each entry of the list at the cursor, decoded one at a time."""
@@ -394,63 +393,48 @@ def _build(data: dict, budget: int, lat: Lattice | None) -> InstanceDocument:
     return doc
 
 
-def _system_table(name: str, lat: Lattice, uni: Universe, entries: list,
+def _system_table(name: str, lat: Lattice, uni: Universe, entries: Iterable,
                   budget: int) -> list[int]:
     """The membership table of system `name`, one ordinal per set in
-    `Space.values()` order, from its `[value-tuple, value]` entries."""
-    table = _bulk_table(lat, uni, entries, budget)
-    if table is not None:
-        return table
-    # entry by entry, so the first fault is the one reported
-    by_values = {}
-    for entry in entries:
-        _require(isinstance(entry, list) and len(entry) == 2
-                 and isinstance(entry[0], list),
-                 f"system {name}: entries are [value-tuple, value] pairs")
-        key = tuple(lat.parse(v) for v in entry[0])
-        _require(len(key) == len(uni),
-                 f"system {name}: tuple arity does not match {uni.name}")
-        _require(key not in by_values,
-                 f"system {name}: duplicate entry for {entry[0]}")
-        by_values[key] = lat.parse(entry[1])
-    space = Space(lat, uni, budget, f"system {name} table")
-    if len(by_values) < space.size:
-        missing = next(v for v in space.values() if v not in by_values)
-        raise DocumentError(
-            f"system {name}: missing entry for "
-            f"{[lat.displays[v] for v in missing]}")
-    return [by_values[v] for v in space.values()]
-
-
-def _bulk_table(lat: Lattice, uni: Universe, entries: Iterable,
-                budget: int) -> list[int] | None:
-    """The table of a well-formed, complete entry list, given as any
-    iterable, on a space within the budget, each entry's index summed from
-    one dict lookup per point; None for any other input, which the
-    entry-by-entry loop then diagnoses."""
+    `Space.values()` order, from one pass over its `[value-tuple, value]`
+    entries.  An entry raises at its shape, its first unknown display, its
+    arity, a duplicate or its member, in that order; then the budget, then
+    the first set with no entry."""
     n = len(uni)
     size = len(lat) ** n
-    if size > budget:
-        return None
     ordinal = dict(zip(lat.displays, lat.elements()))
-    # display -> its digit's share of the index, one dict per point
-    weights = [{d: v * w for d, v in ordinal.items()}
-               for w in Space(lat, uni).weights]
-    table = [-1] * size
-    try:
-        for entry in entries:
-            if type(entry) is not list or len(entry) != 2:
-                return None
-            values, member = entry
-            # map() would stop at the shorter of the two
-            if type(values) is not list or len(values) != n:
-                return None
-            key = sum(map(getitem, weights, values))
-            # each entry must fill a slot of its own
-            if table[key] != -1:
-                return None
+    if size <= budget:
+        # display -> its digit's share of the index, one dict per point
+        weights = [{d: v * w for d, v in ordinal.items()}
+                   for w in Space(lat, uni).weights]
+        table, key_of = [-1] * size, sum
+    else:  # neither a table nor index weights: a dict keyed by value tuple
+        weights, table, key_of = [ordinal] * n, defaultdict(lambda: -1), tuple
+    for entry in entries:
+        if not (isinstance(entry, list) and len(entry) == 2
+                and isinstance(entry[0], list)):
+            raise DocumentError(
+                f"system {name}: entries are [value-tuple, value] pairs")
+        values, member = entry
+        key = None
+        if len(values) == n:  # map() would stop at the shorter of the two
+            try:
+                key = key_of(map(getitem, weights, values))
+            except (KeyError, TypeError):  # TypeError: an unhashable display
+                pass
+        if key is None:
+            list(map(lat.parse, values))  # raises at an unknown display
+            raise DocumentError(
+                f"system {name}: tuple arity does not match {uni.name}")
+        if table[key] != -1:
+            raise DocumentError(f"system {name}: duplicate entry for {values}")
+        try:
             table[key] = ordinal[member]
-    except (KeyError, TypeError):  # TypeError: an unhashable display
-        return None
-    # and no slot may be left empty
-    return None if -1 in table else table
+        except (KeyError, TypeError):
+            table[key] = lat.parse(member)
+    space = Space(lat, uni, budget, f"system {name} table")
+    if -1 in table:
+        missing = space.values_at(table.index(-1))
+        raise DocumentError(f"system {name}: missing entry for "
+                            f"{[lat.displays[v] for v in missing]}")
+    return table

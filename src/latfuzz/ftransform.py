@@ -68,7 +68,6 @@ def transform_law_suite(p: FuzzyPartition,
     space = Space(lat, p.universe, budget, "transform law suite")
     blocks = Space(lat, Universe(p.universe.name, p.names))
     dim = len(p.universe)
-    sets = list(space.values())
     comps = list(zip(*(space.upper(block.values) for block in p.blocks)))
     image = [blocks.index(c) for c in comps]
     down_of = _masks(lat.leq)[0]
@@ -88,37 +87,37 @@ def transform_law_suite(p: FuzzyPartition,
     def monotone():
         above = [[b for b in lat.elements() if leq[a][b]]
                  for a in lat.elements()]
-        for i, f in enumerate(sets):
+        for i, f in enumerate(space.values()):
             for j in space.image_index([above[v] for v in f]):
                 if down[i] & ~down[j]:
-                    yield (f"{show(f)} <= {show(sets[j])} "
+                    yield (f"{show(f)} <= {show(space.values_at(j))} "
                            f"but components drop")
 
     def tensor_scaling():
         for a in lat.elements():
             scaled = space.image_index([lat.tensor[a]] * dim)
             block_scaled = blocks.image_index([lat.tensor[a]] * len(p.names))
-            for i, f in enumerate(sets):
+            for i, f in enumerate(space.values()):
                 if image[scaled[i]] != block_scaled[image[i]]:
                     yield f"constant {d[a]} with {show(f)}"
 
     def join_preserving():
-        for i, f in enumerate(sets):
+        for i, f in enumerate(space.values()):
             joined = space.image_index([lat.join[v] for v in f])
             block_joined = blocks.image_index([lat.join[c] for c in comps[i]])
             for j in range(i, space.size):
                 if image[joined[j]] != block_joined[image[j]]:
-                    yield f"pair ({show(f)}, {show(sets[j])})"
+                    yield f"pair ({show(f)}, {show(space.values_at(j))})"
 
     def meet_bound():
-        for i, f in enumerate(sets):
+        for i, f in enumerate(space.values()):
             met = space.image_index([lat.meet[v] for v in f])
             for j in range(i, space.size):
                 if down[met[j]] & ~(down[i] & down[j]):
-                    yield f"pair ({show(f)}, {show(sets[j])})"
+                    yield f"pair ({show(f)}, {show(space.values_at(j))})"
 
     def inflationary():
-        for i, f in enumerate(sets):
+        for i, f in enumerate(space.values()):
             fld = tuple(comps[i][p.xi[k]] for k in range(dim))
             if any(not leq[a][b] for a, b in zip(f, fld)):
                 yield f"{show(f)} not below its field"
@@ -129,7 +128,7 @@ def transform_law_suite(p: FuzzyPartition,
         for one function, so no lattice can make this clause fail, only a
         defect in one of the paths."""
         rel = relation_from_partition(p)
-        for i, f in enumerate(sets):
+        for i, f in enumerate(space.values()):
             fld = tuple(comps[i][p.xi[k]] for k in range(dim))
             if upper_approx(rel, FuzzySet(lat, p.universe, f)).values != fld:
                 yield f"field of {show(f)} differs from the approximation"

@@ -491,10 +491,6 @@ def zero_divisor_scan(lat: Lattice) -> tuple[tuple[str, str], ...]:
     return tuple(witnesses)
 
 
-def has_zero_divisors(lat: Lattice) -> bool:
-    return bool(zero_divisor_scan(lat))
-
-
 class LawReport(Record):
     """The clauses of one law check on `subject`, and the first
     counterexample of each clause that fails: a clause holds exactly when it

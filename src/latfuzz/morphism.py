@@ -13,7 +13,7 @@ from __future__ import annotations
 from .closure import ClosureOperator, ClosureSystem
 from .errors import CandidateError, MismatchError
 from .fuzzyset import Space, UniverseMap, set_at
-from .lattice import DEFAULT_BUDGET, Lattice, has_zero_divisors
+from .lattice import DEFAULT_BUDGET, Lattice, zero_divisor_scan
 from .partition import FuzzyPartition, _name, product_partition
 from .record import Record
 from .relation import FuzzyRelation
@@ -188,7 +188,7 @@ def compose_fp(m1: FPMapCandidate, m2: FPMapCandidate) -> ComposedFP:
     }
     cand, _ = make_candidate(m1.source, m2.target, phi, psi_by_name, pairs)
     bound_value = lat.tensor[w1.value][w2.value]
-    warn = bound_value == lat.bottom and has_zero_divisors(lat)
+    warn = bound_value == lat.bottom and bool(zero_divisor_scan(lat))
     return ComposedFP(cand, Witness(bound_value, lat), warn)
 
 

@@ -82,6 +82,16 @@ ERROR_ORDER = {
     "unknown system entry before the budget": (
         lambda o: load_document(_system_doc([[["0", "0", "2"], "1"]]), 26),
         lf.DocumentError, "'2' is not an element of lattice godel_chain(3)"),
+    "short system entry before the budget": (
+        lambda o: load_document(_system_doc([[["0", "0"], "1"]]), 26),
+        lf.DocumentError, "system S: tuple arity does not match X"),
+    "duplicate system entry before the budget": (
+        lambda o: load_document(_system_doc([[["0", "1", "0"], "1"],
+                                             [["0", "1", "0"], "0"]]), 26),
+        lf.DocumentError, "system S: duplicate entry for ['0', '1', '0']"),
+    "unknown system member before the budget": (
+        lambda o: load_document(_system_doc([[["0", "1", "0"], "2"]]), 26),
+        lf.DocumentError, "'2' is not an element of lattice godel_chain(3)"),
     "coalgebra hom universes before the budget": (
         lambda o: lf.check_coa_hom(o.phi_m, o.coa, o.coa, 1),
         lf.MismatchError, "coalgebra homomorphism: universe mismatch"),

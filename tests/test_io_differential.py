@@ -1,21 +1,21 @@
 """Differential tests of the two I/O ends of every command.
 
-Loading: a `systems` entry list is read in bulk when it is well-formed,
-complete and within the budget, and entry by entry otherwise.  The bulk
-read sums each entry's index from one dict lookup per point, so it must
-check the key's arity itself (`map` stops at the shorter input); a slot
-filled twice is a duplicate and a slot left empty a missing entry.
-`reference_system_table` is the entry-by-entry loop as it was before the
-bulk path existed.  On Gödel 3, Łukasiewicz 4, `boolean(2)` and `grid23`
-over universes of 0 to 4 points, the load must return the same table for
-valid lists in any order, and raise the same exception with the same text
-for every single fault: a dropped, duplicated or re-shaped entry, a wrong
-arity, an unknown or unhashable display, a non-list entry, and budgets of 1
-and of one below the space.
+Loading: a `systems` entry list is read in one pass, from a list or a
+one-shot iterator alike.  The read sums each entry's index from one dict
+lookup per point, so it must check the key's arity itself (`map` stops at
+the shorter input); a slot filled twice is a duplicate and a slot left
+empty a missing entry.  `reference_system_table` is the plain
+entry-by-entry loop, with the sets indexed by `Space.index`.  On Gödel 3,
+Łukasiewicz 4, `boolean(2)` and `grid23` over universes of 0 to 4 points,
+the load must return the same table for valid lists in any order, and
+raise the same exception with the same text for every single fault: a
+dropped, duplicated or re-shaped entry, a wrong arity, an unknown or
+unhashable display, a non-list entry, and budgets of 1 and of one below
+the space.
 
 A document's text is read value by value, each system's entries one at a
-time straight into the bulk read, and anything irregular goes to
-`json.loads` and the entry-by-entry loop.  `_decoded_first` is the load as
+time straight into that read, and anything irregular goes to `json.loads`
+and then the same read of the decoded list.  `_decoded_first` is the load as
 it was before: `json.loads`, then the decoded value.  For every fault
 above, and for texts with the lattice, the universes or a system's universe
 after the entries, a repeated key at each level, whitespace, a BOM,
@@ -43,7 +43,7 @@ import latfuzz as lf
 from conftest import FIXTURES
 from latfuzz import cli
 from latfuzz.closure import system_from_explicit
-from latfuzz.document import _bulk_table, _system_table, load_document
+from latfuzz.document import _system_table, load_document
 from latfuzz.fuzzyset import Space
 from reference import ensure_budget
 
@@ -163,7 +163,7 @@ def _universe(npoints):
        st.sampled_from((None, *FAULTS)), st.integers(0, 2**32 - 1))
 @example("godel3", 2, "string-key", 5)
 @example("boolean2", 0, "budget-below", 0)
-# the bulk read's arity check: a key one value short whose dropped value is
+# the read's arity check: a key one value short whose dropped value is
 # the bottom, and a key one value long, each name a set of the space
 @example("boolean2", 3, "short-key", 6)
 @example("boolean2", 3, "long-key", 0)
@@ -180,10 +180,10 @@ def test_bulk_load_matches_entry_by_entry(lat_name, npoints, fault, seed):
     if budget is None:
         budget = len(lat) ** npoints
     want = _outcome(reference_system_table, "S", lat, uni, entries, budget)
-    got = _outcome(_system_table, "S", lat, uni, entries, budget)
-    assert got == want
-    if fault is None:
-        assert _bulk_table(lat, uni, entries, budget) == want[1]
+    assert _outcome(_system_table, "S", lat, uni, entries, budget) == want
+    # one pass: a one-shot iterator of the entries gives the same outcome
+    assert _outcome(_system_table, "S", lat, uni, iter(entries),
+                    budget) == want
 
 
 def test_string_keys_of_one_character_displays_are_rejected():

@@ -111,8 +111,8 @@ def test_zero_divisor_scans():
     assert ("1/4", "1/2") in luk5
     bool2 = lf.zero_divisor_scan(lf.boolean_algebra(2))
     assert bool2 == (("{a}", "{b}"), ("{b}", "{a}"))
-    assert not lf.has_zero_divisors(lf.godel_chain(4))
-    assert lf.has_zero_divisors(lf.lukasiewicz_chain(5))
+    assert not lf.zero_divisor_scan(lf.godel_chain(4))
+    assert lf.zero_divisor_scan(lf.lukasiewicz_chain(5))
 
 
 def test_derived_residuum_matches_explicit():
