@@ -33,9 +33,7 @@ from .fuzzyset import (
     FuzzySet,
     Universe,
     UniverseMap,
-    constant,
     from_labels,
-    pointwise,
     set_at,
 )
 from .partition import (
@@ -68,17 +66,14 @@ from .closure import (
     system_from_relation,
 )
 from .morphism import (
-    ComposedFP,
     FPMapCandidate,
     FPSProduct,
     Witness,
-    compose_fp,
     fas_witness,
     fcs_witness,
     fcss_witness,
     fp_witness,
     fps_product,
-    identity_candidate,
     index_square_diagnostic,
     make_candidate,
 )

@@ -58,29 +58,33 @@ def transform_law_suite(p: FuzzyPartition,
 
     A law that pairs f with a constant or with every g reads the index of
     the combined set from one `Space.image_index` column, so each pair costs
-    one comparison.  The components of set i are read two ways: `image[i]`
-    is their index in the space of block values, compared for equality, and
-    `down[i]` holds the down-set of block b's component in bits b*n to
-    b*n+n-1, so components compare blockwise by `down[i] & ~down[j]` and the
-    down-set of a meet is the intersection.
+    one comparison.  The components of set i, `columns[b][i]`, are read two
+    ways: `image[i]` is their index in the space of block values, compared
+    for equality, and `down[i]` holds the down-set of block b's component
+    in bits b*n to b*n+n-1, so components compare blockwise by
+    `down[i] & ~down[j]` and the down-set of a meet is the intersection.
     """
     lat = p.lattice
     space = Space(lat, p.universe, budget, "transform law suite")
     blocks = Space(lat, Universe(p.universe.name, p.names))
     dim = len(p.universe)
-    comps = list(zip(*(space.upper(block.values) for block in p.blocks)))
-    image = [blocks.index(c) for c in comps]
+    columns = [space.upper(block.values) for block in p.blocks]
+    field = [columns[b] for b in p.xi]
+    image = blocks.index_of(columns, space.size)
     down_of = _masks(lat.leq)[0]
-    down = [sum(down_of[c] << (b * len(lat)) for b, c in enumerate(cs))
-            for cs in comps]
+    down = [0] * space.size
+    for b, column in enumerate(columns):
+        shift = b * len(lat)
+        down = [m | down_of[c] << shift for m, c in zip(down, column)]
     leq, d = lat.leq, lat.displays
 
     def show(values):
         return tuple(d[v] for v in values)
 
-    def constants():
+    def fixed_constants():
         for a in lat.elements():
-            got = comps[space.index((a,) * dim)]
+            i = space.index((a,) * dim)
+            got = [column[i] for column in columns]
             if any(v != a for v in got):
                 yield f"constant {d[a]} transforms to {[d[v] for v in got]}"
 
@@ -104,7 +108,8 @@ def transform_law_suite(p: FuzzyPartition,
     def join_preserving():
         for i, f in enumerate(space.values()):
             joined = space.image_index([lat.join[v] for v in f])
-            block_joined = blocks.image_index([lat.join[c] for c in comps[i]])
+            block_joined = blocks.image_index([lat.join[column[i]]
+                                               for column in columns])
             for j in range(i, space.size):
                 if image[joined[j]] != block_joined[image[j]]:
                     yield f"pair ({show(f)}, {show(space.values_at(j))})"
@@ -118,7 +123,7 @@ def transform_law_suite(p: FuzzyPartition,
 
     def inflationary():
         for i, f in enumerate(space.values()):
-            fld = tuple(comps[i][p.xi[k]] for k in range(dim))
+            fld = tuple(column[i] for column in field)
             if any(not leq[a][b] for a, b in zip(f, fld)):
                 yield f"{show(f)} not below its field"
 
@@ -129,13 +134,13 @@ def transform_law_suite(p: FuzzyPartition,
         defect in one of the paths."""
         rel = relation_from_partition(p)
         for i, f in enumerate(space.values()):
-            fld = tuple(comps[i][p.xi[k]] for k in range(dim))
+            fld = tuple(column[i] for column in field)
             if upper_approx(rel, FuzzySet(lat, p.universe, f)).values != fld:
                 yield f"field of {show(f)} differs from the approximation"
 
     # each clause yields its counterexamples; only the first is drawn
     first = {
-        "constant": next(constants(), None),
+        "constant": next(fixed_constants(), None),
         "monotone": next(monotone(), None),
         "tensor_scaling": next(tensor_scaling(), None),
         "join_preserving": next(join_preserving(), None),

@@ -72,48 +72,23 @@ class FuzzySet(Record):
         return self.lattice.top in self.values
 
 
-def _require_same(f: FuzzySet, g: FuzzySet) -> None:
-    if f.lattice is not g.lattice:
-        raise MismatchError("fuzzy sets live on different lattices")
-    if f.universe != g.universe:
-        raise MismatchError(
-            f"fuzzy sets live on different universes "
-            f"({f.universe.name} vs {g.universe.name})"
-        )
-
-
-def constant(lat: Lattice, universe: Universe, a: int) -> FuzzySet:
-    lat.check_element(a)
-    return FuzzySet(lat, universe, (a,) * len(universe))
+def _require_keys(what: str, domain: Universe, mapping: dict) -> None:
+    """A label-keyed map names every element of `domain` and nothing else:
+    the first missing element is named, then the first unknown key."""
+    for e in domain.elements:
+        if e not in mapping:
+            raise MismatchError(f"{what} missing {quote(e)}")
+    if len(mapping) > len(domain):
+        known = set(domain.elements)
+        extra = next(k for k in mapping if k not in known)
+        raise ElementError(f"{what} names unknown element {quote(extra)}")
 
 
 def from_labels(lat: Lattice, universe: Universe, mapping: dict) -> FuzzySet:
     """Build from a label -> display-string mapping; totality enforced."""
-    missing = [e for e in universe.elements if e not in mapping]
-    if missing:
-        raise MismatchError(
-            f"value map on {universe.name} missing {quote(missing[0])}"
-        )
-    extra = [k for k in mapping if k not in universe.elements]
-    if extra:
-        raise ElementError(
-            f"value map on {universe.name} names unknown element "
-            f"{quote(extra[0])}"
-        )
+    _require_keys(f"value map on {universe.name}", universe, mapping)
     return FuzzySet(
         lat, universe, tuple(lat.parse(mapping[e]) for e in universe.elements)
-    )
-
-
-def pointwise(kind: str, f: FuzzySet, g: FuzzySet) -> FuzzySet:
-    _require_same(f, g)
-    table = getattr(f.lattice, kind, None)
-    if kind not in ("meet", "join", "tensor", "residuum") or table is None:
-        raise ElementError(f"unknown pointwise kind {kind!r}")
-    return FuzzySet(
-        f.lattice,
-        f.universe,
-        tuple(table[a][b] for a, b in zip(f.values, g.values)),
     )
 
 
@@ -139,28 +114,9 @@ class UniverseMap(Record):
 
     @classmethod
     def from_labels(cls, source: Universe, target: Universe, mapping: dict):
-        missing = [e for e in source.elements if e not in mapping]
-        if missing:
-            raise MismatchError(
-                f"map {source.name} -> {target.name} missing "
-                f"{quote(missing[0])}"
-            )
+        _require_keys(f"map {source.name} -> {target.name}", source, mapping)
         return cls(
             source, target, tuple(target.index(mapping[e]) for e in source.elements)
-        )
-
-    @classmethod
-    def identity(cls, universe: Universe):
-        return cls(universe, universe, tuple(range(len(universe))))
-
-    def compose(self, then: "UniverseMap") -> "UniverseMap":
-        """self followed by `then`."""
-        if then.source != self.target:
-            raise MismatchError(
-                f"cannot compose: {self.target.name} vs {then.source.name}"
-            )
-        return UniverseMap(
-            self.source, then.target, tuple(then.mapping[t] for t in self.mapping)
         )
 
     def is_injective(self) -> bool:

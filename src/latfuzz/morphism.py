@@ -1,5 +1,5 @@
 """Greatest-witness computation for the four graded morphism notions, plus
-candidate composition, binary products, and the index-square diagnostic.
+binary products and the index-square diagnostic.
 
 Every checker returns the greatest lattice element l for which its "scaled"
 inequality holds everywhere; by adjointness that is a meet of residua, and
@@ -13,7 +13,7 @@ from __future__ import annotations
 from .closure import ClosureOperator, ClosureSystem
 from .errors import CandidateError, MismatchError
 from .fuzzyset import Space, UniverseMap, set_at
-from .lattice import DEFAULT_BUDGET, Lattice, zero_divisor_scan
+from .lattice import DEFAULT_BUDGET, Lattice
 from .partition import FuzzyPartition, _name, product_partition
 from .record import Record
 from .relation import FuzzyRelation
@@ -105,6 +105,10 @@ def make_candidate(
         if name not in psi_by_name:
             raise CandidateError(f"index map misses source block {_name(name)}")
         psi.append(target.block_index(psi_by_name[name]))
+    if len(psi_by_name) > len(psi):
+        extra = next(n for n in psi_by_name if n not in source.names)
+        raise CandidateError(
+            f"index map names unknown source block {_name(extra)}")
     if pairs is None:
         pairs = [
             (name, target.names[psi[j]]) for j, name in enumerate(source.names)
@@ -133,13 +137,6 @@ def make_candidate(
     return cand, warnings
 
 
-def identity_candidate(p: FuzzyPartition) -> FPMapCandidate:
-    cand, _ = make_candidate(
-        p, p, UniverseMap.identity(p.universe), {n: n for n in p.names}
-    )
-    return cand
-
-
 def fp_witness(cand: FPMapCandidate) -> Witness:
     """Meet over declared (block, point) pairs of
     residuum(block(x), psi-block(phi(x)))."""
@@ -157,39 +154,6 @@ def fp_witness(cand: FPMapCandidate) -> Witness:
             ))
     value, attained = _meet_with_site(lat, terms)
     return Witness(value, lat, attained)
-
-
-class ComposedFP(Record):
-    candidate: FPMapCandidate
-    bound: Witness
-    zero_divisor_warning: bool
-
-
-def compose_fp(m1: FPMapCandidate, m2: FPMapCandidate) -> ComposedFP:
-    """Compose candidates; the certified witness bound is the tensor of the
-    component witnesses.  On lattices with zero divisors that bound can
-    collapse to bottom even for admissible inputs, which is flagged."""
-    if m1.target.universe != m2.source.universe or \
-            m1.target.names != m2.source.names:
-        raise MismatchError("composition: middle partitions do not match")
-    w1, w2 = fp_witness(m1), fp_witness(m2)
-    if not (w1.admissible and w2.admissible):
-        raise CandidateError("composition needs admissible candidates")
-    lat = m1.source.lattice
-    phi = m1.phi.compose(m2.phi)
-    psi = tuple(m2.psi[t] for t in m1.psi)
-    pairs = []
-    for a, b in m1.pairs:
-        for b2, c in m2.pairs:
-            if b == b2 and (a, c) not in pairs:
-                pairs.append((a, c))
-    psi_by_name = {
-        name: m2.target.names[psi[j]] for j, name in enumerate(m1.source.names)
-    }
-    cand, _ = make_candidate(m1.source, m2.target, phi, psi_by_name, pairs)
-    bound_value = lat.tensor[w1.value][w2.value]
-    warn = bound_value == lat.bottom and bool(zero_divisor_scan(lat))
-    return ComposedFP(cand, Witness(bound_value, lat), warn)
 
 
 # ---------------------------------------------------------------------------

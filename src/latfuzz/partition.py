@@ -23,9 +23,6 @@ class FuzzyPartition(Record):
         except ValueError:
             raise PartitionError(f"unknown block {quote(name)}") from None
 
-    def __len__(self) -> int:
-        return len(self.blocks)
-
 
 def _name(value) -> str:
     """A label or block name from a document as an error message shows it:

@@ -6,8 +6,8 @@ compare those sweeps against (images along a map, one transform component,
 the index of one set, a budget-guarded sweep of every set, the budget rule
 itself), lookups of one set in a system or operator table, of one block of
 a partition and of one entry of a relation, the pointwise order, cores and
-reflexivity, plus builders for hand-made operators and relations.  None of
-them is package API.
+reflexivity, plus builders for hand-made sets, maps, candidates, operators
+and relations (composites included).  None of them is package API.
 
 The last section holds the per-set sweeps behind claims the CLI does not
 report: the set-level functor T1 on tables, the two transfer witnesses
@@ -21,6 +21,7 @@ from latfuzz.errors import BudgetExceeded, MismatchError, PartitionError, quote
 from latfuzz.ftransform import _require_on
 from latfuzz.fuzzyset import FuzzySet, Space, Universe, UniverseMap, set_at
 from latfuzz.lattice import DEFAULT_BUDGET, Lattice, LawReport
+from latfuzz.morphism import FPMapCandidate, make_candidate
 from latfuzz.partition import FuzzyPartition
 from latfuzz.relation import FuzzyRelation, upper_approx
 
@@ -146,6 +147,51 @@ def constant_relation(lat: Lattice, universe: Universe, a: int) -> FuzzyRelation
     lat.check_element(a)
     n = len(universe)
     return FuzzyRelation(lat, universe, ((a,) * n,) * n)
+
+
+def constant(lat: Lattice, universe: Universe, a: int) -> FuzzySet:
+    lat.check_element(a)
+    return FuzzySet(lat, universe, (a,) * len(universe))
+
+
+def pointwise(kind: str, f: FuzzySet, g: FuzzySet) -> FuzzySet:
+    """f and g combined point by point by the lattice table `kind`."""
+    table = getattr(f.lattice, kind)
+    return FuzzySet(f.lattice, f.universe,
+                    tuple(table[a][b] for a, b in zip(f.values, g.values)))
+
+
+def identity_map(universe: Universe) -> UniverseMap:
+    return UniverseMap(universe, universe, tuple(range(len(universe))))
+
+
+def compose_maps(phi: UniverseMap, then: UniverseMap) -> UniverseMap:
+    """phi followed by `then`."""
+    return UniverseMap(phi.source, then.target,
+                       tuple(then.mapping[t] for t in phi.mapping))
+
+
+def identity_candidate(p: FuzzyPartition) -> FPMapCandidate:
+    cand, _ = make_candidate(p, p, identity_map(p.universe),
+                             {n: n for n in p.names})
+    return cand
+
+
+def compose_candidates(m1: FPMapCandidate,
+                       m2: FPMapCandidate) -> FPMapCandidate:
+    """m1 followed by m2: the maps and the index maps composed, and a pair
+    (a, c) for each pair (a, b) of m1 and (b, c) of m2.  The paper bounds
+    its witness below by the tensor of theirs."""
+    psi_by_name = {name: m2.target.names[m2.psi[m1.psi[j]]]
+                   for j, name in enumerate(m1.source.names)}
+    pairs = []
+    for a, b in m1.pairs:
+        for b2, c in m2.pairs:
+            if b == b2 and (a, c) not in pairs:
+                pairs.append((a, c))
+    cand, _ = make_candidate(m1.source, m2.target, compose_maps(m1.phi, m2.phi),
+                             psi_by_name, pairs)
+    return cand
 
 
 # ---------------------------------------------------------------------------

@@ -17,9 +17,13 @@ from latfuzz import cli
 from latfuzz.document import load_document
 from reference import (
     apply_operator,
+    constant,
     constant_relation,
     enumerate_sets,
+    identity_candidate,
+    identity_map,
     le,
+    pointwise,
     reference_fas_operator,
     reference_ft_inequality,
     relation_value,
@@ -89,26 +93,24 @@ def test_criterion_2_transform_laws(w3, x2p):
         assert len(sets) == size
         comps = {f: lf.ft_transform(p, f) for f in sets}
         for a in lat.elements():
-            const = lf.constant(lat, p.universe, a)
+            const = constant(lat, p.universe, a)
             assert all(v == a for v in comps[const])
         for f in sets:
             for g in sets:
                 if le(f, g):
                     assert all(lat.leq[x][y]
                                for x, y in zip(comps[f], comps[g]))
-                join = lf.pointwise("join", f, g)
+                join = pointwise("join", f, g)
                 assert comps[join] == tuple(
                     lat.join[x][y] for x, y in zip(comps[f], comps[g])
                 )
-                meet = lf.pointwise("meet", f, g)
+                meet = pointwise("meet", f, g)
                 assert all(
                     lat.leq[x][lat.meet[y][z]]
                     for x, y, z in zip(comps[meet], comps[f], comps[g])
                 )
             for a in lat.elements():
-                scaled = lf.pointwise(
-                    "tensor", lf.constant(lat, p.universe, a), f
-                )
+                scaled = pointwise("tensor", constant(lat, p.universe, a), f)
                 assert comps[scaled] == tuple(
                     lat.tensor[a][v] for v in comps[f]
                 )
@@ -129,7 +131,7 @@ def test_criterion_3_check_system(w3, x2p):
 
 @criterion(4, "witness equivalences")
 def test_criterion_4_witness_equalities(w3, m_half, m_half_broken, corpus):
-    cands = [lf.identity_candidate(w3), m_half, m_half_broken]
+    cands = [identity_candidate(w3), m_half, m_half_broken]
     cands += [item.cand for item in corpus]
     assert len(cands) == 203
     for cand in cands:
@@ -145,7 +147,7 @@ def test_criterion_5_chain_inequalities(w3, m_half, m_half_broken, corpus):
     from corpus import Side, CorpusItem
 
     items = [
-        CorpusItem(lf.identity_candidate(w3), Side(w3).fill(), Side(w3).fill()),
+        CorpusItem(identity_candidate(w3), Side(w3).fill(), Side(w3).fill()),
         CorpusItem(m_half, Side(m_half.source).fill(),
                    Side(m_half.target).fill()),
         CorpusItem(m_half_broken, Side(m_half_broken.source).fill(),
@@ -231,7 +233,7 @@ def test_criterion_8_algebra(l3, x2p, sp, uni_x2, swap):
     # triangle: direct dialgebra equals the converted coalgebra
     assert lf.coa_to_dia(c).table == d.table
     # the same holds after transporting along the swap automorphism
-    ident = lf.UniverseMap.identity(uni_x2)
+    ident = identity_map(uni_x2)
     collapse = lf.UniverseMap.from_labels(
         uni_x2, sp.universe, {"x1": "s1", "x2": "s1"}
     )

@@ -12,6 +12,7 @@ import pytest
 import latfuzz as lf
 from latfuzz.document import load_document
 from latfuzz.fuzzyset import Space
+from reference import identity_map
 
 PACKAGE = Path(lf.__file__).resolve().parent
 
@@ -97,7 +98,7 @@ ERROR_ORDER = {
         lf.MismatchError, "coalgebra homomorphism: universe mismatch"),
     "coalgebra hom views before the budget": (
         lambda o: lf.check_coa_hom(
-            lf.UniverseMap.identity(o.x2p.universe), o.dia, o.dia, 1),
+            identity_map(o.x2p.universe), o.dia, o.dia, 1),
         lf.MismatchError, "check_coa_hom needs a coalgebra table, "
                           "got a dialgebra"),
     "dialgebra hom universes before the budget": (
@@ -105,7 +106,7 @@ ERROR_ORDER = {
         lf.MismatchError, "dialgebra homomorphism: universe mismatch"),
     "dialgebra hom views before the budget": (
         lambda o: lf.check_dia_hom(
-            lf.UniverseMap.identity(o.x2p.universe), o.coa, o.coa, 1),
+            identity_map(o.x2p.universe), o.coa, o.coa, 1),
         lf.MismatchError, "check_dia_hom needs a dialgebra table, "
                           "got a coalgebra"),
 }

@@ -408,6 +408,15 @@ MALFORMED_DOCUMENTS = {
     "map missing target": (
         _doc(maps={"m": {"source": "X", "values": {"a": "a"}}}),
         "maps entry 'm' lacks key 'target'"),
+    "map naming an unknown source element": (
+        _doc(maps={"m": {"source": "X", "target": "X",
+                         "values": {"a": "a", "nope": "a"}}}),
+        "map X -> X names unknown element 'nope'"),
+    "index map naming an unknown source block": (
+        _doc(**{**_LINKED, "index_maps": {"psi": {
+            "source": "P", "target": "P", "values": {"A": "A", "Z": "A"}}}},
+            candidates={"c": _CAND}),
+        "index map names unknown source block Z"),
     "index map missing values": (
         _doc(**{**_LINKED, "index_maps": {"psi": {"source": "P",
                                                   "target": "P"}}}),
@@ -506,6 +515,9 @@ LONG_LABELS = {
     "map missing an element": _doc(
         universes={"X": [LONG]}, maps={"m": {"source": "X", "target": "X",
                                              "values": {}}}),
+    "map naming an unknown element": _doc(
+        maps={"m": {"source": "X", "target": "X",
+                    "values": {"a": "a", LONG: "a"}}}),
     "declared index map value": _doc(partitions={
         "P": {**_P, "xi": {"a": LONG}}}),
     "block not normal": _doc(partitions={
@@ -528,6 +540,10 @@ LONG_LABELS = {
                                            "blocks": {LONG: {"a": "1"}}}},
            "index_maps": {"psi": {"source": "P", "target": "P",
                                   "values": {}}}},
+        candidates={"c": _CAND}),
+    "index map naming an unknown source block": _doc(
+        **{**_LINKED, "index_maps": {"psi": {"source": "P", "target": "P",
+                                             "values": {"A": "A", LONG: "A"}}}},
         candidates={"c": _CAND}),
     "pairs missing a source block": _doc(
         **{**_LINKED, "partitions": {"P": {"universe": "X",

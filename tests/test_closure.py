@@ -6,6 +6,7 @@ from conftest import FIXTURES, fs
 from latfuzz.document import load_document
 from reference import (
     apply_operator,
+    constant,
     constant_relation,
     enumerate_sets,
     identity_operator,
@@ -86,7 +87,7 @@ def test_partition_operator_is_not_the_transform_field():
 
 def test_operator_fixes_top_and_inflates(l3, uni_x, w3_system):
     op = lf.operator_from_system(w3_system)
-    top = lf.constant(l3, uni_x, l3.top)
+    top = constant(l3, uni_x, l3.top)
     assert apply_operator(op, top) == top
     for f in enumerate_sets(l3, uni_x):
         assert le(f, apply_operator(op, f))
@@ -96,7 +97,7 @@ def test_system_from_operator_pin(l3, uni_x, w3_system):
     op = lf.operator_from_system(w3_system)
     back = lf.system_from_operator(op)
     assert system_value(back, fs(l3, uni_x, "1", "0", "0")) == l3.parse("0")
-    assert system_value(back, lf.constant(l3, uni_x, l3.top)) == l3.top
+    assert system_value(back, constant(l3, uni_x, l3.top)) == l3.top
 
 
 def test_identity_operator_gives_trivial_system(l3, uni_x2):
@@ -160,14 +161,14 @@ def test_check_operator_on_derived(w3, x2p):
 
 def test_check_operator_identity_and_constant_top(l3, uni_x2):
     assert reference_check_operator(identity_operator(l3, uni_x2)).all_hold
-    top = lf.constant(l3, uni_x2, l3.top)
+    top = constant(l3, uni_x2, l3.top)
     const_top = operator_from_function(l3, uni_x2, lambda f: top)
     report = reference_check_operator(const_top)
     assert report.all_hold, report
 
 
 def test_check_operator_catches_deflation(l3, uni_x2):
-    bottom = lf.constant(l3, uni_x2, l3.bottom)
+    bottom = constant(l3, uni_x2, l3.bottom)
     crush = operator_from_function(l3, uni_x2, lambda f: bottom)
     report = reference_check_operator(crush)
     assert not report.holds("axiom_i")

@@ -5,7 +5,7 @@ import pytest
 import latfuzz as lf
 from conftest import FIXTURES
 from latfuzz.document import load_document
-from reference import system_value
+from reference import constant, system_value
 
 
 @pytest.fixture(scope="module")
@@ -28,7 +28,7 @@ def test_candidate_resolution(w3_doc):
 def test_fault_system_table_resolution(w3_doc):
     system = w3_doc.system("S_fault")
     lat = w3_doc.lattice
-    top = lf.constant(lat, system.universe, lat.top)
+    top = constant(lat, system.universe, lat.top)
     assert system_value(system, top) == lat.top
 
 

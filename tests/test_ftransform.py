@@ -4,7 +4,7 @@ import latfuzz as lf
 import oracles
 from conftest import FIXTURES, fs
 from latfuzz.document import load_document
-from reference import enumerate_sets
+from reference import constant, enumerate_sets
 
 
 def test_w3_components_and_field(l3, uni_x, w3):
@@ -22,13 +22,13 @@ def test_x2_field(l3, uni_x2, x2p):
 def test_constants_are_fixed(l3, w3, x2p):
     for p in (w3, x2p):
         for a in l3.elements():
-            const = lf.constant(l3, p.universe, a)
-            assert lf.ft_transform(p, const) == (a,) * len(p)
+            const = constant(l3, p.universe, a)
+            assert lf.ft_transform(p, const) == (a,) * len(p.blocks)
             assert lf.ft_field(p, const) == const
 
 
 def test_bottom_maps_to_bottom(l3, w3):
-    bottom = lf.constant(l3, w3.universe, l3.bottom)
+    bottom = constant(l3, w3.universe, l3.bottom)
     assert lf.ft_field(w3, bottom) == bottom
 
 

@@ -39,11 +39,11 @@ from hypothesis import example, given, settings, strategies as st
 import latfuzz as lf
 from latfuzz import cli, closure, ftransform
 from latfuzz.closure import ClosureSystem
-from latfuzz.fuzzyset import FuzzySet, Space, constant
+from latfuzz.fuzzyset import FuzzySet, Space
 from latfuzz.lattice import DEFAULT_BUDGET, LawReport
 from latfuzz.partition import FuzzyPartition, relation_from_partition
 from lattices import spaces, with_product
-from reference import ensure_budget, set_index, show_set
+from reference import constant, ensure_budget, set_index, show_set
 from test_space_differential import (
     LATTICES,
     random_partition,

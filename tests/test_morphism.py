@@ -3,6 +3,10 @@ import pytest
 import latfuzz as lf
 from conftest import fs
 from reference import (
+    compose_candidates,
+    compose_maps,
+    identity_candidate,
+    identity_map,
     reference_fas_operator,
     reference_ft_forward,
     reference_ft_inequality,
@@ -34,7 +38,7 @@ def witness_set_by_enumeration(cand):
 
 def test_identity_witness_is_top(w3, p2, q, x2p):
     for p in (w3, p2, q, x2p):
-        assert lf.fp_witness(lf.identity_candidate(p)).value == p.lattice.top
+        assert lf.fp_witness(identity_candidate(p)).value == p.lattice.top
 
 
 def test_m_half_witness(m_half, l3):
@@ -52,7 +56,7 @@ def test_broken_m_half_witness(m_half_broken):
 
 
 def test_adjoint_forms_agree_with_witness(m_half, m_half_broken, w3, corpus):
-    cands = [m_half, m_half_broken, lf.identity_candidate(w3)]
+    cands = [m_half, m_half_broken, identity_candidate(w3)]
     cands += [item.cand for item in corpus[:40]]
     for cand in cands:
         lat = cand.source.lattice
@@ -66,6 +70,9 @@ def test_adjoint_forms_agree_with_witness(m_half, m_half_broken, w3, corpus):
 def test_candidate_validation(p2, q, phi_m):
     with pytest.raises(lf.CandidateError, match="misses source block"):
         lf.make_candidate(p2, q, phi_m, {"A1": "B1"})
+    with pytest.raises(lf.CandidateError,
+                       match="index map names unknown source block A9"):
+        lf.make_candidate(p2, q, phi_m, {"A1": "B1", "A2": "B2", "A9": "B1"})
     with pytest.raises(lf.CandidateError, match="does not cover"):
         lf.make_candidate(p2, q, phi_m, {"A1": "B1", "A2": "B2"},
                           pairs=[("A1", "B1")])
@@ -89,17 +96,26 @@ def test_unconstrained_block_relaxes_witness(p2, q_bad, phi_m):
     assert lf.fp_witness(cand).value == cand.source.lattice.top
 
 
+def composition_bound(m1, m2) -> int:
+    """The paper's lower bound on the witness of a composite: the tensor of
+    the component witnesses."""
+    lat = m1.source.lattice
+    return lat.tensor[lf.fp_witness(m1).value][lf.fp_witness(m2).value]
+
+
 def test_compose_with_identity_keeps_bound(m_half, q):
-    comp = lf.compose_fp(m_half, lf.identity_candidate(q))
-    assert comp.bound.display == "1/2"
-    assert not comp.zero_divisor_warning
-    assert lf.fp_witness(comp.candidate).value >= comp.bound.value
+    ident = identity_candidate(q)
+    bound = composition_bound(m_half, ident)
+    assert q.lattice.displays[bound] == "1/2"
+    whole = lf.fp_witness(compose_candidates(m_half, ident)).value
+    assert q.lattice.leq[bound][whole]
 
 
 def test_compose_two_identities(w3):
-    ident = lf.identity_candidate(w3)
-    comp = lf.compose_fp(ident, ident)
-    assert comp.bound.value == w3.lattice.top
+    ident = identity_candidate(w3)
+    assert composition_bound(ident, ident) == w3.lattice.top
+    assert lf.fp_witness(compose_candidates(ident, ident)).value \
+        == w3.lattice.top
 
 
 def test_compose_quarter_witnesses_hits_zero_divisor():
@@ -124,16 +140,15 @@ def test_compose_quarter_witnesses_hits_zero_divisor():
     phi2 = lf.UniverseMap.from_labels(uy, uz, {"y1": "z2", "y2": "z2"})
     m2, _ = lf.make_candidate(py, pz, phi2, {"B1": "C1", "B2": "C2"})
     assert lf.fp_witness(m2).display == "1/4"
-    comp = lf.compose_fp(m1, m2)
-    assert comp.bound.display == "0"
-    assert comp.zero_divisor_warning
+    # the bound collapses: the two witnesses are zero divisors
+    assert composition_bound(m1, m2) == lat.bottom
+    assert ("1/4", "1/4") in lf.zero_divisor_scan(lat)
 
 
 def test_composition_bound_on_random_triples(corpus_triples):
     for m1, m2 in corpus_triples:
-        comp = lf.compose_fp(m1, m2)
-        lat = m1.source.lattice
-        assert lat.leq[comp.bound.value][lf.fp_witness(comp.candidate).value]
+        whole = lf.fp_witness(compose_candidates(m1, m2)).value
+        assert m1.source.lattice.leq[composition_bound(m1, m2)][whole]
 
 
 def test_composition_bound_for_all_four_checkers(corpus_triples):
@@ -141,7 +156,7 @@ def test_composition_bound_for_all_four_checkers(corpus_triples):
     above the tensor of the component witnesses."""
     for m1, m2 in corpus_triples[:12]:
         lat = m1.source.lattice
-        phi = m1.phi.compose(m2.phi)
+        phi = compose_maps(m1.phi, m2.phi)
         parts = (m1.source, m1.target, m2.target)
         rels = [lf.relation_from_partition(p) for p in parts]
         systems = [lf.system_from_partition(p) for p in parts]
@@ -161,7 +176,7 @@ def test_ft_inequality_equals_fp(m_half, m_half_broken, w3):
     lat = w3.lattice
     assert lat.displays[reference_ft_inequality(m_half)[0]] == "1/2"
     assert lat.displays[reference_ft_inequality(m_half_broken)[0]] == "0"
-    ident = lf.identity_candidate(w3)
+    ident = identity_candidate(w3)
     assert reference_ft_inequality(ident)[0] == lat.top
     for cand in (m_half, m_half_broken, ident):
         assert reference_ft_inequality(cand)[0] == lf.fp_witness(cand).value
@@ -169,7 +184,7 @@ def test_ft_inequality_equals_fp(m_half, m_half_broken, w3):
 
 def test_ft_forward_bound(m_half, w3):
     lat = w3.lattice
-    assert reference_ft_forward(lf.identity_candidate(w3))[0] == lat.top
+    assert reference_ft_forward(identity_candidate(w3))[0] == lat.top
     fwd = reference_ft_forward(m_half)[0]
     assert lat.leq[lf.fp_witness(m_half).value][fwd]
 
@@ -180,7 +195,7 @@ def test_fas_witness_examples(m_half, swap, x2p):
     w = lf.fas_witness(m_half.phi, rx, ry)
     assert w.display == "1/2"
     r2 = lf.relation_from_partition(x2p)
-    assert lf.fas_witness(lf.UniverseMap.identity(x2p.universe), r2, r2).value \
+    assert lf.fas_witness(identity_map(x2p.universe), r2, r2).value \
         == x2p.lattice.top
     assert lf.fas_witness(swap, r2, r2).value == x2p.lattice.top
 
@@ -198,7 +213,7 @@ def test_fcss_witness_examples(m_half, l3, uni_x):
     sy = lf.system_from_partition(m_half.target)
     w = lf.fcss_witness(m_half.phi, sx, sy)
     assert w.display == "1/2"
-    ident = lf.UniverseMap.identity(uni_x)
+    ident = identity_map(uni_x)
     assert lf.fcss_witness(ident, sx, sx).value == l3.top
 
 
@@ -208,7 +223,7 @@ def test_fcss_zero_when_target_trivial_and_source_rejects(l3, uni_x2):
         l3, uni_x2,
         [l3.top if i == 8 else l3.bottom for i in range(9)],
     )
-    ident = lf.UniverseMap.identity(uni_x2)
+    ident = identity_map(uni_x2)
     assert lf.fcss_witness(ident, rejecting, trivial).value == l3.bottom
 
 
@@ -224,7 +239,7 @@ def test_fcs_witness_examples(m_half, x2p, swap, l3):
     assert l3.leq[fcss.value][w.value]
     c2 = lf.operator_from_system(lf.system_from_partition(x2p))
     assert lf.fcs_witness(swap, c2, c2).value == l3.top
-    ident = lf.UniverseMap.identity(x2p.universe)
+    ident = identity_map(x2p.universe)
     assert lf.fcs_witness(ident, c2, c2).value == l3.top
 
 
@@ -316,10 +331,10 @@ def test_fps_product_projections(w3, x2p, q, p2, m_half):
     assert prod.proj_right_witness.value == lat.top
     # pairing two identities
     prod_qp = lf.fps_product(q, p2)
-    ident_q, ident_p = lf.identity_candidate(q), lf.identity_candidate(p2)
+    ident_q, ident_p = identity_candidate(q), identity_candidate(p2)
     with pytest.raises(lf.MismatchError):
         prod_qp.pair(ident_q, ident_p)  # different sources
-    paired, bound = prod_qp.pair(m_half, lf.identity_candidate(p2))
+    paired, bound = prod_qp.pair(m_half, identity_candidate(p2))
     assert bound.display == "1/2"
     assert lf.fp_witness(paired).display == "1/2"
     same, bound_top = lf.fps_product(p2, p2).pair(ident_p, ident_p)
@@ -335,7 +350,7 @@ def test_product_projection_candidates_check_out(w3, q):
 
 
 def test_index_square_diagnostic(m_half, w3, corpus):
-    assert lf.index_square_diagnostic(lf.identity_candidate(w3)) == ()
+    assert lf.index_square_diagnostic(identity_candidate(w3)) == ()
     assert lf.index_square_diagnostic(m_half) == (("x2", "B2", "B1"),)
     # witness-top candidates and core-aligned candidates commute the square
     for item in corpus[:60]:

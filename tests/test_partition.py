@@ -3,7 +3,7 @@ import pytest
 import latfuzz as lf
 from conftest import FIXTURES, fs
 from latfuzz.document import load_document
-from reference import block, core, enumerate_sets, is_reflexive
+from reference import block, constant, core, enumerate_sets, is_reflexive
 
 
 def test_w3_validates_with_index(w3):
@@ -102,7 +102,7 @@ def test_product_with_singleton_is_isomorphic(w3, sp):
 def test_product_lattice_mismatch(w3):
     other = lf.godel_chain(3)
     uni = lf.Universe("Z", ("z1",))
-    p = lf.validate_partition(uni, [("C", lf.constant(other, uni, other.top))])
+    p = lf.validate_partition(uni, [("C", constant(other, uni, other.top))])
     with pytest.raises(lf.MismatchError):
         lf.product_partition(w3, p)
 

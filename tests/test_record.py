@@ -34,8 +34,6 @@ def _samples():
         (lf.operator_from_system(system), "provenance", "renamed"),
         (lf.fp_witness(cand), "value", lat.bottom),
         (cand, "pairs", ()),
-        (lf.compose_fp(cand, lf.identity_candidate(cand.target)),
-         "zero_divisor_warning", True),
         (lf.fps_product(DOC.partition("Q"), DOC.partition("P2")),
          "proj_left_witness", lf.Witness(lat.bottom, lat)),
         (coa, "view", "dialgebra"),

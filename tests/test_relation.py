@@ -3,8 +3,15 @@ import pytest
 import latfuzz as lf
 import oracles
 from conftest import fs
-from reference import (enumerate_sets, identity_relation, is_reflexive, le,
-                       relation_value)
+from reference import (
+    constant,
+    enumerate_sets,
+    identity_relation,
+    is_reflexive,
+    le,
+    pointwise,
+    relation_value,
+)
 
 
 def test_upper_approx_of_partition_relation(l3, uni_x, w3):
@@ -21,7 +28,7 @@ def test_identity_relation_is_unit(l3, uni_x):
 
 def test_constant_top_argument_gives_row_joins(l3, uni_x, w3):
     rel = lf.relation_from_partition(w3)
-    top = lf.constant(l3, uni_x, l3.top)
+    top = constant(l3, uni_x, l3.top)
     approx = lf.upper_approx(rel, top)
     for i in range(3):
         assert approx.values[i] == l3.join_all(rel.rows[i])
@@ -32,9 +39,9 @@ def test_upper_approx_monotone_and_join_preserving(l3, uni_x, w3):
     sets = list(enumerate_sets(l3, uni_x))
     for f in sets:
         for g in sets:
-            join = lf.pointwise("join", f, g)
+            join = pointwise("join", f, g)
             left = lf.upper_approx(rel, join)
-            right = lf.pointwise(
+            right = pointwise(
                 "join", lf.upper_approx(rel, f), lf.upper_approx(rel, g)
             )
             assert left == right
