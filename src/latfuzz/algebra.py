@@ -145,26 +145,19 @@ def morphism_transfer_check(phi: UniverseMap, source, target,
     (equivalent to the corresponding image-operator condition on these
     finite carriers).  An unmet proviso skips the check rather than failing.
     """
-    if direction == "coa-dia":
-        if not phi.is_injective():
-            return TransferVerdict("proviso unmet", None, None)
-        original = check_coa_hom(phi, source, target, budget)
-        if not original.holds:
-            return TransferVerdict("source check fails", original, None)
-        converted = check_dia_hom(
-            phi, coa_to_dia(source), coa_to_dia(target), budget
-        )
-    elif direction == "dia-coa":
-        if not phi.is_surjective():
-            return TransferVerdict("proviso unmet", None, None)
-        original = check_dia_hom(phi, source, target, budget)
-        if not original.holds:
-            return TransferVerdict("source check fails", original, None)
-        converted = check_coa_hom(
-            phi, dia_to_coa(source), dia_to_coa(target), budget
-        )
-    else:
+    paths = {"coa-dia": (phi.is_injective, check_coa_hom, coa_to_dia,
+                         check_dia_hom),
+             "dia-coa": (phi.is_surjective, check_dia_hom, dia_to_coa,
+                         check_coa_hom)}
+    if direction not in paths:
         raise ValueError(f"unknown direction {direction!r}")
+    proviso, check, convert, recheck = paths[direction]
+    if not proviso():
+        return TransferVerdict("proviso unmet", None, None)
+    original = check(phi, source, target, budget)
+    if not original.holds:
+        return TransferVerdict("source check fails", original, None)
+    converted = recheck(phi, convert(source), convert(target), budget)
     return TransferVerdict(
         "holds" if converted.holds else "fails", original, converted
     )

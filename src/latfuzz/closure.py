@@ -13,8 +13,8 @@ from __future__ import annotations
 from .errors import MismatchError
 from .fuzzyset import Space, Universe
 from .lattice import DEFAULT_BUDGET, Lattice, LawReport
-from .partition import FuzzyPartition
-from .record import Record
+from .partition import FuzzyPartition, relation_from_partition
+from .record import Record, replace
 from .relation import FuzzyRelation, relation_from_system
 
 
@@ -54,26 +54,22 @@ def _meet_residua(space: Space, columns) -> tuple[int, ...]:
 
 def system_from_partition(p: FuzzyPartition,
                           budget: int = DEFAULT_BUDGET) -> ClosureSystem:
-    """Membership degree of f: meet over x of (field(f)(x) -> f(x))."""
-    lat = p.lattice
-    space = Space(lat, p.universe, budget, "closure system construction")
-
-    def field_columns():
-        for j, block in enumerate(p.blocks):
-            component = space.upper(block.values)
-            for x, own in enumerate(p.xi):
-                if own == j:
-                    yield x, component
-
-    return ClosureSystem(lat, p.universe, _meet_residua(space, field_columns()),
-                         "from_partition")
+    """F3, which is F2 after F1: the system of the partition's relation.
+    The space is charged before the |X|^2 relation is built and checked."""
+    Space(p.lattice, p.universe, budget, "closure system construction")
+    return replace(system_from_relation(relation_from_partition(p), budget),
+                   provenance="from_partition")
 
 
 def system_from_relation(rel: FuzzyRelation,
                          budget: int = DEFAULT_BUDGET) -> ClosureSystem:
+    """Membership degree of f: meet over x of (upper approx(f)(x) -> f(x)),
+    with one fold per distinct row, held one column at a time."""
     lat = rel.lattice
     space = Space(lat, rel.universe, budget, "closure system construction")
-    approx = ((x, space.upper(row)) for x, row in enumerate(rel.rows))
+    columns = ((row, space.upper(row)) for row in dict.fromkeys(rel.rows))
+    approx = ((x, column) for row, column in columns
+              for x, own in enumerate(rel.rows) if own == row)
     return ClosureSystem(lat, rel.universe, _meet_residua(space, approx),
                          "from_relation")
 

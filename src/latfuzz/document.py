@@ -32,7 +32,7 @@ from .closure import ClosureSystem, system_from_explicit
 from .errors import BudgetExceeded, DocumentError, WorkbenchError
 from .fuzzyset import FuzzySet, Space, Universe, UniverseMap, from_labels
 from .lattice import DEFAULT_BUDGET, Lattice
-from .morphism import FPMapCandidate, make_candidate
+from .morphism import FPMapCandidate, index_map, make_candidate
 from .partition import FuzzyPartition, validate_partition
 from .record import Record
 from .relation import FuzzyRelation
@@ -341,8 +341,8 @@ def _build(data: dict, budget: int, lat: Lattice | None) -> InstanceDocument:
         doc.maps[name] = UniverseMap.from_labels(src, tgt, spec["values"])
 
     for name, spec in _section(data, "index_maps"):
-        doc.partition(spec["source"])
-        doc.partition(spec["target"])
+        index_map(doc.partition(spec["source"]), doc.partition(spec["target"]),
+                  spec["values"])
         doc.index_maps[name] = dict(spec)
 
     for name, spec in _section(data, "candidates"):

@@ -77,76 +77,58 @@ def transform_law_suite(p: FuzzyPartition,
         shift = b * len(lat)
         down = [m | down_of[c] << shift for m, c in zip(down, column)]
     leq, d = lat.leq, lat.displays
+    found: dict = {}
+    fail = found.setdefault  # a clause keeps its first counterexample
 
     def show(values):
         return tuple(d[v] for v in values)
 
-    def fixed_constants():
-        for a in lat.elements():
-            i = space.index((a,) * dim)
-            got = [column[i] for column in columns]
-            if any(v != a for v in got):
-                yield f"constant {d[a]} transforms to {[d[v] for v in got]}"
+    for a in lat.elements():
+        i = space.index((a,) * dim)
+        got = [column[i] for column in columns]
+        if any(v != a for v in got):
+            fail("constant",
+                 f"constant {d[a]} transforms to {[d[v] for v in got]}")
 
-    def monotone():
-        above = [[b for b in lat.elements() if leq[a][b]]
-                 for a in lat.elements()]
+    # one sweep of the sets for every clause but tensor scaling; the field
+    # is checked against the per-set `upper_approx` along the induced
+    # relation: two code paths for one function, so no lattice can make
+    # that clause fail, only a defect in one of the paths
+    above = [[b for b in lat.elements() if leq[a][b]] for a in lat.elements()]
+    rel = relation_from_partition(p)
+    for i, f in enumerate(space.values()):
+        for j in space.image_index([above[v] for v in f]):
+            if down[i] & ~down[j]:
+                fail("monotone", f"{show(f)} <= {show(space.values_at(j))} "
+                                 f"but components drop")
+        joined = space.image_index([lat.join[v] for v in f])
+        met = space.image_index([lat.meet[v] for v in f])
+        block_joined = blocks.image_index([lat.join[column[i]]
+                                           for column in columns])
+        for j in range(i, space.size):
+            if image[joined[j]] != block_joined[image[j]]:
+                fail("join_preserving",
+                     f"pair ({show(f)}, {show(space.values_at(j))})")
+            if down[met[j]] & ~(down[i] & down[j]):
+                fail("meet_subhomomorphism",
+                     f"pair ({show(f)}, {show(space.values_at(j))})")
+        fld = tuple(column[i] for column in field)
+        if any(not leq[a][b] for a, b in zip(f, fld)):
+            fail("inflationary", f"{show(f)} not below its field")
+        if upper_approx(rel, FuzzySet(lat, p.universe, f)).values != fld:
+            fail("field_equals_upper_approx",
+                 f"field of {show(f)} differs from the approximation")
+
+    for a in lat.elements():
+        scaled = space.image_index([lat.tensor[a]] * dim)
+        block_scaled = blocks.image_index([lat.tensor[a]] * len(p.names))
         for i, f in enumerate(space.values()):
-            for j in space.image_index([above[v] for v in f]):
-                if down[i] & ~down[j]:
-                    yield (f"{show(f)} <= {show(space.values_at(j))} "
-                           f"but components drop")
+            if image[scaled[i]] != block_scaled[image[i]]:
+                fail("tensor_scaling", f"constant {d[a]} with {show(f)}")
 
-    def tensor_scaling():
-        for a in lat.elements():
-            scaled = space.image_index([lat.tensor[a]] * dim)
-            block_scaled = blocks.image_index([lat.tensor[a]] * len(p.names))
-            for i, f in enumerate(space.values()):
-                if image[scaled[i]] != block_scaled[image[i]]:
-                    yield f"constant {d[a]} with {show(f)}"
-
-    def join_preserving():
-        for i, f in enumerate(space.values()):
-            joined = space.image_index([lat.join[v] for v in f])
-            block_joined = blocks.image_index([lat.join[column[i]]
-                                               for column in columns])
-            for j in range(i, space.size):
-                if image[joined[j]] != block_joined[image[j]]:
-                    yield f"pair ({show(f)}, {show(space.values_at(j))})"
-
-    def meet_bound():
-        for i, f in enumerate(space.values()):
-            met = space.image_index([lat.meet[v] for v in f])
-            for j in range(i, space.size):
-                if down[met[j]] & ~(down[i] & down[j]):
-                    yield f"pair ({show(f)}, {show(space.values_at(j))})"
-
-    def inflationary():
-        for i, f in enumerate(space.values()):
-            fld = tuple(column[i] for column in field)
-            if any(not leq[a][b] for a, b in zip(f, fld)):
-                yield f"{show(f)} not below its field"
-
-    def field_matches_relation():
-        """The field computed from the component columns against the
-        per-set `upper_approx` along the induced relation: two code paths
-        for one function, so no lattice can make this clause fail, only a
-        defect in one of the paths."""
-        rel = relation_from_partition(p)
-        for i, f in enumerate(space.values()):
-            fld = tuple(column[i] for column in field)
-            if upper_approx(rel, FuzzySet(lat, p.universe, f)).values != fld:
-                yield f"field of {show(f)} differs from the approximation"
-
-    # each clause yields its counterexamples; only the first is drawn
-    first = {
-        "constant": next(fixed_constants(), None),
-        "monotone": next(monotone(), None),
-        "tensor_scaling": next(tensor_scaling(), None),
-        "join_preserving": next(join_preserving(), None),
-        "meet_subhomomorphism": next(meet_bound(), None),
-        "inflationary": next(inflationary(), None),
-        "field_equals_upper_approx": next(field_matches_relation(), None),
-    }
-    return LawReport(p.universe.name, tuple(first),
-                     {k: text for k, text in first.items() if text is not None})
+    # the clauses share sweeps, so their counterexamples go in clause order
+    clauses = ("constant", "monotone", "tensor_scaling", "join_preserving",
+               "meet_subhomomorphism", "inflationary",
+               "field_equals_upper_approx")
+    return LawReport(p.universe.name, clauses,
+                     {k: found[k] for k in clauses if k in found})

@@ -36,28 +36,17 @@ class Witness(Record):
         return self.lattice.displays[self.value]
 
 
-def _meet_with_site(lat: Lattice, terms):
-    """Meet of (term, site) pairs; the site is the first position whose term
-    equals the final meet, when one exists (always, on a chain)."""
-    items = list(terms)
-    value = lat.meet_all(t for t, _ in items)
-    attained = next((site for t, site in items if t == value), None)
-    return value, attained
-
-
-def _meet_of_sweep(space: Space, columns, site) -> Witness:
-    """Witness of a sweep whose terms at each set of `space` are
-    `columns[0][i], columns[1][i], ...`: the meet of every term, attained at
-    the first term, sets before columns, equal to it; `site(k, f)` names
-    the term of column k at the fuzzy set f."""
-    lat = space.lattice
+def _meet_of_sweep(lat: Lattice, columns, site) -> Witness:
+    """Witness of the terms `columns[k][i]`: the meet of every term,
+    attained at the first term, positions before columns, equal to it;
+    `site(k, i)` names the term of column k at position i."""
     value = lat.meet_all(set().union(*map(set, columns)))
     first = min(((column.index(value), k) for k, column in enumerate(columns)
                  if value in column), default=None)
     if first is None:
         return Witness(value, lat)
     i, k = first
-    return Witness(value, lat, site(k, set_at(lat, space.universe, i)))
+    return Witness(value, lat, site(k, i))
 
 
 # ---------------------------------------------------------------------------
@@ -77,6 +66,21 @@ class FPMapCandidate(Record):
             j for j, name in enumerate(self.source.names)
             if (name, self.target.names[self.psi[j]]) in declared
         )
+
+
+def index_map(source: FuzzyPartition, target: FuzzyPartition,
+              psi_by_name: dict) -> tuple[int, ...]:
+    """The target block ordinal of each source block, from a map keyed by
+    block name: it must name every source block, then no other, then only
+    target blocks."""
+    for name in source.names:
+        if name not in psi_by_name:
+            raise CandidateError(f"index map misses source block {_name(name)}")
+    if len(psi_by_name) > len(source.names):
+        extra = next(n for n in psi_by_name if n not in source.names)
+        raise CandidateError(
+            f"index map names unknown source block {_name(extra)}")
+    return tuple(target.block_index(psi_by_name[n]) for n in source.names)
 
 
 def make_candidate(
@@ -100,15 +104,7 @@ def make_candidate(
             f"does not match partitions on {_name(source.universe.name)} and "
             f"{_name(target.universe.name)}"
         )
-    psi = []
-    for name in source.names:
-        if name not in psi_by_name:
-            raise CandidateError(f"index map misses source block {_name(name)}")
-        psi.append(target.block_index(psi_by_name[name]))
-    if len(psi_by_name) > len(psi):
-        extra = next(n for n in psi_by_name if n not in source.names)
-        raise CandidateError(
-            f"index map names unknown source block {_name(extra)}")
+    psi = index_map(source, target, psi_by_name)
     if pairs is None:
         pairs = [
             (name, target.names[psi[j]]) for j, name in enumerate(source.names)
@@ -131,7 +127,7 @@ def make_candidate(
                 f"pair ({p[0]}, {p[1]}) is outside the graph of the index map "
                 f"and constrains nothing"
             )
-    cand = FPMapCandidate(source, target, phi, tuple(psi), tuple(pairs))
+    cand = FPMapCandidate(source, target, phi, psi, tuple(pairs))
     if not cand.constrained_blocks():
         raise CandidateError("no declared pair lies on the graph of the index map")
     return cand, warnings
@@ -140,20 +136,15 @@ def make_candidate(
 def fp_witness(cand: FPMapCandidate) -> Witness:
     """Meet over declared (block, point) pairs of
     residuum(block(x), psi-block(phi(x)))."""
-    lat = cand.source.lattice
-    res = lat.residuum
-    terms = []
-    for j in cand.constrained_blocks():
-        block = cand.source.blocks[j]
-        image = cand.target.blocks[cand.psi[j]]
-        for i, a in enumerate(block.values):
-            b = image.values[cand.phi.mapping[i]]
-            terms.append((
-                res[a][b],
-                (cand.source.names[j], cand.source.universe.elements[i]),
-            ))
-    value, attained = _meet_with_site(lat, terms)
-    return Witness(value, lat, attained)
+    src, tgt = cand.source, cand.target
+    res = src.lattice.residuum
+    blocks = cand.constrained_blocks()
+    # a column per point, an entry per block: the first site in (block,
+    # point) order
+    columns = [[res[src.blocks[j].values[x]][tgt.blocks[cand.psi[j]].values[y]]
+                for j in blocks] for x, y in enumerate(cand.phi.mapping)]
+    return _meet_of_sweep(src.lattice, columns, lambda x, k: (
+        src.names[blocks[k]], src.universe.elements[x]))
 
 
 # ---------------------------------------------------------------------------
@@ -163,15 +154,13 @@ def fas_witness(phi: UniverseMap, rel_x: FuzzyRelation,
                 rel_y: FuzzyRelation) -> Witness:
     if rel_x.universe != phi.source or rel_y.universe != phi.target:
         raise MismatchError("order-preservation witness: universe mismatch")
-    lat = rel_x.lattice
-    res = lat.residuum
+    res = rel_x.lattice.residuum
     ex, m = rel_x.universe.elements, phi.mapping
-    terms = [
-        (res[rel_x.rows[x][y]][rel_y.rows[m[x]][m[y]]], (ex[x], ex[y]))
-        for x in range(len(ex)) for y in range(len(ex))
-    ]
-    value, attained = _meet_with_site(lat, terms)
-    return Witness(value, lat, attained)
+    # a column per y, an entry per x: the first site in (x, y) order
+    columns = [[res[row[y]][rel_y.rows[m[x]][m[y]]]
+                for x, row in enumerate(rel_x.rows)] for y in range(len(ex))]
+    return _meet_of_sweep(rel_x.lattice, columns,
+                          lambda y, x: (ex[x], ex[y]))
 
 
 def fcss_witness(phi: UniverseMap, sys_x: ClosureSystem, sys_y: ClosureSystem,
@@ -183,7 +172,8 @@ def fcss_witness(phi: UniverseMap, sys_x: ClosureSystem, sys_y: ClosureSystem,
     res = lat.residuum
     column = [res[a][sys_x.table[k]]
               for a, k in zip(sys_y.table, space.pulled_index(phi))]
-    return _meet_of_sweep(space, [column], lambda k, f: (f.displays(),))
+    return _meet_of_sweep(lat, [column], lambda k, i: (
+        set_at(lat, space.universe, i).displays(),))
 
 
 def fcs_witness(phi: UniverseMap, op_x: ClosureOperator, op_y: ClosureOperator,
@@ -199,7 +189,8 @@ def fcs_witness(phi: UniverseMap, op_x: ClosureOperator, op_y: ClosureOperator,
         [res[a[x]][b[y]] for a, b in zip(closed_x, op_y.table)]
         for x, y in enumerate(phi.mapping)
     ]
-    return _meet_of_sweep(space, columns, lambda x, f: (ex[x], f.displays()))
+    return _meet_of_sweep(lat, columns, lambda x, i: (
+        ex[x], set_at(lat, space.universe, i).displays()))
 
 
 # ---------------------------------------------------------------------------

@@ -417,6 +417,19 @@ MALFORMED_DOCUMENTS = {
             "source": "P", "target": "P", "values": {"A": "A", "Z": "A"}}}},
             candidates={"c": _CAND}),
         "index map names unknown source block Z"),
+    # an index map no candidate names is checked at load all the same
+    "unused index map missing a source block": (
+        _doc(**{**_LINKED, "index_maps": {"psi": {
+            "source": "P", "target": "P", "values": {}}}}),
+        "index map misses source block A"),
+    "unused index map naming an unknown source block": (
+        _doc(**{**_LINKED, "index_maps": {"psi": {
+            "source": "P", "target": "P", "values": {"A": "A", "Z": "A"}}}}),
+        "index map names unknown source block Z"),
+    "unused index map naming an unknown target block": (
+        _doc(**{**_LINKED, "index_maps": {"psi": {
+            "source": "P", "target": "P", "values": {"A": 5}}}}),
+        "unknown block 5"),
     "index map missing values": (
         _doc(**{**_LINKED, "index_maps": {"psi": {"source": "P",
                                                   "target": "P"}}}),

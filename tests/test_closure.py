@@ -4,6 +4,7 @@ import latfuzz as lf
 import oracles
 from conftest import FIXTURES, fs
 from latfuzz.document import load_document
+from latfuzz.fuzzyset import Space
 from reference import (
     apply_operator,
     constant,
@@ -47,6 +48,23 @@ def test_system_from_relation_equals_partition_route(w3, p2, q, x2p):
         via_rel = lf.system_from_relation(lf.relation_from_partition(p))
         direct = lf.system_from_partition(p)
         assert via_rel.table == direct.table
+
+
+def test_system_from_relation_folds_each_distinct_row_once(
+        monkeypatch, l3, uni_x):
+    """Three points, two of them with one row: two `Space.upper` folds."""
+    a, b = (l3.top, l3.bottom, l3.top), (l3.bottom, l3.top, l3.bottom)
+    rel = lf.FuzzyRelation(l3, uni_x, (a, b, a))
+    rows = []
+    upper = Space.upper
+
+    def counted(self, row):
+        rows.append(tuple(row))
+        return upper(self, row)
+
+    monkeypatch.setattr(Space, "upper", counted)
+    lf.system_from_relation(rel)
+    assert rows == [a, b]
 
 
 def test_identity_relation_makes_trivial_system(l3, uni_x2):
@@ -213,6 +231,17 @@ def test_budget_errors(w3):
         lf.operator_from_system(system, budget=5)
     with pytest.raises(lf.BudgetExceeded):
         lf.roundtrip_system(system, budget=5)
+
+
+def test_partition_route_charges_the_budget_before_the_relation(
+        monkeypatch, w3):
+    """The |X|^2 relation of F1 is built only within the budget."""
+    def unreachable(p):
+        raise AssertionError("relation built before the budget was charged")
+
+    monkeypatch.setattr(lf.closure, "relation_from_partition", unreachable)
+    with pytest.raises(lf.BudgetExceeded):
+        lf.system_from_partition(w3, budget=5)
 
 
 def test_explicit_table_shape(l3, uni_x2):

@@ -1,5 +1,5 @@
-"""Differential tests of the law sweeps: `check_system` and
-`transform_law_suite`.
+"""Differential tests of the law sweeps: `check_system`,
+`transform_law_suite` and `law_suite`.
 
 Each sweep reads the index of every combined set (f meet g, f join g, a
 tensor f, ...) from one `Space.image_index` column instead of building the
@@ -17,6 +17,12 @@ where `strong` fails before `enriched`, whose counterexamples
 `check_system` reports in the order it finds them, not in clause order.
 The closure-operator axioms have no package checker; their pairwise sweep
 is `reference_check_operator` in `tests/reference.py`.
+
+`law_suite` checks its nine clauses in three sweeps, one per domain
+(constants, triples, families).  `reference_law_suite` is its nine
+sweeps as they were, one per clause; on lattices with one to three
+corrupted tensor or residuum entries, both must give each clause the same
+verdict and counterexample text, listed in clause order.
 
 Past its first |X|^2 rows, `check_system` takes axiom (ii)'s verdict from
 `closure._cuts_meet_closed`, the meet lemma's cut test, and scans pairs only
@@ -37,10 +43,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import latfuzz as lf
-from latfuzz import cli, closure, ftransform
+from latfuzz import cli, closure, ftransform, lattice
 from latfuzz.closure import ClosureSystem
+from latfuzz.errors import BudgetExceeded
 from latfuzz.fuzzyset import FuzzySet, Space
-from latfuzz.lattice import DEFAULT_BUDGET, LawReport
+from latfuzz.lattice import DEFAULT_BUDGET, Lattice, LawReport, _subsets
 from latfuzz.partition import FuzzyPartition, relation_from_partition
 from lattices import spaces, with_product
 from reference import constant, ensure_budget, set_index, show_set
@@ -224,6 +231,126 @@ def reference_transform_law_suite(p: FuzzyPartition,
                      {k: v for k, v in laws.items() if v is not None})
 
 
+def reference_law_suite(lat: Lattice,
+                        budget: int = DEFAULT_BUDGET) -> LawReport:
+    """Check the nine derived-law clauses exhaustively.
+
+    Triple-quantified clauses sweep all |L|^3 triples; the indexed-family
+    clauses sweep every subset of the carrier, which suffices on a finite
+    lattice (joins and meets of a family only depend on its underlying set).
+
+    Every clause is a theorem on every lattice that `from_tables` accepts,
+    so the suite checks the implementation, not the lattice: only tables
+    corrupted after validation make a clause fail.
+    """
+    n = len(lat)
+    family_cost = (1 << n) * n
+    if n ** 3 > budget or family_cost > budget:
+        raise BudgetExceeded(max(n ** 3, family_cost), budget, "law suite")
+
+    d = lat.displays
+    tensor, res = lat.tensor, lat.residuum
+    le = lat.leq
+    bot, top = lat.bottom, lat.top
+    found: dict = {}
+    fail = found.setdefault  # a clause keeps its first counterexample
+
+    # (i) a*0 = 0 and a*1 = a
+    for a in range(n):
+        if tensor[a][bot] != bot:
+            fail("i", f"tensor({d[a]}, 0) = {d[tensor[a][bot]]}")
+        if tensor[a][top] != a:
+            fail("i", f"tensor({d[a]}, 1) = {d[tensor[a][top]]}")
+
+    # (ii) a->1 = 1, 1->a = a, a->a = 1
+    for a in range(n):
+        if res[a][top] != top:
+            fail("ii", f"residuum({d[a]}, 1) = {d[res[a][top]]}")
+        if res[top][a] != a:
+            fail("ii", f"residuum(1, {d[a]}) = {d[res[top][a]]}")
+        if res[a][a] != top:
+            fail("ii", f"residuum({d[a]}, {d[a]}) = {d[res[a][a]]}")
+
+    # (iii) monotone in the right argument, antitone in the left
+    for a in range(n):
+        for b in range(n):
+            if not le[a][b]:
+                continue
+            for c in range(n):
+                if not le[res[c][a]][res[c][b]]:
+                    fail("iii", f"a={d[a]} <= b={d[b]}, c={d[c]}: "
+                                f"c->a !<= c->b")
+                if not le[res[b][c]][res[a][c]]:
+                    fail("iii", f"a={d[a]} <= b={d[b]}, c={d[c]}: "
+                                f"a->c !>= b->c")
+
+    # (iv) currying: (a*b)->c = a->(b->c); and a*(b->c) <= (a->b)->c
+    for a in range(n):
+        for b in range(n):
+            for c in range(n):
+                if res[tensor[a][b]][c] != res[a][res[b][c]]:
+                    fail("iv", f"(a*b)->c != a->(b->c) at "
+                               f"({d[a]}, {d[b]}, {d[c]})")
+                if not le[tensor[a][res[b][c]]][res[res[a][b]][c]]:
+                    fail("iv", f"a*(b->c) !<= (a->b)->c at "
+                               f"({d[a]}, {d[b]}, {d[c]})")
+
+    # (v) (a->b)*c <= a->(b*c); a*b->a*c >= b->c
+    for a in range(n):
+        for b in range(n):
+            for c in range(n):
+                if not le[tensor[res[a][b]][c]][res[a][tensor[b][c]]]:
+                    fail("v", f"(a->b)*c !<= a->(b*c) at "
+                              f"({d[a]}, {d[b]}, {d[c]})")
+                if not le[res[b][c]][res[tensor[a][b]][tensor[a][c]]]:
+                    fail("v", f"a*b->a*c !>= b->c at ({d[a]}, {d[b]}, {d[c]})")
+
+    # (vi) (a->b)->(c->b) >= c->a; (a->b)->(a->c) >= b->c
+    for a in range(n):
+        for b in range(n):
+            for c in range(n):
+                if not le[res[c][a]][res[res[a][b]][res[c][b]]]:
+                    fail("vi", f"(a->b)->(c->b) !>= c->a at "
+                               f"({d[a]}, {d[b]}, {d[c]})")
+                if not le[res[b][c]][res[res[a][b]][res[a][c]]]:
+                    fail("vi", f"(a->b)->(a->c) !>= b->c at "
+                               f"({d[a]}, {d[b]}, {d[c]})")
+
+    def show_family(fam):
+        return "{" + ",".join(d[a] for a in fam) + "}"
+
+    # (vii) join distributes over tensor; meet sub-distributes
+    for fam in _subsets(n):
+        j = lat.join_all(fam)
+        m = lat.meet_all(fam)
+        for b in range(n):
+            if tensor[j][b] != lat.join_all(tensor[a][b] for a in fam):
+                fail("vii", f"(join {show_family(fam)})*{d[b]} mismatch")
+            if not le[tensor[m][b]][lat.meet_all(tensor[a][b] for a in fam)]:
+                fail("vii", f"(meet {show_family(fam)})*{d[b]} too large")
+
+    # (viii) a->meet = meet of a->; join->b = meet of ->b
+    for fam in _subsets(n):
+        m = lat.meet_all(fam)
+        j = lat.join_all(fam)
+        for a in range(n):
+            if res[a][m] != lat.meet_all(res[a][x] for x in fam):
+                fail("viii", f"{d[a]}->meet {show_family(fam)} mismatch")
+            if res[j][a] != lat.meet_all(res[x][a] for x in fam):
+                fail("viii", f"join {show_family(fam)}->{d[a]} mismatch")
+
+    # (ix) join of a-> is below a->join
+    for fam in _subsets(n):
+        j = lat.join_all(fam)
+        for a in range(n):
+            if not le[lat.join_all(res[a][x] for x in fam)][res[a][j]]:
+                fail("ix", f"join of {d[a]}->_ over {show_family(fam)} "
+                           f"exceeds {d[a]}->join")
+
+    return LawReport(lat.name, ("i", "ii", "iii", "iv", "v", "vi", "vii",
+                                "viii", "ix"), found)
+
+
 # ---------------------------------------------------------------------------
 # random inputs
 
@@ -235,6 +362,19 @@ def corrupted(rng, lat):
         tensor[rng.randrange(len(lat))][rng.randrange(len(lat))] = \
             rng.choice(lat.elements())
     return lf.replace(lat, tensor=tuple(map(tuple, tensor)))
+
+
+def corrupted_tables(rng, lat):
+    """`lat` with one to three random tensor or residuum entries
+    overwritten, so the derived laws may fail."""
+    tables = {"tensor": [list(row) for row in lat.tensor],
+              "residuum": [list(row) for row in lat.residuum]}
+    for _ in range(rng.randint(1, 3)):
+        table = tables[rng.choice(sorted(tables))]
+        table[rng.randrange(len(lat))][rng.randrange(len(lat))] = \
+            rng.choice(lat.elements())
+    return lf.replace(lat, **{k: tuple(map(tuple, t))
+                              for k, t in tables.items()})
 
 
 def perturbed_system(rng, system):
@@ -350,6 +490,23 @@ def test_check_system_matches_the_pairwise_sweep(case, kind):
 def test_transform_law_suite_matches_the_pairwise_sweep(case):
     lat, uni, rng = setup(case, min_points=1)
     new, reference = transform_reports(random_partition(rng, lat, uni))
+    assert new == reference
+
+
+def lattice_reports(lat):
+    """Each clause's verdict and counterexample, in the order reported, from
+    `law_suite` and from the nine sweeps it merged."""
+    return tuple((report.clauses, list(report.counterexamples.items()))
+                 for report in (lattice.law_suite(lat),
+                                reference_law_suite(lat)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(sorted(LATTICES)), st.integers(0, 2 ** 32 - 1))
+@example("grid23", 0)
+def test_law_suite_matches_the_nine_sweeps(name, seed):
+    new, reference = lattice_reports(
+        corrupted_tables(random.Random(seed), LATTICES[name]))
     assert new == reference
 
 

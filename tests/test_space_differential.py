@@ -477,6 +477,50 @@ def test_sweep_witnesses(case):
     assert witness(lf.fcs_witness(phi, ox, oy)) == reference_fcs(phi, ox, oy)
 
 
+def random_candidate(rng, source, target):
+    """A candidate between two partitions: a random point map and index
+    map, and per source block its graph pair, an off-graph pair, or both."""
+    psi = {name: rng.choice(target.names) for name in source.names}
+    pairs = []
+    for name in source.names:
+        on, off = (name, psi[name]), (name, rng.choice(target.names))
+        pairs += rng.choice([[on], [off], [on, off]])
+    if not any(pair in pairs for pair in psi.items()):
+        pairs.append(next(iter(psi.items())))
+    return lf.make_candidate(source, target,
+                             random_map(rng, source.universe, target.universe),
+                             psi, pairs)[0]
+
+
+@settings(max_examples=60, deadline=None)
+@given(paired)
+@example(("godel3", 3, 2, 0))
+@example(("boolean2", 2, 2, 1))
+def test_point_witnesses(case):
+    """fp over its (block, point) terms and fas over its (x, y) terms, each
+    against the meet and first attained site of the term list; small
+    lattices give ties, non-chain ones meets that no term attains."""
+    name, nx, ny, seed = case
+    lat, rng = LATTICES[name], random.Random(seed)
+    ux, uy = universe("X", nx), universe("Y", ny)
+    res = lat.residuum
+    if nx:
+        cand = random_candidate(rng, random_partition(rng, lat, ux),
+                                random_partition(rng, lat, uy))
+        src, tgt = cand.source, cand.target
+        terms = [(res[a][tgt.blocks[cand.psi[j]].values[cand.phi.mapping[i]]],
+                  (src.names[j], ux.elements[i]))
+                 for j in cand.constrained_blocks()
+                 for i, a in enumerate(src.blocks[j].values)]
+        assert witness(lf.fp_witness(cand)) == meet_with_site(lat, terms)
+    phi = random_map(rng, ux, ux)
+    rx, ry = random_relation(rng, lat, ux), random_relation(rng, lat, ux)
+    terms = [(res[rx.rows[x][y]][ry.rows[phi.mapping[x]][phi.mapping[y]]],
+              (ux.elements[x], ux.elements[y]))
+             for x in range(nx) for y in range(nx)]
+    assert witness(lf.fas_witness(phi, rx, ry)) == meet_with_site(lat, terms)
+
+
 # ---------------------------------------------------------------------------
 # budget errors come first and read the same
 
