@@ -38,7 +38,8 @@ import json
 import os
 import sys
 import time
-from collections.abc import Callable, Iterator
+from collections.abc import Callable
+from itertools import product
 
 from . import algebra, closure, ftransform, lattice, morphism, partition, relation
 from .document import SECTIONS, InstanceDocument, load_document
@@ -81,23 +82,32 @@ def _required(args, name: str) -> str:
 
 def _table_json(struct) -> dict:
     """A closure system or operator: one [set, image] entry per set of the
-    space, the image a membership value or a closed set.  The entries are
-    made one at a time as the report is written."""
-    d = struct.lattice.displays
-    if isinstance(struct, closure.ClosureSystem):
-        show = d.__getitem__
-    else:
-        def show(image):
-            return [d[v] for v in image]
-    return {
-        "universe": struct.universe.name,
-        "provenance": struct.provenance,
-        "entries": (
-            [[d[v] for v in values], show(image)]
-            for values, image in zip(
-                Space(struct.lattice, struct.universe).values(), struct.table)
-        ),
-    }
+    space, the image a membership value or a closed set.  The writer calls
+    `entries` to emit them one at a time as `_lay_out` would their list: the
+    sets come in `product` order, so each is one format of joined displays."""
+    enc = [_encode_str(s) for s in struct.lattice.displays]
+    dim = len(struct.universe)
+
+    def entries(indent, emit):
+        inner, at = indent + "  ", indent + "    "
+        sep = ",\n" + at + "  "
+        wrap = "[\n" + at + "  {}\n" + at + "]" if dim else "[]"
+        if isinstance(struct, closure.ClosureSystem):
+            image, images = "{1}", map(enc.__getitem__, struct.table)
+        else:
+            image = wrap.format("{1}")
+            images = (sep.join(map(enc.__getitem__, im))
+                      for im in struct.table)
+        form = ("[\n" + at + wrap.format("{0}") + ",\n" + at + image
+                + "\n" + inner + "]").format
+        texts = map(form, map(sep.join, product(enc, repeat=dim)), images)
+        emit("[\n" + inner + next(texts))
+        for text in texts:
+            emit(",\n" + inner + text)
+        emit("\n" + indent + "]")
+
+    return {"universe": struct.universe.name,
+            "provenance": struct.provenance, "entries": entries}
 
 
 def _suite_json(report, subject: str, clauses: str) -> dict:
@@ -659,12 +669,14 @@ def _write_json(value, write) -> None:
 
 def _lay_out(value, indent: str, emit) -> None:
     """Emit the text of `value`, each of its lines after the first indented
-    by `indent` more.  An iterator is laid out as a list, item by item."""
+    by `indent` more.  A callable value lays itself out."""
     if isinstance(value, str):
         return emit(_encode_str(value))
-    if not isinstance(value, (list, tuple, dict, Iterator)):
+    if callable(value):
+        return value(indent, emit)
+    if not isinstance(value, (list, tuple, dict)):
         return emit(json.dumps(value))
-    if not value:  # an iterator is never false: see the last line
+    if not value:
         return emit("{}" if isinstance(value, dict) else "[]")
     inner = indent + "  "
     sep = ",\n" + inner
@@ -676,7 +688,7 @@ def _lay_out(value, indent: str, emit) -> None:
             head = sep
         return emit("\n" + indent + "}")
     head = "[\n" + inner
-    if isinstance(value, (list, tuple)) and isinstance(value[0], str):
+    if isinstance(value[0], str):
         # a list of strings in one C-level pass; a later non-string makes
         # the encoder raise and the list go item by item
         try:
@@ -688,7 +700,7 @@ def _lay_out(value, indent: str, emit) -> None:
         emit(head)
         _lay_out(v, inner, emit)
         head = sep
-    emit("\n" + indent + "]" if head == sep else "[]")
+    emit("\n" + indent + "]")
 
 
 def _complain(line: str) -> None:

@@ -5,6 +5,7 @@ import pytest
 
 import latfuzz as lf
 from conftest import fs
+from latfuzz.fuzzyset import Space
 from reference import (
     backward_image,
     compose_maps,
@@ -281,6 +282,27 @@ def test_adjunction_precondition(l3, uni_x2, x2p, coalg_x2):
     ident = identity_map(uni_x2)
     with pytest.raises(lf.PreconditionError):
         lf.adjunction_check(coalg_x2, bad_target, ident)
+
+
+def test_passing_derived_checks_build_no_table(x2p, sp, swap, collapse,
+                                               monkeypatch):
+    """Between derived tables a check that holds is decided from the
+    blocks, and a conversion shares its source's rows: no transform
+    component is folded."""
+    def upper(self, row):
+        raise AssertionError("a structure table was built")
+
+    monkeypatch.setattr(Space, "upper", upper)
+    cx, dx = lf.coalgebra_from_partition(x2p), lf.dialgebra_from_partition(x2p)
+    cs, ds = lf.coalgebra_from_partition(sp), lf.dialgebra_from_partition(sp)
+    for phi, cy, dy in ((swap, cx, dx), (collapse, cs, ds)):
+        assert lf.check_coa_hom(phi, cx, cy).holds
+        assert lf.check_dia_hom(phi, dx, dy).holds
+        assert lf.adjunction_check(cx, dy, phi).holds
+    for direction, x in (("coa-dia", cx), ("dia-coa", dx)):
+        verdict = lf.morphism_transfer_check(swap, x, x, direction)
+        assert verdict.status == "holds"
+    assert lf.coa_to_dia(cx).view == "dialgebra"
 
 
 def test_coa_hom_composition_on_fixture(coalg_x2, coalg_s, swap, collapse):

@@ -25,8 +25,10 @@ error; a regular text must never reach `json.loads`.
 
 Printing: the chunks `cli._write_json` passes on, joined, must be exactly
 what `json.dumps(report, indent=2)` writes plus a newline, on random nested
-reports split into many small chunks, with their lists given as lists or as
-iterators.  A report of 4096 entries must reach an unbuffered stdout in few
+reports split into many small chunks.  A closure system's or operator's
+entries, which the writer lays out from per-point pieces, must read as their
+list of [set, image] pairs would, over `tests/lattices.py` lattices on 0 to
+3 points.  A report of 4096 entries must reach an unbuffered stdout in few
 writes of about `cli.CHUNK` characters each.
 """
 
@@ -45,6 +47,7 @@ from latfuzz import cli
 from latfuzz.closure import system_from_explicit
 from latfuzz.document import _system_table, load_document
 from latfuzz.fuzzyset import Space
+from lattices import with_product
 from reference import ensure_budget
 
 SPECS = {
@@ -433,17 +436,33 @@ def test_writer_matches_json_dumps(report):
     chunks = _written(report)
     assert "".join(chunks) == json.dumps(report, indent=2) + "\n"
     assert all(len(chunk) >= 16 for chunk in chunks[:-1])
-    # a table's entries reach the writer as an iterator
-    assert "".join(_written(_lazy(report))) == "".join(chunks)
 
 
-def _lazy(value):
-    """`value` with every list in it made an iterator."""
-    if isinstance(value, dict):
-        return {k: _lazy(v) for k, v in value.items()}
-    if isinstance(value, list):
-        return iter([_lazy(v) for v in value])
-    return value
+def _entries_list(struct) -> list:
+    """A closure system's or operator's entries as a list of [set, image]
+    pairs, each set's values in enumeration order."""
+    d = struct.lattice.displays
+    return [[[d[v] for v in values],
+             d[image] if isinstance(image, int) else [d[v] for v in image]]
+            for values, image in zip(
+                Space(struct.lattice, struct.universe).values(), struct.table)]
+
+
+@pytest.mark.parametrize("name", sorted(with_product(LATTICES)))
+@pytest.mark.parametrize("npoints", range(4))
+def test_table_entries_are_laid_out_as_their_list(name, npoints):
+    lat = with_product(LATTICES)[name]
+    uni = lf.Universe("X", tuple(f"x{k}" for k in range(npoints)))
+    size = len(lat) ** npoints
+    rng = random.Random(f"{name}{npoints}")
+    system = system_from_explicit(
+        lat, uni, [rng.choice(lat.elements()) for _ in range(size)])
+    for struct in (system, lf.operator_from_system(system)):
+        report = {"command": "x", "table": cli._table_json(struct)}
+        listed = {**report, "table": {**report["table"],
+                                      "entries": _entries_list(struct)}}
+        assert "".join(_written(report)) == \
+            json.dumps(listed, indent=2) + "\n"
 
 
 @pytest.mark.parametrize("bad", [{(1, 2): "tuple key"}, {"a": [1, object()]},

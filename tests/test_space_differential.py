@@ -8,6 +8,10 @@ through the per-set operators (`ft_field`, `upper_approx`, the image maps,
 verdicts with the same first violation or attained site, and raise the same
 `BudgetExceeded`, on Gödel and Łukasiewicz chains, `boolean(2)` and
 `grid23`, over universes of 0 to 4 points and random maps between them.
+Between tables derived from partitions, the homomorphism checks, both
+transfers and the adjunction are decided from the blocks; they must agree
+with the per-set sweeps as well, on `lattices.PRODUCT` too, on maps that are
+not injective or not surjective, and on cases built to hold.
 
 The column primitives `Space.meets_above` and `Space.index_of` are also
 compared on their own, with a brute-force meet over the up-set of each set
@@ -30,12 +34,13 @@ import latfuzz as lf
 from conftest import FIXTURES
 from latfuzz.document import load_document
 from latfuzz.fuzzyset import Space
-from lattices import spaces, with_product
+from lattices import PRODUCT, spaces, with_product
 from reference import (
     backward_image,
     ensure_budget,
     enumerate_sets,
     forward_image,
+    identity_map,
     meet_with_site,
     reference_t1,
     set_index,
@@ -410,23 +415,126 @@ def test_hom_checks_report_the_same_first_violation(case, high):
     assert lf.check_dia_hom(phi, dx, dy) == reference_dia_hom(phi, dx, dy)
 
 
-@settings(max_examples=25, deadline=None)
-@given(paired)
+def reference_transfer(phi, source, target, direction):
+    """`morphism_transfer_check` by the per-set checks: a table's rows are
+    the same in either view, so the converted check reads them as given."""
+    proviso, check, recheck = {
+        "coa-dia": (phi.is_injective, reference_coa_hom, reference_dia_hom),
+        "dia-coa": (phi.is_surjective, reference_dia_hom, reference_coa_hom),
+    }[direction]
+    if not proviso():
+        return lf.TransferVerdict("proviso unmet", None, None)
+    original = check(phi, source, target)
+    if not original.holds:
+        return lf.TransferVerdict("source check fails", original, None)
+    converted = recheck(phi, source, target)
+    return lf.TransferVerdict("holds" if converted.holds else "fails",
+                              original, converted)
+
+
+def reference_adjunction(phi, c, d):
+    pre = reference_coa_hom(phi, c, d)
+    if not pre.holds:
+        return ("PreconditionError", "phi is not a coalgebra morphism into "
+                f"the converted dialgebra; violation at {pre.violation}")
+    return reference_dia_hom(phi, c, d)
+
+
+def adjunction_outcome(phi, c, d):
+    try:
+        return lf.adjunction_check(c, d, phi)
+    except lf.PreconditionError as exc:
+        return ("PreconditionError", str(exc))
+
+
+def permuted_partition(rng, p, target):
+    """`p` moved onto `target` along a random bijection sigma, so that the
+    block at sigma x takes A_x(z) at sigma z, and sigma."""
+    order = list(range(len(target)))
+    rng.shuffle(order)
+    sigma = lf.UniverseMap(p.universe, target, tuple(order))
+    blocks = [None] * len(target)
+    for x, j in enumerate(p.xi):
+        values = [None] * len(target)
+        for z, v in enumerate(p.blocks[j].values):
+            values[order[z]] = v
+        blocks[order[x]] = (target.elements[order[x]],
+                            lf.FuzzySet(p.lattice, target, tuple(values)))
+    return lf.validate_partition(target, blocks), sigma
+
+
+def retraction(rng, p, target):
+    """For a target of at most |X| points: `p` cut down to the first points
+    and onto `target`, and a map that keeps those points and sends the rest
+    at random.  On those points the map is the identity, so the check turns
+    on the blocks' values at the other points."""
+    n = len(target)
+    blocks = [(e, lf.FuzzySet(p.lattice, target, p.blocks[j].values[:n]))
+              for e, j in zip(target.elements, p.xi)]
+    keep = tuple(x if x < n else rng.randrange(n)
+                 for x in range(len(p.universe)))
+    return lf.validate_partition(target, blocks), lf.UniverseMap(
+        p.universe, target, keep)
+
+
+def crisp_partition(lat, uni):
+    return lf.validate_partition(uni, [
+        (e, lf.FuzzySet(lat, uni, tuple(
+            lat.top if z == x else lat.bottom for z in range(len(uni)))))
+        for x, e in enumerate(uni.elements)])
+
+
+def hom_case(name):
+    """`name`, source and target sizes of 1-4 points (1-3 on PRODUCT, so
+    that no space passes 1296 sets), and a seed."""
+    sizes = st.integers(1, 3 if name == PRODUCT.name else 4)
+    return st.tuples(st.just(name), sizes, sizes, st.integers(0, 2 ** 32 - 1))
+
+
+# chains, non-chains and PRODUCT among the lattices
+hom_cases = st.sampled_from(sorted(WITH_PRODUCT)).flatmap(hom_case)
+
+
+@settings(max_examples=40, deadline=None)
+@given(hom_cases)
 @example(("grid23", 3, 3, 11))
+@example((PRODUCT.name, 3, 2, 0))  # not injective
+@example((PRODUCT.name, 1, 3, 1))  # not surjective
 def test_hom_checks_on_partition_tables(case):
+    """The checks decide derived tables from the blocks.  On random maps,
+    on retractions, on an isomorphism onto a permuted partition and on the
+    identity from the crisp partition (the last two hold), they must agree
+    with the per-set sweeps, in both transfer directions and the
+    adjunction too."""
     name, nx, ny, seed = case
-    if not (nx and ny):
-        return
-    lat, rng = LATTICES[name], random.Random(seed)
+    lat, rng = WITH_PRODUCT[name], random.Random(seed)
     ux, uy = universe("X", nx), universe("Y", ny)
-    phi = random_map(rng, ux, uy)
     px = random_partition(rng, lat, ux, identity=True)
     py = random_partition(rng, lat, uy, identity=True)
-    cx, cy = (lf.coalgebra_from_partition(px),
-              lf.coalgebra_from_partition(py))
-    dx, dy = lf.coa_to_dia(cx), lf.coa_to_dia(cy)
-    assert lf.check_coa_hom(phi, cx, cy) == reference_coa_hom(phi, cx, cy)
-    assert lf.check_dia_hom(phi, dx, dy) == reference_dia_hom(phi, dx, dy)
+    permuted, sigma = permuted_partition(rng, px, universe("Z", nx))
+    cases = [(random_map(rng, ux, uy), px, py, False),
+             (sigma, px, permuted, True),
+             (identity_map(ux), crisp_partition(lat, ux), px, True)]
+    if ny <= nx:
+        cut, keep = retraction(rng, px, uy)
+        cases.append((keep, px, cut, False))
+    for phi, p, q, must_hold in cases:
+        cx, cy = (lf.coalgebra_from_partition(p),
+                  lf.coalgebra_from_partition(q))
+        dx, dy = (lf.dialgebra_from_partition(p),
+                  lf.dialgebra_from_partition(q))
+        hx, hy = (lf.StructureTable(lat, t.universe, reference_transform_table(
+            t), "by hand", "coalgebra") for t in (p, q))
+        coa = reference_coa_hom(phi, hx, hy)
+        assert lf.check_coa_hom(phi, cx, cy) == coa
+        assert lf.check_dia_hom(phi, dx, dy) == reference_dia_hom(phi, hx, hy)
+        assert lf.morphism_transfer_check(phi, cx, cy, "coa-dia") == \
+            reference_transfer(phi, hx, hy, "coa-dia")
+        assert lf.morphism_transfer_check(phi, dx, dy, "dia-coa") == \
+            reference_transfer(phi, hx, hy, "dia-coa")
+        assert adjunction_outcome(phi, cx, dy) == \
+            reference_adjunction(phi, hx, hy)
+        assert coa.holds or not must_hold
 
 
 # ---------------------------------------------------------------------------
