@@ -239,10 +239,9 @@ class Space:
         """For every g on this space's universe (phi's target), the index of
         its backward image in the space over phi's source."""
         n = self.radix
-        dim = len(phi.source)
         weight = [0] * len(phi.target)
-        for x, y in enumerate(phi.mapping):
-            weight[y] += n ** (dim - 1 - x)
+        for w, y in zip(Space(self.lattice, phi.source).weights, phi.mapping):
+            weight[y] += w
         return self._fold([range(0, n * w, w) if w else [0] * n
                           for w in weight])
 

@@ -37,8 +37,8 @@ def _full_system_doc(o):
                         for values in Space(o.l3, o.uni_x).values()])
 
 
-# entry point -> (call at a budget, `what` of its error, size of its space);
-# each is called one set below its space
+# entry point -> (call at a budget, `what` of its error, size of its space,
+# or |L|^3 for the lattice law suite); each is called one below that size
 OVER_BUDGET = {
     "system_from_explicit": (
         lambda o, b: lf.system_from_explicit(
@@ -50,6 +50,8 @@ OVER_BUDGET = {
     "check_system": (
         lambda o, b: lf.check_system(o.system, b),
         "closure system check", 27),
+    "law_suite": (
+        lambda o, b: lf.law_suite(o.l3, b), "law suite", 27),
     "transform_law_suite": (
         lambda o, b: lf.transform_law_suite(o.w3, b),
         "transform law suite", 27),

@@ -197,12 +197,6 @@ def test_law_suite_catches_corrupted_residuum():
     assert report.counterexamples["viii"]
 
 
-def test_law_suite_budget():
-    with pytest.raises(lf.BudgetExceeded):
-        lf.law_suite(lf.boolean_algebra(4))
-    lf.law_suite(lf.boolean_algebra(4), budget=2 ** 21)
-
-
 def test_chain_builders_reject_tiny():
     with pytest.raises(lf.LatticeBuildError):
         lf.godel_chain(1)

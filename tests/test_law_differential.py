@@ -18,11 +18,13 @@ where `strong` fails before `enriched`, whose counterexamples
 The closure-operator axioms have no package checker; their pairwise sweep
 is `reference_check_operator` in `tests/reference.py`.
 
-`law_suite` checks its nine clauses in three sweeps, one per domain
-(constants, triples, families).  `reference_law_suite` is its nine
-sweeps as they were, one per clause; on lattices with one to three
-corrupted tensor or residuum entries, both must give each clause the same
-verdict and counterexample text, listed in clause order.
+`law_suite` checks its nine clauses in two sweeps, one of the carrier
+and one of the triples, and checks the indexed-family clauses on the
+empty family and on pairs only.  `reference_law_suite` is its nine
+sweeps as they were, one per clause, the family clauses over every subset
+of the carrier; on lattices with one to three corrupted tensor or residuum
+entries, both must give each clause the same verdict and counterexample
+text, listed in clause order.
 
 Past its first |X|^2 rows, `check_system` takes axiom (ii)'s verdict from
 `closure._cuts_meet_closed`, the meet lemma's cut test, and scans pairs only
@@ -37,7 +39,7 @@ the comparisons catch each mutant.
 import inspect
 import random
 import textwrap
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -47,7 +49,7 @@ from latfuzz import cli, closure, ftransform, lattice
 from latfuzz.closure import ClosureSystem
 from latfuzz.errors import BudgetExceeded
 from latfuzz.fuzzyset import FuzzySet, Space
-from latfuzz.lattice import DEFAULT_BUDGET, Lattice, LawReport, _subsets
+from latfuzz.lattice import DEFAULT_BUDGET, Lattice, LawReport
 from latfuzz.partition import FuzzyPartition, relation_from_partition
 from lattices import spaces, with_product
 from reference import constant, ensure_budget, set_index, show_set
@@ -229,6 +231,14 @@ def reference_transform_law_suite(p: FuzzyPartition,
     run("field_equals_upper_approx", field_matches_relation())
     return LawReport(p.universe.name, tuple(laws),
                      {k: v for k, v in laws.items() if v is not None})
+
+
+def _subsets(n: int):
+    """Every subset of range(n), by size, each size in lexicographic
+    order."""
+    items = list(range(n))
+    for size in range(n + 1):
+        yield from combinations(items, size)
 
 
 def reference_law_suite(lat: Lattice,
@@ -595,6 +605,12 @@ def _all_match() -> bool:
             return False
         for name in sorted(LATTICES):
             for seed in range(6):
+                new, reference = lattice_reports(
+                    corrupted_tables(random.Random(seed), LATTICES[name]))
+                if new != reference:
+                    return False
+        for name in sorted(LATTICES):
+            for seed in range(6):
                 rng = random.Random(seed)
                 npoints = 2 if len(LATTICES[name]) > 4 else 3
                 lat = corrupted(rng, LATTICES[name]) if seed % 2 \
@@ -663,6 +679,17 @@ MUTANTS = [
     pytest.param(Space, "meets_above",
                  "key=lambda d: len(above[d])", "key=lambda d: -len(above[d])",
                  id="cuts-covers-bottom-up"),
+    # the family clauses: the empty family's 0*a = 0 not checked; only
+    # pairs of adjacent ordinals checked; the pair's meet taken for its join
+    pytest.param(lattice, "law_suite",
+                 "        if tensor[bot][a] != bot:\n",
+                 "        if False:\n",
+                 id="law_suite-empty-family"),
+    pytest.param(lattice, "law_suite", "if a >= b:", "if a + 1 != b:",
+                 id="law_suite-adjacent-pairs"),
+    pytest.param(lattice, "law_suite", "j, m = join[a][b], meet[a][b]",
+                 "j, m = meet[a][b], meet[a][b]",
+                 id="law_suite-pair-meet-for-join"),
 ]
 
 

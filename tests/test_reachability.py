@@ -68,8 +68,6 @@ NOT_REACHED = {
     # item 7: formats a counterexample to a clause that is a theorem on
     # every input the CLI accepts
     "ftransform.transform_law_suite.<locals>.show",
-    # item 7: as above, for the lattice law suite
-    "lattice.law_suite.<locals>.show_family",
 }
 
 # run in the fresh interpreter: argv[1] is the package directory, stdin a
