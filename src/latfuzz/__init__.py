@@ -89,6 +89,7 @@ from .algebra import (
     dia_to_coa,
     dialgebra_from_partition,
     morphism_transfer_check,
+    transform_table,
 )
 from .record import replace
 

@@ -2,51 +2,42 @@
 partitions: structure tables, homomorphism checks, the shape-shuffling
 conversions between the two views, and the adjunction verifier.
 
-Both views store the same (point, enumerated set) -> value table; a
+Both views read the same (point, enumerated set) -> value table; a
 coalgebra reads it as point -> (set -> value), a dialgebra as
 (point, set) -> value.  So there is one table type, tagged with its view,
 and the conversions only flip the tag, which is what makes the isomorphism
 and adjunction checks exact.
 
-A table derived from a partition builds its rows, shared with its
-conversions, when they are first read.  Checks between derived tables are
-decided from the blocks, and sweep only to name a first violation.
+A table keeps the partition it is derived from; `transform_table` builds
+its rows where they are printed.  The homomorphism checks read
+only the blocks: both sides of either check preserve joins in the swept
+set, so the generators e(s, a), the set that is `a` at point s and bottom
+elsewhere, decide it and, when bottom is ordinal 0, also come first in the
+sweep's order among its violations (README).
 """
 
 from __future__ import annotations
 
 from .errors import MismatchError, PreconditionError
-from .fuzzyset import Space, UniverseMap, Universe, set_at
+from .fuzzyset import Space, UniverseMap, Universe
 from .lattice import DEFAULT_BUDGET, Lattice
 from .partition import FuzzyPartition, is_identity_indexed
-from .record import Record
+from .record import Record, replace
 
 
 class StructureTable(Record):
     lattice: Lattice
     universe: Universe
-    table: tuple[tuple[int, ...], ...]  # per point, per enumeration index
     provenance: str
     view: str  # "coalgebra" | "dialgebra"
-    # a derived table's partition, and the one-slot list `_rows` it shares
-    # with its conversions, filled when the first of them reads `table`
-    _partition: FuzzyPartition | None = None
-
-    def __getattr__(self, name):
-        if name != "table" or self._partition is None:
-            raise AttributeError(name)
-        p, rows = self._partition, self._rows
-        if not rows:  # the field at x is the component of x's own block
-            upper = Space(p.lattice, p.universe).upper
-            rows.append(tuple(tuple(upper(p.blocks[j].values)) for j in p.xi))
-        return rows[0]
+    partition: FuzzyPartition  # the blocks its rows are derived from
 
 
-def _table(fields: dict, **changes) -> StructureTable:
-    # not the constructor, which reads every field, building a table's rows
-    t = object.__new__(StructureTable)
-    vars(t).update(fields, **changes)
-    return t
+def transform_table(p: FuzzyPartition) -> tuple[tuple[int, ...], ...]:
+    """The rows of p's structure table: per point, the transform component
+    of its own block at every set of the space, in enumeration order."""
+    upper = Space(p.lattice, p.universe).upper
+    return tuple(tuple(upper(p.blocks[j].values)) for j in p.xi)
 
 
 def _from_partition(p: FuzzyPartition, budget: int,
@@ -55,8 +46,7 @@ def _from_partition(p: FuzzyPartition, budget: int,
         raise PreconditionError(f"partition on {p.universe.name} is not "
                                 "identity-indexed")
     Space(p.lattice, p.universe, budget, "structure table")
-    return _table({}, lattice=p.lattice, universe=p.universe, view=view,
-                  provenance="from_partition", _partition=p, _rows=[])
+    return StructureTable(p.lattice, p.universe, "from_partition", view, p)
 
 
 def coalgebra_from_partition(p: FuzzyPartition,
@@ -76,14 +66,14 @@ def _require_view(table: StructureTable, view: str, what: str) -> None:
 
 def coa_to_dia(c: StructureTable) -> StructureTable:
     _require_view(c, "coalgebra", "coa_to_dia")
-    return _table(vars(c), view="dialgebra",
-                  provenance=f"coa_to_dia({c.provenance})")
+    return replace(c, view="dialgebra",
+                   provenance=f"coa_to_dia({c.provenance})")
 
 
 def dia_to_coa(d: StructureTable) -> StructureTable:
     _require_view(d, "dialgebra", "dia_to_coa")
-    return _table(vars(d), view="coalgebra",
-                  provenance=f"dia_to_coa({d.provenance})")
+    return replace(d, view="coalgebra",
+                   provenance=f"dia_to_coa({d.provenance})")
 
 
 # ---------------------------------------------------------------------------
@@ -94,73 +84,56 @@ class HomVerdict(Record):
     violation: tuple | None = None  # (element label, set displays)
 
 
-def _blocks_hold(phi: UniverseMap, x: StructureTable,
-                 y: StructureTable) -> bool:
-    """A_x(z) <= B_{phi x}(phi z) for all x, z in phi's source, for tables
-    derived from blocks A and B: either check's verdict (README), in |X|^2
-    lookups.  False when a table was not derived, so the sweep decides."""
-    p, q, at = x._partition, y._partition, phi.mapping
-    return p is not None and q is not None and all(
-        p.lattice.leq[a][b] for s, t in zip(p.xi, at)
-        for a, b in zip(p.blocks[s].values,
-                        map(q.blocks[q.xi[t]].values.__getitem__, at)))
+def _scan(phi: UniverseMap, source: StructureTable, target: StructureTable,
+          fibers, at) -> HomVerdict:
+    """The first generator e(s, a) of the swept space (in index order when
+    bottom is ordinal 0), and the first point x of phi's source, at which
+        join over z in fibers[s] of A_x(z) tensor a
+            <= B_{phi x}(at[s]) tensor a
+    fails, A and B being the blocks of the two tables' partitions: |X|^2 |L|
+    lookups."""
+    p, q = source.partition, target.partition
+    lat = p.lattice
+    join, tensor, leq, bottom = lat.join, lat.tensor, lat.leq, lat.bottom
+    rows = [(p.blocks[j].values, q.blocks[q.xi[t]].values)
+            for j, t in zip(p.xi, phi.mapping)]
+    for s in reversed(range(len(fibers))):  # the last point weighs least
+        for a in lat.elements():
+            for e, (row, image) in zip(p.universe.elements, rows):
+                lhs = bottom
+                for z in fibers[s]:
+                    lhs = join[lhs][tensor[row[z]][a]]
+                if not leq[lhs][tensor[image[at[s]]][a]]:
+                    shown = [lat.displays[bottom]] * len(fibers)
+                    shown[s] = lat.displays[a]
+                    return HomVerdict(False, (e, tuple(shown)))
+    return HomVerdict(True)
 
 
-def _first_violation(space: Space, phi: UniverseMap,
-                     lower: StructureTable, upper: StructureTable,
-                     lower_at, upper_at) -> HomVerdict:
-    """The first (set, point), sets before points, at which
-    lower[x][lower_at[i]] <= upper[phi x][upper_at[i]] fails; `None` for
-    either index list reads the set's own index."""
-    leq = space.lattice.leq
-    first = None
-    for x, y in enumerate(phi.mapping):
-        lhs, rhs = lower.table[x], upper.table[y]
-        if lower_at is not None:
-            lhs = map(lhs.__getitem__, lower_at)
-        if upper_at is not None:
-            rhs = map(rhs.__getitem__, upper_at)
-        bad = next((i for i, (a, b) in enumerate(zip(lhs, rhs))
-                    if not leq[a][b]), None)
-        if bad is not None and (first is None or bad < first[0]):
-            first = (bad, x)
-    if first is None:
-        return HomVerdict(True)
-    i, x = first
-    return HomVerdict(False, (lower.universe.elements[x],
-                              set_at(space.lattice, space.universe, i)
-                              .displays()))
-
-
-def check_coa_hom(phi: UniverseMap, cx: StructureTable, cy: StructureTable,
-                  budget: int = DEFAULT_BUDGET) -> HomVerdict:
+def check_coa_hom(phi: UniverseMap, cx: StructureTable,
+                  cy: StructureTable) -> HomVerdict:
     """alpha_X(x)(pullback g) <= alpha_Y(phi x)(g) for all x and all g on
-    the target universe."""
+    the target universe; the pullback of e(y, a) is `a` on the fiber of y."""
     if cx.universe != phi.source or cy.universe != phi.target:
         raise MismatchError("coalgebra homomorphism: universe mismatch")
     _require_view(cx, "coalgebra", "check_coa_hom")
     _require_view(cy, "coalgebra", "check_coa_hom")
-    space = Space(cx.lattice, cy.universe, budget, "homomorphism check")
-    if _blocks_hold(phi, cx, cy):
-        return HomVerdict(True)
-    return _first_violation(space, phi, cx, cy, space.pulled_index(phi), None)
+    fibers = [[] for _ in phi.target.elements]
+    for z, y in enumerate(phi.mapping):
+        fibers[y].append(z)
+    return _scan(phi, cx, cy, fibers, range(len(fibers)))
 
 
-def check_dia_hom(phi: UniverseMap, dx: StructureTable, dy: StructureTable,
-                  budget: int = DEFAULT_BUDGET) -> HomVerdict:
+def check_dia_hom(phi: UniverseMap, dx: StructureTable,
+                  dy: StructureTable) -> HomVerdict:
     """beta_X(x, f) <= beta_Y(phi x, pushforward f) for all x and all f on
-    the source universe."""
+    the source universe; the pushforward of e(z, a) is e(phi z, a)."""
     if dx.universe != phi.source or dy.universe != phi.target:
         raise MismatchError("dialgebra homomorphism: universe mismatch")
     _require_view(dx, "dialgebra", "check_dia_hom")
     _require_view(dy, "dialgebra", "check_dia_hom")
-    lat = dx.lattice
-    space = Space(lat, dx.universe, budget, "homomorphism check")
-    # only the source is swept, but the target space is charged too
-    Space(lat, dy.universe, budget, "homomorphism check")
-    if _blocks_hold(phi, dx, dy):
-        return HomVerdict(True)
-    return _first_violation(space, phi, dx, dy, None, space.pushed_index(phi))
+    return _scan(phi, dx, dy, [(z,) for z in range(len(phi.mapping))],
+                 phi.mapping)
 
 
 # ---------------------------------------------------------------------------
@@ -173,8 +146,7 @@ class TransferVerdict(Record):
 
 
 def morphism_transfer_check(phi: UniverseMap, source, target,
-                            direction: str,
-                            budget: int = DEFAULT_BUDGET) -> TransferVerdict:
+                            direction: str) -> TransferVerdict:
     """Convert a holding homomorphism to the other view and re-check it.
 
     Direction "coa-dia" needs phi injective, "dia-coa" needs phi surjective
@@ -190,10 +162,10 @@ def morphism_transfer_check(phi: UniverseMap, source, target,
     proviso, check, convert, recheck = paths[direction]
     if not proviso():
         return TransferVerdict("proviso unmet", None, None)
-    original = check(phi, source, target, budget)
+    original = check(phi, source, target)
     if not original.holds:
         return TransferVerdict("source check fails", original, None)
-    converted = recheck(phi, convert(source), convert(target), budget)
+    converted = recheck(phi, convert(source), convert(target))
     return TransferVerdict(
         "holds" if converted.holds else "fails", original, converted
     )
@@ -203,8 +175,7 @@ def morphism_transfer_check(phi: UniverseMap, source, target,
 # adjunction triangle
 
 def adjunction_check(c: StructureTable, d: StructureTable,
-                     phi: UniverseMap,
-                     budget: int = DEFAULT_BUDGET) -> HomVerdict:
+                     phi: UniverseMap) -> HomVerdict:
     """Given a coalgebra morphism phi from c into the coalgebra view of d,
     take rho = phi as the mate and check that it is a dialgebra morphism
     from the dialgebra view of c into d: the verdict of that check.
@@ -213,10 +184,10 @@ def adjunction_check(c: StructureTable, d: StructureTable,
     to equal phi: the mate is unique and the triangle commutes by
     construction, and neither is reported.
     """
-    pre = check_coa_hom(phi, c, dia_to_coa(d), budget)
+    pre = check_coa_hom(phi, c, dia_to_coa(d))
     if not pre.holds:
         raise PreconditionError(
             "phi is not a coalgebra morphism into the converted dialgebra; "
             f"violation at {pre.violation}"
         )
-    return check_dia_hom(phi, coa_to_dia(c), d, budget)
+    return check_dia_hom(phi, coa_to_dia(c), d)

@@ -150,7 +150,8 @@ def _structure_json(struct) -> dict:
         "space": Space(lat, struct.universe).size,
         "table": [
             {"element": e, "values": [lat.displays[v] for v in row]}
-            for e, row in zip(struct.universe.elements, struct.table)
+            for e, row in zip(struct.universe.elements,
+                              algebra.transform_table(struct.partition))
         ],
     }
 
@@ -365,7 +366,7 @@ def _cmd_check(doc, args, budget):
         view, check = "coalgebra", algebra.check_coa_hom
     else:
         view, check = "dialgebra", algebra.check_dia_hom
-    verdict = check(*_hom_ends(doc, args, view, budget), budget)
+    verdict = check(*_hom_ends(doc, args, view, budget))
     return _hom_json(verdict), _verdict(verdict.holds)
 
 
@@ -405,10 +406,12 @@ def _cmd_roundtrip(doc, args, budget):
     d = _from_partition("dialgebra", p, budget)
     back_c = algebra.dia_to_coa(algebra.coa_to_dia(c))
     back_d = algebra.coa_to_dia(algebra.dia_to_coa(d))
+    # a table's rows are `transform_table` of its partition, so equal
+    # partitions are equal tables, and no table is built to compare them
     payload = {
-        "coa_dia_coa_exact": back_c.table == c.table,
-        "dia_coa_dia_exact": back_d.table == d.table,
-        "triangle_exact": algebra.coa_to_dia(c).table == d.table,
+        "coa_dia_coa_exact": back_c.partition == c.partition,
+        "dia_coa_dia_exact": back_d.partition == d.partition,
+        "triangle_exact": algebra.coa_to_dia(c).partition == d.partition,
     }
     return {"roundtrip": payload}, _verdict(all(payload.values()))
 
@@ -475,7 +478,7 @@ def _cmd_adjunction(doc, args, budget):
     phi = doc.map(args.map)
     c = _derive(doc, "coalgebra", "partition", args.source_partition, budget)
     d = _derive(doc, "dialgebra", "partition", args.target_partition, budget)
-    rho = algebra.adjunction_check(c, d, phi, budget)
+    rho = algebra.adjunction_check(c, d, phi)
     payload = {"holds": rho.holds, "rho_is_dialgebra_morphism": _hom_json(rho)}
     return {"adjunction": payload}, _verdict(rho.holds)
 
@@ -483,7 +486,7 @@ def _cmd_adjunction(doc, args, budget):
 def _cmd_transfer(doc, args, budget):
     view = "coalgebra" if args.direction == "coa-dia" else "dialgebra"
     verdict = algebra.morphism_transfer_check(
-        *_hom_ends(doc, args, view, budget), args.direction, budget)
+        *_hom_ends(doc, args, view, budget), args.direction)
     payload = {"status": verdict.status,
                "original": _hom_json(verdict.original),
                "converted": _hom_json(verdict.converted)}

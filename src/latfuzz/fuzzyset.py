@@ -245,20 +245,6 @@ class Space:
         return self._fold([range(0, n * w, w) if w else [0] * n
                           for w in weight])
 
-    def fiber_join(self, phi: "UniverseMap", y: int) -> list[int]:
-        """For every f on phi's source (this space's universe), the value at
-        y of its forward image: the join of f over the fiber of y."""
-        lat = self.lattice
-        rows = [lat.elements() if t == y else [lat.bottom] * self.radix
-                for t in phi.mapping]
-        return self._fold(rows, lat.join, lat.bottom)
-
-    def pushed_index(self, phi: "UniverseMap") -> list[int]:
-        """For every f on phi's source, the index of its forward image in
-        the space over phi's target."""
-        columns = (self.fiber_join(phi, y) for y in range(len(phi.target)))
-        return Space(self.lattice, phi.target).index_of(columns, self.size)
-
 
 def set_at(lat: Lattice, universe: Universe, index: int) -> FuzzySet:
     """The set at one index of the space, to name a counterexample."""

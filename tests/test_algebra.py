@@ -1,10 +1,13 @@
+import json
 import random
 from itertools import product
+from types import SimpleNamespace
 
 import pytest
 
 import latfuzz as lf
 from conftest import fs
+from latfuzz import algebra, cli
 from latfuzz.fuzzyset import Space
 from reference import (
     backward_image,
@@ -17,7 +20,18 @@ from reference import (
     reference_t1,
     set_index,
 )
-from test_space_differential import LATTICES, random_partition, universe
+from test_law_differential import _mutant
+from test_space_differential import (
+    LATTICES,
+    WITH_PRODUCT,
+    hom_verdicts,
+    random_map,
+    random_partition,
+    reference_coa_hom,
+    reference_dia_hom,
+    stand_in,
+    universe,
+)
 
 
 @pytest.fixture(scope="module")
@@ -40,23 +54,30 @@ def collapse(uni_x2, uni_s):
     return lf.UniverseMap.from_labels(uni_x2, uni_s, {"x1": "s1", "x2": "s1"})
 
 
+def rows(table):
+    """The rows of a structure table, as `coalg` and `dialg` print them."""
+    return lf.transform_table(table.partition)
+
+
 def test_structure_values(l3, uni_x2, coalg_x2, dialg_x2):
     g01 = fs(l3, uni_x2, "0", "1")
     idx = set_index(g01)
-    assert l3.displays[coalg_x2.table[0][idx]] == "1/2"
-    assert dialg_x2.table[0][idx] == coalg_x2.table[0][idx]
+    coa, dia = rows(coalg_x2), rows(dialg_x2)
+    assert l3.displays[coa[0][idx]] == "1/2"
+    assert dia[0][idx] == coa[0][idx]
     top_idx = set_index(constant(l3, uni_x2, l3.top))
     bottom_idx = set_index(constant(l3, uni_x2, l3.bottom))
     for x in range(2):
-        assert coalg_x2.table[x][top_idx] == l3.top
-        assert coalg_x2.table[x][bottom_idx] == l3.bottom
+        assert coa[x][top_idx] == l3.top
+        assert coa[x][bottom_idx] == l3.bottom
 
 
 def test_constants_fixed_in_dialgebra(l3, uni_x2, dialg_x2):
+    dia = rows(dialg_x2)
     for a in l3.elements():
         idx = set_index(constant(l3, uni_x2, a))
         for x in range(2):
-            assert dialg_x2.table[x][idx] == a
+            assert dia[x][idx] == a
 
 
 def test_requires_identity_indexing(w3):
@@ -103,12 +124,12 @@ def test_coa_hom_identity_swap_collapse(coalg_x2, coalg_s, swap, collapse,
 
 
 def test_swap_hom_holds_with_equality(l3, coalg_x2, swap, uni_x2):
+    coa = rows(coalg_x2)
     for i in range(9):
         g = lf.set_at(l3, uni_x2, i)
         pulled = set_index(backward_image(swap, g))
         for x in range(2):
-            assert coalg_x2.table[x][pulled] == \
-                coalg_x2.table[swap.mapping[x]][i]
+            assert coa[x][pulled] == coa[swap.mapping[x]][i]
 
 
 def test_dia_hom_identity_swap_collapse(dialg_x2, sp, swap, collapse, uni_x2):
@@ -190,8 +211,8 @@ def test_failing_coa_hom_has_violation(l3, uni_x2, x2p):
 
 
 def test_conversion_roundtrips(coalg_x2, dialg_x2):
-    assert lf.dia_to_coa(lf.coa_to_dia(coalg_x2)).table == coalg_x2.table
-    assert lf.coa_to_dia(lf.dia_to_coa(dialg_x2)).table == dialg_x2.table
+    assert rows(lf.dia_to_coa(lf.coa_to_dia(coalg_x2))) == rows(coalg_x2)
+    assert rows(lf.coa_to_dia(lf.dia_to_coa(dialg_x2))) == rows(dialg_x2)
     assert (coalg_x2.view, dialg_x2.view) == ("coalgebra", "dialgebra")
     to_dia, to_coa = lf.coa_to_dia(coalg_x2), lf.dia_to_coa(dialg_x2)
     assert (to_dia.view, to_coa.view) == ("dialgebra", "coalgebra")
@@ -223,10 +244,10 @@ def test_hom_checks_reject_the_wrong_view(coalg_x2, dialg_x2, swap):
 
 
 def test_triangle_coa_to_dia_equals_direct(x2p, sp, coalg_x2, dialg_x2):
-    assert lf.coa_to_dia(coalg_x2).table == dialg_x2.table
+    assert rows(lf.coa_to_dia(coalg_x2)) == rows(dialg_x2)
     coalg_sp = lf.coalgebra_from_partition(sp)
-    assert lf.coa_to_dia(coalg_sp).table == \
-        lf.dialgebra_from_partition(sp).table
+    assert rows(lf.coa_to_dia(coalg_sp)) == \
+        rows(lf.dialgebra_from_partition(sp))
 
 
 def test_transfer_checks(coalg_x2, dialg_x2, coalg_s, swap, collapse, uni_x2,
@@ -284,11 +305,26 @@ def test_adjunction_precondition(l3, uni_x2, x2p, coalg_x2):
         lf.adjunction_check(coalg_x2, bad_target, ident)
 
 
+# the identity from a graded partition G to its crisp twin C on the Gödel
+# 3-chain: every check of it fails
+GRADED_TO_CRISP = json.dumps({
+    "lattice": {"kind": "godel_chain", "n": 3},
+    "universes": {"X": ["a", "b"]},
+    "partitions": {
+        "G": {"universe": "X", "blocks": {"a": {"a": "1", "b": "1/2"},
+                                          "b": {"a": "0", "b": "1"}}},
+        "C": {"universe": "X", "blocks": {"a": {"a": "1", "b": "0"},
+                                          "b": {"a": "0", "b": "1"}}}},
+    "maps": {"id": {"source": "X", "target": "X",
+                    "values": {"a": "a", "b": "b"}}}})
+
+
 def test_passing_derived_checks_build_no_table(x2p, sp, swap, collapse,
-                                               monkeypatch):
-    """Between derived tables a check that holds is decided from the
-    blocks, and a conversion shares its source's rows: no transform
-    component is folded."""
+                                               monkeypatch, capsys):
+    """A check between derived tables is decided, and a violation named,
+    from the blocks, and a conversion only flips the tag: no transform
+    component is folded, whether the check holds or fails, in the library
+    or through the CLI."""
     def upper(self, row):
         raise AssertionError("a structure table was built")
 
@@ -303,6 +339,13 @@ def test_passing_derived_checks_build_no_table(x2p, sp, swap, collapse,
         verdict = lf.morphism_transfer_check(swap, x, x, direction)
         assert verdict.status == "holds"
     assert lf.coa_to_dia(cx).view == "dialgebra"
+    ends = ("--map", "id", "--source-partition", "G",
+            "--target-partition", "C", "--doc", GRADED_TO_CRISP, "--no-timing")
+    for argv in (("check", "coa-hom"), ("check", "dia-hom"),
+                 ("transfer", "coa-dia"), ("transfer", "dia-coa"),
+                 ("adjunction",)):
+        assert cli.run([*argv, *ends]) == 1
+        assert "violation" in capsys.readouterr().out
 
 
 def test_coa_hom_composition_on_fixture(coalg_x2, coalg_s, swap, collapse):
@@ -313,12 +356,9 @@ def test_coa_hom_composition_on_fixture(coalg_x2, coalg_s, swap, collapse):
     assert lf.check_coa_hom(composed, coalg_x2, coalg_s).holds
 
 
-def test_budget_paths(x2p, coalg_x2, uni_x2):
+def test_budget_paths(x2p):
     with pytest.raises(lf.BudgetExceeded):
         lf.coalgebra_from_partition(x2p, budget=2)
-    ident = identity_map(uni_x2)
-    with pytest.raises(lf.BudgetExceeded):
-        lf.check_coa_hom(ident, coalg_x2, coalg_x2, budget=2)
 
 
 # ---------------------------------------------------------------------------
@@ -374,17 +414,115 @@ def test_views_differ_on_a_non_monotone_table():
     between, and Y's single row falls from 1 to 0.  Pulling back along the
     constant map phi only reaches X's constant sets, so the coalgebra check
     holds; pushing forward (0, 1) reaches Y's top set, so the dialgebra
-    check fails there."""
+    check fails there.  No command builds such rows, so the per-set sweeps
+    decide them."""
     lat = lf.godel_chain(2)
     x, y = universe("X", 2), universe("Y", 1)
     phi = lf.UniverseMap(x, y, (0, 0))
-    rows_x, rows_y = ((0, 1, 1, 0),) * 2, ((1, 0),)
-    coa = lf.check_coa_hom(
-        phi, lf.StructureTable(lat, x, rows_x, "by hand", "coalgebra"),
-        lf.StructureTable(lat, y, rows_y, "by hand", "coalgebra"))
-    dia = lf.check_dia_hom(
-        phi, lf.StructureTable(lat, x, rows_x, "by hand", "dialgebra"),
-        lf.StructureTable(lat, y, rows_y, "by hand", "dialgebra"))
-    assert coa.holds
+    tx = SimpleNamespace(lattice=lat, universe=x, table=((0, 1, 1, 0),) * 2)
+    ty = SimpleNamespace(lattice=lat, universe=y, table=((1, 0),))
+    dia = reference_dia_hom(phi, tx, ty)
+    assert reference_coa_hom(phi, tx, ty).holds
     assert not dia.holds
     assert dia.violation == ("x0", ("0", "1"))
+
+
+# ---------------------------------------------------------------------------
+# the violation a failing check names
+#
+# Both sides of either check preserve joins in the swept set, so when bottom
+# is ordinal 0 the first violation of the sweep is a generator e(s, a), the
+# set that is a at s and bottom elsewhere, and the checks scan only those.
+
+def _namer_matches_references() -> bool:
+    """Both checks agree with the per-set sweeps, verdict and violation, on
+    a fixed battery of random maps, non-injective and non-surjective ones
+    among them."""
+    try:
+        for name in sorted(WITH_PRODUCT):
+            for nx, ny, seed in ((3, 2, 0), (2, 3, 1), (3, 3, 2)):
+                lat, rng = WITH_PRODUCT[name], random.Random(seed)
+                px = random_partition(rng, lat, universe("X", nx),
+                                      identity=True)
+                py = random_partition(rng, lat, universe("Y", ny),
+                                      identity=True)
+                phi = random_map(rng, px.universe, py.universe)
+                new, reference = hom_verdicts(phi, px, py)
+                if new != reference:
+                    return False
+    except IndexError:
+        return False
+    return True
+
+
+# (owner, function, lines, mutated lines): each mutant changes one step of
+# the scan
+SCAN_MUTANTS = [
+    pytest.param(algebra, "_scan", "for a in lat.elements():",
+                 "for a in (lat.top,):", id="only-top-scanned"),
+    pytest.param(algebra, "_scan", "for z in fibers[s]:",
+                 "for z in fibers[s][:1]:", id="fiber-join-dropped"),
+    pytest.param(algebra, "check_dia_hom", "                 phi.mapping)",
+                 "                 range(len(phi.mapping)))",
+                 id="phi-z-replaced-by-z"),
+    pytest.param(algebra, "_scan",
+                 "    for s in reversed(range(len(fibers))):"
+                 "  # the last point weighs least\n"
+                 "        for a in lat.elements():\n"
+                 "            for e, (row, image) in"
+                 " zip(p.universe.elements, rows):\n",
+                 "    for e, (row, image) in zip(p.universe.elements, rows):\n"
+                 "        for s in reversed(range(len(fibers))):\n"
+                 "            for a in lat.elements():\n",
+                 id="points-before-sets"),
+]
+
+
+@pytest.mark.parametrize("owner, name, line, mutated", SCAN_MUTANTS)
+def test_scan_mutants_are_caught(monkeypatch, owner, name, line, mutated):
+    assert _namer_matches_references()
+    monkeypatch.setattr(owner, name, _mutant(owner, name, line, mutated))
+    assert not _namer_matches_references()
+
+
+def _fails_at(phi, tx, ty, view, element, shown) -> bool:
+    """Whether the per-set inequality of `view` fails at one point and set,
+    on stand-in rows."""
+    lat, x = tx.lattice, tx.universe.index(element)
+    values = tuple(map(lat.parse, shown))
+    if view == "coalgebra":
+        g = lf.FuzzySet(lat, ty.universe, values)
+        at_x, at_y = set_index(backward_image(phi, g)), set_index(g)
+    else:
+        f = lf.FuzzySet(lat, tx.universe, values)
+        at_x, at_y = set_index(f), set_index(forward_image(phi, f))
+    return not lat.leq[tx.table[x][at_x]][ty.table[phi.mapping[x]][at_y]]
+
+
+def test_bottom_listed_last_keeps_the_verdict_and_names_a_violation():
+    """On a table lattice that lists bottom last, the generators need not
+    come first in index order, so the named set may not be the sweep's
+    first: the Gödel 3-chain listed as 1/2, 1, 0.  The verdicts still agree
+    with the per-set sweeps, and the named set is a violation."""
+    chain = lf.godel_chain(3)
+    order = (1, 2, 0)
+    lat = lf.from_tables(
+        [chain.displays[a] for a in order],
+        [[chain.leq[a][b] for b in order] for a in order],
+        [[order.index(chain.tensor[a][b]) for b in order] for a in order],
+        name="godel3-bottom-last")
+    assert lat.bottom == 2
+    named = 0
+    for seed in range(30):
+        rng = random.Random(seed)
+        px, py = (random_partition(rng, lat, universe(end, rng.randint(1, 3)),
+                                   identity=True) for end in "XY")
+        phi = random_map(rng, px.universe, py.universe)
+        new, reference = hom_verdicts(phi, px, py)
+        assert [v.holds for v in new] == [v.holds for v in reference]
+        for view, verdict in zip(("coalgebra", "dialgebra"), new):
+            if not verdict.holds:
+                named += 1
+                assert _fails_at(phi, stand_in(px), stand_in(py), view,
+                                 *verdict.violation)
+    assert named

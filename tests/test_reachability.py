@@ -40,19 +40,6 @@ REACHERS = [
     # lattice._first_difference, naming where the tensor does not commute
     ("validate", "--doc", json.dumps({"lattice": _chain2(
         tensor=[["0", "1"], ["0", "1"]])})),
-    # algebra._first_violation and Space.pushed_index: the blocks decide a
-    # holding check, so only a failing one sweeps, here graded -> crisp
-    ("check", "dia-hom", "--doc", json.dumps({
-        "lattice": {"kind": "godel_chain", "n": 3},
-        "universes": {"X": ["a", "b"]},
-        "partitions": {
-            "G": {"universe": "X", "blocks": {"a": {"a": "1", "b": "1/2"},
-                                              "b": {"a": "0", "b": "1"}}},
-            "C": {"universe": "X", "blocks": {"a": {"a": "1", "b": "0"},
-                                              "b": {"a": "0", "b": "1"}}}},
-        "maps": {"id": {"source": "X", "target": "X",
-                        "values": {"a": "a", "b": "b"}}}}),
-     "--map", "id", "--source-partition", "G", "--target-partition", "C"),
 ]
 
 # protocol methods and immutability guards: safety code no command needs
