@@ -4,14 +4,15 @@ pointwise operator.
 The component of block j is the join over the universe of block(x) tensor
 f(x).  The field sends each point to the component of its own block, which
 on identity-indexed partitions is precisely the operator on L^X used by the
-coalgebra and dialgebra constructions.
+coalgebra and dialgebra constructions, whose laws `transform_law_suite`
+checks by one-point joins.
 """
 
 from __future__ import annotations
 
 from .errors import MismatchError
-from .fuzzyset import FuzzySet, Space, Universe
-from .lattice import DEFAULT_BUDGET, LawReport, _masks
+from .fuzzyset import FuzzySet, Space
+from .lattice import DEFAULT_BUDGET, LawReport
 from .partition import FuzzyPartition, relation_from_partition
 from .relation import upper_approx
 
@@ -56,32 +57,32 @@ def transform_law_suite(p: FuzzyPartition,
     partition: a false clause means the lattice tables or this code are
     wrong.
 
-    A law that pairs f with a constant or with every g reads the index of
-    the combined set from one `Space.image_index` column, so each pair costs
-    one comparison.  The components of set i, `columns[b][i]`, are read two
-    ways: `image[i]` is their index in the space of block values, compared
-    for equality, and `down[i]` holds the down-set of block b's component
-    in bits b*n to b*n+n-1, so components compare blockwise by
-    `down[i] & ~down[j]` and the down-set of a meet is the intersection.
+    No clause visits pairs.  Every g >= f is reached from f by one-point
+    joins f v e(x, a), e(x, a) being a at x and bottom elsewhere, and every
+    set is a join of these.  So the components C are monotone iff
+    C(f) <= C(f v e(x, a)), and preserve binary joins iff
+    C(f v e(x, a)) = C(f) v C(e(x, a)), for all f, x and a; meets only
+    shrink iff C is monotone, as f <= g gives f ^ g = f.
     """
     lat = p.lattice
     space = Space(lat, p.universe, budget, "transform law suite")
-    blocks = Space(lat, Universe(p.universe.name, p.names))
-    dim = len(p.universe)
+    dim, bottom = len(p.universe), lat.bottom
     columns = [space.upper(block.values) for block in p.blocks]
-    field = [columns[b] for b in p.xi]
-    image = blocks.index_of(columns, space.size)
-    down_of = _masks(lat.leq)[0]
-    down = [0] * space.size
-    for b, column in enumerate(columns):
-        shift = b * len(lat)
-        down = [m | down_of[c] << shift for m, c in zip(down, column)]
-    leq, d = lat.leq, lat.displays
+    leq, join, d = lat.leq, lat.join, lat.displays
     found: dict = {}
     fail = found.setdefault  # a clause keeps its first counterexample
 
-    def show(values):
-        return tuple(d[v] for v in values)
+    def show(*indices):
+        return ", ".join(str(tuple(d[v] for v in space.values_at(i)))
+                         for i in indices)
+
+    def first_miss(moved, rows):
+        """The first i where some column[moved[i]] != row[column[i]]."""
+        return min((next(i for i, (j, v) in enumerate(zip(moved, column))
+                         if column[j] != row[v])
+                    for column, row in zip(columns, rows)
+                    if [column[j] for j in moved] != [row[v] for v in column]),
+                   default=None)
 
     for a in lat.elements():
         i = space.index((a,) * dim)
@@ -90,41 +91,40 @@ def transform_law_suite(p: FuzzyPartition,
             fail("constant",
                  f"constant {d[a]} transforms to {[d[v] for v in got]}")
 
-    # one sweep of the sets for every clause but tensor scaling; the field
-    # is checked against the per-set `upper_approx` along the induced
-    # relation: two code paths for one function, so no lattice can make
-    # that clause fail, only a defect in one of the paths
-    above = [[b for b in lat.elements() if leq[a][b]] for a in lat.elements()]
-    rel = relation_from_partition(p)
-    for i, f in enumerate(space.values()):
-        for j in space.image_index([above[v] for v in f]):
-            if down[i] & ~down[j]:
-                fail("monotone", f"{show(f)} <= {show(space.values_at(j))} "
-                                 f"but components drop")
-        joined = space.image_index([lat.join[v] for v in f])
-        met = space.image_index([lat.meet[v] for v in f])
-        block_joined = blocks.image_index([lat.join[column[i]]
-                                           for column in columns])
-        for j in range(i, space.size):
-            if image[joined[j]] != block_joined[image[j]]:
-                fail("join_preserving",
-                     f"pair ({show(f)}, {show(space.values_at(j))})")
-            if down[met[j]] & ~(down[i] & down[j]):
-                fail("meet_subhomomorphism",
-                     f"pair ({show(f)}, {show(space.values_at(j))})")
-        fld = tuple(column[i] for column in field)
-        if any(not leq[a][b] for a, b in zip(f, fld)):
-            fail("inflationary", f"{show(f)} not below its field")
-        if upper_approx(rel, FuzzySet(lat, p.universe, f)).values != fld:
-            fail("field_equals_upper_approx",
-                 f"field of {show(f)} differs from the approximation")
+    for x in range(dim):
+        for a in lat.elements():
+            joined = space.image_index([join[a if y == x else bottom]
+                                        for y in range(dim)])
+            e = joined[space.index((bottom,) * dim)]  # e(x, a)
+            i = first_miss(joined, [join[column[e]] for column in columns])
+            if i is None:
+                continue
+            fail("join_preserving", f"pair ({show(*sorted((i, e)))})")
+            for f, g in enumerate(joined):
+                if any(not leq[c[f]][c[g]] for c in columns):
+                    fail("monotone", f"{show(f)} <= {show(g)} "
+                                     f"but components drop")
+                    fail("meet_subhomomorphism",
+                         f"pair ({show(*sorted((f, g)))})")
+                    break
 
     for a in lat.elements():
-        scaled = space.image_index([lat.tensor[a]] * dim)
-        block_scaled = blocks.image_index([lat.tensor[a]] * len(p.names))
-        for i, f in enumerate(space.values()):
-            if image[scaled[i]] != block_scaled[image[i]]:
-                fail("tensor_scaling", f"constant {d[a]} with {show(f)}")
+        i = first_miss(space.image_index([lat.tensor[a]] * dim),
+                       [lat.tensor[a]] * len(columns))
+        if i is not None:
+            fail("tensor_scaling", f"constant {d[a]} with {show(i)}")
+
+    # the field against the per-set `upper_approx` along the induced
+    # relation: two code paths for one function, so only a defect fails it
+    field = [columns[b] for b in p.xi]
+    rel = relation_from_partition(p)
+    for i, f in enumerate(space.values()):
+        fld = tuple(column[i] for column in field)
+        if any(not leq[a][b] for a, b in zip(f, fld)):
+            fail("inflationary", f"{show(i)} not below its field")
+        if upper_approx(rel, FuzzySet(lat, p.universe, f)).values != fld:
+            fail("field_equals_upper_approx",
+                 f"field of {show(i)} differs from the approximation")
 
     # the clauses share sweeps, so their counterexamples go in clause order
     clauses = ("constant", "monotone", "tensor_scaling", "join_preserving",

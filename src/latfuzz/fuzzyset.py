@@ -15,9 +15,9 @@ naming `what` and the exact `|L|^|X|`, when the space holds more than
 point, a transform component, the index of an image set), each computed by
 a prefix-shared fold in about `|space|` list steps, instead of building and
 validating one `FuzzySet` per index.
-`Space.image_index` is the column the law checks sweep pairs with: for a
-fixed f it gives the index of f meet g (join, tensor) for every g, so a
-pair law costs one fold per set plus one comparison per pair.
+`Space.image_index` gives, for a fixed f, the index of f meet g (join,
+tensor) for every g: `check_system` scans its pairs with one such column
+per set, and the transform laws join every set with one point at a time.
 `Space.meets_above` meets columns over the up-set of each f, for the
 closure operator of a system and the cut test of its meet axiom.
 """
@@ -191,10 +191,7 @@ class Space:
 
     def image_index(self, rows) -> list[int]:
         """For every f, the index of the set x -> rows[x][f(x)]: one
-        additive fold over the weighted rows.  Rows of other lengths give
-        the index of every set in the product of the rows, choices in
-        lexicographic order: with rows[x] the values above f(x) in ascending
-        order, the sets above f in enumeration order."""
+        additive fold over the weighted rows."""
         return self._fold([[w * r for r in row]
                            for w, row in zip(self.weights, rows)])
 

@@ -61,9 +61,14 @@ def test_law_suite_on_parity_window():
     assert report.all_hold, report
 
 
-# Gödel 3-chain tensor rows replaced by hand (0, 1/2, 1 are ordinals 0, 1,
-# 2): a row [0, 1, 0] is not monotone, and a top row other than [0, 1, 2]
-# makes top no unit.
+# Tensor rows replaced by hand, on the Gödel 3-chain (0, 1/2, 1 are
+# ordinals 0, 1, 2) or, for rows of four, on boolean(2) ({}, {a}, {b},
+# {a,b}).  A Gödel row [0, 1, 0] is not monotone, and a top row other than
+# [0, 1, 2] makes top no unit.  On a chain a monotone one-point row
+# preserves joins, so only the boolean case tells the two laws apart:
+# {a}*{a} = {} keeps every row monotone, but {a}*({a} v {b}) = {a} is not
+# {a}*{a} v {a}*{b} = {}.
+BASES = {3: lf.godel_chain(3), 4: lf.boolean_algebra(2)}
 CORRUPTED_TENSORS = [
     ({1: (0, 1, 0)},
      {"monotone", "tensor_scaling", "join_preserving", "meet_subhomomorphism"}),
@@ -71,19 +76,26 @@ CORRUPTED_TENSORS = [
     ({2: (0, 1, 0)},
      {"constant", "monotone", "tensor_scaling", "join_preserving",
       "meet_subhomomorphism", "inflationary"}),
+    ({1: (0, 0, 0, 1)}, {"join_preserving", "tensor_scaling"}),
 ]
+
+
+def corrupted_partition(rows):
+    """Blocks A = (top, 1) and B = (bottom, top) on (x0, x1), over the base
+    lattice of `rows` with those tensor rows."""
+    base = BASES[len(next(iter(rows.values())))]
+    tensor = tuple(rows.get(a, row) for a, row in enumerate(base.tensor))
+    lat = lf.replace(base, tensor=tensor)
+    uni = lf.Universe("X", ("x0", "x1"))
+    return lf.validate_partition(uni, [
+        ("A", lf.FuzzySet(lat, uni, (lat.top, 1))),
+        ("B", lf.FuzzySet(lat, uni, (lat.bottom, lat.top))),
+    ])
 
 
 @pytest.mark.parametrize("rows, failing", CORRUPTED_TENSORS)
 def test_law_suite_clauses_can_fail(rows, failing):
-    base = lf.godel_chain(3)
-    tensor = tuple(rows.get(a, row) for a, row in enumerate(base.tensor))
-    lat = lf.replace(base, tensor=tensor)
-    uni = lf.Universe("X", ("x0", "x1"))
-    p = lf.validate_partition(uni, [
-        ("A", lf.FuzzySet(lat, uni, (2, 1))),
-        ("B", lf.FuzzySet(lat, uni, (0, 2))),
-    ])
+    p = corrupted_partition(rows)
     found = lf.ftransform.transform_law_suite(p).counterexamples
     assert set(found) == failing
     assert all(found.values())

@@ -6,17 +6,24 @@ tensor f, ...) from one `Space.image_index` column instead of building the
 set's value tuple and looking its index up, pair by pair.  The functions
 below are those pairwise sweeps as they were before, kept verbatim apart
 from their names, the result cache the checkers no longer keep, and their
-return type: each now returns a `LawReport`.  The rewritten checks must
-print the same report bytes in the CLI's layouts (every flag, every
+return type: each now returns a `LawReport`.  The rewritten `check_system`
+must print the same report bytes in the CLI's layout (every flag, every
 counterexample text, in the same key order) on Gödel and Łukasiewicz
 chains, `boolean(2)` and `grid23`, over universes of 0 to 4 points: random
 explicit systems, partition-derived ones as they are and with random
-entries perturbed, and partitions over lattices whose tensor was corrupted,
-so the transform clauses fail too.  Among the explicit systems are ones
-where `strong` fails before `enriched`, whose counterexamples
-`check_system` reports in the order it finds them, not in clause order.
-The closure-operator axioms have no package checker; their pairwise sweep
-is `reference_check_operator` in `tests/reference.py`.
+entries perturbed.  Among the explicit systems are ones where `strong`
+fails before `enriched`, whose counterexamples `check_system` reports in
+the order it finds them, not in clause order.  The closure-operator axioms
+have no package checker; their pairwise sweep is
+`reference_check_operator` in `tests/reference.py`.
+
+`transform_law_suite` decides `monotone`, `join_preserving` and
+`meet_subhomomorphism` by one-point joins f v e(x, a), visiting no pair,
+so where they fail it may name another pair than the pair sweep's first.
+On random partitions over the same lattices, with and without a corrupted
+tensor, every clause must get the reference's verdict, the clauses swept
+set by set its text, and those three clauses a named pair that breaks the
+clause by its own definition on the components `ft_transform` gives.
 
 `law_suite` checks its nine clauses in two sweeps, one of the carrier
 and one of the triples, and checks the indexed-family clauses on the
@@ -39,6 +46,7 @@ the comparisons catch each mutant.
 import inspect
 import random
 import textwrap
+from ast import literal_eval
 from itertools import combinations, product
 
 import pytest
@@ -53,6 +61,7 @@ from latfuzz.lattice import DEFAULT_BUDGET, Lattice, LawReport
 from latfuzz.partition import FuzzyPartition, relation_from_partition
 from lattices import spaces, with_product
 from reference import constant, ensure_budget, set_index, show_set
+from test_ftransform import CORRUPTED_TENSORS, corrupted_partition
 from test_space_differential import (
     LATTICES,
     random_partition,
@@ -456,10 +465,66 @@ def system_matches(system) -> bool:
             and cut_verdict(system) == reference.holds("axiom_ii"))
 
 
-def transform_reports(p):
-    return tuple(report_text(cli._suite_json(report, "universe", "laws"))
-                 for report in (ftransform.transform_law_suite(p),
-                                reference_transform_law_suite(p)))
+# the clauses swept set by set, whose texts the pair sweep's must equal
+SET_CLAUSES = ("constant", "tensor_scaling", "inflationary",
+               "field_equals_upper_approx")
+
+
+def named_pair(p, text):
+    """The two value tuples a `monotone` or pair counterexample names."""
+    text = text.removeprefix("pair ").removesuffix(" but components drop")
+    return [tuple(map(p.lattice.parse, s))
+            for s in literal_eval(text.replace(" <= ", ", "))]
+
+
+def breaks(p, clause, text) -> bool:
+    """The pair `text` names breaks `clause` by the clause's own definition
+    on the components `ft_transform` gives: for `monotone` f <= g and some
+    component drops; for a pair, written lower index first, C(f v g) !=
+    C(f) v C(g), or C(f ^ g) !<= C(f) ^ C(g)."""
+    lat = p.lattice
+    f, g = named_pair(p, text)
+
+    def comps(values):
+        return lf.ft_transform(p, FuzzySet(lat, p.universe, values))
+
+    def pointwise(table, u, v):
+        return tuple(table[a][b] for a, b in zip(u, v))
+
+    def below(u, v):
+        return all(lat.leq[a][b] for a, b in zip(u, v))
+
+    if clause == "monotone":
+        return below(f, g) and not below(comps(f), comps(g))
+    space = Space(lat, p.universe)
+    if space.index(f) > space.index(g):
+        return False
+    if clause == "join_preserving":
+        return (comps(pointwise(lat.join, f, g))
+                != pointwise(lat.join, comps(f), comps(g)))
+    return not below(comps(pointwise(lat.meet, f, g)),
+                     pointwise(lat.meet, comps(f), comps(g)))
+
+
+def transform_mismatches(p) -> list:
+    """Where `transform_law_suite` and the pair sweep disagree: the clauses
+    whose verdicts differ, whose texts differ for a clause swept set by
+    set, or whose named pair breaks no law; "order" when the
+    counterexamples are listed in another order."""
+    new = ftransform.transform_law_suite(p)
+    reference = reference_transform_law_suite(p)
+    mismatches = [] if list(new.counterexamples) == \
+        list(reference.counterexamples) else ["order"]
+    for clause in reference.clauses:
+        text = new.counterexamples.get(clause)
+        if clause in SET_CLAUSES:
+            same = text == reference.counterexamples.get(clause)
+        else:
+            same = (text is None) == reference.holds(clause) and \
+                (text is None or breaks(p, clause, text))
+        if not same:
+            mismatches.append(clause)
+    return mismatches
 
 
 # one lattice, one universe size (0-4 points, at most 256 sets, so the
@@ -499,8 +564,7 @@ def test_check_system_matches_the_pairwise_sweep(case, kind):
 @example(("godel3", 4, 3, True))
 def test_transform_law_suite_matches_the_pairwise_sweep(case):
     lat, uni, rng = setup(case, min_points=1)
-    new, reference = transform_reports(random_partition(rng, lat, uni))
-    assert new == reference
+    assert transform_mismatches(random_partition(rng, lat, uni)) == []
 
 
 def lattice_reports(lat):
@@ -557,24 +621,41 @@ def test_cut_test_matches_the_pairwise_sweep(system):
         axioms_text(reference)
 
 
-def test_passing_system_folds_at_most_the_first_rows(monkeypatch):
+@pytest.fixture
+def folds(monkeypatch):
+    """A count, in `folds[0]`, of the `Space.image_index` columns folded
+    from here on."""
+    count = [0]
+    image_index = Space.image_index
+
+    def counted(self, rows):
+        count[0] += 1
+        return image_index(self, rows)
+
+    monkeypatch.setattr(Space, "image_index", counted)
+    return count
+
+
+def test_passing_system_folds_at_most_the_first_rows(folds):
     """On a passing 4096-set system, the pair scan folds only its first
     |X|^2 rows: the cut test decides the rest."""
     lat, uni = lf.boolean_algebra(2), universe("X", 6)
     system = lf.system_from_partition(random_partition(random.Random(5),
                                                        lat, uni))
-    folds = 0
-    image_index = Space.image_index
-
-    def counted(self, rows):
-        nonlocal folds
-        folds += 1
-        return image_index(self, rows)
-
-    monkeypatch.setattr(Space, "image_index", counted)
     assert closure.check_system(system).all_hold
     # less the enriched and strong columns, one each per constant
-    assert folds - 2 * len(lat) <= len(uni) ** 2
+    assert folds[0] - 2 * len(lat) <= len(uni) ** 2
+
+
+def test_transform_law_suite_folds_once_per_point_and_value(folds):
+    """On a passing 4096-set partition, the transform laws fold one column
+    per point and value, for the one-point joins, and one per constant,
+    for tensor scaling: |X|.|L| + |L| in all, where a pair sweep folds
+    columns per set."""
+    lat, uni = lf.boolean_algebra(2), universe("X", 6)
+    p = random_partition(random.Random(5), lat, uni)
+    assert ftransform.transform_law_suite(p).all_hold
+    assert folds[0] <= len(uni) * len(lat) + len(lat)
 
 
 def interleaved_system():
@@ -597,12 +678,16 @@ def test_check_system_reports_counterexamples_in_the_order_found():
 # the comparisons above catch one-line mutants of the rewritten sweeps
 
 def _all_match() -> bool:
-    """Every check agrees with its reference on a fixed battery; the cut
-    test also on its own, on the kinds of system made for it."""
+    """Every check agrees with its reference on a fixed battery, the
+    transform laws also on the hand-corrupted tensors; the cut test also
+    on its own, on the kinds of system made for it."""
     try:
         if not (system_matches(interleaved_system())
                 and system_matches(grid_system())):
             return False
+        for rows, _ in CORRUPTED_TENSORS:
+            if transform_mismatches(corrupted_partition(rows)):
+                return False
         for name in sorted(LATTICES):
             for seed in range(6):
                 new, reference = lattice_reports(
@@ -619,9 +704,7 @@ def _all_match() -> bool:
                 for kind in ("random", "partition", "perturbed"):
                     if not system_matches(make_system(rng, lat, uni, kind)):
                         return False
-                new, reference = transform_reports(
-                    random_partition(rng, lat, uni))
-                if new != reference:
+                if transform_mismatches(random_partition(rng, lat, uni)):
                     return False
         for name in sorted(WIDE_LATTICES):
             lat = WIDE_LATTICES[name]
@@ -649,16 +732,29 @@ MUTANTS = [
                  '"strong": image_membership(lat.tensor[a])',
                  '"strong": image_membership(lat.residuum[a])',
                  id="check_system-1"),
-    # transform_law_suite's join sweep; the id is kept from when the
-    # closure-operator checker shared it
+    # transform_law_suite's one-point sweep: steps at the first point only;
+    # a step by meet, not join; meet_subhomomorphism not failed with
+    # monotone; the drop tested the wrong way; the join law's pair named
+    # as (f, f v e(x, a)), not (f, e(x, a))
     pytest.param(ftransform, "transform_law_suite",
-                 "image[joined[j]] != block_joined[image[j]]",
-                 "image[joined[j]] != block_joined[j]",
-                 id="check_operator-2"),
+                 "for x in range(dim):", "for x in range(min(dim, 1)):",
+                 id="transform_law_suite-first-point-only"),
     pytest.param(ftransform, "transform_law_suite",
-                 "down[met[j]] & ~(down[i] & down[j])",
-                 "down[j] & ~(down[i] & down[met[j]])",
-                 id="transform_law_suite-3"),
+                 "joined = space.image_index([join[a if y == x else bottom]",
+                 "joined = space.image_index([lat.meet[a if y == x else "
+                 "lat.top]",
+                 id="transform_law_suite-meet-step"),
+    pytest.param(ftransform, "transform_law_suite",
+                 'fail("meet_subhomomorphism",',
+                 'found.get("meet_subhomomorphism",',
+                 id="transform_law_suite-meet-not-with-monotone"),
+    pytest.param(ftransform, "transform_law_suite",
+                 "if any(not leq[c[f]][c[g]] for c in columns):",
+                 "if any(not leq[c[g]][c[f]] for c in columns):",
+                 id="transform_law_suite-drop-reversed"),
+    pytest.param(ftransform, "transform_law_suite",
+                 "show(*sorted((i, e)))", "show(*sorted((i, joined[i])))",
+                 id="transform_law_suite-join-pair-not-generator"),
     pytest.param(lf.fuzzyset.Space, "image_index", "zip(self.weights, rows)",
                  "zip(reversed(self.weights), rows)",
                  id="image_index-4"),
