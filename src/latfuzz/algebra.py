@@ -8,12 +8,12 @@ coalgebra reads it as point -> (set -> value), a dialgebra as
 and the conversions only flip the tag, which is what makes the isomorphism
 and adjunction checks exact.
 
-A table keeps the partition it is derived from; `transform_table` builds
-its rows where they are printed.  The homomorphism checks read
-only the blocks: both sides of either check preserve joins in the swept
-set, so the generators e(s, a), the set that is `a` at point s and bottom
-elsewhere, decide it and, when bottom is ordinal 0, also come first in the
-sweep's order among its violations (README).
+A table keeps the partition it is derived from; `transform_table` yields
+its rows one at a time, as the report prints them.  The homomorphism
+checks read only the blocks: both sides of either check preserve joins in
+the swept set, so the generators e(s, a), the set that is `a` at point s
+and bottom elsewhere, decide it and, when bottom is ordinal 0, also come
+first in the sweep's order among its violations (README).
 """
 
 from __future__ import annotations
@@ -33,11 +33,11 @@ class StructureTable(Record):
     partition: FuzzyPartition  # the blocks its rows are derived from
 
 
-def transform_table(p: FuzzyPartition) -> tuple[tuple[int, ...], ...]:
-    """The rows of p's structure table: per point, the transform component
-    of its own block at every set of the space, in enumeration order."""
+def transform_table(p: FuzzyPartition):
+    """Each row of p's structure table in turn: per point, the transform
+    component of its own block at every set, in enumeration order."""
     upper = Space(p.lattice, p.universe).upper
-    return tuple(tuple(upper(p.blocks[j].values)) for j in p.xi)
+    return (tuple(upper(p.blocks[j].values)) for j in p.xi)
 
 
 def _from_partition(p: FuzzyPartition, budget: int,

@@ -39,7 +39,8 @@ import os
 import sys
 import time
 from collections.abc import Callable
-from itertools import product
+from itertools import islice, product
+from types import GeneratorType
 
 from . import algebra, closure, ftransform, lattice, morphism, partition, relation
 from .document import SECTIONS, InstanceDocument, load_document
@@ -148,11 +149,11 @@ def _structure_json(struct) -> dict:
         "universe": struct.universe.name,
         "provenance": struct.provenance,
         "space": Space(lat, struct.universe).size,
-        "table": [
+        "table": (
             {"element": e, "values": [lat.displays[v] for v in row]}
             for e, row in zip(struct.universe.elements,
                               algebra.transform_table(struct.partition))
-        ],
+        ),
     }
 
 
@@ -628,13 +629,14 @@ def run(argv=None) -> int:
 
 # ---------------------------------------------------------------------------
 # report output: the text `json.dumps` writes with an indent of 2, laid out
-# with the C string encoder and one join per list of strings, since any
+# with the C string encoder and one join per run of strings, since any
 # indent makes `json` fall back to its pure-Python encoder.  The text goes out
 # in chunks, so a large report never exists as one string; and not piece by
 # piece, since where stdout is unbuffered (PYTHONUNBUFFERED) each write is a
 # system call.
 
 CHUNK = 1 << 16  # characters per write; the text is ASCII, so bytes too
+RUN = 2048  # strings of a list encoded and joined at a time
 
 _encode_str = json.encoder.encode_basestring_ascii
 
@@ -672,12 +674,13 @@ def _write_json(value, write) -> None:
 
 def _lay_out(value, indent: str, emit) -> None:
     """Emit the text of `value`, each of its lines after the first indented
-    by `indent` more.  A callable value lays itself out."""
+    by `indent` more.  A callable value lays itself out; a generator is laid
+    out as the list of what it yields, each item as it comes."""
     if isinstance(value, str):
         return emit(_encode_str(value))
     if callable(value):
         return value(indent, emit)
-    if not isinstance(value, (list, tuple, dict)):
+    if not isinstance(value, (list, tuple, dict, GeneratorType)):
         return emit(json.dumps(value))
     if not value:
         return emit("{}" if isinstance(value, dict) else "[]")
@@ -690,20 +693,23 @@ def _lay_out(value, indent: str, emit) -> None:
             _lay_out(v, inner, emit)
             head = sep
         return emit("\n" + indent + "}")
-    head = "[\n" + inner
-    if isinstance(value[0], str):
-        # a list of strings in one C-level pass; a later non-string makes
-        # the encoder raise and the list go item by item
+    head, start = "[\n" + inner, 0
+    if not isinstance(value, GeneratorType) and isinstance(value[0], str):
+        # a list of strings in runs, each in one C-level pass; a non-string
+        # makes the encoder raise, and the list go on item by item
         try:
-            return emit(head + sep.join(map(_encode_str, value))
-                        + "\n" + indent + "]")
+            for start in range(0, len(value), RUN):
+                emit(head + sep.join(map(_encode_str,
+                                         value[start:start + RUN])))
+                head = sep
+            return emit("\n" + indent + "]")
         except TypeError:
             pass
-    for v in value:
+    for v in islice(value, start, None):
         emit(head)
         _lay_out(v, inner, emit)
         head = sep
-    emit("\n" + indent + "]")
+    emit("\n" + indent + "]" if head == sep else "[]")
 
 
 def _complain(line: str) -> None:

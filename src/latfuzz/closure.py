@@ -151,8 +151,9 @@ def check_system(system: ClosureSystem,
     (pairwise suffices for finite families; the empty meet is the top-set
     axiom), and stability under residuation/tensor with constants.
 
-    `enriched` and `strong` are swept together, constant by constant and set
-    by set, and their counterexamples are reported in the order found.
+    `enriched` and `strong` are swept constant by constant, one image
+    column at a time; at each constant their counterexamples are reported
+    in set order, `enriched` first at one set.
     """
     lat = system.lattice
     uni = system.universe
@@ -181,25 +182,25 @@ def check_system(system: ClosureSystem,
         low = meet[table[i]]
         j = next((j for j in range(i, space.size)
                   if not leq[low[table[j]]][table[met[j]]]), None)
+        del met  # before the next row's column is built
         if j is not None:
             counter["axiom_ii"] = (
                 f"pair ({_show(lat, f)}, {_show(lat, space.values_at(j))})"
             )
             break
 
-    def image_membership(row):  # small cached ints, unlike set indices
-        return [table[j] for j in space.image_index([row] * len(uni))]
-
     for a in lat.elements():
-        columns = {"enriched": image_membership(lat.residuum[a]),
-                   "strong": image_membership(lat.tensor[a])}
-        for i, t in enumerate(table):
-            for key, column in columns.items():
-                if key not in counter and not leq[t][column[i]]:
-                    f = space.values_at(i)
-                    counter[key] = (
-                        f"constant {lat.displays[a]} with {_show(lat, f)}"
-                    )
+        found = []
+        for key, row in (("enriched", lat.residuum[a]),
+                         ("strong", lat.tensor[a])):
+            if key not in counter:
+                for i, j in enumerate(space.image_index([row] * len(uni))):
+                    if not leq[table[i]][table[j]]:
+                        found.append((i, key))
+                        break
+        for i, key in sorted(found):
+            f = space.values_at(i)
+            counter[key] = f"constant {lat.displays[a]} with {_show(lat, f)}"
         if "enriched" in counter and "strong" in counter:
             break
 

@@ -6,20 +6,22 @@ must parse into the declared lattice, and every partition/candidate is fully
 validated.  Non-fatal oddities (declared pairs outside the graph of an index
 map) are collected as warnings.
 
-A document can hold explicit systems of thousands of entries, so a
-document's text is read one value at a time with `json`'s own scanner, and
-each `systems` entry list is read one entry at a time straight into its
-table: no decoded tree of a whole space ever exists.  `_system_table` is
-the one reader of an entry list, a single pass over any iterable: an
-entry's index is the sum of one dict lookup per point, and the first fault
-raises the plain loop's error.  Anything out of the ordinary (the lattice,
-the universes or a system's universe after its entries, a repeated key,
-text that is not plain JSON, any error) sends the whole text to
-`json.loads` instead, so every table, error and message stays the same.
+A document can hold explicit systems of thousands of entries, so a file is
+read in windows of `WINDOW` characters, one value at a time with `json`'s
+own scanner, and each `systems` entry list one entry at a time straight
+into its table: neither the whole text nor a decoded tree of a whole space
+ever exists.  `_system_table` is the one reader of an entry list, a single
+pass over any iterable: an entry's index is the sum of one dict lookup per
+point, and the first fault raises the plain loop's error.  Anything out of
+the ordinary (the lattice, the universes or a system's universe after its
+entries, a repeated key, text that is not plain JSON or not UTF-8, any
+error) sends the whole text to `json.loads` instead, so every table, error
+and message stays the same.
 """
 
 from __future__ import annotations
 
+import io
 import json
 import os
 from collections import defaultdict
@@ -103,26 +105,29 @@ def load_document(source, budget: int = DEFAULT_BUDGET) -> InstanceDocument:
 
 
 _TEXT_STARTS = ("{", "[", "\ufeff")
+WINDOW = 1 << 16  # characters of a file read at a time
 
 
 def _decode(source: str | Path, budget: int):
     """The JSON value of a document given as a path or as JSON text, with
     each system's entries already read into its table, and the lattice if
-    that read built it.  A file's text lives only in this frame, so it is
-    freed before the document is built from the value."""
-    if not (isinstance(source, str) and source.lstrip()[:1] in _TEXT_STARTS
-            and not os.path.isfile(source)):
-        try:
-            source = Path(source).read_text(encoding="utf-8")
-        except (OSError, UnicodeDecodeError) as exc:
-            raise DocumentError(f"cannot read document: {exc}") from exc
-    reader = _Reader(source, budget)
+    that read built it.  A file's whole text is read only for `json.loads`,
+    when the streamed read gives up."""
+    text = (isinstance(source, str) and source.lstrip()[:1] in _TEXT_STARTS
+            and not os.path.isfile(source) and source)
     try:
-        return reader.document(), reader.lattice
-    except (_Irregular, ValueError, RecursionError):
-        pass
+        with (io.StringIO() if text else
+              Path(source).open(encoding="utf-8")) as file:
+            reader = _Reader(text or "", file, budget)
+            try:
+                return reader.document(), reader.lattice
+            except (_Irregular, ValueError, RecursionError):
+                pass
+        text = text or Path(source).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DocumentError(f"cannot read document: {exc}") from exc
     try:
-        return json.loads(source), None
+        return json.loads(text), None
     except json.JSONDecodeError as exc:
         raise DocumentError(f"document is not valid JSON: {exc}") from exc
     except RecursionError:
@@ -144,21 +149,33 @@ class _Table(list):
 
 class _Reader:
     """A document's text, read as `json.loads` reads it, one value at a time
-    from a cursor `i`, except that the entries of each system go straight
-    into its table.  Whatever this read does not expect raises
-    `_Irregular`."""
+    from a cursor `i` in a window `text` of `file`, except that the entries
+    of each system go straight into its table.  A value is taken only once
+    three more characters are in the window: a number cut in its fraction
+    or exponent ends two before.  Anything unexpected raises `_Irregular`."""
 
-    def __init__(self, text: str, budget: int):
+    def __init__(self, text: str, file, budget: int):
         self.text = text
+        self.file = file
         self.budget = budget
         self.i = 0
         self.lattice = None
 
+    def _more(self) -> bool:
+        """Whether the file goes on; if so, the window keeps its text from
+        the cursor on and grows geometrically, by that much or `WINDOW`."""
+        chunk = self.file.read(max(WINDOW, len(self.text) - self.i))
+        if chunk:
+            self.text, self.i = self.text[self.i:] + chunk, 0
+        return bool(chunk)
+
     def _next(self) -> str:
         """The character after any whitespace at the cursor, which moves
-        onto it."""
-        self.i = _skip(self.text, self.i).end()
-        return self.text[self.i:self.i + 1]
+        onto it; empty at the end of the text."""
+        while True:
+            self.i = _skip(self.text, self.i).end()
+            if self.i < len(self.text) or not self._more():
+                return self.text[self.i:self.i + 1]
 
     def _take(self, char: str) -> None:
         if self._next() != char:
@@ -167,11 +184,16 @@ class _Reader:
 
     def _value(self):
         self._next()
-        try:
-            value, self.i = _scan(self.text, self.i)
-        except StopIteration:
-            raise _Irregular from None
-        return value
+        while True:
+            try:
+                value, end = _scan(self.text, self.i)
+            except (StopIteration, ValueError):  # or cut at the window's end
+                if self._more():
+                    continue
+                raise _Irregular from None
+            if end + 2 < len(self.text) or not self._more():
+                self.i = end
+                return value
 
     def _keys(self):
         """Each key of the object at the cursor, the cursor then at its
@@ -233,30 +255,31 @@ class _Reader:
             raise _Irregular from None
 
     def _entries(self):
-        """Each entry of the list at the cursor, decoded one at a time."""
-        self._take("[")
-        if self._next() == "]":
-            self.i += 1
-            return
-        text = self.text
-        i = self.i
-        try:
-            while True:
-                entry, i = _scan(text, i)
-                yield entry
-                # the regex only where there is whitespace, which compact
-                # text has none of
-                if text[i] in _SPACE:
-                    i = _skip(text, i).end()
-                if text[i] != ",":
-                    break
-                i += 1
-                if text[i] in _SPACE:
-                    i = _skip(text, i).end()
-        except (StopIteration, IndexError):  # no value, or the text ends
-            raise _Irregular from None
-        self.i = i
-        self._take("]")
+        """Each entry of the list at the cursor, decoded one at a time, and
+        only once the character after it is in the window."""
+        self._take("[")  # an empty list falls back: its table misses a set
+        while True:
+            text, i = self.text, self.i
+            try:
+                while True:
+                    # the regex only where there is whitespace, which compact
+                    # text has none of
+                    if text[i] in _SPACE:
+                        i = _skip(text, i).end()
+                    entry, i = _scan(text, i)
+                    if text[i] in _SPACE:
+                        i = _skip(text, i).end()
+                    if text[i] != ",":
+                        break
+                    self.i = i = i + 1
+                    yield entry
+            except (StopIteration, IndexError, ValueError):  # the window ends
+                if self._more():
+                    continue
+                raise _Irregular from None
+            self.i = i
+            yield entry
+            return self._take("]")
 
 
 # the object sections of a document, in load order, with the keys each

@@ -57,19 +57,19 @@ def relation_from_system(system, budget: int = DEFAULT_BUDGET) -> FuzzyRelation:
     res, meet = lat.residuum, lat.meet
     n = len(lat)
     points = range(len(universe))
-    rows = []
-    for x in points:
+    rows = [[lat.top] * len(universe) for _ in points]  # u -> (a -> a) = top
+    for x in points[:-1]:  # the last point has no z after it
         # each (membership, f(x), f(z)) triple that occurs, coded u*n*n +
-        # f(x)*n + f(z); the meet needs each distinct term only once
+        # f(x)*n + f(z): the meet needs each distinct term only once, and
+        # R(z, x) the same triples with f(x) and f(z) swapped
         prefix = [(u * n + a) * n
                   for u, a in zip(system.table, space.digits(x))]
-        row = []
-        for z in points:
-            acc = lat.top
+        for z in points[x + 1:]:
+            to_z = to_x = lat.top
             for code in set(map(add, prefix, space.digits(z))):
                 ua, b = divmod(code, n)
                 u, a = divmod(ua, n)
-                acc = meet[acc][res[u][res[a][b]]]
-            row.append(acc)
-        rows.append(tuple(row))
-    return FuzzyRelation(lat, universe, tuple(rows))
+                to_z = meet[to_z][res[u][res[a][b]]]
+                to_x = meet[to_x][res[u][res[b][a]]]
+            rows[x][z], rows[z][x] = to_z, to_x
+    return FuzzyRelation(lat, universe, tuple(map(tuple, rows)))

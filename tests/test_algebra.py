@@ -56,7 +56,7 @@ def collapse(uni_x2, uni_s):
 
 def rows(table):
     """The rows of a structure table, as `coalg` and `dialg` print them."""
-    return lf.transform_table(table.partition)
+    return tuple(lf.transform_table(table.partition))
 
 
 def test_structure_values(l3, uni_x2, coalg_x2, dialg_x2):

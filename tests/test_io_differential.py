@@ -43,7 +43,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import latfuzz as lf
 from conftest import FIXTURES
-from latfuzz import cli
+from latfuzz import cli, document
 from latfuzz.closure import system_from_explicit
 from latfuzz.document import _system_table, load_document
 from latfuzz.fuzzyset import Space
@@ -394,6 +394,22 @@ def test_streamed_read_of_each_shape_matches_decoded_first(tmp_path, shape):
     text, budget, streams = SHAPES[shape]
     assert streams or (text, budget) != (_REGULAR, _SPACE)
     _assert_streams_as_decoded(tmp_path, text, budget, streams)
+
+
+@pytest.mark.parametrize("window", (1, 2, 3, 7, 40))
+def test_windows_cut_every_value_and_read_as_one(tmp_path, monkeypatch,
+                                                 window):
+    """Read in windows this small, every entry, number and run of
+    whitespace crosses a window's edge somewhere in the shapes: each still
+    loads as the whole text does, or fails with its error, and the regular
+    shapes never fall back to `json.loads`.  A window of one character
+    grows geometrically through the 10000-character nesting."""
+    monkeypatch.setattr(document, "WINDOW", window)
+    shapes = dict(SHAPES, numbers=(_REGULAR.replace("{", (
+        '{"n": 12345678901234567890,  \n\t "m": -0.125e-07, "k": [7, 8],'
+        ), 1), _SPACE, True))
+    for text, budget, streams in shapes.values():
+        _assert_streams_as_decoded(tmp_path, text, budget, streams)
 
 
 # ---------------------------------------------------------------------------

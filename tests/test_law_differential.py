@@ -728,10 +728,15 @@ MUTANTS = [
                  "        j = next((j for j in range(i, space.size)",
                  "        j = next((j for j in range(i + 2, space.size)",
                  id="check_system-0"),
+    # the image column scan: the inequality read the wrong way round; a
+    # constant's misses in clause order, not in set order
     pytest.param(closure, "check_system",
-                 '"strong": image_membership(lat.tensor[a])',
-                 '"strong": image_membership(lat.residuum[a])',
+                 "if not leq[table[i]][table[j]]:",
+                 "if not leq[table[j]][table[i]]:",
                  id="check_system-1"),
+    pytest.param(closure, "check_system",
+                 "for i, key in sorted(found):", "for i, key in found:",
+                 id="check_system-clause-order"),
     # transform_law_suite's one-point sweep: steps at the first point only;
     # a step by meet, not join; meet_subhomomorphism not failed with
     # monotone; the drop tested the wrong way; the join law's pair named

@@ -8,14 +8,17 @@ exist as a decoded tree.  Printing the 4096-entry operator of that system
 may then reach little higher than building the operator does, because the
 report's entries are laid out one at a time and go out in chunks: neither
 the payload tree, nor the report as one string, nor its encoded copy ever
-exists.
+exists.  At 16384 entries the load holds less than the file's text, which
+it reads in windows; and printing a structure table holds less than its
+rows, which are built and laid out one at a time.
 
 Checking the closure-system laws on a 4096-set table holds less than the
 list of every value tuple of its space: a set is decoded from its index
-only for a scanned row or a counterexample.  The ftransform law suite on
-256 sets keeps per-set columns of components, their indices and their
-down-sets, under 3.5 times the list of every value tuple; holding that list
-as well takes it past four.
+only for a scanned row or a counterexample, and it holds one column of
+image indices at a time, each freed before the next is built.  The
+ftransform law suite on 256 sets keeps per-set columns of components, their
+indices and their down-sets, under 3.5 times the list of every value tuple;
+holding that list as well takes it past four.
 """
 
 import contextlib
@@ -23,6 +26,9 @@ import gc
 import json
 import random
 import tracemalloc
+from itertools import product
+
+import pytest
 
 import latfuzz as lf
 from latfuzz import cli, closure, ftransform
@@ -86,6 +92,10 @@ def test_system_check_holds_no_value_tuples():
     check = _peak(closure.check_system, system)
     tuples = _peak(list, Space(lat, uni).values())
     assert check < tuples, (check, tuples)
+    # and one image column at a time: the identity's, whose set indices
+    # are as large as any column's
+    column = _peak(Space(lat, uni).image_index, [lat.elements()] * len(uni))
+    assert check < 1.25 * column, (check, column)
 
 
 def test_transform_law_suite_holds_no_value_tuples():
@@ -100,3 +110,55 @@ def test_transform_law_suite_holds_no_value_tuples():
     suite = _peak(ftransform.transform_law_suite, p)
     tuples = _peak(list, Space(lat, uni).values())
     assert suite < 3.5 * tuples, (suite, tuples)
+
+
+@pytest.fixture(scope="module")
+def doc16k(tmp_path_factory):
+    """A compact document shaped like `big_system_doc`, at 16384 entries
+    (`boolean(2)` on 7 points), with an identity-indexed partition `I`:
+    block `p` is top at `p` and `{a}` elsewhere."""
+    lat = lf.boolean_algebra(2)
+    rng = random.Random(16384)
+    points = [f"u{k}" for k in range(7)]
+    entries = [[list(values), rng.choice(lat.displays)]
+               for values in product(lat.displays, repeat=7)]
+    blocks = {p: {q: "{a,b}" if q == p else "{a}" for q in points}
+              for p in points}
+    doc = {"lattice": {"kind": "boolean", "atoms": 2},
+           "universes": {"U": points},
+           "partitions": {"I": {"universe": "U", "blocks": blocks}},
+           "systems": {"S": {"universe": "U", "entries": entries}}}
+    path = tmp_path_factory.mktemp("doc16k") / "doc16k.json"
+    path.write_text(json.dumps(doc, separators=(",", ":")), encoding="utf-8")
+    return path
+
+
+def test_load_holds_less_than_the_text(doc16k):
+    """The file is read in windows, so loading it never holds its whole
+    text, let alone its text and its bytes."""
+    load = _peak(load_document, doc16k, 16384)
+    chars = len(doc16k.read_text(encoding="utf-8"))
+    assert load < chars, (load, chars)
+
+
+def test_structure_report_holds_one_row_at_a_time(doc16k, monkeypatch):
+    """`coalg` lays out each row of its table as `transform_table` yields
+    it, and each row's values in runs: after the load it holds less than
+    its rows as a tuple of tuples."""
+    p = load_document(doc16k, 16384).partition("I")
+    rows = _peak(lambda: tuple(lf.transform_table(p)))
+
+    def load(*args):
+        doc = load_document(*args)
+        tracemalloc.reset_peak()
+        return doc
+
+    def print_table():
+        with contextlib.redirect_stdout(_Discard()):
+            code = cli.run(["coalg", "--partition", "I", "--budget", "16384",
+                            "--doc", str(doc16k), "--no-timing"])
+        assert code == 0
+
+    monkeypatch.setattr(cli, "load_document", load)
+    after_load = _peak(print_table)
+    assert after_load < rows, (after_load, rows)
