@@ -137,13 +137,13 @@ def system_from_operator(op: ClosureOperator,
 # ---------------------------------------------------------------------------
 # the axiom checker
 #
-# The pair law is swept one set f at a time: `Space.image_index` gives the
-# index of f meet g for every g in one fold, so a pair costs one comparison.
-# The pairs run (f, g) with g from f on in enumeration order, and the sweep
-# stops at its first counterexample.  Past the first |X|^2 rows the verdict
-# comes from `_cuts_meet_closed`, in about |L| * |X|^2 * |space| steps, and
-# the scan resumes only to name the pair, so passing input does not pay
-# |space|^2.
+# The pair law is swept one set f at a time: `Space.image_lookup` gives the
+# membership of f meet g for every g in one fold, so a pair costs one
+# comparison.  The pairs run (f, g) with g from f on in enumeration order,
+# and the sweep stops at its first counterexample.  Past the first |X|^2
+# rows the verdict comes from `_cuts_meet_closed`, in about
+# |L| * |X|^2 * |space| steps, and the scan resumes only to name the pair,
+# so passing input does not pay |space|^2.
 
 def check_system(system: ClosureSystem,
                  budget: int = DEFAULT_BUDGET) -> LawReport:
@@ -178,10 +178,10 @@ def check_system(system: ClosureSystem,
 
     for i in rows():
         f = space.values_at(i)
-        met = space.image_index([meet[v] for v in f])
+        met = space.image_lookup([meet[v] for v in f], table)
         low = meet[table[i]]
         j = next((j for j in range(i, space.size)
-                  if not leq[low[table[j]]][table[met[j]]]), None)
+                  if not leq[low[table[j]]][met[j]]), None)
         del met  # before the next row's column is built
         if j is not None:
             counter["axiom_ii"] = (
@@ -194,8 +194,9 @@ def check_system(system: ClosureSystem,
         for key, row in (("enriched", lat.residuum[a]),
                          ("strong", lat.tensor[a])):
             if key not in counter:
-                for i, j in enumerate(space.image_index([row] * len(uni))):
-                    if not leq[table[i]][table[j]]:
+                image = space.image_lookup([row] * len(uni), table)
+                for i, (u, v) in enumerate(zip(table, image)):
+                    if not leq[u][v]:
                         found.append((i, key))
                         break
         for i, key in sorted(found):

@@ -8,10 +8,10 @@ map) are collected as warnings.
 
 A document can hold explicit systems of thousands of entries, so a file is
 read in windows of `WINDOW` characters, one value at a time with `json`'s
-own scanner, and each `systems` entry list one entry at a time straight
-into its table: neither the whole text nor a decoded tree of a whole space
-ever exists.  `_system_table` is the one reader of an entry list, a single
-pass over any iterable: an entry's index is the sum of one dict lookup per
+own scanner, and each `systems` entry list straight into its table: neither
+the whole text nor a decoded tree of a whole space ever exists.  Compact
+windows in `Space.values()` order are matched as text; `_system_table` reads
+the rest, one pass over any iterable: an entry's index sums a dict lookup per
 point, and the first fault raises the plain loop's error.  Anything out of
 the ordinary (the lattice, the universes or a system's universe after its
 entries, a repeated key, text that is not plain JSON or not UTF-8, any
@@ -24,9 +24,11 @@ from __future__ import annotations
 import io
 import json
 import os
+import re
 from collections import defaultdict
 from collections.abc import Iterable
-from operator import getitem
+from itertools import islice, product
+from operator import add, getitem
 from pathlib import Path
 
 from . import lattice as lattice_mod
@@ -136,7 +138,8 @@ def _decode(source: str | Path, budget: int):
 
 _scan = json.JSONDecoder().scan_once
 _skip = json.decoder.WHITESPACE.match
-_SPACE = " \t\n\r"
+# the `],` ending a compact entry's set, its member and its `]`
+_MEMBER = re.compile(r'(\],"[^"\\]*(?:\\.[^"\\]*)*"\])')
 
 
 class _Irregular(Exception):
@@ -149,10 +152,10 @@ class _Table(list):
 
 class _Reader:
     """A document's text, read as `json.loads` reads it, one value at a time
-    from a cursor `i` in a window `text` of `file`, except that the entries
-    of each system go straight into its table.  A value is taken only once
-    three more characters are in the window: a number cut in its fraction
-    or exponent ends two before.  Anything unexpected raises `_Irregular`."""
+    from a cursor `i` in a window `text` of `file`, but a system's entries go
+    into its table, by `_run` while canonical, then `_entries`.  A value is
+    taken once three more characters are in the window: a number cut in its
+    fraction or exponent ends two before.  Surprises raise `_Irregular`."""
 
     def __init__(self, text: str, file, budget: int):
         self.text = text
@@ -248,26 +251,55 @@ class _Reader:
             if self.lattice is None:
                 self.lattice = lattice_mod.build(data["lattice"], self.budget)
             uni = Universe(label, tuple(universes[label]))
-            return _Table(_system_table(name, self.lattice, uni,
-                                        self._entries(), self.budget))
+            self._take("[")  # an empty list falls back: its table misses a set
+            size = len(self.lattice) ** len(uni)
+            table = [-1] * size if size <= self.budget else None
+            read = table is not None and self._run(len(uni), table) == size
+            return _Table(_system_table(name, self.lattice, uni, (
+                () if read else self._entries()), self.budget, table))
         # json.loads decides which error wins; TypeError: unhashable labels
         except (WorkbenchError, TypeError):
             raise _Irregular from None
 
+    def _run(self, dim: int, table: list) -> int:
+        """How many sets, from the first, the list at the cursor gives as
+        `json.dumps(..., separators=(",", ":"))` writes them, into `table`:
+        a span of entries at a time, the cursor then after a `,` or the `]`."""
+        enc = [json.dumps(d) for d in self.lattice.displays]
+        code = {"]," + e + "]": v for v, e in enumerate(enc)}
+        points = [enc] * dim or [[""]]  # `[[` and a set's displays
+        points[0] = ["[[" + e for e in points[0]]
+        heads = map(",".join, product(*points))
+        span = 64 * ((dim + 1) * (max(map(len, enc)) + 1) + 5)  # >= 64 entries
+        done = 0
+        while done < len(table):
+            text, i = self.text, self.i
+            if len(text) - i < span and self._more():
+                continue
+            # a span's entries, each with the character after it in the window
+            end = min(len(text) - 1, i + span)
+            found = _MEMBER.findall(text, i, end)[:len(table) - done]
+            want = ",".join(map(add, islice(heads, len(found)), found))
+            want += "]" if done + len(found) == len(table) else ","
+            if not (found and text.startswith(want, i)
+                    and code.keys() >= {*found}):
+                break
+            table[done:done + len(found)] = map(code.__getitem__, found)
+            done += len(found)
+            self.i = i + len(want)
+        return done
+
     def _entries(self):
         """Each entry of the list at the cursor, decoded one at a time, and
         only once the character after it is in the window."""
-        self._take("[")  # an empty list falls back: its table misses a set
         while True:
             text, i = self.text, self.i
             try:
                 while True:
-                    # the regex only where there is whitespace, which compact
-                    # text has none of
-                    if text[i] in _SPACE:
+                    if text[i].isspace():  # compact text needs no regex
                         i = _skip(text, i).end()
                     entry, i = _scan(text, i)
-                    if text[i] in _SPACE:
+                    if text[i].isspace():
                         i = _skip(text, i).end()
                     if text[i] != ",":
                         break
@@ -417,12 +449,12 @@ def _build(data: dict, budget: int, lat: Lattice | None) -> InstanceDocument:
 
 
 def _system_table(name: str, lat: Lattice, uni: Universe, entries: Iterable,
-                  budget: int) -> list[int]:
+                  budget: int, table: list[int] | None = None) -> list[int]:
     """The membership table of system `name`, one ordinal per set in
-    `Space.values()` order, from one pass over its `[value-tuple, value]`
-    entries.  An entry raises at its shape, its first unknown display, its
-    arity, a duplicate or its member, in that order; then the budget, then
-    the first set with no entry."""
+    `Space.values()` order, from `table` (-1 where unread) if given and one
+    pass over its `[value-tuple, value]` entries.  An entry raises at its
+    shape, its first unknown display, its arity, a duplicate or its member,
+    in that order; then the budget, then the first set with no entry."""
     n = len(uni)
     size = len(lat) ** n
     ordinal = dict(zip(lat.displays, lat.elements()))
@@ -430,7 +462,7 @@ def _system_table(name: str, lat: Lattice, uni: Universe, entries: Iterable,
         # display -> its digit's share of the index, one dict per point
         weights = [{d: v * w for d, v in ordinal.items()}
                    for w in Space(lat, uni).weights]
-        table, key_of = [-1] * size, sum
+        table, key_of = table or [-1] * size, sum
     else:  # neither a table nor index weights: a dict keyed by value tuple
         weights, table, key_of = [ordinal] * n, defaultdict(lambda: -1), tuple
     for entry in entries:

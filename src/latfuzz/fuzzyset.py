@@ -195,6 +195,11 @@ class Space:
         return self._fold([[w * r for r in row]
                            for w, row in zip(self.weights, rows)])
 
+    def image_lookup(self, rows, table) -> list:
+        """`table[i]` for each i of `image_index(rows)`, at the last fold."""
+        *head, last = rows or [[0]]  # the last point's weight is 1
+        return [table[i + r] for i in self.image_index(head) for r in last]
+
     def index_of(self, columns, size: int) -> list[int]:
         """For each of `size` positions i, the index of the set whose value
         at x is `columns[x][i]`; `columns` may be any iterable of them."""

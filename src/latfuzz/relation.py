@@ -58,12 +58,13 @@ def relation_from_system(system, budget: int = DEFAULT_BUDGET) -> FuzzyRelation:
     n = len(lat)
     points = range(len(universe))
     rows = [[lat.top] * len(universe) for _ in points]  # u -> (a -> a) = top
+    members = [u * n * n for u in system.table]
     for x in points[:-1]:  # the last point has no z after it
         # each (membership, f(x), f(z)) triple that occurs, coded u*n*n +
         # f(x)*n + f(z): the meet needs each distinct term only once, and
         # R(z, x) the same triples with f(x) and f(z) swapped
-        prefix = [(u * n + a) * n
-                  for u, a in zip(system.table, space.digits(x))]
+        block = [a * n for a in space.digits(x)[:space.weights[x] * n]]
+        prefix = list(map(add, members, block * (space.size // len(block))))
         for z in points[x + 1:]:
             to_z = to_x = lat.top
             for code in set(map(add, prefix, space.digits(z))):

@@ -13,15 +13,23 @@ dropped, duplicated or re-shaped entry, a wrong arity, an unknown or
 unhashable display, a non-list entry, and budgets of 1 and of one below
 the space.
 
-A document's text is read value by value, each system's entries one at a
-time straight into that read, and anything irregular goes to `json.loads`
-and then the same read of the decoded list.  `_decoded_first` is the load as
-it was before: `json.loads`, then the decoded value.  For every fault
-above, and for texts with the lattice, the universes or a system's universe
-after the entries, a repeated key at each level, whitespace, a BOM,
-trailing data, NaN, deep nesting inside an entry, an empty entry list and
-budgets below the space, both must give the same document or the same
-error; a regular text must never reach `json.loads`.
+A document's text is read value by value, each system's entries straight
+into that read, and anything irregular goes to `json.loads` and then the
+same read of the decoded list.  An entry list in canonical text (compact,
+in `Space.values()` order, each member a display as `json` encodes it) is
+matched a span of entries at a time; from the first span that is not, the
+list is read one entry at a time.  `_decoded_first` is the load as it was before:
+`json.loads`, then the decoded value.  For every fault above, in compact
+in-order text and in `json.dumps`'s default spacing, and for texts with
+the lattice, the universes or a system's universe after the entries, a
+repeated key at each level, whitespace, a BOM, trailing data, NaN, deep
+nesting inside an entry, an empty entry list, budgets below the space, two
+entries swapped, a later duplicate of the first entry, a member written
+with an escape, a table lattice whose displays need escaping or are not
+ASCII, and a 243-entry list as it is or with a swap or a duplicate past
+its first spans, both must give the same document or the same error; a
+regular text must never reach `json.loads`, and a canonical one must never
+decode an entry one at a time, in any window from one character up.
 
 Printing: the chunks `cli._write_json` passes on, joined, must be exactly
 what `json.dumps(report, indent=2)` writes plus a newline, on random nested
@@ -105,12 +113,14 @@ FAULTS = ("drop", "duplicate", "copy-key", "short-entry", "long-entry",
           "budget-below")
 
 
-def _entries(lat, uni, rng):
-    """A valid entry list of a random table, in a random order."""
+def _entries(lat, uni, rng, shuffle=True):
+    """A valid entry list of a random table, in a random order or in
+    `Space.values()` order."""
     entries = [[[lat.displays[v] for v in values],
                 lat.displays[rng.randrange(len(lat))]]
                for values in Space(lat, uni).values()]
-    rng.shuffle(entries)
+    if shuffle:
+        rng.shuffle(entries)
     return entries
 
 
@@ -257,26 +267,36 @@ def _load_outcome(load, path, budget):
         return type(exc), str(exc)
 
 
-def _assert_streams_as_decoded(tmp_path, text, budget, streams):
+def _assert_streams_as_decoded(tmp_path, text, budget, streams,
+                               bulk=False):
     """`load_document` of `text` as a file gives the document, or the error
     type and text, of `json.loads` and then the decoded value; with
-    `streams`, without ever calling `json.loads`."""
+    `streams`, without ever calling `json.loads`; with `bulk`, without
+    decoding any entry one at a time."""
     path = tmp_path / "doc.json"
     path.write_text(text, encoding="utf-8")
     want = _load_outcome(_decoded_first, path, budget)
-    calls = []
-    loads = json.loads
+    calls, decoded = [], []
+    loads, entries = json.loads, document._Reader._entries
 
     def counted(*args, **kwargs):
         calls.append(args)
         return loads(*args, **kwargs)
 
+    def counted_entries(self):
+        for entry in entries(self):
+            decoded.append(entry)
+            yield entry
+
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(json, "loads", counted)
+        mp.setattr(document._Reader, "_entries", counted_entries)
         got = _load_outcome(load_document, path, budget)
     assert got == want
     if streams:
         assert not calls
+    if bulk:
+        assert not decoded
 
 
 def _obj(*members) -> str:
@@ -291,22 +311,29 @@ def test_streamed_read_matches_decoded_first(tmp_path, fault):
         lat = LATTICES[lat_name]
         uni = _universe(2 + i % 2)
         rng = random.Random(i)
-        entries = _entries(lat, uni, rng)
+        # compact text in order, as the benchmark writes it, and json's
+        # default spacing in a random order
+        compact = (",", ":") if i % 2 else None
+        entries = _entries(lat, uni, rng, shuffle=not compact)
         budget = _inject(fault, entries, lat, rng) if fault else None
         doc = {"lattice": SPECS[lat_name],
                "universes": {"U": list(uni.elements)},
                "systems": {"S": {"universe": "U", "entries": entries}}}
-        # compact text, as the benchmark writes it, and json's default
-        compact = (",", ":") if i % 2 else None
         _assert_streams_as_decoded(
             tmp_path, json.dumps(doc, separators=compact),
-            budget or lf.DEFAULT_BUDGET, streams=fault is None)
+            budget or lf.DEFAULT_BUDGET, streams=fault is None,
+            bulk=fault is None and bool(compact))
+
+
+def _compact(value) -> str:
+    return json.dumps(value, separators=(",", ":"))
 
 
 _LAT = json.dumps(SPECS["godel3"])
 _UNIS = json.dumps({"U": ["u0", "u1", "u2"]})
-_ENTRIES = json.dumps(_entries(LATTICES["godel3"], _universe(3),
-                               random.Random(0)))
+# canonical: compact, and in `Space.values()` order
+_ENTRIES = _compact(_entries(LATTICES["godel3"], _universe(3),
+                             random.Random(0), shuffle=False))
 _SYSTEM = _obj(("universe", '"U"'), ("entries", _ENTRIES))
 _REGULAR = _obj(("lattice", _LAT), ("universes", _UNIS),
                 ("systems", _obj(("S", _SYSTEM))))
@@ -320,9 +347,75 @@ def _systems(*systems) -> str:
                 ("systems", _obj(*systems)))
 
 
+def _edited(edit) -> str:
+    """`_REGULAR` with its entry list, decoded, changed in place by `edit`
+    and written back compact."""
+    entries = json.loads(_ENTRIES)
+    edit(entries)
+    return _REGULAR.replace(_ENTRIES, _compact(entries))
+
+
+def _swap(entries, i=13):
+    entries[i], entries[i + 1] = entries[i + 1], entries[i]
+
+
+# a member written with an escape: the first "1" from the 14th entry on,
+# in an entry whose set makes its text unique
+_ONE = _compact(next(entry for i, entry in enumerate(json.loads(_ENTRIES))
+                     if i >= 13 and entry[1] == "1"))
+_ESCAPED = _REGULAR.replace(_ONE, _ONE[:-4] + r'"\u0031"]')
+
+def _long(edit=None) -> str:
+    """A compact document of one system of the Gödel 3-chain on 5 points:
+    243 entries, several of the spans the canonical read takes at once, in
+    order but for `edit`."""
+    uni = _universe(5)
+    entries = _entries(LATTICES["godel3"], uni, random.Random(2),
+                       shuffle=False)
+    if edit:
+        edit(entries)
+    return _compact({"lattice": SPECS["godel3"],
+                     "universes": {"U": list(uni.elements)},
+                     "systems": {"S": {"universe": "U", "entries": entries}}})
+
+
+# a chain whose middle display needs escaping and whose top is not ASCII
+_TABLE = {"kind": "table", "elements": ["0", 'x"\\y', "é"],
+          "leq": [[True, True, True], [False, True, True],
+                  [False, False, True]],
+          "tensor": [["0", "0", "0"], ["0", 'x"\\y', 'x"\\y'],
+                     ["0", 'x"\\y', "é"]]}
+
+
+def _table_doc(**dumps) -> str:
+    lat = lf.build(_TABLE)
+    entries = _entries(lat, _universe(3), random.Random(1), shuffle=False)
+    return json.dumps({"lattice": _TABLE, "universes": json.loads(_UNIS),
+                       "systems": {"S": {"universe": "U",
+                                         "entries": entries}}},
+                      separators=(",", ":"), **dumps)
+
+
 # each shape of text: (text, budget, whether the read streams it)
 SHAPES = {
     "regular": (_REGULAR, _SPACE, True),
+    "json.dumps's default spacing": (_REGULAR.replace(
+        _ENTRIES, json.dumps(json.loads(_ENTRIES))), _SPACE, True),
+    "two entries swapped mid-list": (_edited(_swap), _SPACE, True),
+    "a member written with an escape": (_ESCAPED, _SPACE, True),
+    "a display escaped and one not ASCII": (_table_doc(), _SPACE, True),
+    "a display escaped and one written as UTF-8": (
+        _table_doc(ensure_ascii=False), _SPACE, True),
+    "a later duplicate of the first entry": (_edited(
+        lambda entries: entries.insert(-1, [entries[0][0], "1/2"])),
+        _SPACE, False),
+    "the last two entries swapped": (_edited(lambda e: _swap(e, -2)),
+                                     _SPACE, True),
+    "243 entries": (_long(), 243, True),
+    "243 entries, two swapped past the first spans": (
+        _long(lambda e: _swap(e, 200)), 243, True),
+    "243 entries, a duplicate of the first past the first spans": (
+        _long(lambda e: e.insert(-1, [e[0][0], "1"])), 243, False),
     "indent=2": (json.dumps(json.loads(_REGULAR), indent=2), _SPACE, True),
     "trailing whitespace": (_REGULAR + "\n \t\r\n", _SPACE, True),
     "whitespace around every separator": (json.dumps(
@@ -389,11 +482,19 @@ SHAPES = {
 }
 
 
+# the shapes whose every entry list is canonical: compact, in
+# `Space.values()` order, each member a display as `json.dumps` writes it
+BULK = {"regular", "trailing whitespace", "a repeat inside a value",
+        "NaN outside the entries", "two systems",
+        "a display escaped and one not ASCII", "243 entries"}
+
+
 @pytest.mark.parametrize("shape", SHAPES)
 def test_streamed_read_of_each_shape_matches_decoded_first(tmp_path, shape):
     text, budget, streams = SHAPES[shape]
     assert streams or (text, budget) != (_REGULAR, _SPACE)
-    _assert_streams_as_decoded(tmp_path, text, budget, streams)
+    _assert_streams_as_decoded(tmp_path, text, budget, streams,
+                               bulk=shape in BULK)
 
 
 @pytest.mark.parametrize("window", (1, 2, 3, 7, 40))
@@ -401,15 +502,17 @@ def test_windows_cut_every_value_and_read_as_one(tmp_path, monkeypatch,
                                                  window):
     """Read in windows this small, every entry, number and run of
     whitespace crosses a window's edge somewhere in the shapes: each still
-    loads as the whole text does, or fails with its error, and the regular
-    shapes never fall back to `json.loads`.  A window of one character
+    loads as the whole text does, or fails with its error, the regular
+    shapes never fall back to `json.loads`, and the canonical ones never
+    decode an entry one at a time.  A window of one character
     grows geometrically through the 10000-character nesting."""
     monkeypatch.setattr(document, "WINDOW", window)
     shapes = dict(SHAPES, numbers=(_REGULAR.replace("{", (
         '{"n": 12345678901234567890,  \n\t "m": -0.125e-07, "k": [7, 8],'
         ), 1), _SPACE, True))
-    for text, budget, streams in shapes.values():
-        _assert_streams_as_decoded(tmp_path, text, budget, streams)
+    for shape, (text, budget, streams) in shapes.items():
+        _assert_streams_as_decoded(tmp_path, text, budget, streams,
+                                   bulk=shape in BULK | {"numbers"})
 
 
 # ---------------------------------------------------------------------------

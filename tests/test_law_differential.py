@@ -2,8 +2,9 @@
 `transform_law_suite` and `law_suite`.
 
 Each sweep reads the index of every combined set (f meet g, f join g, a
-tensor f, ...) from one `Space.image_index` column instead of building the
-set's value tuple and looking its index up, pair by pair.  The functions
+tensor f, ...) from one `Space.image_index` column, or for `check_system`
+its membership from one `Space.image_lookup` column, instead of building
+the set's value tuple and looking its index up, pair by pair.  The functions
 below are those pairwise sweeps as they were before, kept verbatim apart
 from their names, the result cache the checkers no longer keep, and their
 return type: each now returns a `LawReport`.  The rewritten `check_system`
@@ -731,8 +732,8 @@ MUTANTS = [
     # the image column scan: the inequality read the wrong way round; a
     # constant's misses in clause order, not in set order
     pytest.param(closure, "check_system",
-                 "if not leq[table[i]][table[j]]:",
-                 "if not leq[table[j]][table[i]]:",
+                 "if not leq[u][v]:",
+                 "if not leq[v][u]:",
                  id="check_system-1"),
     pytest.param(closure, "check_system",
                  "for i, key in sorted(found):", "for i, key in found:",
