@@ -60,7 +60,6 @@ from .closure import (
     operator_from_system,
     roundtrip_relation,
     roundtrip_system,
-    system_from_explicit,
     system_from_operator,
     system_from_partition,
     system_from_relation,

@@ -10,7 +10,6 @@ table is also the cheapest representation to check laws against.
 
 from __future__ import annotations
 
-from .errors import MismatchError
 from .fuzzyset import Space, Universe
 from .lattice import DEFAULT_BUDGET, Lattice, LawReport
 from .partition import FuzzyPartition, relation_from_partition
@@ -72,21 +71,6 @@ def system_from_relation(rel: FuzzyRelation,
               for x, own in enumerate(rel.rows) if own == row)
     return ClosureSystem(lat, rel.universe, _meet_residua(space, approx),
                          "from_relation")
-
-
-def system_from_explicit(lat: Lattice, universe: Universe, table,
-                         budget: int = DEFAULT_BUDGET) -> ClosureSystem:
-    size = Space(lat, universe, budget, "closure system table").size
-    table = tuple(table)
-    if len(table) != size:
-        raise MismatchError(
-            f"explicit closure system: expected {size} entries, got {len(table)}"
-        )
-    # one C-level pass; the walk only names the first bad element
-    if not ({*map(type, table)} <= {int} and {*table} <= set(lat.elements())):
-        for v in table:
-            lat.check_element(v)
-    return ClosureSystem(lat, universe, table, "explicit")
 
 
 def operator_from_system(system: ClosureSystem,

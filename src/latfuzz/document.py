@@ -9,14 +9,14 @@ map) are collected as warnings.
 A document can hold explicit systems of thousands of entries, so a file is
 read in windows of `WINDOW` characters, one value at a time with `json`'s
 own scanner, and each `systems` entry list straight into its table: neither
-the whole text nor a decoded tree of a whole space ever exists.  Compact
-windows in `Space.values()` order are matched as text; `_system_table` reads
-the rest, one pass over any iterable: an entry's index sums a dict lookup per
-point, and the first fault raises the plain loop's error.  Anything out of
-the ordinary (the lattice, the universes or a system's universe after its
-entries, a repeated key, text that is not plain JSON or not UTF-8, any
-error) sends the whole text to `json.loads` instead, so every table, error
-and message stays the same.
+the whole text nor a decoded tree of a whole space ever exists, as long as
+each list is canonical: `_Reader._run` must match all of it as compact text
+in `Space.values()` order, each member a display as `json` encodes it.  Any
+other list, and anything else out of the ordinary (the lattice, the
+universes or a system's universe after its entries, a repeated key, a space
+over the budget, text that is not plain JSON or not UTF-8, any error) sends
+the whole text to `json.loads` and each decoded list to `_system_table`, so
+every table, error and message stays the same.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from operator import add, getitem
 from pathlib import Path
 
 from . import lattice as lattice_mod
-from .closure import ClosureSystem, system_from_explicit
+from .closure import ClosureSystem
 from .errors import BudgetExceeded, DocumentError, WorkbenchError
 from .fuzzyset import FuzzySet, Space, Universe, UniverseMap, from_labels
 from .lattice import DEFAULT_BUDGET, Lattice
@@ -147,14 +147,14 @@ class _Irregular(Exception):
 
 
 class _Table(list):
-    """A system's membership table, read from the text entry by entry."""
+    """A system's membership table, matched in the text of its entries."""
 
 
 class _Reader:
     """A document's text, read as `json.loads` reads it, one value at a time
     from a cursor `i` in a window `text` of `file`, but a system's entries go
-    into its table, by `_run` while canonical, then `_entries`.  A value is
-    taken once three more characters are in the window: a number cut in its
+    into its table by `_run`, which must match them all.  A value is taken
+    once three more characters are in the window: a number cut in its
     fraction or exponent ends two before.  Surprises raise `_Irregular`."""
 
     def __init__(self, text: str, file, budget: int):
@@ -234,13 +234,14 @@ class _Reader:
         for name in self._keys():
             spec = systems[name] = {}
             for key in self._keys():
-                spec[key] = (self._table(data, name, spec)
+                spec[key] = (self._table(data, spec)
                              if key == "entries" else self._value())
         return systems
 
-    def _table(self, data: dict, name: str, spec: dict) -> _Table:
-        """The table of system `name`, from the entry list at the cursor;
-        the lattice and the universe must come before it."""
+    def _table(self, data: dict, spec: dict) -> _Table:
+        """The table of the system `spec` describes, from the entry list at
+        the cursor; the lattice and the universe must come before it, and
+        the space must fit the budget before anything is allocated."""
         universes = data.get("universes")
         label = spec.get("universe")
         if not ("lattice" in data and isinstance(universes, dict)
@@ -250,68 +251,42 @@ class _Reader:
         try:
             if self.lattice is None:
                 self.lattice = lattice_mod.build(data["lattice"], self.budget)
-            uni = Universe(label, tuple(universes[label]))
-            self._take("[")  # an empty list falls back: its table misses a set
-            size = len(self.lattice) ** len(uni)
-            table = [-1] * size if size <= self.budget else None
-            read = table is not None and self._run(len(uni), table) == size
-            return _Table(_system_table(name, self.lattice, uni, (
-                () if read else self._entries()), self.budget, table))
-        # json.loads decides which error wins; TypeError: unhashable labels
-        except (WorkbenchError, TypeError):
+        except WorkbenchError:  # json.loads decides which error wins
             raise _Irregular from None
+        # `_build` checks the universe's labels before it reaches the table
+        dim = len(universes[label])
+        size = len(self.lattice) ** dim
+        if size > self.budget:
+            raise _Irregular
+        self._take("[")
+        return self._run(dim, size)
 
-    def _run(self, dim: int, table: list) -> int:
-        """How many sets, from the first, the list at the cursor gives as
-        `json.dumps(..., separators=(",", ":"))` writes them, into `table`:
-        a span of entries at a time, the cursor then after a `,` or the `]`."""
+    def _run(self, dim: int, size: int) -> _Table:
+        """The `size` members of the list at the cursor, matched a span of
+        entries at a time against `json.dumps(..., separators=(",", ":"))`
+        of the sets in order, the cursor then after its `]`."""
         enc = [json.dumps(d) for d in self.lattice.displays]
         code = {"]," + e + "]": v for v, e in enumerate(enc)}
         points = [enc] * dim or [[""]]  # `[[` and a set's displays
         points[0] = ["[[" + e for e in points[0]]
         heads = map(",".join, product(*points))
         span = 64 * ((dim + 1) * (max(map(len, enc)) + 1) + 5)  # >= 64 entries
-        done = 0
-        while done < len(table):
+        table = _Table()
+        while len(table) < size:
             text, i = self.text, self.i
             if len(text) - i < span and self._more():
                 continue
             # a span's entries, each with the character after it in the window
             end = min(len(text) - 1, i + span)
-            found = _MEMBER.findall(text, i, end)[:len(table) - done]
+            found = _MEMBER.findall(text, i, end)[:size - len(table)]
             want = ",".join(map(add, islice(heads, len(found)), found))
-            want += "]" if done + len(found) == len(table) else ","
-            if not (found and text.startswith(want, i)
+            want += "]" if len(table) + len(found) == size else ","
+            if not (found and text.startswith(want, i)  # `[]` misses a set
                     and code.keys() >= {*found}):
-                break
-            table[done:done + len(found)] = map(code.__getitem__, found)
-            done += len(found)
+                raise _Irregular
+            table += map(code.__getitem__, found)
             self.i = i + len(want)
-        return done
-
-    def _entries(self):
-        """Each entry of the list at the cursor, decoded one at a time, and
-        only once the character after it is in the window."""
-        while True:
-            text, i = self.text, self.i
-            try:
-                while True:
-                    if text[i].isspace():  # compact text needs no regex
-                        i = _skip(text, i).end()
-                    entry, i = _scan(text, i)
-                    if text[i].isspace():
-                        i = _skip(text, i).end()
-                    if text[i] != ",":
-                        break
-                    self.i = i = i + 1
-                    yield entry
-            except (StopIteration, IndexError, ValueError):  # the window ends
-                if self._more():
-                    continue
-                raise _Irregular from None
-            self.i = i
-            yield entry
-            return self._take("]")
+        return table
 
 
 # the object sections of a document, in load order, with the keys each
@@ -441,20 +416,21 @@ def _build(data: dict, budget: int, lat: Lattice | None) -> InstanceDocument:
     for name, spec in _section(data, "systems"):
         uni = doc.universe(spec["universe"])
         table = spec["entries"]
-        if type(table) is not _Table:
+        if type(table) is not _Table:  # decoded by `json.loads`
             table = _system_table(name, lat, uni, table, budget)
-        doc.systems[name] = system_from_explicit(lat, uni, table, budget)
+        # either read has checked every member and the table's size
+        doc.systems[name] = ClosureSystem(lat, uni, tuple(table), "explicit")
 
     return doc
 
 
 def _system_table(name: str, lat: Lattice, uni: Universe, entries: Iterable,
-                  budget: int, table: list[int] | None = None) -> list[int]:
+                  budget: int) -> list[int]:
     """The membership table of system `name`, one ordinal per set in
-    `Space.values()` order, from `table` (-1 where unread) if given and one
-    pass over its `[value-tuple, value]` entries.  An entry raises at its
-    shape, its first unknown display, its arity, a duplicate or its member,
-    in that order; then the budget, then the first set with no entry."""
+    `Space.values()` order, from one pass over its decoded `[value-tuple,
+    value]` entries.  An entry raises at its shape, its first unknown
+    display, its arity, a duplicate or its member, in that order; then the
+    budget, then the first set with no entry."""
     n = len(uni)
     size = len(lat) ** n
     ordinal = dict(zip(lat.displays, lat.elements()))
@@ -462,7 +438,7 @@ def _system_table(name: str, lat: Lattice, uni: Universe, entries: Iterable,
         # display -> its digit's share of the index, one dict per point
         weights = [{d: v * w for d, v in ordinal.items()}
                    for w in Space(lat, uni).weights]
-        table, key_of = table or [-1] * size, sum
+        table, key_of = [-1] * size, sum
     else:  # neither a table nor index weights: a dict keyed by value tuple
         weights, table, key_of = [ordinal] * n, defaultdict(lambda: -1), tuple
     for entry in entries:

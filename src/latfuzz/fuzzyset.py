@@ -8,10 +8,10 @@ rather than a silent re-indexing.
 
 `Space(lattice, universe)` is the enumeration kernel: it fixes the
 lexicographic order of `L^X` and its index arithmetic, and every sweep over
-the space in the package goes through it.  It is also the one place a sweep
-is charged: `Space(lattice, universe, budget, what)` raises BudgetExceeded,
-naming `what` and the exact `|L|^|X|`, when the space holds more than
-`budget` sets.  A sweep reads whole columns over the space (the value at a
+the space in the package goes through it.  `charge(count, budget, what)` is
+the one budget rule: `Space(lattice, universe, budget, what)` charges it the
+exact `|L|^|X|`, and the CLI charges a relation built from a partition its
+`|X|^2` rows.  A sweep reads whole columns over the space (the value at a
 point, a transform component, the index of an image set), each computed by
 a prefix-shared fold in about `|space|` list steps, instead of building and
 validating one `FuzzySet` per index.
@@ -129,6 +129,12 @@ class UniverseMap(Record):
 # ---------------------------------------------------------------------------
 # enumeration of the full function space
 
+def charge(count: int, budget: int, what: str) -> None:
+    """Raise BudgetExceeded if `count` evaluations of `what` pass `budget`."""
+    if count > budget:
+        raise BudgetExceeded(count, budget, what)
+
+
 class Space:
     """The function space L^X in lexicographic (mixed-radix) order: the set
     at index i has digit x of i in base |L| as its value at point x, the
@@ -152,8 +158,8 @@ class Space:
         self.radix = n = len(lat)
         dim = len(universe)
         self.size = n ** dim
-        if budget is not None and self.size > budget:
-            raise BudgetExceeded(self.size, budget, what)
+        if budget is not None:
+            charge(self.size, budget, what)
         self.weights = tuple(n ** (dim - 1 - x) for x in range(dim))
 
     def values(self):

@@ -1,15 +1,19 @@
 """The budget on `L^X`: each entry point refuses a space one set over its
 budget with its own text and the exact cardinality, the errors that come
-before the budget still do, and `fuzzyset.Space` is the only place in the
-package where a sweep over `L^X` is charged."""
+before the budget still do, and `fuzzyset.charge` is the only place in the
+package where a sweep over `L^X` is charged.  Each command that builds or
+compares a partition's relation is charged its `|X|^2` rows before any row
+is built: it answers at that budget and exits 3 one below it."""
 
 import ast
+import json
 from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
 import latfuzz as lf
+from latfuzz import cli, partition
 from latfuzz.document import load_document
 from latfuzz.fuzzyset import Space
 from reference import identity_map
@@ -40,10 +44,6 @@ def _full_system_doc(o):
 # entry point -> (call at a budget, `what` of its error, size of its space,
 # or |L|^3 for the lattice law suite); each is called one below that size
 OVER_BUDGET = {
-    "system_from_explicit": (
-        lambda o, b: lf.system_from_explicit(
-            o.l3, o.uni_x, [o.l3.top] * 27, b),
-        "closure system table", 27),
     "operator_from_system": (
         lambda o, b: lf.operator_from_system(o.system, b),
         "closure operator construction", 27),
@@ -138,13 +138,78 @@ def _budget_error_sites(tree, scope=""):
 
 
 def test_the_kernel_is_the_one_charge_point_for_sweeps():
-    """Only `Space` sizes a sweep against the budget; `lattice.py` charges
-    lattice tables and law-suite work, which are not sweeps of `L^X`."""
+    """Only `fuzzyset.charge`, which `Space` calls, sizes a sweep against the
+    budget; `lattice.py` charges lattice tables and law-suite work, which are
+    not sweeps of `L^X`."""
     sites = {
         path.name: sorted(set(_budget_error_sites(
             ast.parse(path.read_text(encoding="utf-8")))))
         for path in PACKAGE.glob("*.py")}
     assert {name: found for name, found in sites.items() if found} == {
-        "fuzzyset.py": ["Space.__init__"],
+        "fuzzyset.py": ["charge"],
         "lattice.py": ["_charge", "law_suite"],
     }
+
+
+def _one_block(npoints: int) -> str:
+    """A document on the Gödel 3-chain with the one-block partition `P` of
+    `npoints` points, its identity map and its identity candidate."""
+    points = [f"x{k}" for k in range(npoints)]
+    return json.dumps({
+        "lattice": {"kind": "godel_chain", "n": 3},
+        "universes": {"X": points},
+        "partitions": {"P": {"universe": "X",
+                             "blocks": {"B": dict.fromkeys(points, "1")}}},
+        "maps": {"id": {"source": "X", "target": "X",
+                        "values": {x: x for x in points}}},
+        "index_maps": {"psi": {"source": "P", "target": "P",
+                               "values": {"B": "B"}}},
+        "candidates": {"c": {"source": "P", "target": "P", "phi": "id",
+                             "psi": "psi"}}})
+
+
+# the commands that build or compare a partition's relation
+RELATION_PATH = {
+    "relation from-partition": ("relation", "from-partition",
+                                "--partition", "P"),
+    "functor f1": ("functor", "f1", "--partition", "P"),
+    "check fas --cand": ("check", "fas", "--cand", "c"),
+    "partition:P reference": ("check", "fas", "--map", "id",
+                              "--source-relation", "partition:P",
+                              "--target-relation", "partition:P"),
+}
+
+
+def _run(capsys, argv) -> tuple:
+    code = cli.run([*argv, "--no-timing"])
+    out = capsys.readouterr().out
+    return code, json.loads(out) if out else None
+
+
+@pytest.mark.parametrize("case", sorted(RELATION_PATH))
+def test_relation_path_is_charged_its_rows(capsys, case):
+    """On 4 points, 16 rows: the lattice's own tables charge 9."""
+    argv = [*RELATION_PATH[case], "--doc", _one_block(4)]
+    code, _ = _run(capsys, [*argv, "--budget", "16"])
+    assert code in (0, 1)
+    code, report = _run(capsys, [*argv, "--budget", "15"])
+    assert code == 3
+    assert report["error"] == \
+        "relation construction requires 16 evaluations, over budget 15"
+    assert report["cardinality"] == 16
+
+
+def test_relation_is_charged_before_any_row(capsys, monkeypatch):
+    """A one-block partition of 300 points over the Gödel 3-chain: 90000
+    rows at the default budget exit 3 with no row built."""
+
+    def unreachable(p):
+        raise AssertionError("relation built before the budget was charged")
+
+    monkeypatch.setattr(partition, "relation_from_partition", unreachable)
+    code, report = _run(capsys, ["relation", "from-partition",
+                                 "--partition", "P",
+                                 "--doc", _one_block(300)])
+    assert code == 3
+    assert report["error"] == \
+        "relation construction requires 90000 evaluations, over budget 4096"

@@ -138,7 +138,7 @@ def test_check_system_on_parity_window():
 
 
 def test_check_system_trivial(l3, uni_x2):
-    system = lf.system_from_explicit(l3, uni_x2, [l3.top] * 9)
+    system = lf.ClosureSystem(l3, uni_x2, (l3.top,) * 9, "explicit")
     assert lf.check_system(system).all_hold
 
 
@@ -149,7 +149,7 @@ def test_check_system_fault_is_caught(l3, uni_x2):
     for f in enumerate_sets(l3, uni_x2):
         member = f.displays() in {("1", "0"), ("0", "1"), ("1", "1")}
         table.append(l3.top if member else l3.bottom)
-    system = lf.system_from_explicit(l3, uni_x2, table)
+    system = lf.ClosureSystem(l3, uni_x2, tuple(table), "explicit")
     report = lf.check_system(system)
     assert report.holds("axiom_i")
     assert not report.holds("axiom_ii")
@@ -219,7 +219,7 @@ def test_roundtrip_system_fault_not_exact(l3, uni_x2):
     for f in enumerate_sets(l3, uni_x2):
         member = f.displays() in {("1", "0"), ("0", "1"), ("1", "1")}
         table.append(l3.top if member else l3.bottom)
-    system = lf.system_from_explicit(l3, uni_x2, table)
+    system = lf.ClosureSystem(l3, uni_x2, tuple(table), "explicit")
     assert lf.roundtrip_system(system)
 
 
@@ -242,8 +242,3 @@ def test_partition_route_charges_the_budget_before_the_relation(
     monkeypatch.setattr(lf.closure, "relation_from_partition", unreachable)
     with pytest.raises(lf.BudgetExceeded):
         lf.system_from_partition(w3, budget=5)
-
-
-def test_explicit_table_shape(l3, uni_x2):
-    with pytest.raises(lf.MismatchError):
-        lf.system_from_explicit(l3, uni_x2, [l3.top] * 4)

@@ -1,35 +1,35 @@
 """Differential tests of the two I/O ends of every command.
 
-Loading: a `systems` entry list is read in one pass, from a list or a
-one-shot iterator alike.  The read sums each entry's index from one dict
-lookup per point, so it must check the key's arity itself (`map` stops at
-the shorter input); a slot filled twice is a duplicate and a slot left
+Loading: a decoded `systems` entry list is read in one pass, from a list
+or a one-shot iterator alike.  The read sums each entry's index from one
+dict lookup per point, so it must check the key's arity itself (`map` stops
+at the shorter input); a slot filled twice is a duplicate and a slot left
 empty a missing entry.  `reference_system_table` is the plain
 entry-by-entry loop, with the sets indexed by `Space.index`.  On Gödel 3,
 Łukasiewicz 4, `boolean(2)` and `grid23` over universes of 0 to 4 points,
 the load must return the same table for valid lists in any order, and
 raise the same exception with the same text for every single fault: a
-dropped, duplicated or re-shaped entry, a wrong arity, an unknown or
-unhashable display, a non-list entry, and budgets of 1 and of one below
-the space.
+dropped, duplicated or re-shaped entry, a wrong arity, an unknown,
+numeric, list or unhashable display or member, a non-list entry, and
+budgets of 1 and of one below the space.
 
-A document's text is read value by value, each system's entries straight
-into that read, and anything irregular goes to `json.loads` and then the
-same read of the decoded list.  An entry list in canonical text (compact,
-in `Space.values()` order, each member a display as `json` encodes it) is
-matched a span of entries at a time; from the first span that is not, the
-list is read one entry at a time.  `_decoded_first` is the load as it was before:
-`json.loads`, then the decoded value.  For every fault above, in compact
-in-order text and in `json.dumps`'s default spacing, and for texts with
-the lattice, the universes or a system's universe after the entries, a
-repeated key at each level, whitespace, a BOM, trailing data, NaN, deep
-nesting inside an entry, an empty entry list, budgets below the space, two
-entries swapped, a later duplicate of the first entry, a member written
-with an escape, a table lattice whose displays need escaping or are not
-ASCII, and a 243-entry list as it is or with a swap or a duplicate past
-its first spans, both must give the same document or the same error; a
-regular text must never reach `json.loads`, and a canonical one must never
-decode an entry one at a time, in any window from one character up.
+A document's text is read value by value, and a system's entry list is
+taken only if it is canonical throughout (compact, in `Space.values()`
+order, each member a display as `json` encodes it), matched a span of
+entries at a time; any other list, and anything else irregular, sends the
+whole text to `json.loads` and each decoded list to the read above.
+`_decoded_first` is that fallback: `json.loads`, then the decoded value.
+For every fault above, in compact in-order text and in `json.dumps`'s
+default spacing, and for texts with the lattice, the universes or a
+system's universe after the entries, a repeated key at each level,
+whitespace, a BOM, trailing data, NaN, deep nesting inside an entry, an
+empty entry list, budgets below the space, two entries swapped, a later
+duplicate of the first entry, a member written with an escape, a table
+lattice whose displays need escaping or are not ASCII, and a 243-entry list
+as it is or with a swap or a duplicate past its first spans, both must give
+the same document or the same error.  A canonical text must never reach
+`json.loads`, and any other must reach it exactly once, in any window from
+one character up.  Every document the benchmark generates is canonical.
 
 Printing: the chunks `cli._write_json` passes on, joined, must be exactly
 what `json.dumps(report, indent=2)` writes plus a newline, on random nested
@@ -40,6 +40,7 @@ list of [set, image] pairs would, over `tests/lattices.py` lattices on 0 to
 writes of about `cli.CHUNK` characters each.
 """
 
+import importlib.util
 import io
 import json
 import math
@@ -52,7 +53,6 @@ from hypothesis import example, given, settings, strategies as st
 import latfuzz as lf
 from conftest import FIXTURES
 from latfuzz import cli, document
-from latfuzz.closure import system_from_explicit
 from latfuzz.document import _system_table, load_document
 from latfuzz.fuzzyset import Space
 from lattices import with_product
@@ -222,34 +222,11 @@ def test_document_load_reads_systems_in_bulk():
     assert doc.system("S").table == tuple(want)
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.sampled_from(sorted(LATTICES)), st.integers(0, 2),
-       st.lists(st.sampled_from([-1, 0, 1, 5, 6, 1.0, 2.5, True, False,
-                                 None, "1", "0", (0,), [1]]),
-                max_size=3),
-       st.integers(0, 2**32 - 1))
-def test_table_check_matches_element_walk(lat_name, npoints, bad, seed):
-    lat = LATTICES[lat_name]
-    uni = _universe(npoints)
-    rng = random.Random(seed)
-    table = [rng.randrange(len(lat)) for _ in range(len(lat) ** npoints)]
-    for value in bad:
-        table[rng.randrange(len(table))] = value
-
-    def walk(lat, uni, table):
-        for v in table:
-            lat.check_element(v)
-        return lf.ClosureSystem(lat, uni, tuple(table), "explicit")
-
-    assert (_outcome(system_from_explicit, lat, uni, table)
-            == _outcome(walk, lat, uni, table))
-
-
 # ---------------------------------------------------------------------------
 # the streamed read of a document's text
 
 def _decoded_first(path, budget):
-    """The load as it was before the streamed read: the whole text through
+    """The load without the streamed read: the whole text through
     `json.loads`, then the decoded value."""
     try:
         data = json.loads(path.read_text(encoding="utf-8"))
@@ -267,36 +244,26 @@ def _load_outcome(load, path, budget):
         return type(exc), str(exc)
 
 
-def _assert_streams_as_decoded(tmp_path, text, budget, streams,
-                               bulk=False):
+def _assert_streams_as_decoded(tmp_path, text, budget, canonical):
     """`load_document` of `text` as a file gives the document, or the error
-    type and text, of `json.loads` and then the decoded value; with
-    `streams`, without ever calling `json.loads`; with `bulk`, without
-    decoding any entry one at a time."""
+    type and text, of `json.loads` and then the decoded value; if
+    `canonical`, without calling `json.loads`, and otherwise calling it
+    exactly once."""
     path = tmp_path / "doc.json"
     path.write_text(text, encoding="utf-8")
     want = _load_outcome(_decoded_first, path, budget)
-    calls, decoded = [], []
-    loads, entries = json.loads, document._Reader._entries
+    calls = []
+    loads = json.loads
 
     def counted(*args, **kwargs):
         calls.append(args)
         return loads(*args, **kwargs)
 
-    def counted_entries(self):
-        for entry in entries(self):
-            decoded.append(entry)
-            yield entry
-
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(json, "loads", counted)
-        mp.setattr(document._Reader, "_entries", counted_entries)
         got = _load_outcome(load_document, path, budget)
     assert got == want
-    if streams:
-        assert not calls
-    if bulk:
-        assert not decoded
+    assert len(calls) == (0 if canonical else 1)
 
 
 def _obj(*members) -> str:
@@ -321,8 +288,20 @@ def test_streamed_read_matches_decoded_first(tmp_path, fault):
                "systems": {"S": {"universe": "U", "entries": entries}}}
         _assert_streams_as_decoded(
             tmp_path, json.dumps(doc, separators=compact),
-            budget or lf.DEFAULT_BUDGET, streams=fault is None,
-            bulk=fault is None and bool(compact))
+            budget or lf.DEFAULT_BUDGET,
+            bool(compact) and budget is None and _canonical(entries, lat, uni))
+
+
+def _canonical(entries, lat, uni) -> bool:
+    """Whether the compact text of `entries` is canonical, as some faults
+    leave it: a tuple is written as a list, and a member can be replaced by
+    another display."""
+    written = json.loads(_compact(entries))
+    sets = [[lat.displays[v] for v in values]
+            for values in Space(lat, uni).values()]
+    return len(written) == len(sets) and all(
+        isinstance(e, list) and len(e) == 2 and e[0] == s
+        and e[1] in lat.displays for e, s in zip(written, sets))
 
 
 def _compact(value) -> str:
@@ -396,30 +375,31 @@ def _table_doc(**dumps) -> str:
                       separators=(",", ":"), **dumps)
 
 
-# each shape of text: (text, budget, whether the read streams it)
+# each shape of text: (text, budget, whether the read takes it without
+# `json.loads`: every entry list canonical, and nothing else irregular)
 SHAPES = {
     "regular": (_REGULAR, _SPACE, True),
     "json.dumps's default spacing": (_REGULAR.replace(
-        _ENTRIES, json.dumps(json.loads(_ENTRIES))), _SPACE, True),
-    "two entries swapped mid-list": (_edited(_swap), _SPACE, True),
-    "a member written with an escape": (_ESCAPED, _SPACE, True),
+        _ENTRIES, json.dumps(json.loads(_ENTRIES))), _SPACE, False),
+    "two entries swapped mid-list": (_edited(_swap), _SPACE, False),
+    "a member written with an escape": (_ESCAPED, _SPACE, False),
     "a display escaped and one not ASCII": (_table_doc(), _SPACE, True),
     "a display escaped and one written as UTF-8": (
-        _table_doc(ensure_ascii=False), _SPACE, True),
+        _table_doc(ensure_ascii=False), _SPACE, False),
     "a later duplicate of the first entry": (_edited(
         lambda entries: entries.insert(-1, [entries[0][0], "1/2"])),
         _SPACE, False),
     "the last two entries swapped": (_edited(lambda e: _swap(e, -2)),
-                                     _SPACE, True),
+                                     _SPACE, False),
     "243 entries": (_long(), 243, True),
     "243 entries, two swapped past the first spans": (
-        _long(lambda e: _swap(e, 200)), 243, True),
+        _long(lambda e: _swap(e, 200)), 243, False),
     "243 entries, a duplicate of the first past the first spans": (
         _long(lambda e: e.insert(-1, [e[0][0], "1"])), 243, False),
-    "indent=2": (json.dumps(json.loads(_REGULAR), indent=2), _SPACE, True),
+    "indent=2": (json.dumps(json.loads(_REGULAR), indent=2), _SPACE, False),
     "trailing whitespace": (_REGULAR + "\n \t\r\n", _SPACE, True),
     "whitespace around every separator": (json.dumps(
-        json.loads(_REGULAR), separators=(" ,\t", " :\n")), _SPACE, True),
+        json.loads(_REGULAR), separators=(" ,\t", " :\n")), _SPACE, False),
     "a repeat inside a value": (_REGULAR.replace(
         _UNIS, '{"U": ["a"], "U": ["u0", "u1", "u2"]}'), _SPACE, True),
     "NaN outside the entries": (_REGULAR.replace(
@@ -456,6 +436,10 @@ SHAPES = {
     "truncated": (_REGULAR[:-3], _SPACE, False),
     "trailing comma": (_REGULAR.replace(_ENTRIES, _ENTRIES[:-1] + ",]"),
                        _SPACE, False),
+    # canonical up to a comma, where the system's object closes: only the
+    # count of sets read tells this list from a complete one
+    "entries cut after a comma": (_REGULAR.replace(_ENTRIES, _compact(
+        json.loads(_ENTRIES)[:13])[:-1] + ","), _SPACE, False),
     "NaN member": (_REGULAR.replace('"1"]', "NaN]", 1), _SPACE, False),
     "deep nesting inside an entry": (
         _REGULAR.replace("[[", f"[{_DEEP}, [", 1), _SPACE, False),
@@ -471,6 +455,11 @@ SHAPES = {
                               _SPACE, False),
     "universes not an object": (_REGULAR.replace(_UNIS, '[["u0"]]'),
                                 _SPACE, False),
+    # the table is read, and the load then names the universe's labels
+    "a universe label not a string": (_REGULAR.replace(
+        _UNIS, '{"U": [["u0"], "u1", "u2"]}'), _SPACE, True),
+    "a universe label repeated": (_REGULAR.replace(
+        _UNIS, '{"U": ["u0", "u0", "u2"]}'), _SPACE, True),
     "lattice error": (_REGULAR.replace(_LAT, '{"kind": "godel_chain"}'),
                       _SPACE, False),
     "lattice over the budget": (_REGULAR.replace(
@@ -478,23 +467,15 @@ SHAPES = {
     "budget one below the space": (_REGULAR, _SPACE - 1, False),
     "budget 1": (_REGULAR, 1, False),
     "root not an object": ("[" + _REGULAR + "]", _SPACE, False),
-    "empty object": ("{}", _SPACE, False),
+    "empty object": ("{}", _SPACE, True),
 }
-
-
-# the shapes whose every entry list is canonical: compact, in
-# `Space.values()` order, each member a display as `json.dumps` writes it
-BULK = {"regular", "trailing whitespace", "a repeat inside a value",
-        "NaN outside the entries", "two systems",
-        "a display escaped and one not ASCII", "243 entries"}
 
 
 @pytest.mark.parametrize("shape", SHAPES)
 def test_streamed_read_of_each_shape_matches_decoded_first(tmp_path, shape):
-    text, budget, streams = SHAPES[shape]
-    assert streams or (text, budget) != (_REGULAR, _SPACE)
-    _assert_streams_as_decoded(tmp_path, text, budget, streams,
-                               bulk=shape in BULK)
+    text, budget, canonical = SHAPES[shape]
+    assert canonical or (text, budget) != (_REGULAR, _SPACE)
+    _assert_streams_as_decoded(tmp_path, text, budget, canonical)
 
 
 @pytest.mark.parametrize("window", (1, 2, 3, 7, 40))
@@ -502,17 +483,45 @@ def test_windows_cut_every_value_and_read_as_one(tmp_path, monkeypatch,
                                                  window):
     """Read in windows this small, every entry, number and run of
     whitespace crosses a window's edge somewhere in the shapes: each still
-    loads as the whole text does, or fails with its error, the regular
-    shapes never fall back to `json.loads`, and the canonical ones never
-    decode an entry one at a time.  A window of one character
-    grows geometrically through the 10000-character nesting."""
+    loads as the whole text does, or fails with its error, and the
+    canonical shapes never fall back to `json.loads`.  A window of one
+    character grows geometrically through the 10000-character nesting."""
     monkeypatch.setattr(document, "WINDOW", window)
     shapes = dict(SHAPES, numbers=(_REGULAR.replace("{", (
         '{"n": 12345678901234567890,  \n\t "m": -0.125e-07, "k": [7, 8],'
         ), 1), _SPACE, True))
-    for shape, (text, budget, streams) in shapes.items():
-        _assert_streams_as_decoded(tmp_path, text, budget, streams,
-                                   bulk=shape in BULK | {"numbers"})
+    for text, budget, canonical in shapes.values():
+        _assert_streams_as_decoded(tmp_path, text, budget, canonical)
+
+
+def _workloads():
+    """`perfbench/workloads.py`, imported without writing its bytecode."""
+    path = FIXTURES.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sys, "dont_write_bytecode", True)
+        mp.setitem(sys.modules, spec.name, module)  # for its dataclasses
+        spec.loader.exec_module(module)
+    return module
+
+
+def test_every_benchmark_document_is_canonical(monkeypatch):
+    """Variant 0 of every generated slot of every benchmark workload loads
+    without `json.loads`: the benchmark measures only the matched read, so
+    a change to what it writes needs the fallback measured as well."""
+    workloads = _workloads()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the text fell back to json.loads")
+
+    monkeypatch.setattr(json, "loads", refuse)
+    slots = [(workload, slot) for workload in workloads.WORKLOADS.values()
+             for slot in sorted(workload.generated)]
+    assert slots
+    for workload, slot in slots:
+        text = workloads.render(workload, slot, 0).decode()
+        load_document(text, int(workloads.SWEEP_BUDGET))
 
 
 # ---------------------------------------------------------------------------
@@ -574,8 +583,8 @@ def test_table_entries_are_laid_out_as_their_list(name, npoints):
     uni = lf.Universe("X", tuple(f"x{k}" for k in range(npoints)))
     size = len(lat) ** npoints
     rng = random.Random(f"{name}{npoints}")
-    system = system_from_explicit(
-        lat, uni, [rng.choice(lat.elements()) for _ in range(size)])
+    system = lf.ClosureSystem(lat, uni, tuple(
+        rng.choice(lat.elements()) for _ in range(size)), "explicit")
     for struct in (system, lf.operator_from_system(system)):
         report = {"command": "x", "table": cli._table_json(struct)}
         listed = {**report, "table": {**report["table"],

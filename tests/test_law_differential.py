@@ -401,7 +401,7 @@ def perturbed_system(rng, system):
     lat, table = system.lattice, list(system.table)
     for _ in range(rng.randint(1, 3)):
         table[rng.randrange(len(table))] = rng.choice(lat.elements())
-    return lf.system_from_explicit(lat, system.universe, table)
+    return lf.ClosureSystem(lat, system.universe, tuple(table), "explicit")
 
 
 def top_lowered(rng, system):
@@ -410,7 +410,7 @@ def top_lowered(rng, system):
     it held, since f meet top = f."""
     lat, table = system.lattice, list(system.table)
     table[-1] = rng.choice([a for a in lat.elements() if a != lat.top])
-    return lf.system_from_explicit(lat, system.universe, table)
+    return lf.ClosureSystem(lat, system.universe, tuple(table), "explicit")
 
 
 def crisp_system(rng, lat, uni):
@@ -419,9 +419,9 @@ def crisp_system(rng, lat, uni):
     reaches the members above it only across values strictly between, so
     an up-set meet that stops one value up misses them."""
     crisp = (lat.bottom, lat.top)
-    return lf.system_from_explicit(lat, uni, [
+    return lf.ClosureSystem(lat, uni, tuple(
         lat.top if all(v in crisp for v in f) and rng.random() < 0.5
-        else lat.bottom for f in Space(lat, uni).values()])
+        else lat.bottom for f in Space(lat, uni).values()), "explicit")
 
 
 def make_system(rng, lat, uni, kind):
@@ -609,7 +609,7 @@ def grid_system():
     table = [lat.bottom] * len(lat)
     for v in ("11", "02", "12"):
         table[lat.parse(v)] = lat.parse(v)
-    return lf.system_from_explicit(lat, universe("X", 1), table)
+    return lf.ClosureSystem(lat, universe("X", 1), tuple(table), "explicit")
 
 
 @settings(max_examples=100, deadline=None)
@@ -664,7 +664,7 @@ def interleaved_system():
     inline document: `strong` fails at constant 0, before `enriched` fails
     at constant 1/2."""
     lat = lf.lukasiewicz_chain(3)
-    return lf.system_from_explicit(lat, universe("X", 1), (1, 0, 2))
+    return lf.ClosureSystem(lat, universe("X", 1), (1, 0, 2), "explicit")
 
 
 def test_check_system_reports_counterexamples_in_the_order_found():

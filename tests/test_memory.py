@@ -1,9 +1,10 @@
 """Peak memory of loading a large document and printing a large report,
 traced with `tracemalloc`, so the figures repeat exactly.
 
-The document is a complete explicit system of 4096 entries.  Loading it
-may hold under a third of what `json.loads` needs to read and decode the
-file, because the entries are read one at a time into the table and never
+The document is a complete explicit system of 4096 entries, written
+compactly in order.  Loading it may hold under a third of what `json.loads`
+needs to read and decode the file, because its canonical text is matched a
+span of entries at a time straight into the table, and the entries never
 exist as a decoded tree.  Printing the 4096-entry operator of that system
 may then reach little higher than building the operator does, because the
 report's entries are laid out one at a time and go out in chunks: neither
@@ -88,8 +89,8 @@ def test_system_check_holds_no_value_tuples():
     lat = lf.boolean_algebra(2)
     uni = lf.Universe("X", tuple(f"x{i}" for i in range(6)))
     rng = random.Random(0)
-    system = lf.system_from_explicit(
-        lat, uni, [rng.choice(lat.elements()) for _ in range(4096)])
+    system = lf.ClosureSystem(lat, uni, tuple(
+        rng.choice(lat.elements()) for _ in range(4096)), "explicit")
     check = _peak(closure.check_system, system)
     tuples = _peak(list, Space(lat, uni).values())
     assert check < tuples, (check, tuples)

@@ -218,11 +218,9 @@ def test_fcss_witness_examples(m_half, l3, uni_x):
 
 
 def test_fcss_zero_when_target_trivial_and_source_rejects(l3, uni_x2):
-    trivial = lf.system_from_explicit(l3, uni_x2, [l3.top] * 9)
-    rejecting = lf.system_from_explicit(
-        l3, uni_x2,
-        [l3.top if i == 8 else l3.bottom for i in range(9)],
-    )
+    trivial = lf.ClosureSystem(l3, uni_x2, (l3.top,) * 9, "explicit")
+    rejecting = lf.ClosureSystem(
+        l3, uni_x2, (l3.bottom,) * 8 + (l3.top,), "explicit")
     ident = identity_map(uni_x2)
     assert lf.fcss_witness(ident, rejecting, trivial).value == l3.bottom
 

@@ -93,7 +93,7 @@ def random_explicit(lat, npoints, rng):
     low, high = rng.sample(range(size), 2)
     table[low] = lat.bottom
     table[high] = lat.top
-    return lf.system_from_explicit(lat, uni, table)
+    return lf.ClosureSystem(lat, uni, tuple(table), "explicit")
 
 
 @settings(max_examples=10, deadline=None)
@@ -131,7 +131,7 @@ def test_product_lattice_meets_incomparable_values_above_bottom():
 @pytest.mark.parametrize("name", sorted(LATTICES))
 def test_empty_universe_closes_its_one_set(name):
     lat = LATTICES[name]
-    system = lf.system_from_explicit(lat, _universe(0), [lat.top])
+    system = lf.ClosureSystem(lat, _universe(0), (lat.top,), "explicit")
     assert lf.operator_from_system(system).table == ((),)
     assert reference_operator(system) == ((),)
 
@@ -140,8 +140,8 @@ def test_empty_universe_closes_its_one_set(name):
 def test_all_bottom_system_closes_everything_to_top(name):
     lat = LATTICES[name]
     npoints = 2
-    system = lf.system_from_explicit(lat, _universe(npoints),
-                                     [lat.bottom] * len(lat) ** npoints)
+    system = lf.ClosureSystem(lat, _universe(npoints),
+                              (lat.bottom,) * len(lat) ** npoints, "explicit")
     table = lf.operator_from_system(system).table
     assert table == ((lat.top,) * npoints,) * len(lat) ** npoints
     assert table == reference_operator(system)

@@ -64,7 +64,7 @@ def test_relation_from_system_w3(l3, uni_x, w3):
 def test_relation_from_constant_one_system(l3):
     uni = lf.Universe("U1", ("u",))
     table = [l3.top] * 3
-    system = lf.system_from_explicit(l3, uni, table)
+    system = lf.ClosureSystem(l3, uni, tuple(table), "explicit")
     rel = lf.relation_from_system(system)
     assert rel.rows == ((l3.top,),)
 

@@ -239,8 +239,8 @@ def random_relation(rng, lat, uni):
 
 def random_system(rng, lat, uni):
     size = len(lat) ** len(uni)
-    return lf.system_from_explicit(
-        lat, uni, [rng.choice(lat.elements()) for _ in range(size)])
+    return lf.ClosureSystem(lat, uni, tuple(
+        rng.choice(lat.elements()) for _ in range(size)), "explicit")
 
 
 def random_operator(rng, lat, uni):
@@ -603,7 +603,8 @@ def test_relation_of_asymmetric_systems_matches_the_per_set_sweep(name):
             rng, lat, universe("X", npoints))).table)
         for i in rng.sample(range(len(table)), len(table) // 10):
             table[i] = lat.bottom
-        system = lf.system_from_explicit(lat, universe("X", npoints), table)
+        system = lf.ClosureSystem(lat, universe("X", npoints), tuple(table),
+                                  "explicit")
         rows = lf.relation_from_system(system).rows
         assert rows == reference_relation_from_system(system)
         asymmetric += rows != tuple(zip(*rows))
