@@ -9,17 +9,18 @@ and the conversions only flip the tag, which is what makes the isomorphism
 and adjunction checks exact.
 
 A table keeps the partition it is derived from; `transform_table` yields
-its rows one at a time, as the report prints them.  The homomorphism
-checks read only the blocks: both sides of either check preserve joins in
-the swept set, so the generators e(s, a), the set that is `a` at point s
-and bottom elsewhere, decide it and, when bottom is ordinal 0, also come
-first in the sweep's order among its violations (README).
+its rows one at a time, as the report prints them, and only it is charged
+the space.  The homomorphism checks read only the blocks: both sides of
+either check preserve joins in the swept set, so the generators e(s, a),
+the set that is `a` at point s and bottom elsewhere, decide it and, when
+bottom is ordinal 0, also come first in the sweep's order among its
+violations (README).  A check is charged its |X|^2 |L| lookups.
 """
 
 from __future__ import annotations
 
 from .errors import MismatchError, PreconditionError
-from .fuzzyset import Space, UniverseMap, Universe
+from .fuzzyset import Space, UniverseMap, Universe, charge
 from .lattice import DEFAULT_BUDGET, Lattice
 from .partition import FuzzyPartition, is_identity_indexed
 from .record import Record, replace
@@ -33,30 +34,27 @@ class StructureTable(Record):
     partition: FuzzyPartition  # the blocks its rows are derived from
 
 
-def transform_table(p: FuzzyPartition):
+def transform_table(p: FuzzyPartition, budget: int = DEFAULT_BUDGET):
     """Each row of p's structure table in turn: per point, the transform
-    component of its own block at every set, in enumeration order."""
-    upper = Space(p.lattice, p.universe).upper
+    component of its own block at every set, in enumeration order.  The
+    space is charged before the first row."""
+    upper = Space(p.lattice, p.universe, budget, "structure table").upper
     return (tuple(upper(p.blocks[j].values)) for j in p.xi)
 
 
-def _from_partition(p: FuzzyPartition, budget: int,
-                    view: str) -> StructureTable:
+def _from_partition(p: FuzzyPartition, view: str) -> StructureTable:
     if not is_identity_indexed(p):
         raise PreconditionError(f"partition on {p.universe.name} is not "
                                 "identity-indexed")
-    Space(p.lattice, p.universe, budget, "structure table")
     return StructureTable(p.lattice, p.universe, "from_partition", view, p)
 
 
-def coalgebra_from_partition(p: FuzzyPartition,
-                             budget: int = DEFAULT_BUDGET) -> StructureTable:
-    return _from_partition(p, budget, "coalgebra")
+def coalgebra_from_partition(p: FuzzyPartition) -> StructureTable:
+    return _from_partition(p, "coalgebra")
 
 
-def dialgebra_from_partition(p: FuzzyPartition,
-                             budget: int = DEFAULT_BUDGET) -> StructureTable:
-    return _from_partition(p, budget, "dialgebra")
+def dialgebra_from_partition(p: FuzzyPartition) -> StructureTable:
+    return _from_partition(p, "dialgebra")
 
 
 def _require_view(table: StructureTable, view: str, what: str) -> None:
@@ -85,15 +83,16 @@ class HomVerdict(Record):
 
 
 def _scan(phi: UniverseMap, source: StructureTable, target: StructureTable,
-          fibers, at) -> HomVerdict:
+          fibers, at, budget: int) -> HomVerdict:
     """The first generator e(s, a) of the swept space (in index order when
     bottom is ordinal 0), and the first point x of phi's source, at which
         join over z in fibers[s] of A_x(z) tensor a
             <= B_{phi x}(at[s]) tensor a
     fails, A and B being the blocks of the two tables' partitions: |X|^2 |L|
-    lookups."""
+    lookups, charged before the first."""
     p, q = source.partition, target.partition
     lat = p.lattice
+    charge(len(phi.source) ** 2 * len(lat), budget, "homomorphism check")
     join, tensor, leq, bottom = lat.join, lat.tensor, lat.leq, lat.bottom
     rows = [(p.blocks[j].values, q.blocks[q.xi[t]].values)
             for j, t in zip(p.xi, phi.mapping)]
@@ -110,8 +109,8 @@ def _scan(phi: UniverseMap, source: StructureTable, target: StructureTable,
     return HomVerdict(True)
 
 
-def check_coa_hom(phi: UniverseMap, cx: StructureTable,
-                  cy: StructureTable) -> HomVerdict:
+def check_coa_hom(phi: UniverseMap, cx: StructureTable, cy: StructureTable,
+                  budget: int = DEFAULT_BUDGET) -> HomVerdict:
     """alpha_X(x)(pullback g) <= alpha_Y(phi x)(g) for all x and all g on
     the target universe; the pullback of e(y, a) is `a` on the fiber of y."""
     if cx.universe != phi.source or cy.universe != phi.target:
@@ -121,11 +120,11 @@ def check_coa_hom(phi: UniverseMap, cx: StructureTable,
     fibers = [[] for _ in phi.target.elements]
     for z, y in enumerate(phi.mapping):
         fibers[y].append(z)
-    return _scan(phi, cx, cy, fibers, range(len(fibers)))
+    return _scan(phi, cx, cy, fibers, range(len(fibers)), budget)
 
 
-def check_dia_hom(phi: UniverseMap, dx: StructureTable,
-                  dy: StructureTable) -> HomVerdict:
+def check_dia_hom(phi: UniverseMap, dx: StructureTable, dy: StructureTable,
+                  budget: int = DEFAULT_BUDGET) -> HomVerdict:
     """beta_X(x, f) <= beta_Y(phi x, pushforward f) for all x and all f on
     the source universe; the pushforward of e(z, a) is e(phi z, a)."""
     if dx.universe != phi.source or dy.universe != phi.target:
@@ -133,7 +132,7 @@ def check_dia_hom(phi: UniverseMap, dx: StructureTable,
     _require_view(dx, "dialgebra", "check_dia_hom")
     _require_view(dy, "dialgebra", "check_dia_hom")
     return _scan(phi, dx, dy, [(z,) for z in range(len(phi.mapping))],
-                 phi.mapping)
+                 phi.mapping, budget)
 
 
 # ---------------------------------------------------------------------------
@@ -145,8 +144,8 @@ class TransferVerdict(Record):
     converted: HomVerdict | None
 
 
-def morphism_transfer_check(phi: UniverseMap, source, target,
-                            direction: str) -> TransferVerdict:
+def morphism_transfer_check(phi: UniverseMap, source, target, direction: str,
+                            budget: int = DEFAULT_BUDGET) -> TransferVerdict:
     """Convert a holding homomorphism to the other view and re-check it.
 
     Direction "coa-dia" needs phi injective, "dia-coa" needs phi surjective
@@ -162,10 +161,10 @@ def morphism_transfer_check(phi: UniverseMap, source, target,
     proviso, check, convert, recheck = paths[direction]
     if not proviso():
         return TransferVerdict("proviso unmet", None, None)
-    original = check(phi, source, target)
+    original = check(phi, source, target, budget)
     if not original.holds:
         return TransferVerdict("source check fails", original, None)
-    converted = recheck(phi, convert(source), convert(target))
+    converted = recheck(phi, convert(source), convert(target), budget)
     return TransferVerdict(
         "holds" if converted.holds else "fails", original, converted
     )
@@ -174,8 +173,8 @@ def morphism_transfer_check(phi: UniverseMap, source, target,
 # ---------------------------------------------------------------------------
 # adjunction triangle
 
-def adjunction_check(c: StructureTable, d: StructureTable,
-                     phi: UniverseMap) -> HomVerdict:
+def adjunction_check(c: StructureTable, d: StructureTable, phi: UniverseMap,
+                     budget: int = DEFAULT_BUDGET) -> HomVerdict:
     """Given a coalgebra morphism phi from c into the coalgebra view of d,
     take rho = phi as the mate and check that it is a dialgebra morphism
     from the dialgebra view of c into d: the verdict of that check.
@@ -184,10 +183,10 @@ def adjunction_check(c: StructureTable, d: StructureTable,
     to equal phi: the mate is unique and the triangle commutes by
     construction, and neither is reported.
     """
-    pre = check_coa_hom(phi, c, dia_to_coa(d))
+    pre = check_coa_hom(phi, c, dia_to_coa(d), budget)
     if not pre.holds:
         raise PreconditionError(
             "phi is not a coalgebra morphism into the converted dialgebra; "
             f"violation at {pre.violation}"
         )
-    return check_dia_hom(phi, coa_to_dia(c), d)
+    return check_dia_hom(phi, coa_to_dia(c), d, budget)

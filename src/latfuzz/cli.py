@@ -81,30 +81,40 @@ def _required(args, name: str) -> str:
     return value
 
 
-def _table_json(struct) -> dict:
+def _table_json(struct, budget: int) -> dict:
     """A closure system or operator: one [set, image] entry per set of the
     space, the image a membership value or a closed set.  The writer calls
-    `entries` to emit them one at a time as `_lay_out` would their list: the
-    sets come in `product` order, so each is one format of joined displays."""
+    `entries` to emit them as `_lay_out` would their list.  The sets come in
+    `product` order, so the sets that share a head of points share its
+    text, built once, and the entries of a head go out as one join."""
     enc = [_encode_str(s) for s in struct.lattice.displays]
     dim = len(struct.universe)
+    system = isinstance(struct, closure.ClosureSystem)
+    # the last `tail` points vary within a head, whose entries hold at
+    # most RUN displays
+    width = dim + 1 if system else 2 * dim
+    tail = max(k for k in range(dim + 1) if len(enc) ** k * width <= RUN)
 
     def entries(indent, emit):
         inner, at = indent + "  ", indent + "    "
         sep = ",\n" + at + "  "
-        wrap = "[\n" + at + "  {}\n" + at + "]" if dim else "[]"
-        if isinstance(struct, closure.ClosureSystem):
-            image, images = "{1}", map(enc.__getitem__, struct.table)
+        wrap = "[\n" + at + "  {}\n" + at + "]" if dim else "[{}]"
+        if system:
+            images = map(enc.__getitem__, struct.table)
         else:
-            image = wrap.format("{1}")
-            images = (sep.join(map(enc.__getitem__, im))
+            images = (wrap.format(sep.join(map(enc.__getitem__, im)))
                       for im in struct.table)
-        form = ("[\n" + at + wrap.format("{0}") + ",\n" + at + image
-                + "\n" + inner + "]").format
-        texts = map(form, map(sep.join, product(enc, repeat=dim)), images)
-        emit("[\n" + inner + next(texts))
-        for text in texts:
-            emit(",\n" + inner + text)
+        # an entry is opening + the set's displays + middle + image + close
+        opening, middle = ("[\n" + at + wrap + ",\n" + at).split("{}")
+        close = "\n" + inner + "]"
+        tails = [text + middle
+                 for text in map(sep.join, product(enc, repeat=tail))]
+        head = "[\n" + inner
+        for text in map(sep.join, product(enc, repeat=dim - tail)):
+            start = opening + text + (sep if text and tail else "")
+            emit(head + start + (close + ",\n" + inner + start).join(
+                map(str.__add__, tails, images)) + close)
+            head = ",\n" + inner
         emit("\n" + indent + "]")
 
     return {"universe": struct.universe.name,
@@ -134,7 +144,7 @@ def _axioms_json(report) -> dict:
     return out
 
 
-def _relation_json(rel) -> dict:
+def _relation_json(rel, budget: int) -> dict:
     d = rel.lattice.displays
     return {
         "universe": rel.universe.name,
@@ -143,17 +153,30 @@ def _relation_json(rel) -> dict:
     }
 
 
-def _structure_json(struct) -> dict:
-    lat = struct.lattice
+def _structure_json(struct, budget: int) -> dict:
+    """A structure table, charged its space before the first row; each row
+    is laid out as it comes, its values in runs of encoded displays."""
+    enc = [_encode_str(d) for d in struct.lattice.displays]
+
+    def values(row):
+        def lay_out(indent, emit):
+            inner = indent + "  "
+            sep = ",\n" + inner
+            head = "[\n" + inner
+            for start in range(0, len(row), RUN):
+                emit(head + sep.join(map(enc.__getitem__,
+                                         row[start:start + RUN])))
+                head = sep
+            emit("\n" + indent + "]")
+        return lay_out
+
+    rows = algebra.transform_table(struct.partition, budget)
     return {
         "universe": struct.universe.name,
         "provenance": struct.provenance,
-        "space": Space(lat, struct.universe).size,
-        "table": (
-            {"element": e, "values": [lat.displays[v] for v in row]}
-            for e, row in zip(struct.universe.elements,
-                              algebra.transform_table(struct.partition))
-        ),
+        "space": Space(struct.lattice, struct.universe).size,
+        "table": ({"element": e, "values": values(row)}
+                  for e, row in zip(struct.universe.elements, rows)),
     }
 
 
@@ -166,7 +189,8 @@ class _Kind(Record):
     `derive` maps a source kind to the construction from it ("partition":
     from a partition object).  `prefixes` are the source kinds a reference
     may name as `kind:ref`, where `ref` is a reference to that kind in
-    turn.  `lookup` finds the object by document name.
+    turn.  `lookup` finds the object by document name, and `to_json(obj,
+    budget)` gives its report.
     """
 
     derive: dict = {}
@@ -231,12 +255,12 @@ _KINDS = {
     ),
     "coalgebra": _Kind(
         derive={"partition": lambda p, b:
-                algebra.coalgebra_from_partition(p, b)},
+                algebra.coalgebra_from_partition(p)},
         to_json=_structure_json,
     ),
     "dialgebra": _Kind(
         derive={"partition": lambda p, b:
-                algebra.dialgebra_from_partition(p, b)},
+                algebra.dialgebra_from_partition(p)},
         to_json=_structure_json,
     ),
 }
@@ -348,7 +372,7 @@ def _cmd_construct(doc, args, budget):
         key = (args.command, getattr(args, "construction", None))
     kind, option, source = _CONSTRUCTIONS[key]
     built = _derive(doc, kind, source, _required(args, option), budget)
-    return {kind: _KINDS[kind].to_json(built)}, "ok"
+    return {kind: _KINDS[kind].to_json(built, budget)}, "ok"
 
 
 def _cmd_check(doc, args, budget):
@@ -373,7 +397,7 @@ def _cmd_check(doc, args, budget):
         view, check = "coalgebra", algebra.check_coa_hom
     else:
         view, check = "dialgebra", algebra.check_dia_hom
-    verdict = check(*_hom_ends(doc, args, view, budget))
+    verdict = check(*_hom_ends(doc, args, view, budget), budget)
     return _hom_json(verdict), _verdict(verdict.holds)
 
 
@@ -485,7 +509,7 @@ def _cmd_adjunction(doc, args, budget):
     phi = doc.map(args.map)
     c = _derive(doc, "coalgebra", "partition", args.source_partition, budget)
     d = _derive(doc, "dialgebra", "partition", args.target_partition, budget)
-    rho = algebra.adjunction_check(c, d, phi)
+    rho = algebra.adjunction_check(c, d, phi, budget)
     payload = {"holds": rho.holds, "rho_is_dialgebra_morphism": _hom_json(rho)}
     return {"adjunction": payload}, _verdict(rho.holds)
 
@@ -493,7 +517,7 @@ def _cmd_adjunction(doc, args, budget):
 def _cmd_transfer(doc, args, budget):
     view = "coalgebra" if args.direction == "coa-dia" else "dialgebra"
     verdict = algebra.morphism_transfer_check(
-        *_hom_ends(doc, args, view, budget), args.direction)
+        *_hom_ends(doc, args, view, budget), args.direction, budget)
     payload = {"status": verdict.status,
                "original": _hom_json(verdict.original),
                "converted": _hom_json(verdict.converted)}
@@ -659,8 +683,8 @@ def _key_json(key) -> str:
 
 def _write_json(value, write) -> None:
     """Pass `value` as `json.dumps(value, indent=2)` writes it, and a
-    newline, to `write` in pieces of at least `CHUNK` characters, the last
-    one shorter."""
+    newline, to `write` in pieces of `CHUNK` characters, the last one
+    shorter."""
     pieces = []
     size = 0
 
@@ -668,10 +692,14 @@ def _write_json(value, write) -> None:
         nonlocal size
         pieces.append(piece)
         size += len(piece)
-        if size >= CHUNK:
-            write("".join(pieces))
+        if size >= CHUNK:  # whole chunks out, the rest kept
+            text = "".join(pieces)
             pieces.clear()
-            size = 0
+            size = len(text) % CHUNK
+            for start in range(0, len(text) - size, CHUNK):
+                write(text[start:start + CHUNK])
+            if size:
+                pieces.append(text[-size:])
 
     _lay_out(value, "", emit)
     pieces.append("\n")

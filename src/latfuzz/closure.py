@@ -38,19 +38,6 @@ class ClosureOperator(Record):
 # ---------------------------------------------------------------------------
 # constructions
 
-def _meet_residua(space: Space, columns) -> tuple[int, ...]:
-    """Membership degree of every f: the meet over x of column_x(f) -> f(x),
-    where `columns` yields the (x, column) pairs, each column over the whole
-    space in enumeration order."""
-    lat = space.lattice
-    res, meet = lat.residuum, lat.meet
-    table = [lat.top] * space.size
-    for x, column in columns:
-        table = [meet[t][r[b]] for t, r, b in
-                 zip(table, map(res.__getitem__, column), space.digits(x))]
-    return tuple(table)
-
-
 def system_from_partition(p: FuzzyPartition,
                           budget: int = DEFAULT_BUDGET) -> ClosureSystem:
     """F3, which is F2 after F1: the system of the partition's relation.
@@ -69,7 +56,7 @@ def system_from_relation(rel: FuzzyRelation,
     columns = ((row, space.upper(row)) for row in dict.fromkeys(rel.rows))
     approx = ((x, column) for row, column in columns
               for x, own in enumerate(rel.rows) if own == row)
-    return ClosureSystem(lat, rel.universe, _meet_residua(space, approx),
+    return ClosureSystem(lat, rel.universe, space.meet_residua(approx),
                          "from_relation")
 
 
@@ -113,8 +100,9 @@ def system_from_operator(op: ClosureOperator,
                          budget: int = DEFAULT_BUDGET) -> ClosureSystem:
     lat = op.lattice
     space = Space(lat, op.universe, budget, "closure system construction")
-    closed = ((x, [c[x] for c in op.table]) for x in range(len(op.universe)))
-    return ClosureSystem(lat, op.universe, _meet_residua(space, closed),
+    closed = ((x, space.column(c[x] for c in op.table))
+              for x in range(len(op.universe)))
+    return ClosureSystem(lat, op.universe, space.meet_residua(closed),
                          "from_operator")
 
 
@@ -160,29 +148,32 @@ def check_system(system: ClosureSystem,
         if not _cuts_meet_closed(space, table):
             yield from range(prefix, space.size)
 
+    # each scan is a column of whether the law holds at every set
+    lane, els = space.column(table), lat.elements()
     for i in rows():
         f = space.values_at(i)
-        met = space.image_lookup([meet[v] for v in f], table)
+        met = space.image_lookup([meet[v] for v in f], lane)
         low = meet[table[i]]
-        j = next((j for j in range(i, space.size)
-                  if not leq[low[table[j]]][met[j]]), None)
-        del met  # before the next row's column is built
+        holds = space.pointwise(lane, met, space.operation(
+            [[leq[low[u]][v] for v in els] for u in els]))
+        j = holds.index(0, i) if 0 in holds[i:] else None
+        del met, holds  # before the next row's columns are built
         if j is not None:
             counter["axiom_ii"] = (
                 f"pair ({_show(lat, f)}, {_show(lat, space.values_at(j))})"
             )
             break
 
-    for a in lat.elements():
+    order = space.operation(leq)
+    for a in els:
         found = []
         for key, row in (("enriched", lat.residuum[a]),
                          ("strong", lat.tensor[a])):
             if key not in counter:
-                image = space.image_lookup([row] * len(uni), table)
-                for i, (u, v) in enumerate(zip(table, image)):
-                    if not leq[u][v]:
-                        found.append((i, key))
-                        break
+                image = space.image_lookup([row] * len(uni), lane)
+                holds = space.pointwise(lane, image, order)
+                if 0 in holds:
+                    found.append((holds.index(0), key))
         for i, key in sorted(found):
             f = space.values_at(i)
             counter[key] = f"constant {lat.displays[a]} with {_show(lat, f)}"
@@ -203,24 +194,25 @@ def _cuts_meet_closed(space: Space, table) -> bool:
 
     A family is meet-closed iff, for every f with a member above it, the
     meet of the members above f is a member: `Space.meets_above` over one
-    column per point, with a sentinel `none` for "no member above".
+    column per point, each top off the family, and over a column of
+    membership, joined, for whether f has a member above at all.
     """
     lat = space.lattice
     if not space.weights:
         return True  # one set, and f meet f = f
-    none = n = space.radix
-    meet = [(*row, v) for v, row in enumerate(lat.meet)]
-    meet.append(tuple(range(n + 1)))
     digits = [space.digits(x) for x in range(len(space.weights))]
+    # keep[v][m] is v for a member, top for any other set
+    keep = space.operation([(lat.top, v) for v in lat.elements()])
     for a in lat.elements():
         if a == lat.bottom:
             continue
-        member = list(map(lat.leq[a].__getitem__, table))
-        columns = [[v if m else none for v, m in zip(digit, member)]
-                   for digit in digits]
-        space.meets_above(columns, meet)
+        member = space.column(map(lat.leq[a].__getitem__, table))
+        above = [member]
+        space.meets_above(above, ((0, 1), (1, 1)))
+        columns = [space.pointwise(digit, member, keep) for digit in digits]
+        space.meets_above(columns, lat.meet)
         at = space.index_of(columns, space.size)
-        if not all(member[i] for i, v in zip(at, columns[0]) if v != none):
+        if not all(member[i] for i, v in zip(at, above[0]) if v):
             return False
     return True
 

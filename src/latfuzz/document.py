@@ -31,12 +31,11 @@ from itertools import islice, product
 from operator import add, getitem
 from pathlib import Path
 
+from . import closure, morphism
 from . import lattice as lattice_mod
-from .closure import ClosureSystem
 from .errors import BudgetExceeded, DocumentError, WorkbenchError
 from .fuzzyset import FuzzySet, Space, Universe, UniverseMap, from_labels
 from .lattice import DEFAULT_BUDGET, Lattice
-from .morphism import FPMapCandidate, index_map, make_candidate
 from .partition import FuzzyPartition, validate_partition
 from .record import Record
 from .relation import FuzzyRelation
@@ -50,9 +49,9 @@ class InstanceDocument(Record):
     relations: dict[str, FuzzyRelation] = {}
     maps: dict[str, UniverseMap] = {}
     index_maps: dict[str, dict] = {}
-    candidates: dict[str, FPMapCandidate] = {}
+    candidates: dict[str, morphism.FPMapCandidate] = {}
     pairings: dict[str, tuple[str, str]] = {}
-    systems: dict[str, ClosureSystem] = {}
+    systems: dict[str, closure.ClosureSystem] = {}
     warnings: list[str] = []
 
     def universe(self, name):
@@ -371,8 +370,8 @@ def _build(data: dict, budget: int, lat: Lattice | None) -> InstanceDocument:
         doc.maps[name] = UniverseMap.from_labels(src, tgt, spec["values"])
 
     for name, spec in _section(data, "index_maps"):
-        index_map(doc.partition(spec["source"]), doc.partition(spec["target"]),
-                  spec["values"])
+        morphism.index_map(doc.partition(spec["source"]),
+                           doc.partition(spec["target"]), spec["values"])
         doc.index_maps[name] = dict(spec)
 
     for name, spec in _section(data, "candidates"):
@@ -398,7 +397,7 @@ def _build(data: dict, budget: int, lat: Lattice | None) -> InstanceDocument:
                 f"[source block, target block] pairs",
             )
             pairs = [tuple(p) for p in pairs]
-        cand, warns = make_candidate(
+        cand, warns = morphism.make_candidate(
             source, target, phi, psi_spec["values"], pairs
         )
         doc.candidates[name] = cand
@@ -419,7 +418,8 @@ def _build(data: dict, budget: int, lat: Lattice | None) -> InstanceDocument:
         if type(table) is not _Table:  # decoded by `json.loads`
             table = _system_table(name, lat, uni, table, budget)
         # either read has checked every member and the table's size
-        doc.systems[name] = ClosureSystem(lat, uni, tuple(table), "explicit")
+        doc.systems[name] = closure.ClosureSystem(lat, uni, tuple(table),
+                                                  "explicit")
 
     return doc
 

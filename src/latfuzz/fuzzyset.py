@@ -10,11 +10,12 @@ rather than a silent re-indexing.
 lexicographic order of `L^X` and its index arithmetic, and every sweep over
 the space in the package goes through it.  `charge(count, budget, what)` is
 the one budget rule: `Space(lattice, universe, budget, what)` charges it the
-exact `|L|^|X|`, and the CLI charges a relation built from a partition its
-`|X|^2` rows.  A sweep reads whole columns over the space (the value at a
-point, a transform component, the index of an image set), each computed by
-a prefix-shared fold in about `|space|` list steps, instead of building and
-validating one `FuzzySet` per index.
+exact `|L|^|X|`, the CLI charges a relation built from a partition its
+`|X|^2` rows, and `algebra` a homomorphism check its `|X|^2 |L|` lookups.
+A sweep reads whole columns over the space (the value at a point, a
+transform component, the index of an image set), each computed by a
+prefix-shared fold in about `|space|` steps, a `bytes` lane when
+`|L| <= 16`, instead of building and validating one `FuzzySet` per index.
 `Space.image_index` gives, for a fixed f, the index of f meet g (join,
 tensor) for every g: `check_system` scans its pairs with one such column
 per set, and the transform laws join every set with one point at a time.
@@ -24,7 +25,7 @@ closure operator of a system and the cut test of its meet axiom.
 
 from __future__ import annotations
 
-from itertools import product
+from itertools import chain, product
 
 from .errors import BudgetExceeded, ElementError, MismatchError, quote
 from .lattice import Lattice
@@ -141,10 +142,15 @@ class Space:
     first point being the most significant digit.
 
     Sweeps read whole columns over the space instead of building one fuzzy
-    set per index.  `_fold` evaluates `op` over the points of
-    `rows[x][f(x)]` for every f at once, sharing each prefix of points
-    between the sets that agree on it, so a fold costs about
-    `|space| * n / (n - 1)` list steps rather than `|space| * |X|`.
+    set per index.  When |L| <= 16 a column of lattice values is a `bytes`
+    lane, one byte per set, and a binary table operation on two lanes is
+    one big-int step: the lanes side by side as the bytes 16a + b, mapped
+    through the table by `bytes.translate`.  Over a larger lattice a column
+    is a list, and the same methods take it a value at a time.  `_fold`
+    evaluates `op` over the points of `rows[x][f(x)]` for every f at once,
+    sharing each prefix of points between the sets that agree on it, so a
+    fold costs about `|space| * n / (n - 1)` steps rather than
+    `|space| * |X|`.
 
     With a `budget`, a space of more sets than that raises BudgetExceeded
     naming `what` before anything else is built.
@@ -161,6 +167,11 @@ class Space:
         if budget is not None:
             charge(self.size, budget, what)
         self.weights = tuple(n ** (dim - 1 - x) for x in range(dim))
+        self.lanes = n <= 16
+        # a column from values, and one from consecutive columns
+        self.column = bytes if self.lanes else list
+        self.concat = b"".join if self.lanes else (
+            lambda parts: list(chain.from_iterable(parts)))
 
     def values(self):
         """Every value tuple, in enumeration order."""
@@ -176,23 +187,48 @@ class Space:
     def values_at(self, index: int) -> tuple[int, ...]:
         return tuple(index // w % self.radix for w in self.weights)
 
-    def digits(self, x: int) -> list[int]:
-        """f(x) for every f, in enumeration order."""
+    def digits(self, x: int):
+        """f(x) for every f, in enumeration order: repeated blocks."""
         w = self.weights[x]
-        block = []
-        for v in range(self.radix):
-            block += [v] * w
+        block = self.concat(self.column([v]) * w for v in range(self.radix))
         return block * (self.size // (w * self.radix))
 
-    def _fold(self, rows, op=None, start: int = 0) -> list[int]:
+    def operation(self, op):
+        """The table `op[a][b]` as `pointwise` takes it: on lanes, the
+        256-byte translation of 16a + b."""
+        if not self.lanes:
+            return op
+        flat = bytearray(256)
+        for a, row in enumerate(op):
+            flat[16 * a:16 * a + len(row)] = row
+        return bytes(flat)
+
+    def pointwise(self, p, q, table):
+        """`op[p[i]][q[i]]` for every i, `table` being `operation(op)`."""
+        if not self.lanes:
+            return [table[a][b] for a, b in zip(p, q)]
+        return ((int.from_bytes(p, "big") << 4) | int.from_bytes(q, "big")) \
+            .to_bytes(len(p), "big").translate(table)
+
+    def reduce(self, parts, table):
+        """`pointwise` of the parts in turn, left to right."""
+        parts = iter(parts)
+        acc = next(parts)
+        for part in parts:
+            acc = self.pointwise(acc, part, table)
+        return acc
+
+    def _fold(self, rows, op=None, start: int = 0):
         """`start op rows[0][f(0)] op rows[1][f(1)] ...` for every f, where
-        `op` is a lattice operation table, or addition when None."""
-        acc = [start]
+        `op` is a lattice operation table (a column), or addition when None
+        (a list)."""
+        acc = [start] if op is None else self.column([start])
         for row in rows:
             if op is None:
                 acc = [a + r for a in acc for r in row]
-            else:
-                acc = [ops[r] for ops in map(op.__getitem__, acc) for r in row]
+            else:  # each value of acc followed by every value of row
+                after = [self.column(map(ops.__getitem__, row)) for ops in op]
+                acc = self.concat(map(after.__getitem__, acc))
         return acc
 
     def image_index(self, rows) -> list[int]:
@@ -201,10 +237,12 @@ class Space:
         return self._fold([[w * r for r in row]
                            for w, row in zip(self.weights, rows)])
 
-    def image_lookup(self, rows, table) -> list:
-        """`table[i]` for each i of `image_index(rows)`, at the last fold."""
+    def image_lookup(self, rows, table):
+        """`table[i]` for each i of `image_index(rows)`, read at the last
+        fold, as a column."""
         *head, last = rows or [[0]]  # the last point's weight is 1
-        return [table[i + r] for i in self.image_index(head) for r in last]
+        return self.column([table[i + r] for i in self.image_index(head)
+                            for r in last])
 
     def index_of(self, columns, size: int) -> list[int]:
         """For each of `size` positions i, the index of the set whose value
@@ -215,8 +253,9 @@ class Space:
         return out
 
     def meets_above(self, columns, meet) -> None:
-        """Replace the value of every column at each f, in place, with the
-        meet, by the table `meet`, of its values over the sets above f.
+        """Replace every column, in place, by the column that holds at each
+        f the meet, by the table `meet`, of its values over the sets above
+        f.
 
         Each sweep meets the values at the last point, strided slices, with
         those at their upper covers, top down, so each cover has already
@@ -229,17 +268,31 @@ class Space:
         top_down = sorted(lat.elements(), key=lambda d: len(above[d]))
         steps = [(d, u) for d in top_down  # u an upper cover of d
                  for u in above[d].difference(*(above[w] for w in above[d]))]
+        table = self.operation(meet)
+        columns[:] = map(self.column, columns)
         for _ in range(len(self.weights)):
             for x, column in enumerate(columns):
                 parts = [column[d::n] for d in range(n)]
                 for d, u in steps:
-                    parts[d] = [meet[p][q] for p, q in zip(parts[d], parts[u])]
-                columns[x] = [v for part in parts for v in part]
+                    parts[d] = self.pointwise(parts[d], parts[u], table)
+                columns[x] = self.concat(parts)
 
-    def upper(self, row) -> list[int]:
-        """The join over the points of row[x] tensor f(x), for every f: the
-        transform component of a block, or the upper approximation at one
-        point along a relation row."""
+    def meet_residua(self, columns) -> tuple[int, ...]:
+        """Membership degree of every f: the meet over x of column_x(f) ->
+        f(x), where `columns` yields the (x, column) pairs, each column
+        over the whole space in enumeration order."""
+        lat = self.lattice
+        res, meet = self.operation(lat.residuum), self.operation(lat.meet)
+        table = self.column([lat.top]) * self.size
+        for x, column in columns:
+            table = self.pointwise(
+                table, self.pointwise(column, self.digits(x), res), meet)
+        return tuple(table)
+
+    def upper(self, row):
+        """The join over the points of row[x] tensor f(x), for every f, as
+        a column: the transform component of a block, or the upper
+        approximation at one point along a relation row."""
         lat = self.lattice
         return self._fold([lat.tensor[a] for a in row], lat.join, lat.bottom)
 

@@ -358,7 +358,7 @@ def test_coa_hom_composition_on_fixture(coalg_x2, coalg_s, swap, collapse):
 
 def test_budget_paths(x2p):
     with pytest.raises(lf.BudgetExceeded):
-        lf.coalgebra_from_partition(x2p, budget=2)
+        lf.transform_table(x2p, budget=2)
 
 
 # ---------------------------------------------------------------------------
@@ -462,8 +462,8 @@ SCAN_MUTANTS = [
                  "for a in (lat.top,):", id="only-top-scanned"),
     pytest.param(algebra, "_scan", "for z in fibers[s]:",
                  "for z in fibers[s][:1]:", id="fiber-join-dropped"),
-    pytest.param(algebra, "check_dia_hom", "                 phi.mapping)",
-                 "                 range(len(phi.mapping)))",
+    pytest.param(algebra, "check_dia_hom", "                 phi.mapping, budget)",
+                 "                 range(len(phi.mapping)), budget)",
                  id="phi-z-replaced-by-z"),
     pytest.param(algebra, "_scan",
                  "    for s in reversed(range(len(fibers))):"

@@ -1,11 +1,16 @@
 """The package's public surface: what `latfuzz` exports is what README's
 "Library API" list names, module by module, every public top-level
 function or class of a package module is used by another module or
-exported, and only the CLI defines report layout methods.  That a command
-enters every function and method is `test_reachability.py`'s check."""
+exported, only the CLI defines report layout methods, and a command that
+needs none of the modules loaded on first use does not run them.  That a
+command enters every function and method is `test_reachability.py`'s
+check."""
 
 import ast
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -16,11 +21,19 @@ ENTRY_POINTS = {("cli", "main"), ("cli", "run")}
 
 
 def _exports() -> dict:
-    """Exported name -> defining module, from the package's imports."""
+    """Exported name -> defining module, from the package's relative
+    imports and from `_LAZY`, its declaration of the modules it loads on
+    first use and the names it exports from each."""
     tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
-    return {alias.name: node.module for node in tree.body
-            if isinstance(node, ast.ImportFrom)
-            for alias in node.names}
+    exports = {alias.name: node.module for node in tree.body
+               if isinstance(node, ast.ImportFrom) and node.level
+               for alias in node.names}
+    lazy, = (ast.literal_eval(node.value) for node in tree.body
+             if isinstance(node, ast.Assign)
+             and [target.id for target in node.targets] == ["_LAZY"])
+    exports.update((name, module) for module, names in lazy.items()
+                   for name in names)
+    return exports
 
 
 def _readme_api() -> dict:
@@ -86,3 +99,37 @@ def test_only_the_cli_lays_out_reports():
              if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
              and node.name in LAYOUT]
     assert found == []
+
+
+# run in a fresh interpreter: prints the package modules whose top-level
+# code ran while `validate` read a document of lattice, universes, fuzzy
+# sets and partitions only
+LAZY_PROBE = """
+import io, sys
+ran = set()
+
+def profile(frame, event, arg):
+    if event == "call" and frame.f_code.co_name == "<module>":
+        ran.add(frame.f_globals.get("__name__"))
+
+sys.setprofile(profile)
+from latfuzz import cli
+sys.stdout = io.StringIO()
+code = cli.run(["validate", "--doc", sys.argv[1], "--no-timing"])
+sys.setprofile(None)
+sys.stdout = sys.__stdout__
+print(code, *sorted(m for m in ran if m and m.startswith("latfuzz")))
+"""
+
+
+def test_validate_runs_no_module_it_does_not_need():
+    probe = subprocess.run(
+        [sys.executable, "-c", LAZY_PROBE,
+         str(ROOT / "fixtures" / "example31.json")],
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        capture_output=True, text=True, timeout=60, check=True)
+    code, *ran = probe.stdout.split()
+    assert code == "0"
+    assert "latfuzz.document" in ran
+    assert not {"latfuzz.algebra", "latfuzz.ftransform", "latfuzz.morphism",
+                "latfuzz.closure"} & set(ran)

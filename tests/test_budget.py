@@ -3,7 +3,9 @@ budget with its own text and the exact cardinality, the errors that come
 before the budget still do, and `fuzzyset.charge` is the only place in the
 package where a sweep over `L^X` is charged.  Each command that builds or
 compares a partition's relation is charged its `|X|^2` rows before any row
-is built: it answers at that budget and exits 3 one below it."""
+is built, each homomorphism check its `|X|^2 |L|` block lookups, and
+`coalg`/`dialg` their space before the first row: each answers at that
+budget and exits 3 one below it."""
 
 import ast
 import json
@@ -55,8 +57,8 @@ OVER_BUDGET = {
     "transform_law_suite": (
         lambda o, b: lf.transform_law_suite(o.w3, b),
         "transform law suite", 27),
-    "dialgebra_from_partition": (
-        lambda o, b: lf.dialgebra_from_partition(o.x2p, b),
+    "transform_table": (
+        lambda o, b: tuple(lf.transform_table(o.x2p, b)),
         "structure table", 9),
     "document systems table": (
         lambda o, b: load_document(_full_system_doc(o), b),
@@ -76,9 +78,10 @@ def test_over_budget_text_and_cardinality(o, case):
 
 
 # errors that win over the budget, or lose to it, with every space over
-# budget (the documents' 3-element lattice still fits); the hom checks read
-# only the blocks and take no budget, so their cases pin that a mismatch is
-# raised before anything is read: case -> (call, error type, text)
+# budget (the documents' 3-element lattice still fits); the hom checks are
+# charged only their block lookups, which fit, so their cases pin that a
+# mismatch is raised before anything is read: case -> (call, error type,
+# text)
 ERROR_ORDER = {
     "malformed system entry before the budget": (
         lambda o: load_document(_system_doc([5]), 26),
@@ -213,3 +216,63 @@ def test_relation_is_charged_before_any_row(capsys, monkeypatch):
     assert code == 3
     assert report["error"] == \
         "relation construction requires 90000 evaluations, over budget 4096"
+
+
+def _identity_indexed(npoints: int) -> str:
+    """A document on the Gödel 3-chain with the crisp identity-indexed
+    partition `I` of `npoints` points and its identity map."""
+    points = [f"x{k}" for k in range(npoints)]
+    return json.dumps({
+        "lattice": {"kind": "godel_chain", "n": 3},
+        "universes": {"X": points},
+        "partitions": {"I": {"universe": "X", "blocks": {
+            p: {q: "1" if q == p else "0" for q in points} for p in points}}},
+        "maps": {"id": {"source": "X", "target": "X",
+                        "values": {x: x for x in points}}}})
+
+
+_HOM = ("--map", "id", "--source-partition", "I", "--target-partition", "I")
+# the commands decided from the blocks
+BLOCK_DECIDED = {
+    "check coa-hom": ("check", "coa-hom", *_HOM),
+    "check dia-hom": ("check", "dia-hom", *_HOM),
+    "adjunction": ("adjunction", *_HOM),
+    "transfer coa-dia": ("transfer", "coa-dia", *_HOM),
+    "transfer dia-coa": ("transfer", "dia-coa", *_HOM),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BLOCK_DECIDED))
+def test_block_decided_checks_are_charged_their_lookups(capsys, case):
+    """On 4 points, 4^2 * 3 = 48 lookups per check, in a space of 81."""
+    argv = [*BLOCK_DECIDED[case], "--doc", _identity_indexed(4)]
+    code, _ = _run(capsys, [*argv, "--budget", "48"])
+    assert code == 0
+    code, report = _run(capsys, [*argv, "--budget", "47"])
+    assert code == 3
+    assert report["error"] == \
+        "homomorphism check requires 48 evaluations, over budget 47"
+    assert report["cardinality"] == 48
+
+
+@pytest.mark.parametrize("case", sorted(BLOCK_DECIDED))
+def test_block_decided_checks_answer_past_the_space(capsys, case):
+    """20 points: 3^20 sets, 1200 lookups, within the default budget."""
+    code, report = _run(capsys, [*BLOCK_DECIDED[case],
+                                 "--doc", _identity_indexed(20)])
+    assert code == 0, report
+
+
+@pytest.mark.parametrize("command", ["coalg", "dialg"])
+def test_structure_table_is_charged_its_space_before_any_row(capsys,
+                                                             command):
+    argv = [command, "--partition", "I", "--doc", _identity_indexed(4)]
+    code, report = _run(capsys, [*argv, "--budget", "81"])
+    assert code == 0
+    assert len(report[command + "ebra"]["table"]) == 4
+    code, report = _run(capsys, [*argv, "--budget", "80"])
+    assert code == 3
+    assert report["error"] == \
+        "structure table requires 81 evaluations, over budget 80"
+    assert report["cardinality"] == 81
+    assert command + "ebra" not in report

@@ -586,7 +586,8 @@ def test_table_entries_are_laid_out_as_their_list(name, npoints):
     system = lf.ClosureSystem(lat, uni, tuple(
         rng.choice(lat.elements()) for _ in range(size)), "explicit")
     for struct in (system, lf.operator_from_system(system)):
-        report = {"command": "x", "table": cli._table_json(struct)}
+        report = {"command": "x",
+                  "table": cli._table_json(struct, lf.DEFAULT_BUDGET)}
         listed = {**report, "table": {**report["table"],
                                       "entries": _entries_list(struct)}}
         assert "".join(_written(report)) == \

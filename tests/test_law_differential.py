@@ -726,14 +726,15 @@ def _all_match() -> bool:
 # satisfies every pair law on any table, since f meet f = f join f = f.
 MUTANTS = [
     pytest.param(closure, "check_system",
-                 "        j = next((j for j in range(i, space.size)",
-                 "        j = next((j for j in range(i + 2, space.size)",
+                 "        j = holds.index(0, i) if 0 in holds[i:] else None",
+                 "        j = holds.index(0, i + 2) if 0 in holds[i + 2:] "
+                 "else None",
                  id="check_system-0"),
     # the image column scan: the inequality read the wrong way round; a
     # constant's misses in clause order, not in set order
     pytest.param(closure, "check_system",
-                 "if not leq[u][v]:",
-                 "if not leq[v][u]:",
+                 "holds = space.pointwise(lane, image, order)",
+                 "holds = space.pointwise(image, lane, order)",
                  id="check_system-1"),
     pytest.param(closure, "check_system",
                  "for i, key in sorted(found):", "for i, key in found:",
@@ -776,7 +777,7 @@ MUTANTS = [
                  "for a in lat.elements():", "for a in {*table}:",
                  id="cuts-image-only"),
     pytest.param(closure, "_cuts_meet_closed",
-                 "[v if m else none for", "[v if m else lat.top for",
+                 "zip(at, above[0]) if v)", "zip(at, above[0]))",
                  id="cuts-sentinel-dropped"),
     pytest.param(Space, "meets_above",
                  "key=lambda d: len(above[d])", "key=lambda d: -len(above[d])",

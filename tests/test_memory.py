@@ -149,7 +149,7 @@ def test_structure_report_holds_one_row_at_a_time(doc16k, monkeypatch):
     it, and each row's values in runs: after the load it holds less than
     its rows as a tuple of tuples."""
     p = load_document(doc16k, 16384).partition("I")
-    rows = _peak(lambda: tuple(lf.transform_table(p)))
+    rows = _peak(lambda: tuple(lf.transform_table(p, 16384)))
 
     def load(*args):
         doc = load_document(*args)

@@ -17,15 +17,21 @@ and on cases built to hold.
 The column primitives `Space.meets_above` and `Space.index_of` are also
 compared on their own, with a brute-force meet over the up-set of each set
 and with `Space.index` at each position, on these lattices and on
-`lattices.PRODUCT`, over universes of 0 to 3 points.
+`lattices.PRODUCT`, over universes of 0 to 3 points.  Every column method
+is compared with the per-set sweep on both of its paths: `bytes` lanes on
+those lattices, lists on `CHAIN17`, past the lanes' 16 values; so is the
+relation of a system, read from its join marginals.
 
 The last test patches one line of the kernel at a time (a wrong weight, a
-wrong row order, reversed weights) and checks that the comparisons catch
-each mutant.
+wrong row order, reversed weights, swapped operands of a table operation,
+digit blocks one set late, a marginal without its last slice) and checks
+that the comparisons catch each mutant.
 """
 
+import inspect
 import json
 import random
+import textwrap
 from itertools import product
 from types import SimpleNamespace
 
@@ -33,7 +39,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import latfuzz as lf
-from latfuzz import algebra
+from latfuzz import algebra, relation
 from conftest import FIXTURES
 from latfuzz.document import load_document
 from latfuzz.fuzzyset import Space
@@ -56,6 +62,8 @@ SPECS = {
     "grid23": json.loads((FIXTURES / "grid23.json").read_text())["lattice"],
 }
 LATTICES = {name: lf.build(spec) for name, spec in SPECS.items()}
+# a chain of more values than a lane can pair, so its columns are lists
+CHAIN17 = lf.godel_chain(17)
 
 
 # ---------------------------------------------------------------------------
@@ -311,7 +319,7 @@ def test_space_indices_match_per_set_images(case):
         set_index(backward_image(phi, lf.set_at(lat, uy, i)))
         for i in range(sy.size)]
     for x in range(nx):
-        assert sx.digits(x) == [v[x] for v in sx.values()]
+        assert list(sx.digits(x)) == [v[x] for v in sx.values()]
 
 
 # one lattice, the product among them, one universe size (0-3 points) and
@@ -354,7 +362,7 @@ def test_meets_above_matches_the_up_set_meet(case):
         expected = [reference_meets_above(lat, npoints, c, meet)
                     for c in columns]
         space.meets_above(columns, meet)
-        assert columns == expected
+        assert [list(column) for column in columns] == expected
 
 
 @settings(max_examples=40, deadline=None)
@@ -374,6 +382,56 @@ def test_index_of_matches_index_at_each_position(case, source_points):
     assert space.index_of(iter(columns), size) == [
         space.index(tuple(column[i] for column in columns))
         for i in range(size)]
+
+
+KERNEL_LATTICES = {**WITH_PRODUCT, CHAIN17.name: CHAIN17}
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_LATTICES))
+def test_both_kernel_paths_match_the_per_set_sweeps(name):
+    """Each column method against the same value taken set by set, on
+    universes of 0 to 2 points (3 below 10 values)."""
+    lat, rng = KERNEL_LATTICES[name], random.Random(name)
+    els = lat.elements()
+    for npoints in range(4 if len(lat) < 10 else 3):
+        uni = universe("X", npoints)
+        space = Space(lat, uni)
+        assert space.lanes == (len(lat) <= 16)
+        sets = [f.values for f in enumerate_sets(lat, uni)]
+
+        def column():
+            return [rng.choice(els) for _ in sets]
+
+        for x in range(npoints):
+            assert list(space.digits(x)) == [f[x] for f in sets]
+        for op in (lat.meet, lat.join, lat.residuum, lat.tensor, lat.leq):
+            p, q, r = column(), column(), column()
+            table = space.operation(op)
+            assert list(space.pointwise(space.column(p), space.column(q),
+                                        table)) == \
+                [op[a][b] for a, b in zip(p, q)]
+            assert list(space.reduce(map(space.column, (p, q, r)),
+                                     table)) == \
+                [op[op[a][b]][c] for a, b, c in zip(p, q, r)]
+        row = [rng.choice(els) for _ in range(npoints)]
+        assert list(space.upper(row)) == [
+            lat.join_all(lat.tensor[a][v] for a, v in zip(row, f))
+            for f in sets]
+        rows = [[rng.choice(els) for _ in els] for _ in range(npoints)]
+        table = column()
+        assert list(space.image_lookup(rows, space.column(table))) == [
+            table[set_index(lf.FuzzySet(lat, uni, tuple(
+                r[v] for r, v in zip(rows, f))))] for f in sets]
+        columns = [(x, column()) for x in range(npoints)]
+        assert space.meet_residua(
+            (x, space.column(c)) for x, c in columns) == tuple(
+            lat.meet_all(lat.residuum[c[i]][f[x]] for x, c in columns)
+            for i, f in enumerate(sets))
+        if npoints <= 2:
+            meets = [column()]
+            expected = reference_meets_above(lat, npoints, meets[0], lat.meet)
+            space.meets_above(meets, lat.meet)
+            assert list(meets[0]) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -589,14 +647,15 @@ def test_systems_and_relations(case):
         reference_relation_from_system(derived)
 
 
-@pytest.mark.parametrize("name", sorted(LATTICES))
+@pytest.mark.parametrize("name", sorted(KERNEL_LATTICES))
 def test_relation_of_asymmetric_systems_matches_the_per_set_sweep(name):
-    """The extraction reads each unordered pair's triples once and fills
-    R(z, x) from them swapped: on explicit systems whose relation is not
-    symmetric, chains and non-chains alike, both halves match the sweep."""
-    lat, rng = LATTICES[name], random.Random(name)
+    """The extraction reads each unordered pair's join marginal once and
+    fills R(z, x) from it swapped: on explicit systems whose relation is
+    not symmetric, chains and non-chains alike, on lanes and on lists, both
+    halves match the sweep."""
+    lat, rng = KERNEL_LATTICES[name], random.Random(name)
     asymmetric = 0
-    for npoints in (2, 3, 3):
+    for npoints in (2, 3, 3) if len(lat) < 16 else (2, 2, 2):
         # the system of a random relation, with a random tenth of its
         # memberships dropped to bottom
         table = list(lf.system_from_relation(random_relation(
@@ -693,8 +752,7 @@ def test_over_budget_raises_the_same_error(case):
     sy, oy = random_system(rng, lat, uy), random_operator(rng, lat, uy)
     sizes = sorted({len(lat) ** nx, len(lat) ** ny})
     pairs = [
-        (lambda *a, budget: tuple(lf.transform_table(
-            lf.coalgebra_from_partition(*a, budget).partition)),
+        (lambda *a, budget: tuple(lf.transform_table(*a, budget)),
          reference_transform_table, (px,)),
         (lambda *a, budget: lf.system_from_partition(*a, budget).table,
          reference_system_from_partition, (px,)),
@@ -749,14 +807,32 @@ def test_explicit_system_load_reports_the_first_missing_entry(case, dropped):
 # ---------------------------------------------------------------------------
 # the comparisons above catch one-line mutants of the kernel
 
+_fold, _pointwise, _digits = Space._fold, Space.pointwise, Space.digits
+
+
 def _fold_wrong_row(self, rows, op=None, start=0):
-    acc = [start]
-    for row in reversed(rows):  # mutant: points folded in reverse
-        if op is None:
-            acc = [a + r for a in acc for r in row]
-        else:
-            acc = [ops[r] for ops in map(op.__getitem__, acc) for r in row]
-    return acc
+    return _fold(self, rows[::-1], op, start)  # mutant: points reversed
+
+
+def _pointwise_swapped(self, p, q, table):
+    return _pointwise(self, q, p, table)  # mutant: operands swapped
+
+
+def _digits_one_late(self, x):
+    digits = _digits(self, x)
+    return digits[-1:] + digits[:-1]  # mutant: every block one set late
+
+
+def _relation_short_marginal():
+    """`relation_from_system` with the last slice of each join over the
+    last axis dropped."""
+    source = textwrap.dedent(inspect.getsource(relation.relation_from_system))
+    line = "[column[c::n] for c in range(n)]"
+    assert source.count(line) == 1
+    namespace = dict(vars(relation))
+    exec(compile(source.replace(line, "[column[c::n] for c in range(n - 1)]"),
+                 relation.__file__, "exec"), namespace)
+    return namespace["relation_from_system"]
 
 
 def _pulled_index_wrong_weight(self, phi):
@@ -802,6 +878,15 @@ def _kernel_matches_references() -> bool:
             if lf.system_from_relation(rel).table != \
                     reference_system_from_relation(rel):
                 return False
+            # systems mostly bottom, whose marginals join few values
+            for _ in range(4):
+                sparse = lf.ClosureSystem(lat, ux, tuple(
+                    rng.choice(lat.elements()) if rng.random() < 0.1
+                    else lat.bottom for _ in range(len(lat) ** nx)),
+                    "explicit")
+                if relation.relation_from_system(sparse).rows != \
+                        reference_relation_from_system(sparse):
+                    return False
     except (IndexError, ValueError):
         return False
     return True
@@ -811,8 +896,17 @@ def _kernel_matches_references() -> bool:
     ("_fold", _fold_wrong_row),
     ("pulled_index", _pulled_index_wrong_weight),
     ("index_of", _index_of_reversed_weights),
+    ("pointwise", _pointwise_swapped),
+    ("digits", _digits_one_late),
 ])
 def test_kernel_mutants_are_caught(monkeypatch, method, mutant):
     assert _kernel_matches_references()
     monkeypatch.setattr(Space, method, mutant)
+    assert not _kernel_matches_references()
+
+
+def test_marginal_mutant_is_caught(monkeypatch):
+    assert _kernel_matches_references()
+    monkeypatch.setattr(relation, "relation_from_system",
+                        _relation_short_marginal())
     assert not _kernel_matches_references()
