@@ -38,6 +38,8 @@ from .lattice import (
     zero_divisor_scan,
 )
 from .fuzzyset import (
+    ClosureOperator,
+    ClosureSystem,
     FuzzySet,
     Universe,
     UniverseMap,
@@ -62,9 +64,8 @@ from .record import replace
 _LAZY = {
     "ftransform": ("ft_field", "ft_transform", "transform_law_suite"),
     "closure": (
-        "ClosureOperator", "ClosureSystem", "check_system",
-        "operator_from_system", "roundtrip_relation", "roundtrip_system",
-        "system_from_operator", "system_from_partition",
+        "check_system", "operator_from_system", "roundtrip_relation",
+        "roundtrip_system", "system_from_operator", "system_from_partition",
         "system_from_relation",
     ),
     "morphism": (
@@ -73,10 +74,9 @@ _LAZY = {
         "index_square_diagnostic", "make_candidate",
     ),
     "algebra": (
-        "HomVerdict", "StructureTable", "TransferVerdict", "adjunction_check",
-        "check_coa_hom", "check_dia_hom", "coa_to_dia",
-        "coalgebra_from_partition", "dia_to_coa", "dialgebra_from_partition",
-        "morphism_transfer_check", "transform_table",
+        "HomVerdict", "TransferVerdict", "adjunction_check", "check_coa_hom",
+        "check_dia_hom", "identity_indexed", "morphism_transfer_check",
+        "transform_table",
     ),
 }
 _EXPORTED = {name: module for module, names in _LAZY.items() for name in names}

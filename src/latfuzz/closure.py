@@ -5,34 +5,18 @@ operators.
 Both structures are stored extensionally: a system is one lattice value per
 enumerated fuzzy set, an operator one fuzzy set per enumerated fuzzy set.
 Every construction here quantifies over the whole space, so the extensional
-table is also the cheapest representation to check laws against.
+table is also the cheapest representation to check laws against.  The two
+record types live in `fuzzyset`, beside the enumeration they follow, so a
+document that carries a system loads without this module.
 """
 
 from __future__ import annotations
 
-from .fuzzyset import Space, Universe
+from .fuzzyset import ClosureOperator, ClosureSystem, Space
 from .lattice import DEFAULT_BUDGET, Lattice, LawReport
 from .partition import FuzzyPartition, relation_from_partition
-from .record import Record, replace
+from .record import replace
 from .relation import FuzzyRelation, relation_from_system
-
-
-class ClosureSystem(Record):
-    """Degree-valued membership of each fuzzy set in the closed family."""
-
-    lattice: Lattice
-    universe: Universe
-    table: tuple[int, ...]
-    provenance: str
-
-
-class ClosureOperator(Record):
-    """Extensional map sending each fuzzy set to its closure."""
-
-    lattice: Lattice
-    universe: Universe
-    table: tuple[tuple[int, ...], ...]  # value tuple per enumeration index
-    provenance: str
 
 
 # ---------------------------------------------------------------------------

@@ -31,10 +31,11 @@ from itertools import islice, product
 from operator import add, getitem
 from pathlib import Path
 
-from . import closure, morphism
+from . import morphism
 from . import lattice as lattice_mod
 from .errors import BudgetExceeded, DocumentError, WorkbenchError
-from .fuzzyset import FuzzySet, Space, Universe, UniverseMap, from_labels
+from .fuzzyset import (ClosureSystem, FuzzySet, Space, Universe, UniverseMap,
+                       from_labels)
 from .lattice import DEFAULT_BUDGET, Lattice
 from .partition import FuzzyPartition, validate_partition
 from .record import Record
@@ -51,7 +52,7 @@ class InstanceDocument(Record):
     index_maps: dict[str, dict] = {}
     candidates: dict[str, morphism.FPMapCandidate] = {}
     pairings: dict[str, tuple[str, str]] = {}
-    systems: dict[str, closure.ClosureSystem] = {}
+    systems: dict[str, ClosureSystem] = {}
     warnings: list[str] = []
 
     def universe(self, name):
@@ -418,8 +419,7 @@ def _build(data: dict, budget: int, lat: Lattice | None) -> InstanceDocument:
         if type(table) is not _Table:  # decoded by `json.loads`
             table = _system_table(name, lat, uni, table, budget)
         # either read has checked every member and the table's size
-        doc.systems[name] = closure.ClosureSystem(lat, uni, tuple(table),
-                                                  "explicit")
+        doc.systems[name] = ClosureSystem(lat, uni, tuple(table), "explicit")
 
     return doc
 

@@ -1,5 +1,5 @@
-"""Exception types shared across the workbench, and the quoting of document
-values in their messages."""
+"""Exception types shared across the workbench, the quoting of document
+values in their messages, and the budget rule."""
 
 
 def quote(value) -> str:
@@ -49,6 +49,13 @@ class BudgetExceeded(WorkbenchError):
         super().__init__(
             f"{what} requires {cardinality} evaluations, over budget {budget}"
         )
+
+
+def charge(count: int, budget: int, what: str) -> None:
+    """The one budget rule, and the one raise site of BudgetExceeded:
+    `count` evaluations of `what` must not pass `budget` (README, Budget)."""
+    if count > budget:
+        raise BudgetExceeded(count, budget, what)
 
 
 class DocumentError(WorkbenchError):

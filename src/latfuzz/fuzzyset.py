@@ -8,10 +8,9 @@ rather than a silent re-indexing.
 
 `Space(lattice, universe)` is the enumeration kernel: it fixes the
 lexicographic order of `L^X` and its index arithmetic, and every sweep over
-the space in the package goes through it.  `charge(count, budget, what)` is
-the one budget rule: `Space(lattice, universe, budget, what)` charges it the
-exact `|L|^|X|`, the CLI charges a relation built from a partition its
-`|X|^2` rows, and `algebra` a homomorphism check its `|X|^2 |L|` lookups.
+the space in the package goes through it.  Given a budget, `Space(lattice,
+universe, budget, what)` charges its exact `|L|^|X|` through the one
+budget rule, `errors.charge`.
 A sweep reads whole columns over the space (the value at a point, a
 transform component, the index of an image set), each computed by a
 prefix-shared fold in about `|space|` steps, a `bytes` lane when
@@ -27,7 +26,7 @@ from __future__ import annotations
 
 from itertools import chain, product
 
-from .errors import BudgetExceeded, ElementError, MismatchError, quote
+from .errors import ElementError, MismatchError, charge, quote
 from .lattice import Lattice
 from .record import Record
 
@@ -129,12 +128,6 @@ class UniverseMap(Record):
 
 # ---------------------------------------------------------------------------
 # enumeration of the full function space
-
-def charge(count: int, budget: int, what: str) -> None:
-    """Raise BudgetExceeded if `count` evaluations of `what` pass `budget`."""
-    if count > budget:
-        raise BudgetExceeded(count, budget, what)
-
 
 class Space:
     """The function space L^X in lexicographic (mixed-radix) order: the set
@@ -310,3 +303,25 @@ class Space:
 def set_at(lat: Lattice, universe: Universe, index: int) -> FuzzySet:
     """The set at one index of the space, to name a counterexample."""
     return FuzzySet(lat, universe, Space(lat, universe).values_at(index))
+
+
+# ---------------------------------------------------------------------------
+# closure systems and operators as tables in the space's order, here so a
+# document that carries one loads without the constructions in `closure`
+
+class ClosureSystem(Record):
+    """Degree-valued membership of each fuzzy set in the closed family."""
+
+    lattice: Lattice
+    universe: Universe
+    table: tuple[int, ...]
+    provenance: str
+
+
+class ClosureOperator(Record):
+    """Extensional map sending each fuzzy set to its closure."""
+
+    lattice: Lattice
+    universe: Universe
+    table: tuple[tuple[int, ...], ...]  # value tuple per enumeration index
+    provenance: str

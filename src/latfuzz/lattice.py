@@ -24,7 +24,7 @@ from __future__ import annotations
 from math import gcd
 from operator import itemgetter
 
-from .errors import BudgetExceeded, ElementError, LatticeBuildError, quote
+from .errors import ElementError, LatticeBuildError, charge, quote
 from .record import Record
 
 DEFAULT_BUDGET = 4096
@@ -405,8 +405,8 @@ def _spec_list(spec, key, rows: bool = False) -> list:
 def _charge(n: int, budget: int) -> None:
     """Charge the n x n operation tables of an n-element lattice to the
     budget before any of them is built."""
-    if n > 1 and n * n > budget:
-        raise BudgetExceeded(n * n, budget, "lattice tables")
+    if n > 1:
+        charge(n * n, budget, "lattice tables")
 
 
 def build(spec: dict, budget: int = DEFAULT_BUDGET) -> Lattice:
@@ -524,8 +524,7 @@ def law_suite(lat: Lattice, budget: int = DEFAULT_BUDGET) -> LawReport:
     corrupted after validation make a clause fail.
     """
     n = len(lat)
-    if n ** 3 > budget:
-        raise BudgetExceeded(n ** 3, budget, "law suite")
+    charge(n ** 3, budget, "law suite")
 
     d = lat.displays
     tensor, res = lat.tensor, lat.residuum

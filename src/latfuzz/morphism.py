@@ -10,9 +10,9 @@ computed values.
 
 from __future__ import annotations
 
-from .closure import ClosureOperator, ClosureSystem
 from .errors import CandidateError, MismatchError
-from .fuzzyset import Space, UniverseMap, set_at
+from .fuzzyset import (ClosureOperator, ClosureSystem, Space, UniverseMap,
+                       set_at)
 from .lattice import DEFAULT_BUDGET, Lattice
 from .partition import FuzzyPartition, _name, product_partition
 from .record import Record

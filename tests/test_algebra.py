@@ -6,7 +6,7 @@ from types import SimpleNamespace
 import pytest
 
 import latfuzz as lf
-from conftest import fs
+from conftest import FIXTURES, fs
 from latfuzz import algebra, cli
 from latfuzz.fuzzyset import Space
 from reference import (
@@ -35,36 +35,28 @@ from test_space_differential import (
 
 
 @pytest.fixture(scope="module")
-def coalg_x2(x2p):
-    return lf.coalgebra_from_partition(x2p)
-
-
-@pytest.fixture(scope="module")
-def dialg_x2(x2p):
-    return lf.dialgebra_from_partition(x2p)
-
-
-@pytest.fixture(scope="module")
-def coalg_s(sp):
-    return lf.coalgebra_from_partition(sp)
-
-
-@pytest.fixture(scope="module")
 def collapse(uni_x2, uni_s):
     return lf.UniverseMap.from_labels(uni_x2, uni_s, {"x1": "s1", "x2": "s1"})
 
 
-def rows(table):
-    """The rows of a structure table, as `coalg` and `dialg` print them."""
-    return tuple(lf.transform_table(table.partition))
+def rows(p):
+    """The rows of a partition's structure table, as `coalg` and `dialg`
+    print them."""
+    return tuple(lf.transform_table(p))
 
 
-def test_structure_values(l3, uni_x2, coalg_x2, dialg_x2):
+def test_structure_values(l3, uni_x2, x2p, capsys):
     g01 = fs(l3, uni_x2, "0", "1")
     idx = set_index(g01)
-    coa, dia = rows(coalg_x2), rows(dialg_x2)
+    coa = rows(x2p)
     assert l3.displays[coa[0][idx]] == "1/2"
-    assert dia[0][idx] == coa[0][idx]
+    printed = []  # both views print the one table
+    for command, kind in (("coalg", "coalgebra"), ("dialg", "dialgebra")):
+        assert cli.run([command, "--doc", str(FIXTURES / "w3.json"),
+                        "--partition", "X2P", "--no-timing"]) == 0
+        printed.append(json.loads(capsys.readouterr().out)[kind])
+    assert printed[0] == printed[1]
+    assert printed[0]["table"][0]["values"][idx] == "1/2"
     top_idx = set_index(constant(l3, uni_x2, l3.top))
     bottom_idx = set_index(constant(l3, uni_x2, l3.bottom))
     for x in range(2):
@@ -72,19 +64,23 @@ def test_structure_values(l3, uni_x2, coalg_x2, dialg_x2):
         assert coa[x][bottom_idx] == l3.bottom
 
 
-def test_constants_fixed_in_dialgebra(l3, uni_x2, dialg_x2):
-    dia = rows(dialg_x2)
+def test_constants_fixed_in_dialgebra(l3, uni_x2, x2p):
+    dia = rows(x2p)
     for a in l3.elements():
         idx = set_index(constant(l3, uni_x2, a))
         for x in range(2):
             assert dia[x][idx] == a
 
 
-def test_requires_identity_indexing(w3):
-    with pytest.raises(lf.PreconditionError, match="identity-indexed"):
-        lf.coalgebra_from_partition(w3)
-    with pytest.raises(lf.PreconditionError):
-        lf.dialgebra_from_partition(w3)
+def test_requires_identity_indexing(w3, x2p, uni_x):
+    assert lf.identity_indexed(x2p) is x2p
+    with pytest.raises(lf.PreconditionError,
+                       match="^partition on X is not identity-indexed$"):
+        lf.identity_indexed(w3)
+    ident = identity_map(uni_x)
+    for check in (lf.check_coa_hom, lf.check_dia_hom):
+        with pytest.raises(lf.PreconditionError, match="identity-indexed"):
+            check(ident, w3, w3)
 
 
 def test_t1_identity_and_constants(l3, uni_x2):
@@ -115,16 +111,15 @@ def test_t2_functor_law(l3, uni_x2, uni_s, swap, collapse):
         assert forward_image(ident, f) == f
 
 
-def test_coa_hom_identity_swap_collapse(coalg_x2, coalg_s, swap, collapse,
-                                        uni_x2):
+def test_coa_hom_identity_swap_collapse(x2p, sp, swap, collapse, uni_x2):
     ident = identity_map(uni_x2)
-    assert lf.check_coa_hom(ident, coalg_x2, coalg_x2).holds
-    assert lf.check_coa_hom(swap, coalg_x2, coalg_x2).holds
-    assert lf.check_coa_hom(collapse, coalg_x2, coalg_s).holds
+    assert lf.check_coa_hom(ident, x2p, x2p).holds
+    assert lf.check_coa_hom(swap, x2p, x2p).holds
+    assert lf.check_coa_hom(collapse, x2p, sp).holds
 
 
-def test_swap_hom_holds_with_equality(l3, coalg_x2, swap, uni_x2):
-    coa = rows(coalg_x2)
+def test_swap_hom_holds_with_equality(l3, x2p, swap, uni_x2):
+    coa = rows(x2p)
     for i in range(9):
         g = lf.set_at(l3, uni_x2, i)
         pulled = set_index(backward_image(swap, g))
@@ -132,16 +127,14 @@ def test_swap_hom_holds_with_equality(l3, coalg_x2, swap, uni_x2):
             assert coa[x][pulled] == coa[swap.mapping[x]][i]
 
 
-def test_dia_hom_identity_swap_collapse(dialg_x2, sp, swap, collapse, uni_x2):
+def test_dia_hom_identity_swap_collapse(x2p, sp, swap, collapse, uni_x2):
     ident = identity_map(uni_x2)
-    dialg_s = lf.dialgebra_from_partition(sp)
-    assert lf.check_dia_hom(ident, dialg_x2, dialg_x2).holds
-    assert lf.check_dia_hom(swap, dialg_x2, dialg_x2).holds
-    assert lf.check_dia_hom(collapse, dialg_x2, dialg_s).holds
+    assert lf.check_dia_hom(ident, x2p, x2p).holds
+    assert lf.check_dia_hom(swap, x2p, x2p).holds
+    assert lf.check_dia_hom(collapse, x2p, sp).holds
 
 
-def test_identity_indexed_images_are_homs(l3, x2p, sp, swap, collapse, uni_x2,
-                                          coalg_x2, dialg_x2, coalg_s):
+def test_identity_indexed_images_are_homs(l3, x2p, sp, swap, collapse, uni_x2):
     # witness-top candidates between identity-indexed partitions
     candidates = [
         (identity_candidate(x2p), x2p, x2p,
@@ -155,12 +148,8 @@ def test_identity_indexed_images_are_homs(l3, x2p, sp, swap, collapse, uni_x2,
     candidates.append((collapse_cand, x2p, sp, collapse))
     for cand, px, py, phi in candidates:
         assert lf.fp_witness(cand).value == l3.top
-        cx = lf.coalgebra_from_partition(px)
-        cy = lf.coalgebra_from_partition(py)
-        assert lf.check_coa_hom(phi, cx, cy).holds
-        dx = lf.dialgebra_from_partition(px)
-        dy = lf.dialgebra_from_partition(py)
-        assert lf.check_dia_hom(phi, dx, dy).holds
+        assert lf.check_coa_hom(phi, px, py).holds
+        assert lf.check_dia_hom(phi, px, py).holds
 
 
 def test_half_witness_image_can_fail_hom_checks():
@@ -187,12 +176,8 @@ def test_half_witness_image_can_fail_hom_checks():
     witness = lf.fp_witness(cand)
     assert witness.display == "1/2" and witness.admissible
     assert lf.index_square_diagnostic(cand) == ()
-    coa = lf.check_coa_hom(
-        phi, lf.coalgebra_from_partition(px), lf.coalgebra_from_partition(py)
-    )
-    dia = lf.check_dia_hom(
-        phi, lf.dialgebra_from_partition(px), lf.dialgebra_from_partition(py)
-    )
+    coa = lf.check_coa_hom(phi, px, py)
+    dia = lf.check_dia_hom(phi, px, py)
     assert not coa.holds and coa.violation == ("x1", ("0", "1/2"))
     assert not dia.holds
 
@@ -203,106 +188,59 @@ def test_failing_coa_hom_has_violation(l3, uni_x2, x2p):
         ("x2", fs(l3, uni_x2, "0", "1")),
     ])
     ident = identity_map(uni_x2)
-    cx = lf.coalgebra_from_partition(x2p)
-    cy = lf.coalgebra_from_partition(crisp)
-    verdict = lf.check_coa_hom(ident, cx, cy)
+    verdict = lf.check_coa_hom(ident, x2p, crisp)
     assert not verdict.holds
     assert verdict.violation is not None
 
 
-def test_conversion_roundtrips(coalg_x2, dialg_x2):
-    assert rows(lf.dia_to_coa(lf.coa_to_dia(coalg_x2))) == rows(coalg_x2)
-    assert rows(lf.coa_to_dia(lf.dia_to_coa(dialg_x2))) == rows(dialg_x2)
-    assert (coalg_x2.view, dialg_x2.view) == ("coalgebra", "dialgebra")
-    to_dia, to_coa = lf.coa_to_dia(coalg_x2), lf.dia_to_coa(dialg_x2)
-    assert (to_dia.view, to_coa.view) == ("dialgebra", "coalgebra")
-    assert to_dia.provenance == "coa_to_dia(from_partition)"
-    assert to_coa.provenance == "dia_to_coa(from_partition)"
-    back = lf.dia_to_coa(to_dia)
-    assert back.view == "coalgebra"
-    assert back.provenance == "dia_to_coa(coa_to_dia(from_partition))"
-
-
-def test_conversions_reject_the_wrong_view(coalg_x2, dialg_x2):
-    with pytest.raises(lf.MismatchError, match="coa_to_dia needs a coalgebra"):
-        lf.coa_to_dia(dialg_x2)
-    with pytest.raises(lf.MismatchError, match="dia_to_coa needs a dialgebra"):
-        lf.dia_to_coa(coalg_x2)
-
-
-def test_hom_checks_reject_the_wrong_view(coalg_x2, dialg_x2, swap):
-    for cx, cy in ((dialg_x2, dialg_x2), (coalg_x2, dialg_x2),
-                   (dialg_x2, coalg_x2)):
-        with pytest.raises(lf.MismatchError,
-                           match="check_coa_hom needs a coalgebra"):
-            lf.check_coa_hom(swap, cx, cy)
-    for dx, dy in ((coalg_x2, coalg_x2), (dialg_x2, coalg_x2),
-                   (coalg_x2, dialg_x2)):
-        with pytest.raises(lf.MismatchError,
-                           match="check_dia_hom needs a dialgebra"):
-            lf.check_dia_hom(swap, dx, dy)
-
-
-def test_triangle_coa_to_dia_equals_direct(x2p, sp, coalg_x2, dialg_x2):
-    assert rows(lf.coa_to_dia(coalg_x2)) == rows(dialg_x2)
-    coalg_sp = lf.coalgebra_from_partition(sp)
-    assert rows(lf.coa_to_dia(coalg_sp)) == \
-        rows(lf.dialgebra_from_partition(sp))
-
-
-def test_transfer_checks(coalg_x2, dialg_x2, coalg_s, swap, collapse, uni_x2,
-                         sp):
+def test_transfer_checks(x2p, sp, swap, collapse, uni_x2):
     ident = identity_map(uni_x2)
     assert lf.morphism_transfer_check(
-        ident, coalg_x2, coalg_x2, "coa-dia"
+        ident, x2p, x2p, "coa-dia"
     ).status == "holds"
     assert lf.morphism_transfer_check(
-        swap, coalg_x2, coalg_x2, "coa-dia"
+        swap, x2p, x2p, "coa-dia"
     ).status == "holds"
     assert lf.morphism_transfer_check(
-        swap, dialg_x2, dialg_x2, "dia-coa"
+        swap, x2p, x2p, "dia-coa"
     ).status == "holds"
     # non-injective collapse: proviso unmet even though the check holds
     assert lf.morphism_transfer_check(
-        collapse, coalg_x2, coalg_s, "coa-dia"
+        collapse, x2p, sp, "coa-dia"
     ).status == "proviso unmet"
     # non-surjective embedding: proviso unmet in the other direction
     embed = lf.UniverseMap.from_labels(sp.universe, uni_x2, {"s1": "x1"})
-    dial_s = lf.dialgebra_from_partition(sp)
     assert lf.morphism_transfer_check(
-        embed, dial_s, dialg_x2, "dia-coa"
+        embed, sp, x2p, "dia-coa"
     ).status == "proviso unmet"
     with pytest.raises(ValueError):
-        lf.morphism_transfer_check(ident, coalg_x2, coalg_x2, "sideways")
+        lf.morphism_transfer_check(ident, x2p, x2p, "sideways")
 
 
-def test_transfer_source_check_fails(l3, uni_x2, x2p, coalg_x2):
+def test_transfer_source_check_fails(l3, uni_x2, x2p):
     crisp = lf.validate_partition(uni_x2, [
         ("x1", fs(l3, uni_x2, "1", "0")),
         ("x2", fs(l3, uni_x2, "0", "1")),
     ])
     ident = identity_map(uni_x2)
-    cy = lf.coalgebra_from_partition(crisp)
-    verdict = lf.morphism_transfer_check(ident, coalg_x2, cy, "coa-dia")
+    verdict = lf.morphism_transfer_check(ident, x2p, crisp, "coa-dia")
     assert verdict.status == "source check fails"
 
 
-def test_adjunction_identity_and_swap(coalg_x2, dialg_x2, swap, uni_x2):
+def test_adjunction_identity_and_swap(x2p, swap, uni_x2):
     ident = identity_map(uni_x2)
     for phi in (ident, swap):
-        assert lf.adjunction_check(coalg_x2, dialg_x2, phi) == \
-            lf.HomVerdict(True)
+        assert lf.adjunction_check(x2p, x2p, phi) == lf.HomVerdict(True)
 
 
-def test_adjunction_precondition(l3, uni_x2, x2p, coalg_x2):
+def test_adjunction_precondition(l3, uni_x2, x2p):
     crisp = lf.validate_partition(uni_x2, [
         ("x1", fs(l3, uni_x2, "1", "0")),
         ("x2", fs(l3, uni_x2, "0", "1")),
     ])
-    bad_target = lf.dialgebra_from_partition(crisp)
     ident = identity_map(uni_x2)
     with pytest.raises(lf.PreconditionError):
-        lf.adjunction_check(coalg_x2, bad_target, ident)
+        lf.adjunction_check(x2p, crisp, ident)
 
 
 # the identity from a graded partition G to its crisp twin C on the Gödel
@@ -321,24 +259,20 @@ GRADED_TO_CRISP = json.dumps({
 
 def test_passing_derived_checks_build_no_table(x2p, sp, swap, collapse,
                                                monkeypatch, capsys):
-    """A check between derived tables is decided, and a violation named,
-    from the blocks, and a conversion only flips the tag: no transform
-    component is folded, whether the check holds or fails, in the library
-    or through the CLI."""
+    """A check between partitions is decided, and a violation named, from
+    the blocks: no transform component is folded, whether the check holds
+    or fails, in the library or through the CLI."""
     def upper(self, row):
         raise AssertionError("a structure table was built")
 
     monkeypatch.setattr(Space, "upper", upper)
-    cx, dx = lf.coalgebra_from_partition(x2p), lf.dialgebra_from_partition(x2p)
-    cs, ds = lf.coalgebra_from_partition(sp), lf.dialgebra_from_partition(sp)
-    for phi, cy, dy in ((swap, cx, dx), (collapse, cs, ds)):
-        assert lf.check_coa_hom(phi, cx, cy).holds
-        assert lf.check_dia_hom(phi, dx, dy).holds
-        assert lf.adjunction_check(cx, dy, phi).holds
-    for direction, x in (("coa-dia", cx), ("dia-coa", dx)):
-        verdict = lf.morphism_transfer_check(swap, x, x, direction)
+    for phi, py in ((swap, x2p), (collapse, sp)):
+        assert lf.check_coa_hom(phi, x2p, py).holds
+        assert lf.check_dia_hom(phi, x2p, py).holds
+        assert lf.adjunction_check(x2p, py, phi).holds
+    for direction in ("coa-dia", "dia-coa"):
+        verdict = lf.morphism_transfer_check(swap, x2p, x2p, direction)
         assert verdict.status == "holds"
-    assert lf.coa_to_dia(cx).view == "dialgebra"
     ends = ("--map", "id", "--source-partition", "G",
             "--target-partition", "C", "--doc", GRADED_TO_CRISP, "--no-timing")
     for argv in (("check", "coa-hom"), ("check", "dia-hom"),
@@ -348,12 +282,12 @@ def test_passing_derived_checks_build_no_table(x2p, sp, swap, collapse,
         assert "violation" in capsys.readouterr().out
 
 
-def test_coa_hom_composition_on_fixture(coalg_x2, coalg_s, swap, collapse):
+def test_coa_hom_composition_on_fixture(x2p, sp, swap, collapse):
     # two holding checks compose to a holding check
-    assert lf.check_coa_hom(swap, coalg_x2, coalg_x2).holds
-    assert lf.check_coa_hom(collapse, coalg_x2, coalg_s).holds
+    assert lf.check_coa_hom(swap, x2p, x2p).holds
+    assert lf.check_coa_hom(collapse, x2p, sp).holds
     composed = compose_maps(swap, collapse)
-    assert lf.check_coa_hom(composed, coalg_x2, coalg_s).holds
+    assert lf.check_coa_hom(composed, x2p, sp).holds
 
 
 def test_budget_paths(x2p):
@@ -379,12 +313,10 @@ def _all_maps(source, target):
 def _views_agree(px, py):
     """The verdict of every carrier map X -> Y, after asserting that the two
     views give it on each."""
-    cx, cy = lf.coalgebra_from_partition(px), lf.coalgebra_from_partition(py)
-    dx, dy = lf.dialgebra_from_partition(px), lf.dialgebra_from_partition(py)
     verdicts = []
     for phi in _all_maps(px.universe, py.universe):
-        coa = lf.check_coa_hom(phi, cx, cy).holds
-        assert lf.check_dia_hom(phi, dx, dy).holds == coa, phi.mapping
+        coa = lf.check_coa_hom(phi, px, py).holds
+        assert lf.check_dia_hom(phi, px, py).holds == coa, phi.mapping
         verdicts.append(coa)
     return verdicts
 

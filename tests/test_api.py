@@ -102,8 +102,7 @@ def test_only_the_cli_lays_out_reports():
 
 
 # run in a fresh interpreter: prints the package modules whose top-level
-# code ran while `validate` read a document of lattice, universes, fuzzy
-# sets and partitions only
+# code ran while `validate` read a document
 LAZY_PROBE = """
 import io, sys
 ran = set()
@@ -122,14 +121,51 @@ print(code, *sorted(m for m in ran if m and m.startswith("latfuzz")))
 """
 
 
-def test_validate_runs_no_module_it_does_not_need():
+def _validate_runs(document: str) -> set:
     probe = subprocess.run(
-        [sys.executable, "-c", LAZY_PROBE,
-         str(ROOT / "fixtures" / "example31.json")],
+        [sys.executable, "-c", LAZY_PROBE, str(ROOT / "fixtures" / document)],
         env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
         capture_output=True, text=True, timeout=60, check=True)
     code, *ran = probe.stdout.split()
     assert code == "0"
     assert "latfuzz.document" in ran
-    assert not {"latfuzz.algebra", "latfuzz.ftransform", "latfuzz.morphism",
-                "latfuzz.closure"} & set(ran)
+    return set(ran)
+
+
+def test_validate_runs_no_module_it_does_not_need():
+    """A document of lattice, universes, fuzzy sets and partitions runs none
+    of the modules loaded on first use; one that also carries explicit
+    systems and candidates runs only `morphism`, which checks the
+    candidates, and not `closure`, whose record types the loader reads
+    from `fuzzyset`."""
+    lazy = {"latfuzz.algebra", "latfuzz.ftransform", "latfuzz.closure"}
+    assert not (lazy | {"latfuzz.morphism"}) & _validate_runs(
+        "example31.json")
+    ran = _validate_runs("w3.json")
+    assert "latfuzz.morphism" in ran
+    assert not lazy & ran
+
+
+def _imported_names(tree) -> set:
+    """The names a module binds by its imports, `__future__` aside."""
+    return {(alias.asname or alias.name).split(".")[0]
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            and getattr(node, "module", None) != "__future__"
+            for alias in node.names}
+
+
+def test_every_imported_name_is_used():
+    """A deletion takes its imports with it: outside `__init__`, which
+    imports to export, each name a module imports is read in that module,
+    annotations included."""
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.stem == "__init__":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)}
+        unused += [f"{path.stem}.{name}"
+                   for name in sorted(_imported_names(tree) - read)]
+    assert unused == []

@@ -1,7 +1,7 @@
 """The budget on `L^X`: each entry point refuses a space one set over its
 budget with its own text and the exact cardinality, the errors that come
-before the budget still do, and `fuzzyset.charge` is the only place in the
-package where a sweep over `L^X` is charged.  Each command that builds or
+before the budget still do, and `errors.charge` is the only place in the
+package that raises BudgetExceeded.  Each command that builds or
 compares a partition's relation is charged its `|X|^2` rows before any row
 is built, each homomorphism check its `|X|^2 |L|` block lookups, and
 `coalg`/`dialg` their space before the first row: each answers at that
@@ -27,9 +27,7 @@ PACKAGE = Path(lf.__file__).resolve().parent
 def o(l3, uni_x, w3, x2p, phi_m):
     return SimpleNamespace(
         l3=l3, uni_x=uni_x, w3=w3, phi_m=phi_m, x2p=x2p,
-        system=lf.system_from_partition(w3),
-        coa=lf.coalgebra_from_partition(x2p),
-        dia=lf.dialgebra_from_partition(x2p))
+        system=lf.system_from_partition(w3))
 
 
 def _system_doc(entries):
@@ -80,8 +78,8 @@ def test_over_budget_text_and_cardinality(o, case):
 # errors that win over the budget, or lose to it, with every space over
 # budget (the documents' 3-element lattice still fits); the hom checks are
 # charged only their block lookups, which fit, so their cases pin that a
-# mismatch is raised before anything is read: case -> (call, error type,
-# text)
+# mismatch or a partition that is not identity-indexed is raised before
+# anything is read: case -> (call, error type, text)
 ERROR_ORDER = {
     "malformed system entry before the budget": (
         lambda o: load_document(_system_doc([5]), 26),
@@ -100,21 +98,14 @@ ERROR_ORDER = {
         lambda o: load_document(_system_doc([[["0", "1", "0"], "2"]]), 26),
         lf.DocumentError, "'2' is not an element of lattice godel_chain(3)"),
     "coalgebra hom universes before the budget": (
-        lambda o: lf.check_coa_hom(o.phi_m, o.coa, o.coa),
+        lambda o: lf.check_coa_hom(o.phi_m, o.x2p, o.x2p),
         lf.MismatchError, "coalgebra homomorphism: universe mismatch"),
-    "coalgebra hom views before the budget": (
-        lambda o: lf.check_coa_hom(
-            identity_map(o.x2p.universe), o.dia, o.dia),
-        lf.MismatchError, "check_coa_hom needs a coalgebra table, "
-                          "got a dialgebra"),
     "dialgebra hom universes before the budget": (
-        lambda o: lf.check_dia_hom(o.phi_m, o.dia, o.dia),
+        lambda o: lf.check_dia_hom(o.phi_m, o.x2p, o.x2p),
         lf.MismatchError, "dialgebra homomorphism: universe mismatch"),
-    "dialgebra hom views before the budget": (
-        lambda o: lf.check_dia_hom(
-            identity_map(o.x2p.universe), o.coa, o.coa),
-        lf.MismatchError, "check_dia_hom needs a dialgebra table, "
-                          "got a coalgebra"),
+    "hom partition not identity-indexed before the budget": (
+        lambda o: lf.check_dia_hom(identity_map(o.uni_x), o.w3, o.w3),
+        lf.PreconditionError, "partition on X is not identity-indexed"),
 }
 
 
@@ -141,16 +132,15 @@ def _budget_error_sites(tree, scope=""):
 
 
 def test_the_kernel_is_the_one_charge_point_for_sweeps():
-    """Only `fuzzyset.charge`, which `Space` calls, sizes a sweep against the
-    budget; `lattice.py` charges lattice tables and law-suite work, which are
-    not sweeps of `L^X`."""
+    """Only `errors.charge` constructs BudgetExceeded: `Space` calls it for
+    a sweep of `L^X`, and the lattice tables, the law suite, the relation
+    path and the homomorphism checks call it with their own counts."""
     sites = {
         path.name: sorted(set(_budget_error_sites(
             ast.parse(path.read_text(encoding="utf-8")))))
         for path in PACKAGE.glob("*.py")}
     assert {name: found for name, found in sites.items() if found} == {
-        "fuzzyset.py": ["charge"],
-        "lattice.py": ["_charge", "law_suite"],
+        "errors.py": ["charge"],
     }
 
 

@@ -21,7 +21,6 @@ def _samples():
     ramp, swap, cand = DOC.fuzzy_set("ramp_up"), DOC.map("swap"), \
         DOC.candidate("m_half")
     system = lf.system_from_partition(w3)
-    coa = lf.coalgebra_from_partition(x2p)
     return [
         (lat, "name", "renamed"),
         (lf.law_suite(lat), "subject", "renamed"),
@@ -36,9 +35,8 @@ def _samples():
         (cand, "pairs", ()),
         (lf.fps_product(DOC.partition("Q"), DOC.partition("P2")),
          "proj_left_witness", lf.Witness(lat.bottom, lat)),
-        (coa, "view", "dialgebra"),
-        (lf.check_coa_hom(swap, coa, coa), "holds", False),
-        (lf.morphism_transfer_check(swap, coa, coa, "coa-dia"), "status",
+        (lf.check_coa_hom(swap, x2p, x2p), "holds", False),
+        (lf.morphism_transfer_check(swap, x2p, x2p, "coa-dia"), "status",
          "fails"),
         (DOC, "warnings", ["changed"]),
         (cli._KINDS["system"], "prefixes", ()),

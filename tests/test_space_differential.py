@@ -448,7 +448,7 @@ def test_structure_tables_and_t1(case):
     if nx:
         p = random_partition(rng, lat, ux, identity=True)
         assert tuple(lf.transform_table(p)) == reference_transform_table(p)
-        assert lf.coalgebra_from_partition(p).partition is p
+        assert lf.identity_indexed(p) is p
     # a coalgebra homomorphism is a map along which T1 carries each row of
     # the source table below the target's row at the image point
     phi = random_map(rng, ux, uy)
@@ -461,14 +461,12 @@ def test_structure_tables_and_t1(case):
 
 
 def hom_verdicts(phi, px, py):
-    """The verdicts of both checks, coalgebra view first, on the tables
-    derived from px and py, and those of the per-set sweeps on stand-ins.
-    The checks are looked up on `algebra`, where a test may patch them."""
-    cx, cy = (lf.coalgebra_from_partition(t) for t in (px, py))
-    dx, dy = (lf.dialgebra_from_partition(t) for t in (px, py))
+    """The verdicts of both checks, coalgebra view first, on px and py, and
+    those of the per-set sweeps on stand-ins.  The checks are looked up on
+    `algebra`, where a test may patch them."""
     hx, hy = stand_in(px), stand_in(py)
-    return ((algebra.check_coa_hom(phi, cx, cy),
-             algebra.check_dia_hom(phi, dx, dy)),
+    return ((algebra.check_coa_hom(phi, px, py),
+             algebra.check_dia_hom(phi, px, py)),
             (reference_coa_hom(phi, hx, hy), reference_dia_hom(phi, hx, hy)))
 
 
@@ -499,7 +497,7 @@ def test_hom_checks_report_the_same_first_violation(case):
 
 def reference_transfer(phi, source, target, direction):
     """`morphism_transfer_check` by the per-set checks: a table's rows are
-    the same in either view, so the converted check reads them as given."""
+    the same in either view, so the re-check reads them as given."""
     proviso, check, recheck = {
         "coa-dia": (phi.is_injective, reference_coa_hom, reference_dia_hom),
         "dia-coa": (phi.is_surjective, reference_dia_hom, reference_coa_hom),
@@ -601,19 +599,15 @@ def test_hom_checks_on_partition_tables(case):
         cut, keep = retraction(rng, px, uy)
         cases.append((keep, px, cut, False))
     for phi, p, q, must_hold in cases:
-        cx, cy = (lf.coalgebra_from_partition(p),
-                  lf.coalgebra_from_partition(q))
-        dx, dy = (lf.dialgebra_from_partition(p),
-                  lf.dialgebra_from_partition(q))
         hx, hy = stand_in(p), stand_in(q)
         coa = reference_coa_hom(phi, hx, hy)
-        assert lf.check_coa_hom(phi, cx, cy) == coa
-        assert lf.check_dia_hom(phi, dx, dy) == reference_dia_hom(phi, hx, hy)
-        assert lf.morphism_transfer_check(phi, cx, cy, "coa-dia") == \
+        assert lf.check_coa_hom(phi, p, q) == coa
+        assert lf.check_dia_hom(phi, p, q) == reference_dia_hom(phi, hx, hy)
+        assert lf.morphism_transfer_check(phi, p, q, "coa-dia") == \
             reference_transfer(phi, hx, hy, "coa-dia")
-        assert lf.morphism_transfer_check(phi, dx, dy, "dia-coa") == \
+        assert lf.morphism_transfer_check(phi, p, q, "dia-coa") == \
             reference_transfer(phi, hx, hy, "dia-coa")
-        assert adjunction_outcome(phi, cx, dy) == \
+        assert adjunction_outcome(phi, p, q) == \
             reference_adjunction(phi, hx, hy)
         assert coa.holds or not must_hold
 
